@@ -373,10 +373,11 @@ def cmd_converge(cfg):
     summary = []
     for rep in reports:
         last_lp = max(r["lambda_prime"] for r in rep.records)
-        worst_final = max(max(r["c0"], r["c1"], r["c2"])
-                          for r in rep.records if r["lambda_prime"] == last_lp)
-        worst_boundary = max(r["boundary_M_c0"] for r in rep.records
-                             if r["lambda_prime"] == last_lp)
+        final = [r for r in rep.records if r["lambda_prime"] == last_lp]
+        worst_final = mf.max_carrying_nan(
+            *(r[k] for r in final for k in ("c0", "c1", "c2")))
+        worst_boundary = mf.max_carrying_nan(
+            *(r["boundary_M_c0"] for r in final))
         summary.append(
             f"theta={rep.records[0]['theta']:.6g}: final C2 "
             f"{worst_final:.3e}, final boundary {worst_boundary:.3e}")

@@ -117,7 +117,7 @@ def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid,
                     "be positive")
             d = mf.c2_distance(family.cut(float(lam), float(lam + b)), sigma,
                                resolution=resolution)
-            worst = max(worst, d.max())
+            worst = mf.max_carrying_nan(worst, d.max())
     return worst < HYPERBOLIC_PASS_TOL, worst
 
 
@@ -262,26 +262,9 @@ class ConvergenceReport:
     wall_clock_s: float
     cauchy_worst: float = 0.0
 
-    def jsonl_lines(self):
-        import json
-        return [json.dumps(r, sort_keys=True) for r in self.records]
-
     CSV_COLUMNS = ("theta", "b", "lambda_prime", "c0", "c1", "c2",
                    "grid", "fd_step", "family_id",
                    "boundary_M_c0", "boundary_H_c0")
-
-    def csv_lines(self):
-        lines = [",".join(self.CSV_COLUMNS)]
-        for r in self.records:
-            row = []
-            for col in self.CSV_COLUMNS:
-                v = r[col]
-                if col == "grid":
-                    row.append(f"{v[0]}x{v[1]}")
-                else:
-                    row.append(repr(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(row))
-        return lines
 
 
 def run_convergence(family, k, theta, b_grid, lambda_prime_grid,
@@ -340,7 +323,7 @@ def run_convergence(family, k, theta, b_grid, lambda_prime_grid,
             h_meas = family.cut(lam, lp + b)
             bdist = mf.c2_distance(h_meas, h_pred,
                                    resolution=boundary_resolution)
-            boundary_m_c0 = max(
+            boundary_m_c0 = mf.max_carrying_nan(
                 abs(normal_meas - assembly.boundary_m.normal_coeff),
                 bdist.max())
 
@@ -360,8 +343,8 @@ def run_convergence(family, k, theta, b_grid, lambda_prime_grid,
         for i in range(len(samples) - 1):
             direct = join_c2_distance(samples[i], samples[i + 1]).max()
             via = (_rec(records, b, lp_grid[i]) + _rec(records, b, lp_grid[i + 1]))
-            cauchy_worst = max(cauchy_worst, direct - via)
-    if cauchy_worst > 1e-12:
+            cauchy_worst = mf.max_carrying_nan(cauchy_worst, direct - via)
+    if not (cauchy_worst <= 1e-12):
         raise VerificationError(
             f"Cauchy spot check violated by {cauchy_worst:.3e}")
     return ConvergenceReport(
@@ -373,7 +356,7 @@ def run_convergence(family, k, theta, b_grid, lambda_prime_grid,
 def _rec(records, b, lp):
     for r in records:
         if r["b"] == b and r["lambda_prime"] == lp:
-            return max(r["c0"], r["c1"], r["c2"])
+            return mf.max_carrying_nan(r["c0"], r["c1"], r["c2"])
     raise KeyError((b, lp))
 
 
@@ -410,23 +393,24 @@ def check_convergence_assertions(reports, floor=C2_FLOOR, final_tol=1e-4,
         max_over_b = {lp: 0.0 for lp in lp_sorted}
         for (theta, b), rows in sorted(by_b.items()):
             rows.sort(key=lambda r: r["lambda_prime"])
-            dists = [max(r["c0"], r["c1"], r["c2"]) for r in rows]
+            dists = [mf.max_carrying_nan(r["c0"], r["c1"], r["c2"])
+                     for r in rows]
             for i in range(len(dists) - 1):
                 lo, hi = dists[i + 1], dists[i]
                 if not (lo < hi or (lo <= floor and hi <= floor)):
                     failures.append(
                         f"theta={theta:.6g} b={b:.6g}: distance not "
                         f"decreasing above floor ({hi:.3e} -> {lo:.3e})")
-            if dists[-1] >= final_tol:
+            if not (dists[-1] < final_tol):
                 failures.append(
                     f"theta={theta:.6g} b={b:.6g}: final C^2 distance "
                     f"{dists[-1]:.3e} >= {final_tol:.0e}")
-            if rows[-1]["boundary_M_c0"] >= boundary_tol:
+            if not (rows[-1]["boundary_M_c0"] < boundary_tol):
                 failures.append(
                     f"theta={theta:.6g} b={b:.6g}: boundary distance "
                     f"{rows[-1]['boundary_M_c0']:.3e} >= {boundary_tol:.0e}")
             for lp, d in zip(lp_sorted, dists):
-                max_over_b[lp] = max(max_over_b[lp], d)
+                max_over_b[lp] = mf.max_carrying_nan(max_over_b[lp], d)
         agg = [max_over_b[lp] for lp in lp_sorted]
         for i in range(len(agg) - 1):
             lo, hi = agg[i + 1], agg[i]

@@ -165,12 +165,14 @@ class JoinMetricField:
         m = np.asarray(self.block_m(phi, beta), dtype=float)
         bb = np.broadcast_to(np.asarray(self.block_beta(beta), dtype=float),
                              (phi.size, beta.size))
-        one_sheet = np.stack([m, bb, np.zeros_like(m)], axis=0)
-        data = np.broadcast_to(one_sheet,
-                               (len(sheets),) + one_sheet.shape).copy()
+        # the blocks do not depend on the sheet: every sheet is a read-only
+        # view of the one computed sheet
+        shape = (len(sheets), phi.size, beta.size)
         return JoinSample(
             phi=phi, beta=beta, sheets=tuple(sheets),
-            block_m=data[:, 0], block_beta=data[:, 1], offdiag=data[:, 2],
+            block_m=np.broadcast_to(m, shape),
+            block_beta=np.broadcast_to(bb, shape),
+            offdiag=np.broadcast_to(0.0, shape),
             block_h_coeff=np.asarray(self.block_h_coeff(beta), dtype=float),
             s=self.s, name=self.name)
 
@@ -344,7 +346,9 @@ def join_c2_distance(a, b):
         for sheet in range(da.shape[0]):
             s0, s1, s2 = mf.c2_sups(da[sheet], (hphi, hbeta),
                                     periodic=(True, False))
-            c0, c1, c2 = max(c0, s0), max(c1, s1), max(c2, s2)
+            c0 = mf.max_carrying_nan(c0, s0)
+            c1 = mf.max_carrying_nan(c1, s1)
+            c2 = mf.max_carrying_nan(c2, s2)
     return mf.C2Distance(c0=c0, c1=c1, c2=c2,
                          grid_resolution=int(a.beta.size), fd_step=hbeta)
 

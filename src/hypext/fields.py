@@ -289,17 +289,6 @@ def scale(a, c):
                                            is_metric=a.is_metric)
 
 
-def add_fields(a, b, is_metric=None):
-    """Pointwise sum of two closed-form fields over the same atlas."""
-    _require_same_atlas(a, b)
-    if a.kind != "closed-form" or b.kind != "closed-form":
-        raise DomainError("add_fields requires closed-form fields")
-    fn = lambda chart, x: a.components(chart, x) + b.components(chart, x)
-    return SphereMetricField.from_function(
-        a.atlas, fn, name=f"{a.name}+{b.name}",
-        is_metric=a.is_metric if is_metric is None else is_metric)
-
-
 @dataclass(frozen=True)
 class RadialMetric:
     """A centered metric g = g_r + dr^2 given by its warped cuts r -> g_r."""
@@ -364,7 +353,18 @@ class C2Distance:
     fd_step: float
 
     def max(self):
-        return max(self.c0, self.c1, self.c2)
+        return max_carrying_nan(self.c0, self.c1, self.c2)
+
+
+def max_carrying_nan(*values):
+    """The largest of ``values``, or NaN if any is NaN.
+
+    The builtin ``max`` keeps a NaN only when it comes first, so a NaN sup
+    folded into a running maximum would otherwise vanish and pass a gate.
+    """
+    if any(v != v for v in values):
+        return math.nan
+    return max(values)
 
 
 def c2_sups(delta, steps, periodic=None, mask=None):
@@ -374,82 +374,98 @@ def c2_sups(delta, steps, periodic=None, mask=None):
     component axes; ``steps`` gives the grid spacing per grid axis.  A
     periodic axis is differenced with wraparound, a bounded one on its
     interior.  ``mask`` (over the grid axes) restricts all sups.
+
+    Each periodic axis is padded once with one wrapped layer on either
+    side, so every forward, backward, mid and cross stencil is a view of
+    that one copy.  The division by the stencil's step factor is taken
+    after the sup: correctly rounded division by a positive number is
+    monotone, so ``max|x| / c`` equals ``max|x / c|`` bit for bit.  An
+    exactly zero ``delta`` (no mask) returns ``(0.0, 0.0, 0.0)`` at once.
+    A NaN anywhere a stencil reaches makes that sup NaN; it is never
+    dropped.
     """
     delta = np.asarray(delta, dtype=float)
     n_axes = len(steps)
-    periodic = periodic or (False,) * n_axes
-    if mask is None:
-        mask = np.ones(delta.shape[:n_axes], dtype=bool)
-
+    periodic = tuple(periodic or (False,) * n_axes)
     comp_axes = tuple(range(n_axes, delta.ndim))
 
-    def sup(arr, m):
-        if not np.any(m):
-            return 0.0
-        vals = np.max(np.abs(arr), axis=comp_axes) if comp_axes else np.abs(arr)
-        return float(np.max(vals[m]))
+    def sup(arr, region, factor=1.0):
+        """sup |arr| / |factor| over ``region`` (slices of the grid axes)
+        where the mask holds; ``arr`` is a temporary and is overwritten."""
+        if mask is None:
+            if arr.size == 0:
+                return 0.0
+            top = np.max(np.abs(arr, out=arr))
+        else:
+            m = mask[region]
+            if not np.any(m):
+                return 0.0
+            vals = np.abs(arr, out=arr)
+            if comp_axes:
+                vals = np.max(vals, axis=comp_axes)
+            top = np.max(vals[m])
+        return float(top / abs(factor))
 
-    c0 = sup(delta, mask)
+    if mask is None:
+        c0 = float(np.max(np.abs(delta))) if delta.size else 0.0
+        if c0 == 0.0:
+            return 0.0, 0.0, 0.0
+    else:
+        c0 = sup(delta.copy(), (slice(None),) * n_axes)
 
-    c1 = 0.0
-    c2 = 0.0
-    slices_all = [slice(None)] * delta.ndim
+    # one wrapped layer on each side of every periodic axis
+    padded = delta
+    for ax in range(n_axes):
+        if periodic[ax]:
+            last = padded[(slice(None),) * ax + (slice(-1, None),)]
+            first = padded[(slice(None),) * ax + (slice(None, 1),)]
+            padded = np.concatenate([last, padded, first], axis=ax)
 
-    def ax_slice(axis, sl):
-        s = list(slices_all)
-        s[axis] = sl
-        return tuple(s)
+    shift_slices = {1: slice(2, None), -1: slice(None, -2), 0: slice(1, -1)}
 
+    def view(offsets):
+        """The stencil neighbour at ``offsets`` (one of +1, -1, 0 or None
+        per grid axis; None leaves that axis undifferenced) of every
+        evaluation point, as a view of ``padded``."""
+        return padded[tuple(
+            shift_slices[off] if off is not None
+            else (slice(1, -1) if periodic[ax] else slice(None))
+            for ax, off in enumerate(offsets))]
+
+    def region(differenced):
+        """Evaluation points in unpadded grid coordinates: the interior of
+        every differenced bounded axis, everything elsewhere."""
+        return tuple(slice(1, -1) if ax in differenced and not periodic[ax]
+                     else slice(None) for ax in range(n_axes))
+
+    sups1, sups2 = [], []
     for ax in range(n_axes):
         h = steps[ax]
-        if periodic[ax]:
-            fwd = np.roll(delta, -1, axis=ax)
-            bwd = np.roll(delta, 1, axis=ax)
-            d1 = (fwd - bwd) / (2.0 * h)
-            d2 = (fwd - 2.0 * delta + bwd) / (h * h)
-            c1 = max(c1, sup(d1, mask))
-            c2 = max(c2, sup(d2, mask))
-        else:
-            inner = ax_slice(ax, slice(1, -1))
-            fwd = delta[ax_slice(ax, slice(2, None))]
-            bwd = delta[ax_slice(ax, slice(None, -2))]
-            mid = delta[inner]
-            m_in = mask[ax_slice(ax, slice(1, -1))[:n_axes]]
-            d1 = (fwd - bwd) / (2.0 * h)
-            d2 = (fwd - 2.0 * mid + bwd) / (h * h)
-            c1 = max(c1, sup(d1, m_in))
-            c2 = max(c2, sup(d2, m_in))
+        fwd, bwd, mid = (view([off if a == ax else None
+                               for a in range(n_axes)])
+                         for off in (1, -1, 0))
+        where = region((ax,))
+        sups1.append(sup(fwd - bwd, where, 2.0 * h))
+        d2 = 2.0 * mid
+        np.subtract(fwd, d2, out=d2)
+        d2 += bwd
+        sups2.append(sup(d2, where, h * h))
 
     if n_axes == 2:
         h0, h1 = steps
-        if all(periodic):
-            pp = np.roll(np.roll(delta, -1, 0), -1, 1)
-            pm = np.roll(np.roll(delta, -1, 0), 1, 1)
-            mp = np.roll(np.roll(delta, 1, 0), -1, 1)
-            mm = np.roll(np.roll(delta, 1, 0), 1, 1)
-            dxy = (pp - pm - mp + mm) / (4.0 * h0 * h1)
-            c2 = max(c2, sup(dxy, mask))
-        elif not any(periodic):
-            pp = delta[2:, 2:]
-            pm = delta[2:, :-2]
-            mp = delta[:-2, 2:]
-            mm = delta[:-2, :-2]
-            dxy = (pp - pm - mp + mm) / (4.0 * h0 * h1)
-            c2 = max(c2, sup(dxy, mask[1:-1, 1:-1]))
-        else:
-            # one periodic axis (axis p), one bounded: roll on p, slice on the other
-            p = 0 if periodic[0] else 1
-            b = 1 - p
-            rolled_f = np.roll(delta, -1, axis=p)
-            rolled_b = np.roll(delta, 1, axis=p)
-            pp = rolled_f[ax_slice(b, slice(2, None))]
-            pm = rolled_b[ax_slice(b, slice(2, None))]
-            mp = rolled_f[ax_slice(b, slice(None, -2))]
-            mm = rolled_b[ax_slice(b, slice(None, -2))]
-            dxy = (pp - pm - mp + mm) / (4.0 * h0 * h1)
-            c2 = max(c2, sup(dxy, mask[ax_slice(b, slice(1, -1))[:n_axes]]))
+        pm, mp = view((1, -1)), view((-1, 1))
+        if periodic == (True, False):
+            # the rounding of the cross stencil depends on the order of its
+            # terms: with the periodic axis first, (-1, +1) is subtracted
+            # before (+1, -1), which keeps the results bit-identical to the
+            # roll-based reference kernel in tests/test_fields.py
+            pm, mp = mp, pm
+        dxy = view((1, 1)) - pm
+        dxy -= mp
+        dxy += view((-1, -1))
+        sups2.append(sup(dxy, region((0, 1)), 4.0 * h0 * h1))
 
-    return c0, c1, c2
+    return c0, max_carrying_nan(*sups1), max_carrying_nan(*sups2)
 
 
 def _require_same_atlas(a, b):
@@ -493,7 +509,9 @@ def c2_distance(a, b, resolution=None, step=None):
         else:
             mask = atlas.interior_mask(axis)
             s0, s1, s2 = c2_sups(delta, (h, h), mask=mask)
-        c0, c1, c2 = max(c0, s0), max(c1, s1), max(c2, s2)
+        c0 = max_carrying_nan(c0, s0)
+        c1 = max_carrying_nan(c1, s1)
+        c2 = max_carrying_nan(c2, s2)
     return C2Distance(c0=c0, c1=c1, c2=c2, grid_resolution=n, fd_step=h)
 
 

@@ -302,6 +302,26 @@ def test_corrupt_limit_hook_breaks_assertions():
     assert failures != []
 
 
+def _report(c2_values, boundary=1e-8):
+    records = [{"theta": HALF_PI, "b": 0.0, "lambda_prime": lp,
+                "c0": c2 / 10.0, "c1": c2 / 2.0, "c2": c2,
+                "boundary_M_c0": boundary}
+               for lp, c2 in zip((4.0, 6.0, 8.0), c2_values)]
+    return cl.ConvergenceReport(family_id="synthetic", k=1, records=records,
+                                n_phi=8, n_beta=8, beta_margin=0.1,
+                                wall_clock_s=0.0)
+
+
+def test_convergence_assertions_fail_on_nan():
+    assert cl.check_convergence_assertions(_report([1e-2, 1e-3, 1e-5])) == []
+    failures = cl.check_convergence_assertions(
+        _report([1e-2, 1e-3, math.nan]))
+    assert any("final C^2 distance" in f for f in failures)
+    failures = cl.check_convergence_assertions(
+        _report([1e-2, 1e-3, 1e-5], boundary=math.nan))
+    assert any("boundary distance" in f for f in failures)
+
+
 def test_empirical_limit_diagnostic_matches_declared_oracle():
     # for the diagonal-stationary bump family the diagnostic equals the
     # declared oracle exactly; it stays out of the verification path

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,50 @@ def test_join_c2_distance_identity_and_symmetry():
     dba = ext.join_c2_distance(b, a)
     assert (dab.c0, dab.c1, dab.c2) == (dba.c0, dba.c1, dba.c2)
     assert dab.c0 > 0
+
+
+def materialized(sample):
+    """The same sample with every block copied into its own array."""
+    return replace(sample, block_m=np.array(sample.block_m),
+                   block_beta=np.array(sample.block_beta),
+                   offdiag=np.array(sample.offdiag))
+
+
+def test_join_sample_is_read_only_view_of_one_sheet():
+    space = perturbed_space()
+    phi, beta = ext.join_grid(16, 12)
+    sample = ext.cut_via_formula(space, 2.0, unwarped=True).sample(phi, beta)
+    for block in (sample.block_m, sample.block_beta, sample.offdiag):
+        assert block.shape == (2, 16, 12)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0, 0] = 1.0
+        assert np.array_equal(block[0], block[1])
+    assert np.all(sample.offdiag == 0.0)
+
+
+def test_join_sample_views_give_unchanged_results():
+    space = perturbed_space()
+    phi, beta = ext.join_grid(16, 12)
+    a = ext.cut_via_formula(space, 2.0, unwarped=True).sample(phi, beta)
+    b = ext.cut_via_formula(space, 2.5, unwarped=True).sample(phi, beta)
+    assert ext.join_c2_distance(a, b) == ext.join_c2_distance(
+        materialized(a), materialized(b))
+    formula = ext.cut_via_formula(space, 1.0, unwarped=False).sample(phi, beta)
+    oracle = ext.cut_via_pullback(space, 1.0, phi, beta)
+    assert ext.compare_join(formula, oracle) == ext.compare_join(
+        materialized(formula), oracle)
+
+
+def test_join_c2_distance_carries_nan():
+    space = perturbed_space()
+    phi, beta = ext.join_grid(16, 12)
+    a = ext.cut_via_formula(space, 2.0, unwarped=True).sample(phi, beta)
+    bad = materialized(a)
+    bad.block_m[1, 5, 6] = math.nan
+    d = ext.join_c2_distance(bad, a)
+    assert math.isnan(d.c0) and math.isnan(d.c1) and math.isnan(d.c2)
+    assert math.isnan(d.max())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypext import fields as mf
 from hypext.errors import DomainError
@@ -177,6 +179,234 @@ def test_scale_properties():
         mf.scale(sigma, 0.0)
     with pytest.raises(DomainError):
         mf.scale(sigma, -2.0)
+
+
+# ---------------------------------------------------------------------------
+# the grid C^2 kernel against the roll-based reference
+# ---------------------------------------------------------------------------
+
+def roll_c2_sups(delta, steps, periodic=None, mask=None):
+    """Reference kernel: every stencil built with np.roll and every sup
+    taken through a boolean mask.  Results of ``mf.c2_sups`` must equal
+    it bit for bit on finite input."""
+    delta = np.asarray(delta, dtype=float)
+    n_axes = len(steps)
+    periodic = periodic or (False,) * n_axes
+    if mask is None:
+        mask = np.ones(delta.shape[:n_axes], dtype=bool)
+
+    comp_axes = tuple(range(n_axes, delta.ndim))
+
+    def sup(arr, m):
+        if not np.any(m):
+            return 0.0
+        vals = np.max(np.abs(arr), axis=comp_axes) if comp_axes else np.abs(arr)
+        return float(np.max(vals[m]))
+
+    c0 = sup(delta, mask)
+
+    c1 = 0.0
+    c2 = 0.0
+    slices_all = [slice(None)] * delta.ndim
+
+    def ax_slice(axis, sl):
+        s = list(slices_all)
+        s[axis] = sl
+        return tuple(s)
+
+    for ax in range(n_axes):
+        h = steps[ax]
+        if periodic[ax]:
+            fwd = np.roll(delta, -1, axis=ax)
+            bwd = np.roll(delta, 1, axis=ax)
+            d1 = (fwd - bwd) / (2.0 * h)
+            d2 = (fwd - 2.0 * delta + bwd) / (h * h)
+            c1 = max(c1, sup(d1, mask))
+            c2 = max(c2, sup(d2, mask))
+        else:
+            inner = ax_slice(ax, slice(1, -1))
+            fwd = delta[ax_slice(ax, slice(2, None))]
+            bwd = delta[ax_slice(ax, slice(None, -2))]
+            mid = delta[inner]
+            m_in = mask[ax_slice(ax, slice(1, -1))[:n_axes]]
+            d1 = (fwd - bwd) / (2.0 * h)
+            d2 = (fwd - 2.0 * mid + bwd) / (h * h)
+            c1 = max(c1, sup(d1, m_in))
+            c2 = max(c2, sup(d2, m_in))
+
+    if n_axes == 2:
+        h0, h1 = steps
+        if all(periodic):
+            pp = np.roll(np.roll(delta, -1, 0), -1, 1)
+            pm = np.roll(np.roll(delta, -1, 0), 1, 1)
+            mp = np.roll(np.roll(delta, 1, 0), -1, 1)
+            mm = np.roll(np.roll(delta, 1, 0), 1, 1)
+            dxy = (pp - pm - mp + mm) / (4.0 * h0 * h1)
+            c2 = max(c2, sup(dxy, mask))
+        elif not any(periodic):
+            pp = delta[2:, 2:]
+            pm = delta[2:, :-2]
+            mp = delta[:-2, 2:]
+            mm = delta[:-2, :-2]
+            dxy = (pp - pm - mp + mm) / (4.0 * h0 * h1)
+            c2 = max(c2, sup(dxy, mask[1:-1, 1:-1]))
+        else:
+            p = 0 if periodic[0] else 1
+            b = 1 - p
+            rolled_f = np.roll(delta, -1, axis=p)
+            rolled_b = np.roll(delta, 1, axis=p)
+            pp = rolled_f[ax_slice(b, slice(2, None))]
+            pm = rolled_b[ax_slice(b, slice(2, None))]
+            mp = rolled_f[ax_slice(b, slice(None, -2))]
+            mm = rolled_b[ax_slice(b, slice(None, -2))]
+            dxy = (pp - pm - mp + mm) / (4.0 * h0 * h1)
+            c2 = max(c2, sup(dxy, mask[ax_slice(b, slice(1, -1))[:n_axes]]))
+
+    return c0, c1, c2
+
+
+def assert_bit_identical(got, want):
+    assert got == want
+    # repr round-trips a float exactly and tells 0.0 from -0.0
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    assert all(type(v) is float for v in got)
+
+
+PERIODIC_1 = [(False,), (True,)]
+PERIODIC_2 = [(False, False), (True, False), (False, True), (True, True)]
+COMPONENT_SHAPES = [(), (1, 1), (2, 2)]
+
+
+@st.composite
+def kernel_cases(draw):
+    n_axes = draw(st.sampled_from([1, 2]))
+    grid = tuple(draw(st.integers(1, 7)) for _ in range(n_axes))
+    comps = draw(st.sampled_from(COMPONENT_SHAPES))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    flat = draw(st.lists(values, min_size=int(np.prod(grid + comps)),
+                         max_size=int(np.prod(grid + comps))))
+    delta = np.array(flat, dtype=float).reshape(grid + comps)
+    steps = tuple(draw(st.floats(1e-3, 2.0)) for _ in range(n_axes))
+    periodic = draw(st.sampled_from(PERIODIC_1 if n_axes == 1
+                                    else PERIODIC_2))
+    mask = None
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.booleans(), min_size=int(np.prod(grid)),
+                             max_size=int(np.prod(grid))))
+        mask = np.array(bits, dtype=bool).reshape(grid)
+    return delta, steps, periodic, mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases())
+def test_c2_sups_matches_roll_reference(case):
+    delta, steps, periodic, mask = case
+    want = roll_c2_sups(delta, steps, periodic=periodic, mask=mask)
+    got = mf.c2_sups(delta, steps, periodic=periodic, mask=mask)
+    assert_bit_identical(got, want)
+
+
+def _corners_and_edges(shape):
+    """Grid indices on every edge and in every corner of the grid."""
+    picks = []
+    for idx in np.ndindex(*shape):
+        if any(i in (0, n - 1) for i, n in zip(idx, shape)):
+            picks.append(idx)
+    return picks
+
+
+@pytest.mark.parametrize("periodic", PERIODIC_2)
+@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
+@pytest.mark.parametrize("with_mask", [False, True])
+def test_c2_sups_single_entry_on_edges_and_corners_2d(periodic, comps,
+                                                      with_mask):
+    # one nonzero entry at the grid's rim: a wrong wrap shows at once
+    shape = (5, 6)
+    steps = (0.3, 0.07)
+    mask = None
+    if with_mask:
+        mask = np.ones(shape, dtype=bool)
+        mask[1, 2] = mask[4, 0] = False
+    for idx in _corners_and_edges(shape):
+        delta = np.zeros(shape + comps)
+        delta[idx] = 1.25
+        want = roll_c2_sups(delta, steps, periodic=periodic, mask=mask)
+        got = mf.c2_sups(delta, steps, periodic=periodic, mask=mask)
+        assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("periodic", PERIODIC_1)
+@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
+def test_c2_sups_single_entry_on_edges_1d(periodic, comps):
+    for i in (0, 1, 5, 6):
+        delta = np.zeros((7,) + comps)
+        delta[i] = -3.0
+        want = roll_c2_sups(delta, (0.2,), periodic=periodic)
+        got = mf.c2_sups(delta, (0.2,), periodic=periodic)
+        assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("periodic", PERIODIC_1 + PERIODIC_2)
+@pytest.mark.parametrize("with_mask", [False, True])
+def test_c2_sups_all_zero_is_zero(periodic, with_mask):
+    shape = (6,) * len(periodic)
+    steps = (0.1,) * len(periodic)
+    mask = np.ones(shape, dtype=bool) if with_mask else None
+    for delta in (np.zeros(shape + (2, 2)), -np.zeros(shape)):
+        got = mf.c2_sups(delta, steps, periodic=periodic, mask=mask)
+        assert_bit_identical(got, (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("periodic", PERIODIC_1 + PERIODIC_2)
+def test_c2_sups_carries_nan(periodic):
+    # every sup whose stencils reach the NaN is NaN; the roll-based
+    # reference drops it from c1 and c2
+    shape = (6,) * len(periodic)
+    steps = (0.1,) * len(periodic)
+    for idx in [(0,) * len(periodic), (3,) * len(periodic)]:
+        delta = np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape)
+        delta[idx] = math.nan
+        c0, c1, c2 = mf.c2_sups(delta, steps, periodic=periodic)
+        assert math.isnan(c0) and math.isnan(c1) and math.isnan(c2)
+
+
+def test_c2_sups_carries_nan_past_a_finite_sup():
+    # the mask keeps the NaN out of the phi stencils but not the beta ones,
+    # so a finite sup comes first and the NaN after it
+    delta = np.zeros((5, 5))
+    delta[0, 2] = math.nan
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[0] = True
+    c0, c1, c2 = mf.c2_sups(delta, (0.1, 0.1), mask=mask)
+    assert math.isnan(c0) and math.isnan(c1) and math.isnan(c2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_c2_sups_cross_term_keeps_subtraction_order(seed):
+    # a field dominated by its mixed derivative, where the rounding of the
+    # cross stencil depends on the order of its four terms
+    rng = np.random.default_rng(seed)
+    phi = 2.0 * math.pi * np.arange(12) / 12
+    beta = 0.01 * np.arange(10)
+    delta = (np.sin(phi)[:, None] * beta[None, :]
+             + rng.uniform(-1e-12, 1e-12, (12, 10)))
+    steps = (2.0 * math.pi / 12, 0.01)
+    for periodic, d, h in (((True, False), delta, steps),
+                           ((False, True), delta.T.copy(), steps[::-1])):
+        assert_bit_identical(mf.c2_sups(d, h, periodic=periodic),
+                             roll_c2_sups(d, h, periodic=periodic))
+
+
+def test_c2_distance_max_carries_nan():
+    for values in [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0),
+                   (0.0, 1.0, math.nan)]:
+        d = mf.C2Distance(*values, grid_resolution=8, fd_step=0.1)
+        assert math.isnan(d.max())
+    assert mf.C2Distance(1e-3, 2e-3, 0.0, 8, 0.1).max() == 2e-3
+    assert math.isnan(mf.max_carrying_nan(0.0, math.nan))
+    assert mf.max_carrying_nan(0.0, -0.0, 3.0) == 3.0
 
 
 # ---------------------------------------------------------------------------
