@@ -79,18 +79,48 @@ _FLOAT_KEYS = {"bump_support_start", "bump_support_end", "bump_amplitude",
                "claim_lambda_max"}
 
 
+# the radial domain (0, BASE_RADIUS_MAX) of both oracle bases
+BASE_RADIUS_MAX = 350.0
+
+# largest grid resolution accepted: the converge suite holds several
+# (grid/2) x grid x 2 arrays at once
+GRID_MAX = 2048
+
+
 class ConfigError(Exception):
     pass
 
 
+def _finite(value, what):
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} {value} is not finite")
+    return value
+
+
 def parse_angle(tok):
-    """Angles in config values: 'pi', 'pi/IN', or a plain float."""
+    """Angles in config values: 'pi', 'pi/IN', or a plain float.  A
+    malformed token, a zero divisor or a non-finite angle is a
+    ConfigError."""
     tok = tok.strip()
-    if tok == "pi":
-        return math.pi
-    if tok.startswith("pi/"):
-        return math.pi / float(tok[3:])
-    return float(tok)
+    try:
+        if tok == "pi":
+            val = math.pi
+        elif tok.startswith("pi/"):
+            val = math.pi / float(tok[3:])
+        else:
+            val = float(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"bad angle {tok!r}") from None
+    return _finite(val, "angle")
+
+
+def _parse_floats(text, what):
+    """A comma list of finite floats; anything else is a ConfigError."""
+    try:
+        vals = [float(t) for t in str(text).split(",")]
+    except ValueError:
+        raise ConfigError(f"bad {what} list {text!r}") from None
+    return [_finite(v, what) for v in vals]
 
 
 def _parse_value(key, raw):
@@ -132,7 +162,7 @@ class RunConfig:
     n: int
     family: str
     thetas: list
-    b_spec: str
+    b_values: list | None     # None: the "auto" grid
     lambda_primes: list
     grid: int
     seed: int
@@ -152,6 +182,10 @@ class RunConfig:
     corrupt: str | None = None
 
     def validate(self):
+        """Refuse any value a suite cannot run: every number finite, every
+        angle, radius, step and seed in its range."""
+        for key in sorted(_FLOAT_KEYS):
+            _finite(getattr(self, key), key)
         if self.n + self.k - 1 > 2:
             raise ConfigError(
                 f"total sphere dimension n+k-1 = {self.n + self.k - 1} "
@@ -168,16 +202,31 @@ class RunConfig:
         if not self.lambda_primes or sorted(self.lambda_primes) != \
                 self.lambda_primes:
             raise ConfigError("lambda_prime grid must be nonempty and sorted")
-        if self.grid < 24:
-            raise ConfigError("grid resolution must be at least 24")
+        if self.lambda_primes[0] <= 0.0:
+            raise ConfigError(
+                f"lambda_prime {self.lambda_primes[0]} must be > 0")
+        if not 24 <= self.grid <= GRID_MAX:
+            raise ConfigError(
+                f"grid resolution {self.grid} outside [24, {GRID_MAX}]")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
+        if self.fd_step is not None and not (
+                math.isfinite(self.fd_step) and self.fd_step > 0.0):
+            raise ConfigError(f"fd_step {self.fd_step} must be finite "
+                              "and > 0")
+        for s in self.s_values:
+            if not 0.0 < s < BASE_RADIUS_MAX:
+                raise ConfigError(
+                    f"s value {s} outside the base's radial domain "
+                    f"(0, {BASE_RADIUS_MAX:g})")
 
     def b_grid(self, family, theta):
         """Resolve the b grid for one theta, refusing values beyond c'."""
         cp = cl.c_prime_bound(family, theta)
-        if self.b_spec == "auto":
+        if self.b_values is None:
             top = cp if math.isfinite(cp) else 1.0
             return list(np.linspace(-2.0, top, 5))
-        bs = [float(t) for t in self.b_spec.split(",")]
+        bs = self.b_values
         beyond = [b for b in bs if b > cp]
         if beyond:
             raise ConfigError(
@@ -210,7 +259,7 @@ def build_base_metric(cfg):
         return mf.scale(family.cut(lam0, r), math.sinh(r) ** 2)
 
     return mf.RadialMetric(sphere_dim=1, atlas=mf.CIRCLE_ATLAS,
-                           domain=(0.0, 350.0),
+                           domain=(0.0, BASE_RADIUS_MAX),
                            name=f"bump-member[lam={lam0:g}]", _cut=cut)
 
 
@@ -496,16 +545,16 @@ def resolve_config(args):
     fd_step = args.fd_step
     if fd_step is None and values["fd_step"] != "auto":
         fd_step = float(values["fd_step"])
+    b = str(values["b"])
     cfg = RunConfig(
         k=int(values["k"]), n=int(values["n"]),
         family=str(values["family"]),
         thetas=[parse_angle(t) for t in str(values["theta"]).split(",")],
-        b_spec=str(values["b"]),
-        lambda_primes=[float(t)
-                       for t in str(values["lambda_prime"]).split(",")],
+        b_values=None if b == "auto" else _parse_floats(b, "b"),
+        lambda_primes=_parse_floats(values["lambda_prime"], "lambda_prime"),
         grid=int(values["grid"]), seed=int(values["seed"]),
         out=Path(values["out"]), fd_step=fd_step,
-        s_values=[float(t) for t in str(values["s_values"]).split(",")],
+        s_values=_parse_floats(values["s_values"], "s value"),
         bump_support_start=float(values["bump_support_start"]),
         bump_support_end=float(values["bump_support_end"]),
         bump_amplitude=float(values["bump_amplitude"]),

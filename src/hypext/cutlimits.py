@@ -422,22 +422,6 @@ def check_convergence_assertions(reports, floor=C2_FLOOR, final_tol=1e-4,
     return failures
 
 
-def empirical_limit_diagnostic(family, b, lam=40.0):
-    """DIAGNOSTIC ONLY: the diagonal cut at a single large index, as an
-    empirical stand-in for the limit oracle.
-
-    Never used by run_convergence or predicted_limit -- the verification
-    path always takes the family's declared oracle, so that the measured
-    cuts and the predicted limit stay independent.  This helper exists for
-    eyeballing a family whose oracle is in doubt.
-    """
-    if family.lambda_min > lam:
-        raise DomainError("diagnostic index below the family's lambda_min")
-    if lam + b <= 0.0:
-        raise DomainError("diagnostic cut radius must be positive")
-    return family.cut(float(lam), float(lam + b))
-
-
 def verify_beta1_claim(family, params, lambda_prime_grid, n_phi=16,
                        exactness_tol=1e-14):
     """Verify the small-angle inequality r(lambda' + c', beta1) <=

@@ -353,66 +353,6 @@ def join_c2_distance(a, b):
                          grid_resolution=int(a.beta.size), fd_step=hbeta)
 
 
-def save_join_sample(path, sample):
-    """Columnar text dump of a join sample: header (grid, sheets, radius),
-    one row per (sheet, i_phi, j_beta) with the three component slots at
-    17 significant digits."""
-    from pathlib import Path
-    lines = [
-        "# join-sample-columnar v1",
-        f"# n_phi {sample.phi.size} n_beta {sample.beta.size} "
-        f"sheets {len(sample.sheets)} s {sample.s if sample.s is not None else 'nan'}",
-        f"# name {sample.name or '-'}",
-        "# phi " + " ".join(f"{v:.16e}" for v in sample.phi),
-        "# beta " + " ".join(f"{v:.16e}" for v in sample.beta),
-        "# columns: sheet i_phi j_beta block_m block_beta offdiag",
-    ]
-    for iw in range(len(sample.sheets)):
-        for i in range(sample.phi.size):
-            for j in range(sample.beta.size):
-                lines.append(
-                    f"{sample.sheets[iw]} {i} {j} "
-                    f"{sample.block_m[iw, i, j]:.16e} "
-                    f"{sample.block_beta[iw, i, j]:.16e} "
-                    f"{sample.offdiag[iw, i, j]:.16e}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_join_sample(path):
-    from pathlib import Path
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != "# join-sample-columnar v1":
-        raise DomainError(f"{path}: not a join-sample file")
-    meta = lines[1].split()
-    n_phi, n_beta, n_sheets = int(meta[2]), int(meta[4]), int(meta[6])
-    s = float(meta[8])
-    s = None if math.isnan(s) else s
-    name = lines[2].split()[2]
-    phi = np.array([float(t) for t in lines[3].split()[2:]])
-    beta = np.array([float(t) for t in lines[4].split()[2:]])
-    shape = (n_sheets, n_phi, n_beta)
-    block_m = np.zeros(shape)
-    block_beta = np.zeros(shape)
-    offdiag = np.zeros(shape)
-    sheets = []
-    for line in lines[6:]:
-        if not line.strip():
-            continue
-        toks = line.split()
-        w = int(toks[0])
-        if w not in sheets:
-            sheets.append(w)
-        iw = sheets.index(w)
-        i, j = int(toks[1]), int(toks[2])
-        block_m[iw, i, j] = float(toks[3])
-        block_beta[iw, i, j] = float(toks[4])
-        offdiag[iw, i, j] = float(toks[5])
-    return JoinSample(phi=phi, beta=beta, sheets=tuple(sheets),
-                      block_m=block_m, block_beta=block_beta,
-                      offdiag=offdiag, block_h_coeff=None, s=s,
-                      name=None if name == "-" else name)
-
-
 def round_join_blocks(phi, beta):
     """The round 2-sphere metric written directly in join coordinates:
     block_m = sin^2(beta), block_beta = 1."""

@@ -39,11 +39,35 @@ def quintic_smoothstep(u):
     return np.clip(u ** 3 * (10.0 + u * (-15.0 + 6.0 * u)), 0.0, 1.0)
 
 
+def _clip01(v):
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
+def _smoothstep_float(u):
+    """quintic_smoothstep of a float, in float arithmetic, with the same
+    bits as the numpy route on a 0-d array: ``_clip01`` keeps u (a NaN or
+    -0.0 too) unless it lies strictly outside [0, 1], as ``np.clip`` does,
+    and ``u ** 3`` is the C ``pow`` that numpy's scalar power also calls
+    (numpy's array power can differ from it in the last bit)."""
+    u = _clip01(u)
+    return _clip01(u ** 3 * (10.0 + u * (-15.0 + 6.0 * u)))
+
+
 def bump_profile(x, start, end):
     """C^2 bump supported exactly on [start, end]: quintic smoothstep up to
-    1 at the midpoint and back down; identically 0.0 outside the support."""
-    x = np.asarray(x, dtype=float)
+    1 at the midpoint and back down; identically 0.0 outside the support.
+
+    A float ``x`` takes a float path that evaluates only the branch that
+    applies; it gives the bits of the numpy route on a 0-d array, -0.0 and
+    NaN included.
+    """
     mid = 0.5 * (start + end)
+    if isinstance(x, float):
+        x = float(x)
+        if x <= mid:
+            return _smoothstep_float((x - start) / (mid - start))
+        return _smoothstep_float((end - x) / (end - mid))
+    x = np.asarray(x, dtype=float)
     up = quintic_smoothstep((x - start) / (mid - start))
     down = quintic_smoothstep((end - x) / (end - mid))
     out = np.where(x <= mid, up, down)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +54,10 @@ class CircleAtlas:
 
     _centers = {"east": 0.0, "west": math.pi}
 
+    def __init__(self):
+        # the last locate result, keyed by the shape and bytes of its angles
+        self._located = None
+
     @property
     def margin(self):
         return self.half_width - self.interior_half_width
@@ -68,13 +71,25 @@ class CircleAtlas:
     def locate(self, angles):
         """Best chart per angle: the one where the point is most interior.
 
-        Returns (chart index array into chart_ids, coords array).
+        Returns (chart index array into chart_ids, coords array), both
+        read-only.  The last result is kept, keyed by the shape and bytes
+        of the angles: callers that evaluate many fields on one angle grid
+        (one per beta column) locate it once.  Equal keys mean equal input
+        bits, so a kept result is the one a fresh call would compute.
         """
         a = np.asarray(angles, dtype=float)
+        key = (a.shape, a.tobytes())
+        last = self._located     # one read: another thread may replace it
+        if last is not None and last[0] == key:
+            return last[1], last[2]
         xe = self.coords_of("east", a)
         xw = self.coords_of("west", a)
         use_west = np.abs(xw) < np.abs(xe)
-        return np.where(use_west, 1, 0), np.where(use_west, xw, xe)
+        idx, x = np.where(use_west, 1, 0), np.where(use_west, xw, xe)
+        idx.flags.writeable = False
+        x.flags.writeable = False
+        self._located = (key, idx, x)
+        return idx, x
 
     def transition(self, src, dst, x):
         if src == dst:
@@ -181,8 +196,6 @@ class StereographicAtlas:
 # module-level atlas instances; fields built on the same instance compare
 CIRCLE_ATLAS = CircleAtlas()
 SPHERE_ATLAS = StereographicAtlas()
-
-_ATLAS_REGISTRY = {a.atlas_id: a for a in (CIRCLE_ATLAS, SPHERE_ATLAS)}
 
 
 @dataclass(frozen=True)
@@ -537,61 +550,3 @@ def positivity_check(a, resolution=None):
         worst = min(worst, float(np.min(eigmin)))
     return worst > 0.0, worst
 
-
-# ---------------------------------------------------------------------------
-# columnar serialization for sampled fields
-# ---------------------------------------------------------------------------
-
-def save_sampled_field(path, field):
-    """Write a sampled field in the self-describing columnar text format:
-    header (atlas id, dim, grid), then one row per grid point with chart
-    id, grid indices and component values at 17 significant digits."""
-    if field.kind != "sampled":
-        raise DomainError("save_sampled_field requires a sampled field")
-    atlas = field.atlas
-    n = field.resolution
-    lines = [
-        "# sphere-field-columnar v1",
-        f"# atlas {atlas.atlas_id} dim {atlas.dim} resolution {n}",
-        f"# name {field.name or '-'}",
-    ]
-    d = atlas.dim
-    for chart in atlas.chart_ids:
-        vals = field._samples[chart]
-        if d == 1:
-            for i in range(n):
-                lines.append(f"{chart} {i} {vals[i, 0, 0]:.16e}")
-        else:
-            for i in range(n):
-                for j in range(n):
-                    comps = " ".join(f"{vals[i, j, p, q]:.16e}"
-                                     for p in range(2) for q in range(2))
-                    lines.append(f"{chart} {i} {j} {comps}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_sampled_field(path):
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != "# sphere-field-columnar v1":
-        raise DomainError(f"{path}: not a columnar field file")
-    meta = lines[1].split()
-    atlas_id, dim, n = meta[2], int(meta[4]), int(meta[6])
-    name = lines[2].split()[2]
-    atlas = _ATLAS_REGISTRY[atlas_id]
-    d = atlas.dim
-    assert d == dim
-    samples = {c: np.zeros((n, 1, 1) if d == 1 else (n, n, 2, 2))
-               for c in atlas.chart_ids}
-    for line in lines[3:]:
-        if not line.strip():
-            continue
-        toks = line.split()
-        chart = toks[0]
-        if d == 1:
-            samples[chart][int(toks[1]), 0, 0] = float(toks[2])
-        else:
-            i, j = int(toks[1]), int(toks[2])
-            samples[chart][i, j] = np.array(
-                [float(t) for t in toks[3:7]]).reshape(2, 2)
-    return SphereMetricField.from_samples(
-        atlas, samples, name=None if name == "-" else name)

@@ -24,6 +24,15 @@ All functions accept floats or numpy arrays (inputs broadcast together);
 scalar inputs give scalar outputs.  Compositions of ``sinh``/``asinh`` are
 rewritten in the log domain beyond ``LOG_SWITCH``: naive ``sinh`` overflows
 near 710 and, inside compositions, loses digits much earlier.
+
+``solve_r`` with two float scalars (``float`` or ``np.float64``) takes a
+scalar path that skips the broadcast, ravel and mask machinery, since
+per-column callers pay more for that than for the arithmetic.  It applies
+the same numpy ufuncs to 0-d values, in the same order and with the same
+branch switches as the array path, so both give the same bits (``math.*``
+would not: its ``sinh``/``asinh``/``log``/``exp`` differ from numpy's in
+the last bit on a share of inputs).  A NaN angle gives a NaN leg on both
+paths; only ``sin(beta) == 0`` gives ``r = 0``.
 """
 
 from __future__ import annotations
@@ -135,18 +144,42 @@ def _check_theta(theta, what):
         raise DomainError(f"{what}: theta must lie in (0, pi/2]")
 
 
+def _solve_r_scalar(s, beta):
+    """solve_r for float scalars: the ufuncs of the array path
+    (``_asinh_scaled_sinh``, ``_asinh_of_exp``) applied to 0-d values in
+    the same order, with the same branch switches and domain errors."""
+    s, beta = np.float64(s), np.float64(beta)
+    if s <= 0.0:
+        raise DomainError("solve_r: s must be > 0")
+    if beta < 0.0 or beta > HALF_PI:
+        raise DomainError("solve_r: beta must lie in [0, pi/2]")
+    sinb = np.sin(beta)
+    if sinb == 0.0:
+        return 0.0
+    log_k = np.log(sinb)
+    if s <= LOG_SWITCH and log_k + s <= 300.0:
+        return float(np.arcsinh(np.exp(log_k) * np.sinh(s)))
+    ln_y = log_k + s - _LN2 + np.log1p(-np.exp(-2.0 * s))
+    if ln_y >= 20.0:
+        return float(ln_y + _LN2)
+    return float(np.arcsinh(np.exp(ln_y)))
+
+
 def solve_r(s, beta):
     """Leg opposite ``beta``:  r = asinh(sin(beta) * sinh(s)).
 
-    Stable for s well beyond 700 via log-domain evaluation.
+    Stable for s well beyond 700 via log-domain evaluation.  A NaN input
+    gives a NaN leg; r = 0 only where sin(beta) == 0.
     """
+    if isinstance(s, float) and isinstance(beta, float):
+        return _solve_r_scalar(s, beta)
     (s, beta), shape, scalar = _prepare(s, beta)
     if np.any(s <= 0.0):
         raise DomainError("solve_r: s must be > 0")
     _check_beta_closed(beta, "solve_r")
     sinb = np.sin(beta)
     out = np.zeros_like(s)
-    pos = sinb > 0.0
+    pos = sinb != 0.0
     out[pos] = _asinh_scaled_sinh(np.log(sinb[pos]), s[pos])
     return _finish(out, shape, scalar)
 
@@ -163,21 +196,25 @@ def _solve_rt(s, beta):
       1 + e^{-2r} are 1.0 to the last bit;
     * s > LOG_SWITCH, r <= LOG_SWITCH (tiny beta): t = asinh(e^L) with
       L = log_sinh(s) + log(cos beta) - log_cosh(r), no cancellation.
+
+    A NaN in s or beta gives NaN legs: the zero legs are kept only where
+    sin(beta) or cos(beta) is exactly 0, and a NaN falls into the last
+    branch, which carries it.
     """
     sinb = np.sin(beta)
     cosb = np.cos(beta)
     r = np.zeros_like(s)
-    pos = sinb > 0.0
+    pos = sinb != 0.0
     r[pos] = _asinh_scaled_sinh(np.log(sinb[pos]), s[pos])
 
     t = np.zeros_like(s)
-    tpos = cosb > 0.0
+    tpos = cosb != 0.0
     small = tpos & (s <= LOG_SWITCH)
     t[small] = np.arcsinh(np.sinh(s[small]) * cosb[small] / np.cosh(r[small]))
-    big = tpos & (s > LOG_SWITCH)
+    big = tpos & ~small
     far = big & (r > LOG_SWITCH)
     t[far] = np.arcsinh(cosb[far] / sinb[far])
-    near = big & (r <= LOG_SWITCH)
+    near = big & ~far
     if np.any(near):
         ln = (s[near] - _LN2 + np.log1p(-np.exp(-2.0 * s[near]))
               + np.log(cosb[near]) - np.log(np.cosh(r[near])))

@@ -1,13 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypext import cli
-from hypext import extension as ext
-from hypext import fields as mf
 
 
 def run(args):
@@ -61,6 +63,97 @@ def test_angle_parsing():
     assert cli.parse_angle("pi/2") == math.pi / 2
     assert cli.parse_angle("pi") == math.pi
     assert cli.parse_angle("0.75") == 0.75
+    for bad in ("pi/0", "pi/x", "nan", "inf", "pi/nan", ""):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_angle(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--theta", "pi/0"],
+    ["converge", "--theta", "nan"],
+    ["oracle", "--s-values", "800"],
+    ["oracle", "--s-values", "1,nan"],
+    ["oracle", "--s-values", "0"],
+    ["identities", "--seed", "-1"],
+    ["converge", "--b=nan"],
+    ["converge", "--b=-inf"],
+    ["converge", "--b="],
+    ["converge", "--lambda-prime", "nan"],
+    ["converge", "--lambda-prime", "4,inf"],
+    ["converge", "--lambda-prime", "0,4"],
+    ["identities", "--fd-step", "0"],
+    ["identities", "--fd-step", "-0.001"],
+    ["identities", "--fd-step", "nan"],
+    ["identities", "--grid", "100000"],
+])
+def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "hypext" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite,line", [
+    ("identities", "s_min = nan"),
+    ("identities", "beta_max = nan"),
+    ("claim", "claim_lambda_max = inf"),
+    ("converge", "bump_support_end = inf"),
+    ("oracle", "bump_base_lambda = nan"),
+    ("identities", "fd_step = 0"),
+])
+def test_non_finite_config_file_value_is_exit_2(tmp_path, suite, line):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"schema_version = 1\n{line}\n")
+    assert run([suite, "--config", str(cfgfile), "--grid", "24",
+                "--out", str(tmp_path / "out")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzed command lines: exit codes are exact and never a traceback
+# ---------------------------------------------------------------------------
+
+def _listed(tokens):
+    return st.lists(st.sampled_from(tokens), min_size=1,
+                    max_size=3).map(",".join)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+_argv = st.tuples(
+    st.sampled_from(["identities", "oracle", "converge", "claim"]),
+    _flag("family", st.sampled_from(["bump", "hyperbolic"])),
+    _flag("theta", _listed(["pi/2", "pi/3", "pi/6", "0.9", "pi/0", "nan",
+                            "0", "pi", "-1", "inf"])),
+    _flag("b", st.one_of(st.just("auto"), _listed(
+        ["-2", "-1", "0", "0.5", "3", "nan", "inf", "-inf", "x"]))),
+    _flag("lambda-prime", _listed(["4", "6", "10", "0", "-1", "nan", "inf",
+                                   "1e6"])),
+    _flag("s-values", _listed(["1", "3", "0.01", "0", "-1", "349", "350",
+                               "800", "nan"])),
+    _flag("seed", st.integers(-3, 50).map(str)),
+    _flag("fd-step", st.sampled_from(["0", "-0.001", "0.02", "1e-3",
+                                      "1e-300", "0.5", "nan", "inf"])),
+    _flag("grid", st.integers(-1, 48).map(str)),
+).map(lambda parts: [parts[0]] + [a for flag in parts[1:] for a in flag])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argv)
+def test_fuzzed_argv_gives_an_exact_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["--out", str(out)])
+        err = err.getvalue()
+        assert rc in (0, 1, 2), (argv, rc, err)
+        assert "Traceback" not in err
+        if rc == 1:
+            summary = out / "summary.txt"
+            assert ("verification failed" in err or (
+                summary.exists() and "FAIL" in summary.read_text())), argv
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +335,3 @@ def test_claim_negative_control(tmp_path):
               "--theta", "pi/2", "--corrupt", "beta1-large"])
     assert rc == 1
 
-
-# ---------------------------------------------------------------------------
-# join-sample serialization round trip (oracle external format)
-# ---------------------------------------------------------------------------
-
-def test_join_sample_round_trip(tmp_path):
-    space = ext.ExtensionSpace(k=1, base=mf.hyperbolic_radial(mf.CIRCLE_ATLAS))
-    phi, beta = ext.join_grid(8, 6)
-    sample = ext.cut_via_pullback(space, 2.0, phi, beta)
-    path = tmp_path / "sample.txt"
-    ext.save_join_sample(path, sample)
-    back = ext.load_join_sample(path)
-    assert back.sheets == sample.sheets
-    assert np.allclose(back.phi, sample.phi, atol=1e-15)
-    assert np.allclose(back.block_m, sample.block_m, rtol=1e-15)
-    assert np.allclose(back.block_beta, sample.block_beta, rtol=1e-15)
-    assert back.s == 2.0

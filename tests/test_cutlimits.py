@@ -322,19 +322,6 @@ def test_convergence_assertions_fail_on_nan():
     assert any("boundary distance" in f for f in failures)
 
 
-def test_empirical_limit_diagnostic_matches_declared_oracle():
-    # for the diagonal-stationary bump family the diagnostic equals the
-    # declared oracle exactly; it stays out of the verification path
-    family = bump()
-    x = np.linspace(-1.0, 1.0, 9)
-    diag = cl.empirical_limit_diagnostic(family, 0.5, lam=40.0)
-    declared = family.limit(0.5)
-    assert np.allclose(diag.components("east", x),
-                       declared.components("east", x), rtol=1e-12)
-    with pytest.raises(DomainError):
-        cl.empirical_limit_diagnostic(family, -50.0, lam=40.0)
-
-
 # ---------------------------------------------------------------------------
 # small-angle claim
 # ---------------------------------------------------------------------------

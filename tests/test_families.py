@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypext import families as fam
 from hypext import fields as mf
@@ -40,6 +42,55 @@ def test_bump_profile_is_c2():
         d2_left = (v[0] - 2 * v[1] + v[2]) / h ** 2
         d2_right = (v[2] - 2 * v[3] + v[4]) / h ** 2
         assert abs(d2_left - d2_right) < 0.01
+
+
+def bump_profile_0d(x, start, end):
+    """The numpy route of bump_profile for a float, taken on a 0-d array:
+    the reference the float path must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    mid = 0.5 * (start + end)
+    up = fam.quintic_smoothstep((x - start) / (mid - start))
+    down = fam.quintic_smoothstep((end - x) / (end - mid))
+    return float(np.where(x <= mid, up, down))
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _edges(start, end):
+    mid = 0.5 * (start + end)
+    pts = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    for p in (start, mid, end):
+        pts += [p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
+    return pts
+
+
+_supports = st.tuples(st.floats(-5.0, 5.0),
+                      st.floats(1e-3, 10.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_supports, st.floats(0.0, 1.0), st.floats(-0.5, 1.5))
+def test_float_bump_profile_matches_0d_route(support, frac, spread):
+    start, end = support
+    x = start + spread * (end - start) if frac < 0.5 else \
+        start + frac * (end - start)
+    for v in [x] + _edges(start, end):
+        expect = _bits(bump_profile_0d(v, start, end))
+        assert _bits(fam.bump_profile(v, start, end)) == expect, v
+        assert _bits(fam.bump_profile(np.float64(v), start, end)) == expect
+        assert type(fam.bump_profile(v, start, end)) is float
+
+
+def test_float_bump_profile_on_the_default_support():
+    for v in _edges(-1.0, 1.0) + list(np.linspace(-1.5, 1.5, 3001)):
+        assert _bits(fam.bump_profile(float(v), -1.0, 1.0)) == \
+            _bits(bump_profile_0d(v, -1.0, 1.0)), v
+    assert math.isnan(fam.bump_profile(math.nan, -1.0, 1.0))
+    assert fam.bump_profile(-1.0, -1.0, 1.0) == 0.0
+    assert fam.bump_profile(1.0, -1.0, 1.0) == 0.0
+    assert _bits(fam.bump_profile(-0.0, -1.0, 1.0)) == _bits(1.0)
 
 
 def test_direction_fields():

@@ -24,6 +24,46 @@ def test_circle_atlas_covers_with_margin():
     assert np.all(np.abs(x) <= S1.half_width - S1.margin + 1e-12)
 
 
+def _fresh_locate(angles):
+    # a new atlas keeps no earlier result
+    return mf.CircleAtlas().locate(angles)
+
+
+def test_locate_memo_gives_fresh_results():
+    atlas = mf.CircleAtlas()
+    a = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    b = a + 0.3
+    for angles in (a, b, a, a.copy(), b):
+        idx, x = atlas.locate(angles)
+        ref_idx, ref_x = _fresh_locate(angles)
+        assert np.array_equal(idx, ref_idx)
+        assert x.tobytes() == ref_x.tobytes()
+    # a grid of another shape with the same leading bytes is not a hit
+    idx, x = atlas.locate(a[:24])
+    assert x.shape == (24,) and x.tobytes() == _fresh_locate(a[:24])[1].tobytes()
+
+
+def test_locate_memo_recomputes_after_in_place_change():
+    atlas = mf.CircleAtlas()
+    a = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    _, before = atlas.locate(a)
+    a[5] = 3.0
+    a[40] = -0.0
+    idx, x = atlas.locate(a)
+    ref_idx, ref_x = _fresh_locate(a)
+    assert np.array_equal(idx, ref_idx) and x.tobytes() == ref_x.tobytes()
+    assert x.tobytes() != before.tobytes()
+
+
+def test_locate_results_are_read_only():
+    atlas = mf.CircleAtlas()
+    a = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    for idx, x in (atlas.locate(a), atlas.locate(a)):
+        assert not idx.flags.writeable and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+
+
 def test_circle_transition_round_trip():
     x = np.linspace(-0.7 * math.pi, 0.7 * math.pi, 101)
     y = S1.transition("east", "west", x)
@@ -517,34 +557,8 @@ def test_positivity_detects_indefinite():
 
 
 # ---------------------------------------------------------------------------
-# sampling and serialization
+# sampling
 # ---------------------------------------------------------------------------
-
-def test_sampled_field_round_trip(tmp_path):
-    def comp(chart, x):
-        ang = S1.angle_of(chart, x)
-        return (1.0 + 0.3 * np.sin(ang)) [..., None, None]
-    f = mf.SphereMetricField.from_function(S1, comp, name="wavy").sampled(64)
-    path = tmp_path / "field.txt"
-    mf.save_sampled_field(path, f)
-    g = mf.load_sampled_field(path)
-    assert g.atlas.atlas_id == S1.atlas_id
-    assert g.name == "wavy"
-    for chart in S1.chart_ids:
-        a = f.grid_components(chart, 64)
-        b = g.grid_components(chart, 64)
-        assert np.max(np.abs(a - b)) < 1e-15 * np.max(np.abs(a))
-
-
-def test_sampled_sphere_field_round_trip(tmp_path):
-    f = mf.round_metric(S2).sampled(16)
-    path = tmp_path / "field2.txt"
-    mf.save_sampled_field(path, f)
-    g = mf.load_sampled_field(path)
-    for chart in S2.chart_ids:
-        assert np.allclose(f.grid_components(chart, 16),
-                           g.grid_components(chart, 16), rtol=1e-15)
-
 
 def test_sampled_field_in_c2_distance():
     sigma = mf.round_metric(S1)

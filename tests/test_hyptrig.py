@@ -314,6 +314,101 @@ def test_scalar_and_array_parity():
     assert isinstance(ht.solve_r(1.0, 0.5), float)
 
 
+# ---------------------------------------------------------------------------
+# the scalar path of solve_r gives the bits of the array path
+# ---------------------------------------------------------------------------
+
+def _same(a, b):
+    """Equal bits, NaN included."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _r_array(s, beta):
+    return ht.solve_r(np.array([s]), np.array([beta]))[0]
+
+
+# s near LOG_SWITCH and where log_k + s crosses 300; beta near both ends
+_S_EDGES = [math.nextafter(ht.LOG_SWITCH, -math.inf), ht.LOG_SWITCH,
+            math.nextafter(ht.LOG_SWITCH, math.inf), 299.0, 300.0, 301.0,
+            800.0, 5e-324, 1e-300]
+_BETA_EDGES = [0.0, -0.0, 5e-324, 1e-300, HALF_PI,
+               math.nextafter(HALF_PI, 0.0), math.nan]
+
+
+def _ln_y_near_20(s, delta):
+    """An angle that puts ln y = log_k + s - ln 2 + ... within delta of 20,
+    the switch of the log-domain asinh (s > LOG_SWITCH)."""
+    return math.asin(math.exp(20.0 + math.log(2.0) - s + delta))
+
+
+_scalar_cases = st.one_of(
+    st.tuples(st.floats(0.0, 800.0, exclude_min=True),
+              st.floats(0.0, HALF_PI)),
+    st.tuples(st.sampled_from(_S_EDGES), st.floats(0.0, HALF_PI)),
+    st.tuples(st.floats(0.0, 800.0, exclude_min=True),
+              st.sampled_from(_BETA_EDGES)),
+    st.tuples(st.floats(0.0, 800.0, exclude_min=True),
+              st.floats(1e-300, 1e-3)),
+    st.floats(31.0, 60.0).flatmap(lambda s: st.tuples(
+        st.just(s), st.floats(-1e-12, 1e-12).map(
+            lambda d: _ln_y_near_20(s, d)))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scalar_cases)
+def test_scalar_solve_r_matches_array_bits(case):
+    s, beta = case
+    expect = _r_array(s, beta)
+    assert _same(ht.solve_r(s, beta), expect)
+    assert _same(ht.solve_r(np.float64(s), np.float64(beta)), expect)
+    assert isinstance(ht.solve_r(s, beta), float)
+
+
+def test_scalar_solve_r_matches_array_on_edges():
+    s = np.array([x for x in _S_EDGES for _ in _BETA_EDGES])
+    beta = np.array(_BETA_EDGES * len(_S_EDGES))
+    # dense sweeps across both branch switches: the two sides of each
+    # switch differ in the last bit on a share of inputs, so a switch
+    # moved on one path shows here
+    lp = np.linspace(-0.5, 0.5, 2001)
+    s = np.concatenate([s, ht.LOG_SWITCH + lp, np.full(lp.size, 40.0)])
+    beta = np.concatenate([beta, np.full(lp.size, 0.7),
+                           [_ln_y_near_20(40.0, d) for d in lp]])
+    arr = ht.solve_r(s, beta)
+    for si, bi, ri in zip(s, beta, arr):
+        assert _same(ht.solve_r(float(si), float(bi)), ri), (si, bi)
+
+
+@pytest.mark.parametrize("s,beta", [
+    (0.0, 0.3), (-0.0, 0.3), (-1.0, 0.3), (-math.inf, 0.3),
+    (1.0, -1e-300), (1.0, math.nextafter(HALF_PI, math.inf)), (1.0, 4.0),
+    (1.0, math.inf), (1.0, -math.inf),
+])
+def test_scalar_solve_r_raises_the_array_domain_errors(s, beta):
+    with pytest.raises(DomainError) as scalar:
+        ht.solve_r(s, beta)
+    with pytest.raises(DomainError) as array:
+        ht.solve_r(np.array([s]), np.array([beta]))
+    assert str(scalar.value) == str(array.value)
+
+
+def test_nan_angle_gives_nan_legs():
+    for s in (5.0, 40.0):
+        assert math.isnan(ht.solve_r(s, math.nan))
+        assert math.isnan(ht.solve_t(s, math.nan))
+        assert math.isnan(ht.solve_t(math.nan, 0.3))
+        r = ht.solve_r(np.array([s, s]), np.array([math.nan, 0.3]))
+        t = ht.solve_t(np.array([s, s]), np.array([math.nan, 0.3]))
+        assert math.isnan(r[0]) and math.isnan(t[0])
+        assert r[1] == ht.solve_r(s, 0.3) and t[1] == ht.solve_t(s, 0.3)
+    assert math.isnan(ht.solve_r(math.nan, 0.3))
+    # only sin(beta) == 0 gives a zero leg
+    assert ht.solve_r(5.0, 0.0) == 0.0 and ht.solve_r(5.0, -0.0) == 0.0
+    assert np.array_equal(ht.solve_r(np.array([5.0, 5.0]),
+                                     np.array([0.0, -0.0])), [0.0, 0.0])
+
+
 def test_thread_parallel_grid_matches_serial():
     # pure functions of their arguments: partitioning a sweep across
     # threads must reproduce the serial result bit for bit
