@@ -239,13 +239,12 @@ def boundary_positivity(assembly, resolution=128):
     grid, the polar flat form, and the equator form."""
     phi, beta = join_grid(32, 48)
     sample = assembly.interior.sample(phi, beta)
-    interior_min = float(min(np.min(sample.block_m), np.min(sample.block_beta)))
-    pole_min = float(np.min(np.linalg.eigvalsh(assembly.boundary_h)))
-    ok_eq, eq_min = mf.positivity_check(assembly.boundary_m.h_field,
-                                        resolution)
-    eq_min = min(eq_min, assembly.boundary_m.normal_coeff)
-    passed = interior_min > 0 and pole_min > 0 and ok_eq and eq_min > 0
-    return passed, min(interior_min, pole_min, eq_min)
+    _, eq_min = mf.positivity_check(assembly.boundary_m.h_field, resolution)
+    worst = mf.min_carrying_nan(
+        float(np.min(sample.block_m)), float(np.min(sample.block_beta)),
+        float(np.min(np.linalg.eigvalsh(assembly.boundary_h))),
+        eq_min, assembly.boundary_m.normal_coeff)
+    return worst > 0.0, worst
 
 
 @dataclass
@@ -464,9 +463,9 @@ def verify_beta1_claim(family, params, lambda_prime_grid, n_phi=16,
         for b in bs:
             cut = extension_family_cut(family, 1, params.theta, float(lp), b)
             m = cut.block_m(phi, betas)
-            worst = max(worst, float(np.max(
+            worst = mf.max_carrying_nan(worst, float(np.max(
                 np.abs(m - np.sin(betas)[None, :] ** 2))))
-    if worst > exactness_tol:
+    if not (worst <= exactness_tol):
         raise VerificationError(
             f"verify_beta1_claim: forced region not exactly round "
             f"(deviation {worst:.3e} > {exactness_tol:.0e})")

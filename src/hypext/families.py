@@ -82,8 +82,9 @@ def direction_field(atlas, tag):
         fn = lambda chart, x: np.ones(np.shape(x) + (1, 1))
     elif tag == "cos2":
         def fn(chart, x):
-            ang = atlas.angle_of(chart, x)
-            return (np.cos(ang) ** 2)[..., None, None]
+            # x + centre is the angle up to a multiple of 2 pi, which cos^2
+            # ignores, so it needs no wrap
+            return (np.cos(x + atlas.centers[chart]) ** 2)[..., None, None]
     else:
         raise DomainError(f"unknown direction tag {tag!r}")
     return mf.SphereMetricField.from_function(atlas, fn, name=f"T-{tag}",
@@ -149,8 +150,8 @@ def bump_family(spec, atlas=None):
     def perturbed(amount):
         if amount == 0.0:
             return sigma
-        fn = lambda chart, x: (sigma.components(chart, x)
-                               + amount * T.components(chart, x))
+        # sigma is the round form, whose components are exactly 1
+        fn = lambda chart, x: 1.0 + amount * T.components(chart, x)
         return mf.SphereMetricField.from_function(atlas, fn, name="bump-cut")
 
     ok, eigmin = mf.positivity_check(perturbed(eps), resolution=256)

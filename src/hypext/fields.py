@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, max_carrying_nan, min_carrying_nan
 from .hyptrig import log_sinh
 
 TWO_PI = 2.0 * math.pi
@@ -41,7 +41,9 @@ class CircleAtlas:
     the open arc |x| < 3*pi/4 and its interior is |x| <= 3*pi/5, so the two
     interiors overlap and cover the circle with margin 3*pi/20 to every
     chart boundary.  Transitions shift by +-pi: Jacobian 1, condition
-    number 1.
+    number 1.  So a field has the same components in either chart, and the
+    east coordinate wrapped to (-pi, pi] is a periodic angle coordinate on
+    the whole circle (``angle_coords``).
     """
 
     atlas_id = "s1-arcs-v1"
@@ -52,50 +54,48 @@ class CircleAtlas:
     default_resolution = 256
     jacobian_condition_bound = 1.0
 
-    _centers = {"east": 0.0, "west": math.pi}
+    centers = {"east": 0.0, "west": math.pi}
 
     def __init__(self):
-        # the last locate result, keyed by the shape and bytes of its angles
-        self._located = None
+        # the last angle_coords result, keyed by the shape and bytes of its
+        # angles
+        self._wrapped = None
 
     @property
     def margin(self):
         return self.half_width - self.interior_half_width
 
     def coords_of(self, chart, angles):
-        return _wrap_angle(np.asarray(angles, dtype=float) - self._centers[chart])
+        return _wrap_angle(np.asarray(angles, dtype=float)
+                           - self.centers[chart])
 
     def angle_of(self, chart, x):
-        return _wrap_angle(np.asarray(x, dtype=float) + self._centers[chart])
+        return _wrap_angle(np.asarray(x, dtype=float) + self.centers[chart])
 
-    def locate(self, angles):
-        """Best chart per angle: the one where the point is most interior.
+    def angle_coords(self, angles):
+        """The periodic angle coordinate of ``angles``: the east chart
+        coordinate, wrapped to (-pi, pi], as a read-only array.
 
-        Returns (chart index array into chart_ids, coords array), both
-        read-only.  The last result is kept, keyed by the shape and bytes
-        of the angles: callers that evaluate many fields on one angle grid
-        (one per beta column) locate it once.  Equal keys mean equal input
-        bits, so a kept result is the one a fresh call would compute.
+        The last result is kept, keyed by the shape and bytes of the
+        angles: callers that evaluate many fields on one angle grid (one
+        per beta column) wrap it once.  Equal keys mean equal input bits,
+        so a kept result is the one a fresh call would compute.
         """
         a = np.asarray(angles, dtype=float)
         key = (a.shape, a.tobytes())
-        last = self._located     # one read: another thread may replace it
+        last = self._wrapped     # one read: another thread may replace it
         if last is not None and last[0] == key:
-            return last[1], last[2]
-        xe = self.coords_of("east", a)
-        xw = self.coords_of("west", a)
-        use_west = np.abs(xw) < np.abs(xe)
-        idx, x = np.where(use_west, 1, 0), np.where(use_west, xw, xe)
-        idx.flags.writeable = False
+            return last[1]
+        x = self.coords_of("east", a)
         x.flags.writeable = False
-        self._located = (key, idx, x)
-        return idx, x
+        self._wrapped = (key, x)
+        return x
 
     def transition(self, src, dst, x):
         if src == dst:
             return np.asarray(x, dtype=float)
         return _wrap_angle(np.asarray(x, dtype=float)
-                           + self._centers[src] - self._centers[dst])
+                           + self.centers[src] - self.centers[dst])
 
     def transition_jacobian(self, src, dst, x):
         return np.ones(np.shape(x) + (1, 1))
@@ -149,14 +149,6 @@ class StereographicAtlas:
             return np.stack([x / denom, y / denom], axis=-1)
         denom = 1.0 - z
         return np.stack([x / denom, -y / denom], axis=-1)
-
-    def locate(self, p):
-        """Best chart per point (north for z >= 0), with its coordinates."""
-        p = np.asarray(p, dtype=float)
-        north = p[..., 2] >= 0.0
-        wn = self.coords_of("north", p)
-        ws = self.coords_of("south", p)
-        return np.where(north, 0, 1), np.where(north[..., None], wn, ws)
 
     def transition(self, src, dst, w):
         w = np.asarray(w, dtype=float)
@@ -256,16 +248,14 @@ class SphereMetricField:
         return self.components(chart, pts)
 
     def at_angles(self, angles):
-        """S^1 only: evaluate at circle angles through the best chart."""
+        """S^1 only: evaluate at circle angles, once, through the periodic
+        angle coordinate (the east chart's formula, which holds on the
+        whole circle because every transition is a shift with Jacobian 1)."""
         if self.atlas.dim != 1:
             raise DomainError("at_angles applies to S^1 fields")
-        idx, x = self.atlas.locate(angles)
         if self.kind != "closed-form":
             raise DomainError("at_angles requires a closed-form field")
-        east = self.components("east", x)
-        west = self.components("west", x)
-        pick = (idx == 1)[..., None, None]
-        return np.where(pick, west, east)
+        return self.components("east", self.atlas.angle_coords(angles))
 
     def sampled(self, n=None):
         """Freeze onto the standard grid (tag becomes "sampled")."""
@@ -367,17 +357,6 @@ class C2Distance:
 
     def max(self):
         return max_carrying_nan(self.c0, self.c1, self.c2)
-
-
-def max_carrying_nan(*values):
-    """The largest of ``values``, or NaN if any is NaN.
-
-    The builtin ``max`` keeps a NaN only when it comes first, so a NaN sup
-    folded into a running maximum would otherwise vanish and pass a gate.
-    """
-    if any(v != v for v in values):
-        return math.nan
-    return max(values)
 
 
 def c2_sups(delta, steps, periodic=None, mask=None):
@@ -531,7 +510,8 @@ def c2_distance(a, b, resolution=None, step=None):
 def positivity_check(a, resolution=None):
     """Minimum eigenvalue of the component matrix over the grid.
 
-    Returns (passed, min_eigenvalue); passes iff the minimum is > 0.
+    Returns (passed, min_eigenvalue); passes iff the minimum is > 0, so a
+    NaN anywhere on the grid makes the minimum NaN and fails.
     """
     atlas = a.atlas
     n = resolution or atlas.default_resolution
@@ -547,6 +527,6 @@ def positivity_check(a, resolution=None):
             eigmin = half_tr - rad
             eigmin = np.where(atlas.interior_mask(atlas.interior_grid(n)),
                               eigmin, np.inf)
-        worst = min(worst, float(np.min(eigmin)))
+        worst = min_carrying_nan(worst, float(np.min(eigmin)))
     return worst > 0.0, worst
 

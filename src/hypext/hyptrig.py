@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, max_carrying_nan
 
 _LN2 = math.log(2.0)
 HALF_PI = 0.5 * math.pi
@@ -393,8 +393,8 @@ class TriangleState:
 
     def validate(self, tol=1e-12):
         res = self.residuals()
-        worst = max(res.values())
-        if worst > tol:
+        worst = max_carrying_nan(*res.values())
+        if not (worst <= tol):
             raise VerificationError(
                 f"TriangleState inconsistent: worst relative residual "
                 f"{worst:.3e} exceeds {tol:.0e} ({res})"

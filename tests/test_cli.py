@@ -202,6 +202,22 @@ def test_identities_narrowed_grid(tmp_path):
     assert all(r["s_range"] == [1.0, 2.0] for r in recs)
 
 
+def test_identities_shift_gap_fails_on_nan(tmp_path, monkeypatch):
+    # NaN from the second angle on: a builtin max keeps the first, finite
+    # gap and drops the rest
+    from hypext import hyptrig as ht
+    real = ht.vartheta
+
+    def vartheta(lam, beta, b, theta):
+        return math.nan if beta > 0.1 else real(lam, beta, b, theta)
+
+    monkeypatch.setattr(ht, "vartheta", vartheta)
+    out = tmp_path / "out"
+    assert run(["identities", "--out", str(out)]) == 1
+    rec = {r["identity"]: r for r in read_jsonl(out)}["shift_gap_at_30"]
+    assert math.isnan(rec["worst"]) and not rec["passed"]
+
+
 def test_identities_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["identities", "--out", str(a), "--seed", "11"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -170,6 +171,33 @@ def test_boundary_positivity():
             assembly = cl.predicted_limit(family, 1, theta, b)
             ok, worst = cl.boundary_positivity(assembly)
             assert ok and worst > 0.0
+
+
+def _nan_beyond(x, value=1.0):
+    """A component array that is NaN where the chart coordinate |x| > 1."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) > 1.0, math.nan, value)[..., None, None]
+
+
+@pytest.mark.parametrize("slot", ["block_m", "block_beta", "equator"])
+def test_boundary_positivity_fails_on_nan(slot):
+    assembly = cl.predicted_limit(bump(), 1, HALF_PI, 0.5)
+    interior, eq = assembly.interior, assembly.boundary_m
+    if slot == "block_m":
+        interior = dataclasses.replace(
+            interior, block_m=lambda phi, beta: np.sin(beta)[None, :] ** 2
+            * _nan_beyond(phi)[:, None, 0, 0])
+    elif slot == "block_beta":
+        interior = dataclasses.replace(
+            interior, block_beta=lambda beta: np.where(beta > 1.0, math.nan,
+                                                       1.0))
+    else:
+        eq = cl.BoundaryForm(normal_coeff=1.0,
+                             h_field=mf.SphereMetricField.from_function(
+                                 S1, lambda chart, x: _nan_beyond(x)))
+    assembly = dataclasses.replace(assembly, interior=interior, boundary_m=eq)
+    ok, worst = cl.boundary_positivity(assembly)
+    assert not ok and math.isnan(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +388,24 @@ def test_verify_beta1_claim_failure_modes():
             ht.ReparamParams(theta=HALF_PI, b=0.0, B=-1.0, c=1.0,
                              c_prime=0.9),
             np.geomspace(1.0, 40.0, 30))
+
+
+def test_verify_beta1_claim_fails_on_nan_block():
+    # every cut is NaN where the chart coordinate |x| > 1: the forced
+    # region is not shown round, so the claim must not pass
+    nan_cut = mf.SphereMetricField.from_function(
+        S1, lambda chart, x: _nan_beyond(x))
+    family = cl.MetricFamily(sphere_dim=1, atlas=S1,
+                             cut=lambda lam, rho: nan_cut, lambda_min=0.5,
+                             hyperbolic_bound=-1.0, interval_bound=1.0,
+                             family_id="nan-beyond-1")
+    cp = cl.c_prime_bound(bump(), HALF_PI)
+    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=-1.0, c=1.0,
+                              c_prime=cp)
+    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=-1.0, c=1.0,
+                              c_prime=cp, beta1=ht.beta1_threshold(params))
+    with pytest.raises(VerificationError, match="not exactly round"):
+        cl.verify_beta1_claim(family, params, np.geomspace(1.0, 40.0, 40))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypext import families as fam
 from hypext import fields as mf
 from hypext.errors import DomainError
 
@@ -18,48 +19,51 @@ S2 = mf.SPHERE_ATLAS
 
 def test_circle_atlas_covers_with_margin():
     angles = np.linspace(-math.pi, math.pi, 5000)
-    idx, x = S1.locate(angles)
+    xe = S1.coords_of("east", angles)
+    xw = S1.coords_of("west", angles)
+    assert np.all(np.abs(xe) <= math.pi) and np.all(np.abs(xw) <= math.pi)
     # every point sits inside some chart interior, at distance >= margin
     # from that chart's boundary
-    assert np.all(np.abs(x) <= S1.half_width - S1.margin + 1e-12)
+    best = np.minimum(np.abs(xe), np.abs(xw))
+    assert np.all(best <= S1.half_width - S1.margin + 1e-12)
+    assert S1.interior_half_width == pytest.approx(S1.half_width - S1.margin)
 
 
-def _fresh_locate(angles):
+def _fresh_angle_coords(angles):
     # a new atlas keeps no earlier result
-    return mf.CircleAtlas().locate(angles)
+    return mf.CircleAtlas().angle_coords(angles)
 
 
-def test_locate_memo_gives_fresh_results():
+def test_angle_coords_memo_gives_fresh_results():
     atlas = mf.CircleAtlas()
     a = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
     b = a + 0.3
     for angles in (a, b, a, a.copy(), b):
-        idx, x = atlas.locate(angles)
-        ref_idx, ref_x = _fresh_locate(angles)
-        assert np.array_equal(idx, ref_idx)
-        assert x.tobytes() == ref_x.tobytes()
+        x = atlas.angle_coords(angles)
+        assert x.tobytes() == _fresh_angle_coords(angles).tobytes()
+        assert x.tobytes() == S1.coords_of("east", angles).tobytes()
     # a grid of another shape with the same leading bytes is not a hit
-    idx, x = atlas.locate(a[:24])
-    assert x.shape == (24,) and x.tobytes() == _fresh_locate(a[:24])[1].tobytes()
+    x = atlas.angle_coords(a[:24])
+    assert x.shape == (24,)
+    assert x.tobytes() == _fresh_angle_coords(a[:24]).tobytes()
 
 
-def test_locate_memo_recomputes_after_in_place_change():
+def test_angle_coords_memo_recomputes_after_in_place_change():
     atlas = mf.CircleAtlas()
     a = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
-    _, before = atlas.locate(a)
+    before = atlas.angle_coords(a)
     a[5] = 3.0
     a[40] = -0.0
-    idx, x = atlas.locate(a)
-    ref_idx, ref_x = _fresh_locate(a)
-    assert np.array_equal(idx, ref_idx) and x.tobytes() == ref_x.tobytes()
+    x = atlas.angle_coords(a)
+    assert x.tobytes() == _fresh_angle_coords(a).tobytes()
     assert x.tobytes() != before.tobytes()
 
 
-def test_locate_results_are_read_only():
+def test_angle_coords_are_read_only():
     atlas = mf.CircleAtlas()
     a = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-    for idx, x in (atlas.locate(a), atlas.locate(a)):
-        assert not idx.flags.writeable and not x.flags.writeable
+    for x in (atlas.angle_coords(a), atlas.angle_coords(a)):
+        assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 1.0
 
@@ -148,6 +152,88 @@ def test_nonround_field_chart_covariance():
                                            is_metric=False)
     x = np.linspace(0.3, 0.7 * math.pi, 50)
     assert chart_covariance_defect(T, "east", "west", x) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# evaluation at circle angles
+# ---------------------------------------------------------------------------
+
+def both_chart_at_angles(field, angles):
+    """Reference: the both-chart route ``at_angles`` took before it used the
+    periodic angle coordinate.  Each angle goes to the chart where it is
+    most interior; both charts' formulas are evaluated at that coordinate
+    and one is picked per angle."""
+    a = np.asarray(angles, dtype=float)
+    xe = field.atlas.coords_of("east", a)
+    xw = field.atlas.coords_of("west", a)
+    use_west = np.abs(xw) < np.abs(xe)
+    x = np.where(use_west, xw, xe)
+    east = field.components("east", x)
+    west = field.components("west", x)
+    return np.where(use_west[..., None, None], west, east)
+
+
+def _angle_fields():
+    """(name, field, bound on |d component / d angle|) of the circle fields
+    the pipeline evaluates at angles, plus one with period 2 pi only, which
+    tells the two charts apart (cos^2 cannot: its period is pi)."""
+    family = fam.FamilySpec(kind="bump", direction="cos2").build()
+    amp = fam.FamilySpec().amplitude
+    cut = family.cut(5.0, 5.0)              # bump profile at its peak, 1
+    warped = mf.sinh_warped_radial(S1, cut)
+    def two_plus_cos(chart, x):
+        return (2.0 + np.cos(S1.angle_of(chart, x)))[..., None, None]
+    period_2pi = mf.SphereMetricField.from_function(S1, two_plus_cos,
+                                                    name="2+cos")
+    return [
+        ("round", mf.round_metric(S1), 0.0),
+        ("T-cos2", fam.direction_field(S1, "cos2"), 1.0),
+        ("bump-cut", cut, amp),
+        ("bump-limit", family.limit(0.3), amp),
+        ("scaled", mf.scale(cut, 3.7), 3.7 * amp),
+        ("warped", mf.warped_cut(warped, 2.3), math.sinh(2.3) ** 2 * amp),
+        ("unwarped", mf.unwarped_cut(warped, 2.3), 1.001 * amp),
+        ("2+cos", period_2pi, 1.0),
+    ]
+
+
+ANGLE_FIELDS = _angle_fields()
+SPECIAL_ANGLES = [0.0, -0.0, math.pi, -math.pi,
+                  math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+                  0.6 * math.pi, -0.6 * math.pi, 0.75 * math.pi,
+                  -0.75 * math.pi, 0.5 * math.pi, -0.5 * math.pi,
+                  1e3, -1e3, math.nan]
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e3, 1e3),
+                          st.sampled_from(SPECIAL_ANGLES)),
+                min_size=1, max_size=64))
+def test_at_angles_matches_both_chart_reference(angles):
+    a = np.array(angles)
+    nan = np.isnan(a)
+    # each route wraps the angle with its own roundings, which differ by at
+    # most a few ulp of max(|angle|, 2 pi); a component moves by at most
+    # its angular slope times that, on top of 4 ulp of its own value
+    slack = 4.0 * np.spacing(np.maximum(np.abs(a), 2.0 * math.pi))
+    for name, field, slope in ANGLE_FIELDS:
+        got = field.at_angles(a)
+        want = both_chart_at_angles(field, a)
+        assert got.shape == want.shape == a.shape + (1, 1), name
+        got, want = got[:, 0, 0], want[:, 0, 0]
+        assert np.array_equal(np.isnan(got), np.isnan(want)), name
+        if slope:
+            assert np.all(np.isnan(got[nan])), name
+        tol = 4.0 * EPS * np.abs(want) + slope * slack
+        assert np.all(np.abs(got - want)[~nan] <= tol[~nan]), name
+
+
+def test_at_angles_needs_a_closed_form_circle_field():
+    with pytest.raises(DomainError, match="S\\^1"):
+        mf.round_metric(S2).at_angles(np.zeros(3))
+    with pytest.raises(DomainError, match="closed-form"):
+        mf.round_metric(S1).sampled(64).at_angles(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +640,35 @@ def test_positivity_detects_indefinite():
     bad = mf.SphereMetricField.from_function(S2, comp, is_metric=False)
     ok, lo = mf.positivity_check(bad, 24)
     assert not ok and lo == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("nan_charts", [("east", "west"), ("west",)])
+def test_positivity_fails_on_nan_circle_field(nan_charts):
+    # the NaN chart comes last in ("west",): a builtin min fold drops it
+    def comp(chart, x):
+        fill = math.nan if chart in nan_charts else 1.0
+        return np.full(np.shape(x) + (1, 1), fill)
+    field = mf.SphereMetricField.from_function(S1, comp, is_metric=False)
+    ok, lo = mf.positivity_check(field, 32)
+    assert not ok and math.isnan(lo)
+
+
+def test_positivity_fails_on_nan_sphere_field():
+    def comp(chart, w):
+        out = S2.round_components(w)
+        if chart == "south":
+            # the chart's origin, inside its interior disk
+            out[w.shape[0] // 2, w.shape[1] // 2] = math.nan
+        return out
+    field = mf.SphereMetricField.from_function(S2, comp, is_metric=False)
+    ok, lo = mf.positivity_check(field, 25)
+    assert not ok and math.isnan(lo)
+
+
+def test_min_carrying_nan():
+    assert math.isnan(mf.min_carrying_nan(1.0, math.nan))
+    assert math.isnan(mf.min_carrying_nan(math.inf, math.nan, 0.5))
+    assert mf.min_carrying_nan(math.inf, 2.0, -0.5) == -0.5
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,22 @@ def test_triangle_state_consistency(s, beta):
     assert max(state.residuals().values()) < 1e-12
     # solver inverse pair
     assert rel_err(ht.beta_of_r(s, state.r), beta) < 1e-10
+
+
+@pytest.mark.parametrize("leg", ["s", "t", "r"])
+def test_triangle_state_validate_fails_on_nan(leg):
+    # a NaN t leaves the law of sines finite: a builtin max fold would
+    # keep that finite residual and pass
+    good = ht.TriangleState.from_hypotenuse_angle(2.0, 0.7)
+    bad = dataclasses.replace(good, **{leg: math.nan})
+    with pytest.raises(VerificationError):
+        bad.validate()
+
+
+def test_triangle_state_from_nan_hypotenuse_fails():
+    # refused as input or failed in validation, never a NaN state
+    with pytest.raises((DomainError, VerificationError)):
+        ht.TriangleState.from_hypotenuse_angle(math.nan, 0.7)
 
 
 @settings(max_examples=100, deadline=None)
