@@ -5,8 +5,8 @@ Subpackages:
 
 * :mod:`hypext.hyptrig` -- stable hyperbolic right-triangle trigonometry
   and the sphere-radius reparametrization.
-* :mod:`hypext.fields` -- metric fields on circles and spheres over fixed
-  chart atlases, spherical cuts, and the grid C^2 distance.
+* :mod:`hypext.fields` -- closed-form metric fields on the circle over a
+  fixed chart atlas, spherical cuts, and the grid C^2 distance.
 * :mod:`hypext.extension` -- the warped-product extension metric, join
   coordinates on its geodesic spheres, closed-form cuts and the
   finite-difference pullback oracle.

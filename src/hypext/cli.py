@@ -50,8 +50,6 @@ SCHEMA_VERSION = 1
 
 DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
-    "k": 1,
-    "n": 2,
     "family": "bump",
     "theta": "pi/2,pi/3",
     "b": "auto",
@@ -73,7 +71,7 @@ DEFAULTS = {
     "claim_lambda_max": 700.0,
 }
 
-_INT_KEYS = {"schema_version", "k", "n", "grid", "seed"}
+_INT_KEYS = {"schema_version", "grid", "seed"}
 _FLOAT_KEYS = {"bump_support_start", "bump_support_end", "bump_amplitude",
                "bump_base_lambda", "s_min", "s_max", "beta_min", "beta_max",
                "claim_lambda_max"}
@@ -158,8 +156,6 @@ def read_config_file(path):
 class RunConfig:
     """Resolved run parameters shared by the suites."""
 
-    k: int
-    n: int
     family: str
     thetas: list
     b_values: list | None     # None: the "auto" grid
@@ -186,12 +182,6 @@ class RunConfig:
         angle, radius, step and seed in its range."""
         for key in sorted(_FLOAT_KEYS):
             _finite(getattr(self, key), key)
-        if self.n + self.k - 1 > 2:
-            raise ConfigError(
-                f"total sphere dimension n+k-1 = {self.n + self.k - 1} "
-                "exceeds the supported desk scale (2)")
-        if self.k != 1 or self.n != 2:
-            raise ConfigError("supported configuration is k = 1, n = 2")
         if self.family not in ("hyperbolic", "bump"):
             raise ConfigError(f"unknown family {self.family!r}")
         if not self.thetas:
@@ -258,8 +248,7 @@ def build_base_metric(cfg):
     def cut(r):
         return mf.scale(family.cut(lam0, r), math.sinh(r) ** 2)
 
-    return mf.RadialMetric(sphere_dim=1, atlas=mf.CIRCLE_ATLAS,
-                           domain=(0.0, BASE_RADIUS_MAX),
+    return mf.RadialMetric(domain=(0.0, BASE_RADIUS_MAX),
                            name=f"bump-member[lam={lam0:g}]", _cut=cut)
 
 
@@ -364,19 +353,18 @@ def cmd_identities(cfg):
 
 def cmd_oracle(cfg):
     base = build_base_metric(cfg)
-    space = ext.ExtensionSpace(k=cfg.k, base=base)
     n_phi = max(16, cfg.grid // 3)
     n_beta = max(12, cfg.grid // 4)
     phi, beta = ext.join_grid(n_phi, n_beta)
     records, summary = [], []
     all_ok = True
     for s in cfg.s_values:
-        formula = ext.cut_via_formula(space, s, unwarped=False) \
+        formula = ext.cut_via_formula(base, s, unwarped=False) \
             .sample(phi, beta)
         if cfg.corrupt == "formula-beta":
             from dataclasses import replace
             formula = replace(formula, block_beta=formula.block_beta * 1.01)
-        oracle = ext.cut_via_pullback(space, s, phi, beta)
+        oracle = ext.cut_via_pullback(base, s, phi, beta)
         rep = ext.compare_join(formula, oracle)
         rep["family_id"] = base.name
         ok = (rep["max_rel_err_block_M"] < 1e-5
@@ -413,7 +401,7 @@ def cmd_converge(cfg):
     for theta in cfg.thetas:
         bs = cfg.b_grid(family, theta)
         rep = cl.run_convergence(
-            family, cfg.k, theta, bs, cfg.lambda_primes,
+            family, theta, bs, cfg.lambda_primes,
             n_phi=n_phi, n_beta=n_beta,
             corrupt_limit=1e-3 if cfg.corrupt == "limit-shift" else 0.0)
         reports.append(rep)
@@ -547,7 +535,6 @@ def resolve_config(args):
         fd_step = float(values["fd_step"])
     b = str(values["b"])
     cfg = RunConfig(
-        k=int(values["k"]), n=int(values["n"]),
         family=str(values["family"]),
         thetas=[parse_angle(t) for t in str(values["theta"]).split(",")],
         b_values=None if b == "auto" else _parse_floats(b, "b"),

@@ -13,7 +13,7 @@ For such a family the engine builds, for a fixed angle theta in
 at sphere radius lambda' + b (``extension_family_cut``, a join-coordinate
 field) and the predicted limit of those cuts (``predicted_limit``):
 interior block sin^2(beta) * limit(b + ln(sin beta / sin theta)), round
-S^{k-1} coefficient cos^2(beta), unit beta block, together with the two
+S^0 coefficient cos^2(beta), unit beta block, together with the two
 boundary-sphere forms that the join chart cannot reach.
 ``run_convergence`` measures grid C^2 distances between the two across a
 lambda' grid and reports them; the limit is assembled from the oracle,
@@ -59,7 +59,6 @@ class MetricFamily:
     interval is (-inf, interval_bound]).
     """
 
-    sphere_dim: int
     atlas: object
     cut: object
     lambda_min: float
@@ -67,27 +66,6 @@ class MetricFamily:
     limit: object = None
     interval_bound: float = math.inf
     family_id: str = ""
-
-
-def translate_family(family, a):
-    """Reindex by a translation: the new member at lam is the old member
-    at lam - a, so the new cut limit at b equals the old one at b + a."""
-    a = float(a)
-    if a == 0.0:
-        return family
-    old_cut, old_limit = family.cut, family.limit
-    new_limit = None if old_limit is None else (lambda b: old_limit(b + a))
-    bound = family.hyperbolic_bound
-    return MetricFamily(
-        sphere_dim=family.sphere_dim,
-        atlas=family.atlas,
-        cut=lambda lam, rho: old_cut(lam - a, rho),
-        lambda_min=family.lambda_min + a,
-        hyperbolic_bound=None if bound is None else bound - a,
-        limit=new_limit,
-        interval_bound=family.interval_bound - a,
-        family_id=f"{family.family_id}~shift{a:+g}",
-    )
 
 
 def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid,
@@ -121,16 +99,14 @@ def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid,
     return worst < HYPERBOLIC_PASS_TOL, worst
 
 
-def extension_family_cut(family, k, theta, lambda_prime, b):
+def extension_family_cut(family, theta, lambda_prime, b):
     """Unwarped cut of the theta-reparametrized extension family member at
     sphere radius lambda' + b, in join coordinates:
 
-        cos^2(beta) * sigma_{S^{k-1}}
+        cos^2(beta) * sigma_{S^0}
       + sin^2(beta) * cut(reparam(lambda', theta), r(lambda' + b, beta))
       + dbeta^2.
     """
-    if k != 1 or family.sphere_dim != 1:
-        raise DomainError("desk scale supports k=1 and a circle base")
     s0 = lambda_prime + b
     if s0 <= 0.0:
         raise DomainError(
@@ -161,7 +137,7 @@ def extension_family_cut(family, k, theta, lambda_prime, b):
 
 @dataclass(frozen=True)
 class BoundaryForm:
-    """Limit form on the equatorial base sphere: a field on S^{n-1} plus
+    """Limit form on the equatorial base circle: a field on S^1 plus
     the coefficient of the flat hyperbolic-factor block in the normal
     splitting at the equator."""
 
@@ -189,7 +165,7 @@ def c_prime_bound(family, theta, margin=C_PRIME_MARGIN):
     return family.interval_bound + math.log(math.sin(theta)) - margin
 
 
-def predicted_limit(family, k, theta, b, margin=C_PRIME_MARGIN):
+def predicted_limit(family, theta, b, margin=C_PRIME_MARGIN):
     """Assembled limit of the reparametrized extension cuts at b.
 
     Interior block_m at angle beta uses the family limit at the shifted
@@ -200,8 +176,6 @@ def predicted_limit(family, k, theta, b, margin=C_PRIME_MARGIN):
     ln sin(theta) - margin is refused: past it the shifted index leaves
     the interval where the family's limits are controlled.
     """
-    if k != 1 or family.sphere_dim != 1:
-        raise DomainError("desk scale supports k=1 and a circle base")
     if family.limit is None:
         raise DomainError(
             f"family {family.family_id!r} declares no limit oracle")
@@ -253,7 +227,6 @@ class ConvergenceReport:
     plus boundary checks and grid metadata."""
 
     family_id: str
-    k: int
     records: list
     n_phi: int
     n_beta: int
@@ -266,7 +239,7 @@ class ConvergenceReport:
                    "boundary_M_c0", "boundary_H_c0")
 
 
-def run_convergence(family, k, theta, b_grid, lambda_prime_grid,
+def run_convergence(family, theta, b_grid, lambda_prime_grid,
                     n_phi=48, n_beta=96, margin=C_PRIME_MARGIN,
                     boundary_resolution=128, corrupt_limit=0.0):
     """Measure grid C^2 distances between the reparametrized extension
@@ -305,14 +278,14 @@ def run_convergence(family, k, theta, b_grid, lambda_prime_grid,
     records = []
     cauchy_worst = 0.0
     for b in b_grid:
-        assembly = predicted_limit(family, k, theta, b, margin)
+        assembly = predicted_limit(family, theta, b, margin)
         pred = assembly.interior.sample(phi, beta)
         if corrupt_limit:
             pred = _shift_sample(pred, corrupt_limit)
         h_pred = assembly.boundary_m.h_field
         samples = []
         for lp in lp_grid:
-            cut = extension_family_cut(family, k, theta, lp, b)
+            cut = extension_family_cut(family, theta, lp, b)
             meas = cut.sample(phi, beta)
             samples.append(meas)
             dist = join_c2_distance(meas, pred)
@@ -347,7 +320,7 @@ def run_convergence(family, k, theta, b_grid, lambda_prime_grid,
         raise VerificationError(
             f"Cauchy spot check violated by {cauchy_worst:.3e}")
     return ConvergenceReport(
-        family_id=family.family_id, k=k, records=records,
+        family_id=family.family_id, records=records,
         n_phi=n_phi, n_beta=n_beta, beta_margin=BETA_MARGIN,
         wall_clock_s=time.perf_counter() - t0, cauchy_worst=cauchy_worst)
 
@@ -461,7 +434,7 @@ def verify_beta1_claim(family, params, lambda_prime_grid, n_phi=16,
     worst = 0.0
     for lp in lps:
         for b in bs:
-            cut = extension_family_cut(family, 1, params.theta, float(lp), b)
+            cut = extension_family_cut(family, params.theta, float(lp), b)
             m = cut.block_m(phi, betas)
             worst = mf.max_carrying_nan(worst, float(np.max(
                 np.abs(m - np.sin(betas)[None, :] ** 2))))

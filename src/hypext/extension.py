@@ -1,24 +1,23 @@
 """The warped hyperbolic extension of a centered metric and the join
 coordinates on its geodesic spheres.
 
-Given a centered radial metric h = h_r + dr^2 on a base with sphere
-dimension n-1, the extension of hyperbolic rank k carries the warped
-product metric
+Given a centered radial metric h = h_r + dr^2 on a surface (a circle
+base, so h_r is a field on S^1), the extension of hyperbolic rank 1
+carries the warped product metric
 
-    f = cosh^2(r) * sigma_{H^k} + h
+    f = cosh^2(r) * dt^2 + h
 
-on H^k x M.  A geodesic sphere of radius s about the center meets every
-totally geodesic 2-plane spanned by a base ray and an H^k ray in a right
+on H^1 x M.  A geodesic sphere of radius s about the center meets every
+totally geodesic 2-plane spanned by a base ray and an H^1 ray in a right
 triangle with hypotenuse s, so the sphere is charted by join coordinates
-(w, u, beta): w a direction in S^{k-1}, u a direction in S^{n-1}, and
-beta in (0, pi/2) the angle from the S^{k-1} locus.  At desk scale k = 1
-and n = 2: w is the sign label of the two H^1 rays, u is a circle angle,
-and the chart covers the 2-sphere minus the two poles and the equator.
+(w, u, beta): w the sign label of the two H^1 rays, u a circle angle, and
+beta in (0, pi/2) the angle from the H^1 axis.  The chart covers the
+2-sphere minus the two poles and the equator.
 
 Two independent routes to the induced sphere metric are implemented:
 
 * ``cut_via_formula`` -- the closed-form block expression
-  sinh^2(s) cos^2(beta) sigma_{S^{k-1}} + h_r + sinh^2(s) dbeta^2 (warped),
+  sinh^2(s) cos^2(beta) sigma_{S^0} + h_r + sinh^2(s) dbeta^2 (warped),
   respectively cos^2(beta) sigma + sin^2(beta) h^_r + dbeta^2 (unwarped),
   with r = asinh(sin(beta) sinh(s));
 * ``cut_via_pullback`` -- a finite-difference pullback of the ambient
@@ -63,85 +62,9 @@ def _richardson_d1(f, x, h):
 
 
 @dataclass(frozen=True)
-class ExtensionSpace:
-    """The extension of a radial base metric by a rank-k hyperbolic factor.
-
-    Desk scale supports k = 1 with a circle base (n = 2, join sphere S^2).
-    """
-
-    k: int
-    base: mf.RadialMetric
-
-    def __post_init__(self):
-        n = self.base.sphere_dim + 1
-        if self.k != 1 or n != 2:
-            raise DomainError(
-                f"desk scale supports k=1, n=2 (join sphere S^2); "
-                f"got k={self.k}, n={n}")
-
-    @property
-    def n(self):
-        return self.base.sphere_dim + 1
-
-
-@dataclass(frozen=True)
-class XiPoint:
-    """A point of the join chart: sheet w in {+1, -1}, circle angle u,
-    angle beta strictly inside (0, pi/2), optional sphere radius s."""
-
-    w: int
-    u: float
-    beta: float
-    s: float | None = None
-
-    def __post_init__(self):
-        if self.w not in (1, -1):
-            raise DomainError("XiPoint: w must be +1 or -1 at desk scale")
-        if not (0.0 < self.beta < HALF_PI):
-            raise DomainError("XiPoint: beta must lie strictly in (0, pi/2)")
-        if self.s is not None and self.s <= 0.0:
-            raise DomainError("XiPoint: s must be positive")
-
-
-def xi_embed(s, p):
-    """Product-coordinate point ((t, w), (r, u)) realizing the join chart:
-    t and r are the triangle legs of hypotenuse s at angle beta."""
-    if s <= 0.0:
-        raise DomainError("xi_embed: s must be positive")
-    t = ht.solve_t(s, p.beta)
-    r = ht.solve_r(s, p.beta)
-    return (t, p.w), (r, p.u)
-
-
-def extension_metric_at(space, y, v):
-    """Component matrix of the extension metric at y = (t, w), v = (r, u),
-    in the product coordinates (signed t, u-chart angle, r) for k = 1.
-
-    The matrix is diagonal: diag(cosh^2(r), h_r(u), 1).  At r = 0 the
-    sphere-direction coefficient is the polar-coordinate limit 0.
-    """
-    t, w = y
-    r, u = v
-    if t < 0.0:
-        raise DomainError("extension_metric_at: t must be >= 0")
-    if w not in (1, -1):
-        raise DomainError("extension_metric_at: w must be +1 or -1")
-    if r < 0.0 or r >= space.base.domain[1]:
-        raise DomainError("extension_metric_at: r outside base domain")
-    if r == 0.0:
-        h_uu = 0.0
-    else:
-        h_uu = float(space.base.cut_at(r).at_angles(np.asarray([u]))[0, 0, 0])
-    out = np.zeros((3, 3))
-    out[0, 0] = math.cosh(r) ** 2
-    out[1, 1] = h_uu
-    out[2, 2] = 1.0
-    return out
-
-
-@dataclass(frozen=True)
 class JoinMetricField:
-    """Closed-form join metric on the extension's sphere (k = 1, n = 2):
+    """Closed-form join metric on the extension's sphere (rank 1, circle
+    base):
 
         block_h_coeff(beta) * sigma_{S^0}  (zero-dimensional at k = 1)
       + block_m(phi, beta) * dphi^2
@@ -206,8 +129,9 @@ def join_grid(n_phi=32, n_beta=24, margin=BETA_MARGIN):
     return phi, beta
 
 
-def cut_via_formula(space, s, unwarped=True):
-    """Closed-form cut of the extension at sphere radius s.
+def cut_via_formula(base, s, unwarped=True):
+    """Closed-form cut of the extension of the radial metric ``base`` at
+    sphere radius s.
 
     Warped blocks: sinh^2(s) cos^2(beta), h_r, sinh^2(s); unwarped blocks:
     cos^2(beta), sin^2(beta) * unwarped base cut at r, 1 -- both with
@@ -215,7 +139,6 @@ def cut_via_formula(space, s, unwarped=True):
     """
     if s <= 0.0:
         raise DomainError("cut_via_formula: s must be positive")
-    base = space.base
     sinh2_s = math.sinh(s) ** 2
 
     def block_m(phi, beta):
@@ -244,9 +167,10 @@ def cut_via_formula(space, s, unwarped=True):
                            name=f"{base.name}-cut-{tag}-s={s:g}")
 
 
-def cut_via_pullback(space, s, phi, beta, fd_step=None):
-    """Finite-difference pullback of the ambient metric through the join
-    embedding; the independent oracle for the closed-form (warped) cut.
+def cut_via_pullback(base, s, phi, beta, fd_step=None):
+    """Finite-difference pullback of the ambient metric of the extension
+    of ``base`` through the join embedding; the independent oracle for the
+    closed-form (warped) cut.
 
     At every grid point the tangent vectors of the embedding
     (phi, beta) -> (w t(s, beta), phi, r(s, beta)) are built by central
@@ -263,8 +187,6 @@ def cut_via_pullback(space, s, phi, beta, fd_step=None):
         raise DomainError(
             "cut_via_pullback: beta grid must stay 2*fd_step inside "
             "(0, pi/2)")
-
-    base = space.base
 
     # beta-direction tangent of the embedding (t and r components)
     dt_db = _richardson_d1(lambda bb: ht.solve_t(s, bb), beta, h)

@@ -79,16 +79,16 @@ def direction_field(atlas, tag):
     form itself, "cos2" modulates by cos^2 of the angle (so the block
     varies over the circle)."""
     if tag == "uniform":
-        fn = lambda chart, x: np.ones(np.shape(x) + (1, 1))
-    elif tag == "cos2":
-        def fn(chart, x):
-            # x + centre is the angle up to a multiple of 2 pi, which cos^2
-            # ignores, so it needs no wrap
-            return (np.cos(x + atlas.centers[chart]) ** 2)[..., None, None]
-    else:
+        return mf.round_metric(atlas)
+    if tag != "cos2":
         raise DomainError(f"unknown direction tag {tag!r}")
-    return mf.SphereMetricField.from_function(atlas, fn, name=f"T-{tag}",
-                                              is_metric=False)
+
+    def fn(chart, x):
+        # x + centre is the angle up to a multiple of 2 pi, which cos^2
+        # ignores, so it needs no wrap
+        return (np.cos(x + atlas.centers[chart]) ** 2)[..., None, None]
+
+    return mf.SphereMetricField.from_function(atlas, fn, name="T-cos2")
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,8 @@ def hyperbolic_family(atlas=None):
         return sigma
 
     return MetricFamily(
-        sphere_dim=atlas.dim, atlas=atlas, cut=cut, lambda_min=0.5,
-        hyperbolic_bound=math.inf, limit=lambda b: sigma,
-        interval_bound=math.inf, family_id="hyperbolic")
+        atlas=atlas, cut=cut, lambda_min=0.5, hyperbolic_bound=math.inf,
+        limit=lambda b: sigma, interval_bound=math.inf, family_id="hyperbolic")
 
 
 def bump_family(spec, atlas=None):
@@ -165,8 +164,7 @@ def bump_family(spec, atlas=None):
         return perturbed(eps * bump_profile(rho - lam, start, end))
 
     return MetricFamily(
-        sphere_dim=atlas.dim, atlas=atlas, cut=cut, lambda_min=0.5,
-        hyperbolic_bound=start,
+        atlas=atlas, cut=cut, lambda_min=0.5, hyperbolic_bound=start,
         limit=lambda b: perturbed(eps * bump_profile(b, start, end)),
         interval_bound=end,
         family_id=(f"bump[B={start:g},c={end:g},eps={eps:g},"

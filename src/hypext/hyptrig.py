@@ -363,8 +363,12 @@ class TriangleState:
         (sf, bf), _, scalar = _prepare(s, beta)
         if not scalar:
             raise DomainError("TriangleState is built from scalar (s, beta)")
-        if np.any(sf <= 0.0):
-            raise DomainError("TriangleState: s must be > 0")
+        # a NaN fails every comparison, so each check is written to pass
+        # only finite, in-range input
+        if not 0.0 < float(sf[0]) < math.inf:
+            raise DomainError("TriangleState: s must be finite and > 0")
+        if not math.isfinite(float(bf[0])):
+            raise DomainError("TriangleState: beta must be finite")
         _check_beta_closed(bf, "TriangleState")
         r, t = _solve_rt(sf, bf)
         if 0.0 < float(bf[0]) < HALF_PI:

@@ -25,7 +25,7 @@ OUT = Path(__file__).parent / "fixtures" / "extension_family_cut_regression.txt"
 
 def main():
     family = fam.FamilySpec(kind="bump").build()
-    cut = cl.extension_family_cut(family, 1, math.pi / 3, 8.0, 0.0)
+    cut = cl.extension_family_cut(family, math.pi / 3, 8.0, 0.0)
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     beta = np.linspace(0.1, math.pi / 2 - 0.1, 6)
     m = cut.block_m(phi, beta)

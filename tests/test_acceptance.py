@@ -86,17 +86,15 @@ def test_formula_vs_pullback_oracle():
         return mf.scale(family.cut(2.0, r), math.sinh(r) ** 2)
 
     bases["bump-member"] = mf.RadialMetric(
-        sphere_dim=1, atlas=mf.CIRCLE_ATLAS, domain=(0.0, 350.0),
-        name="bump-member", _cut=member_cut)
+        domain=(0.0, 350.0), name="bump-member", _cut=member_cut)
 
     worst_rel = 0.0
     worst_off = 0.0
     for name, base in bases.items():
-        space = ext.ExtensionSpace(k=1, base=base)
         for s in (1.0, 3.0, 6.0):
-            formula = ext.cut_via_formula(space, s, unwarped=False) \
+            formula = ext.cut_via_formula(base, s, unwarped=False) \
                 .sample(phi, beta)
-            oracle = ext.cut_via_pullback(space, s, phi, beta)
+            oracle = ext.cut_via_pullback(base, s, phi, beta)
             rep = ext.compare_join(formula, oracle)
             worst_rel = max(worst_rel, rep["max_rel_err_block_M"],
                             rep["max_rel_err_block_beta"],
@@ -115,11 +113,11 @@ def test_formula_vs_pullback_oracle():
 # ---------------------------------------------------------------------------
 
 def test_round_sphere_recovery():
-    space = ext.ExtensionSpace(k=1, base=mf.hyperbolic_radial(mf.CIRCLE_ATLAS))
+    base = mf.hyperbolic_radial(mf.CIRCLE_ATLAS)
     phi, beta = ext.join_grid(32, 24)
     worst = 0.0
     for s in (1.0, 3.0, 6.0):
-        sample = ext.cut_via_formula(space, s, unwarped=True).sample(phi, beta)
+        sample = ext.cut_via_formula(base, s, unwarped=True).sample(phi, beta)
         for sheet, idx in ((1, 0), (-1, 1)):
             tm, tb, tx = ext.round_metric_in_join_coordinates(phi, beta, sheet)
             worst = max(worst,
@@ -169,7 +167,7 @@ def test_cut_limit_convergence():
     for theta in (HALF_PI, PI_3):
         cp = cl.c_prime_bound(family, theta)
         b_grid = np.linspace(-2.0, cp, 5)
-        rep = cl.run_convergence(family, 1, theta, b_grid,
+        rep = cl.run_convergence(family, theta, b_grid,
                                  [4.0, 6.0, 8.0, 10.0],
                                  n_phi=48, n_beta=96)
         reports.append(rep)

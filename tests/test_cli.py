@@ -100,12 +100,21 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     ("converge", "bump_support_end = inf"),
     ("oracle", "bump_base_lambda = nan"),
     ("identities", "fd_step = 0"),
+    # the extension rank and the base dimension are fixed (1 and 2): they
+    # are not configuration keys
+    ("converge", "k = 1"),
+    ("oracle", "n = 2"),
 ])
-def test_non_finite_config_file_value_is_exit_2(tmp_path, suite, line):
+def test_non_finite_config_file_value_is_exit_2(tmp_path, capsys, suite,
+                                                line):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(f"schema_version = 1\n{line}\n")
     assert run([suite, "--config", str(cfgfile), "--grid", "24",
                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "hypext" in err and "Traceback" not in err
+    if line.split("=")[0].strip() not in cli.DEFAULTS:
+        assert "unknown key" in err
 
 
 # ---------------------------------------------------------------------------

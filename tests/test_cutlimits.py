@@ -34,7 +34,7 @@ def unbounded_control():
     def cut(lam, rho):
         return pert
 
-    return cl.MetricFamily(sphere_dim=1, atlas=S1, cut=cut, lambda_min=0.5,
+    return cl.MetricFamily(atlas=S1, cut=cut, lambda_min=0.5,
                            hyperbolic_bound=-1.0, limit=lambda b: pert,
                            interval_bound=1.0, family_id="unbounded-control")
 
@@ -85,7 +85,7 @@ def test_round_family_gives_round_join_metric():
     ref_m, ref_b = ext.round_join_blocks(phi, beta)
     for theta in (HALF_PI, PI_3):
         for lp, b in [(4.0, 0.0), (7.0, -1.2), (10.0, 0.7)]:
-            cut = cl.extension_family_cut(family, 1, theta, lp, b)
+            cut = cl.extension_family_cut(family, theta, lp, b)
             sample = cut.sample(phi, beta)
             assert np.max(np.abs(sample.block_m[0] - ref_m)) < 1e-12
             assert np.max(np.abs(sample.block_beta[0] - ref_b)) < 1e-12
@@ -94,9 +94,9 @@ def test_round_family_gives_round_join_metric():
 def test_extension_family_cut_guards():
     family = bump()
     with pytest.raises(DomainError):
-        cl.extension_family_cut(family, 1, HALF_PI, 1.0, -2.0)  # radius <= 0
+        cl.extension_family_cut(family, HALF_PI, 1.0, -2.0)  # radius <= 0
     with pytest.raises(DomainError):
-        cl.extension_family_cut(family, 1, PI_3, 0.4, 0.0)  # below lambda_min
+        cl.extension_family_cut(family, PI_3, 0.4, 0.0)  # below lambda_min
 
 
 def test_region_exactness():
@@ -113,7 +113,7 @@ def test_region_exactness():
         for b in (params.c_prime, -1.5):
             lam = ht.reparam(lp, theta)
             cond = ht.vartheta(lam, betas, b, theta) <= lam - 1.0
-            cut = cl.extension_family_cut(family, 1, theta, lp, b)
+            cut = cl.extension_family_cut(family, theta, lp, b)
             m = cut.block_m(phi, betas)
             exact = np.abs(m - np.sin(betas)[None, :] ** 2) == 0.0
             assert np.all(exact[:, cond])
@@ -128,7 +128,7 @@ def test_predicted_limit_round_family():
     phi, beta = ext.join_grid(16, 12)
     ref_m, ref_b = ext.round_join_blocks(phi, beta)
     for theta, b in [(HALF_PI, 0.0), (PI_3, -2.0), (0.4, 5.0)]:
-        assembly = cl.predicted_limit(family, 1, theta, b)
+        assembly = cl.predicted_limit(family, theta, b)
         sample = assembly.interior.sample(phi, beta)
         assert np.max(np.abs(sample.block_m[0] - ref_m)) < 1e-12
         assert np.max(np.abs(sample.block_beta[0] - ref_b)) < 1e-12
@@ -139,7 +139,7 @@ def test_predicted_limit_beta_equals_theta_slice():
     # sin^2(theta) * limit(b)
     family = bump()
     theta, b = PI_3, 0.3
-    assembly = cl.predicted_limit(family, 1, theta, b)
+    assembly = cl.predicted_limit(family, theta, b)
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     m = assembly.interior.block_m(phi, np.array([theta]))
     expect = (math.sin(theta) ** 2
@@ -152,23 +152,23 @@ def test_predicted_limit_refuses_b_beyond_c_prime():
     cp = cl.c_prime_bound(family, PI_3)
     assert cp == pytest.approx(1.0 + math.log(math.sin(PI_3)) - 0.1)
     with pytest.raises(DomainError, match="c'"):
-        cl.predicted_limit(family, 1, PI_3, cp + 0.05)
+        cl.predicted_limit(family, PI_3, cp + 0.05)
     # hyperbolic family has no bound
     assert cl.c_prime_bound(hyper(), PI_3) == math.inf
 
 
 def test_predicted_limit_requires_oracle():
-    family = cl.MetricFamily(sphere_dim=1, atlas=S1, cut=hyper().cut,
+    family = cl.MetricFamily(atlas=S1, cut=hyper().cut,
                              lambda_min=0.5, hyperbolic_bound=math.inf,
                              limit=None, family_id="no-oracle")
     with pytest.raises(DomainError, match="oracle"):
-        cl.predicted_limit(family, 1, HALF_PI, 0.0)
+        cl.predicted_limit(family, HALF_PI, 0.0)
 
 
 def test_boundary_positivity():
     for family in (hyper(), bump()):
         for theta, b in [(HALF_PI, 0.5), (PI_3, -1.0)]:
-            assembly = cl.predicted_limit(family, 1, theta, b)
+            assembly = cl.predicted_limit(family, theta, b)
             ok, worst = cl.boundary_positivity(assembly)
             assert ok and worst > 0.0
 
@@ -181,7 +181,7 @@ def _nan_beyond(x, value=1.0):
 
 @pytest.mark.parametrize("slot", ["block_m", "block_beta", "equator"])
 def test_boundary_positivity_fails_on_nan(slot):
-    assembly = cl.predicted_limit(bump(), 1, HALF_PI, 0.5)
+    assembly = cl.predicted_limit(bump(), HALF_PI, 0.5)
     interior, eq = assembly.interior, assembly.boundary_m
     if slot == "block_m":
         interior = dataclasses.replace(
@@ -204,25 +204,16 @@ def test_boundary_positivity_fails_on_nan(slot):
 # translation
 # ---------------------------------------------------------------------------
 
-def test_translate_identity_and_inverse():
-    family = bump()
-    assert cl.translate_family(family, 0.0) is family
-    double = cl.translate_family(cl.translate_family(family, 1.0), -1.0)
-    x = np.linspace(-1.0, 1.0, 9)
-    for lam, rho in [(5.0, 5.3), (8.0, 7.1)]:
-        assert np.array_equal(double.cut(lam, rho).components("east", x),
-                              family.cut(lam, rho).components("east", x))
-
-
-def test_translate_shifts_limit_oracle():
-    family = bump()
-    shifted = cl.translate_family(family, 1.0)
-    x = np.linspace(-1.0, 1.0, 9)
-    for b in (-0.7, 0.0, 0.4):
-        assert np.array_equal(shifted.limit(b - 1.0).components("east", x),
-                              family.limit(b).components("east", x))
-    assert shifted.hyperbolic_bound == family.hyperbolic_bound - 1.0
-    assert shifted.interval_bound == family.interval_bound - 1.0
+def _translated(family, a):
+    """Reindex by a translation: the new member at lam is the old member
+    at lam - a, so the new cut limit at b equals the old one at b + a."""
+    return dataclasses.replace(
+        family, cut=lambda lam, rho: family.cut(lam - a, rho),
+        lambda_min=family.lambda_min + a,
+        hyperbolic_bound=family.hyperbolic_bound - a,
+        limit=lambda b: family.limit(b + a),
+        interval_bound=family.interval_bound - a,
+        family_id=f"{family.family_id}~shift{a:+g}")
 
 
 def test_translation_coherence_at_right_angle():
@@ -230,11 +221,11 @@ def test_translation_coherence_at_right_angle():
     # on the original at b + a with the lambda' grid shifted by -a
     family = bump()
     a = 1.0
-    shifted = cl.translate_family(family, a)
+    shifted = _translated(family, a)
     b = -1.5
-    rep_shifted = cl.run_convergence(shifted, 1, HALF_PI, [b], [5.0, 7.0],
+    rep_shifted = cl.run_convergence(shifted, HALF_PI, [b], [5.0, 7.0],
                                      n_phi=16, n_beta=32)
-    rep_orig = cl.run_convergence(family, 1, HALF_PI, [b + a], [4.0, 6.0],
+    rep_orig = cl.run_convergence(family, HALF_PI, [b + a], [4.0, 6.0],
                                   n_phi=16, n_beta=32)
     for rs, ro in zip(rep_shifted.records, rep_orig.records):
         for key in ("c0", "c1", "c2", "boundary_M_c0", "boundary_H_c0"):
@@ -246,7 +237,7 @@ def test_translation_coherence_at_right_angle():
 # ---------------------------------------------------------------------------
 
 def test_run_convergence_round_family_is_exact():
-    rep = cl.run_convergence(hyper(), 1, PI_3, [0.0, -1.0], [4.0, 6.0],
+    rep = cl.run_convergence(hyper(), PI_3, [0.0, -1.0], [4.0, 6.0],
                              n_phi=16, n_beta=32)
     for r in rep.records:
         assert max(r["c0"], r["c1"], r["c2"]) < 1e-10
@@ -256,7 +247,7 @@ def test_run_convergence_round_family_is_exact():
 def test_theta_consistency_for_round_family():
     reports = {}
     for theta in (HALF_PI, PI_3, math.pi / 6):
-        rep = cl.run_convergence(hyper(), 1, theta, [0.0], [4.0, 6.0],
+        rep = cl.run_convergence(hyper(), theta, [0.0], [4.0, 6.0],
                                  n_phi=16, n_beta=32)
         reports[theta] = [(r["c0"], r["c1"], r["c2"], r["boundary_M_c0"])
                           for r in rep.records]
@@ -270,7 +261,7 @@ def test_run_convergence_bump_decays():
     family = bump()
     theta = HALF_PI
     cp = cl.c_prime_bound(family, theta)
-    rep = cl.run_convergence(family, 1, theta, [-2.0, 0.0, cp],
+    rep = cl.run_convergence(family, theta, [-2.0, 0.0, cp],
                              [4.0, 6.0, 8.0, 10.0], n_phi=24, n_beta=48)
     failures = cl.check_convergence_assertions(rep)
     assert failures == []
@@ -292,7 +283,7 @@ def test_convergence_rate_tracks_exponential_law():
     family = bump()
     theta = PI_3
     cp = cl.c_prime_bound(family, theta)
-    rep = cl.run_convergence(family, 1, theta, [cp], [6.0, 8.0, 10.0],
+    rep = cl.run_convergence(family, theta, [cp], [6.0, 8.0, 10.0],
                              n_phi=24, n_beta=48)
     dists = [max(r["c0"], r["c1"], r["c2"])
              for r in sorted(rep.records, key=lambda r: r["lambda_prime"])]
@@ -306,7 +297,7 @@ def test_run_convergence_with_angle_dependent_direction():
     family = fam.FamilySpec(kind="bump", direction="cos2").build()
     theta = PI_3
     cp = cl.c_prime_bound(family, theta)
-    rep = cl.run_convergence(family, 1, theta, [-1.0, cp],
+    rep = cl.run_convergence(family, theta, [-1.0, cp],
                              [4.0, 6.0, 8.0, 10.0], n_phi=32, n_beta=64)
     assert cl.check_convergence_assertions(rep) == []
 
@@ -314,17 +305,17 @@ def test_run_convergence_with_angle_dependent_direction():
 def test_run_convergence_rejects_bad_inputs():
     family = bump()
     with pytest.raises(DomainError):
-        cl.run_convergence(family, 1, HALF_PI, [0.0], [4.0, 4.0])
+        cl.run_convergence(family, HALF_PI, [0.0], [4.0, 4.0])
     with pytest.raises(DomainError):
-        cl.run_convergence(family, 1, PI_3, [5.0], [4.0, 6.0])  # b > c'
+        cl.run_convergence(family, PI_3, [5.0], [4.0, 6.0])  # b > c'
     with pytest.raises(VerificationError, match="round-collar"):
-        cl.run_convergence(unbounded_control(), 1, HALF_PI, [0.0],
+        cl.run_convergence(unbounded_control(), HALF_PI, [0.0],
                            [4.0, 6.0], n_phi=8, n_beta=16)
 
 
 def test_corrupt_limit_hook_breaks_assertions():
     family = bump()
-    rep = cl.run_convergence(family, 1, HALF_PI, [0.0], [4.0, 6.0],
+    rep = cl.run_convergence(family, HALF_PI, [0.0], [4.0, 6.0],
                              n_phi=16, n_beta=32, corrupt_limit=1e-3)
     failures = cl.check_convergence_assertions(rep)
     assert failures != []
@@ -335,7 +326,7 @@ def _report(c2_values, boundary=1e-8):
                 "c0": c2 / 10.0, "c1": c2 / 2.0, "c2": c2,
                 "boundary_M_c0": boundary}
                for lp, c2 in zip((4.0, 6.0, 8.0), c2_values)]
-    return cl.ConvergenceReport(family_id="synthetic", k=1, records=records,
+    return cl.ConvergenceReport(family_id="synthetic", records=records,
                                 n_phi=8, n_beta=8, beta_margin=0.1,
                                 wall_clock_s=0.0)
 
@@ -395,7 +386,7 @@ def test_verify_beta1_claim_fails_on_nan_block():
     # region is not shown round, so the claim must not pass
     nan_cut = mf.SphereMetricField.from_function(
         S1, lambda chart, x: _nan_beyond(x))
-    family = cl.MetricFamily(sphere_dim=1, atlas=S1,
+    family = cl.MetricFamily(atlas=S1,
                              cut=lambda lam, rho: nan_cut, lambda_min=0.5,
                              hyperbolic_bound=-1.0, interval_bound=1.0,
                              family_id="nan-beyond-1")
@@ -424,7 +415,7 @@ def test_extension_family_cut_regression(tmp_path):
         rows.append((int(toks[0]), int(toks[1]),
                      float(toks[2]), float(toks[3])))
     family = bump()
-    cut = cl.extension_family_cut(family, 1, PI_3, 8.0, 0.0)
+    cut = cl.extension_family_cut(family, PI_3, 8.0, 0.0)
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     beta = np.linspace(0.1, HALF_PI - 0.1, 6)
     m = cut.block_m(phi, beta)

@@ -14,7 +14,8 @@ HALF_PI = math.pi / 2
 
 
 def hyperbolic_space():
-    return ext.ExtensionSpace(k=1, base=mf.hyperbolic_radial(S1))
+    """The hyperbolic base, whose extension is hyperbolic 3-space."""
+    return mf.hyperbolic_radial(S1)
 
 
 def perturbed_space():
@@ -23,74 +24,12 @@ def perturbed_space():
     def cut(r):
         amp = 0.05 * math.exp(-((r - 2.0) ** 2))
         def comp(chart, x):
-            ang = S1.angle_of(chart, x)
+            # cos^2 has period pi, so the unwrapped angle serves
+            ang = x + S1.centers[chart]
             return (math.sinh(r) ** 2
                     * (1.0 + amp * np.cos(ang) ** 2))[..., None, None]
         return mf.SphereMetricField.from_function(S1, comp)
-    base = mf.RadialMetric(sphere_dim=1, atlas=S1, domain=(0.0, 350.0),
-                           name="perturbed", _cut=cut)
-    return ext.ExtensionSpace(k=1, base=base)
-
-
-# ---------------------------------------------------------------------------
-# construction, embedding, ambient metric
-# ---------------------------------------------------------------------------
-
-def test_extension_space_rejects_unsupported_rank():
-    with pytest.raises(DomainError):
-        ext.ExtensionSpace(k=2, base=mf.hyperbolic_radial(S1))
-
-
-def test_xi_point_validation():
-    with pytest.raises(DomainError):
-        ext.XiPoint(w=0, u=0.0, beta=0.5)
-    with pytest.raises(DomainError):
-        ext.XiPoint(w=1, u=0.0, beta=0.0)
-    with pytest.raises(DomainError):
-        ext.XiPoint(w=1, u=0.0, beta=HALF_PI)
-
-
-def test_xi_embed_limits_and_fixture(fixture_table):
-    space = hyperbolic_space()
-    # beta -> pi/2: t -> 0 (point approaches the base fiber)
-    (t, w), (r, u) = ext.xi_embed(3.0, ext.XiPoint(w=1, u=0.3, beta=HALF_PI - 1e-9))
-    assert t < 1e-8 and abs(r - 3.0) < 1e-8
-    # beta -> 0: r -> 0 (point approaches the hyperbolic axis)
-    (t, w), (r, u) = ext.xi_embed(3.0, ext.XiPoint(w=-1, u=0.3, beta=1e-9))
-    assert r < 1e-7 and abs(t - 3.0) < 1e-8
-    fix = {name: val for name, args, val in fixture_table
-           if name.startswith("xi_embed")}
-    (t, w), (r, u) = ext.xi_embed(3.0, ext.XiPoint(w=1, u=1.0, beta=0.8))
-    assert t == pytest.approx(fix["xi_embed_t"], rel=1e-13)
-    assert r == pytest.approx(fix["xi_embed_r"], rel=1e-13)
-    assert (w, u) == (1, 1.0)
-
-
-def test_extension_metric_at_center_slice():
-    space = hyperbolic_space()
-    g = ext.extension_metric_at(space, (1.3, 1), (0.0, 0.7))
-    # r = 0: hyperbolic-factor block is the bare H^1 metric
-    assert g[0, 0] == 1.0
-    assert g[1, 1] == 0.0 and g[2, 2] == 1.0
-
-
-def test_extension_metric_at_hyperbolic_base():
-    space = hyperbolic_space()
-    g = ext.extension_metric_at(space, (0.9, -1), (1.7, 0.2))
-    assert g[0, 0] == pytest.approx(math.cosh(1.7) ** 2, rel=1e-15)
-    assert g[1, 1] == pytest.approx(math.sinh(1.7) ** 2, rel=1e-14)
-    assert g[2, 2] == 1.0
-    assert np.count_nonzero(g - np.diag(np.diag(g))) == 0
-
-
-def test_extension_metric_at_perturbed_base_in_support():
-    # direct assembly at a point where the radial perturbation is active
-    space = perturbed_space()
-    r, u = 2.0, 0.4
-    g = ext.extension_metric_at(space, (1.1, 1), (r, u))
-    expect = math.sinh(r) ** 2 * (1.0 + 0.05 * math.cos(u) ** 2)
-    assert g[1, 1] == pytest.approx(expect, rel=1e-14)
-    assert g[0, 0] == pytest.approx(math.cosh(r) ** 2, rel=1e-15)
+    return mf.RadialMetric(domain=(0.0, 350.0), name="perturbed", _cut=cut)
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +37,11 @@ def test_extension_metric_at_perturbed_base_in_support():
 # ---------------------------------------------------------------------------
 
 def test_round_sphere_recovery():
-    space = hyperbolic_space()
+    base = hyperbolic_space()
     phi, beta = ext.join_grid(24, 20)
     ref_m, ref_b = ext.round_join_blocks(phi, beta)
     for s in (1.0, 3.0, 6.0):
-        cut = ext.cut_via_formula(space, s, unwarped=True)
+        cut = ext.cut_via_formula(base, s, unwarped=True)
         sample = cut.sample(phi, beta)
         for sheet in range(2):
             assert np.max(np.abs(sample.block_m[sheet] - ref_m)) < 1e-10
@@ -113,9 +52,9 @@ def test_round_sphere_recovery_against_chart_transport():
     # independent expression of the round metric through the stereographic
     # atlas; agreement witnesses that the extension of the hyperbolic base
     # is hyperbolic space itself
-    space = hyperbolic_space()
+    base = hyperbolic_space()
     phi, beta = ext.join_grid(24, 20)
-    cut = ext.cut_via_formula(space, 3.0, unwarped=True)
+    cut = ext.cut_via_formula(base, 3.0, unwarped=True)
     sample = cut.sample(phi, beta)
     for sheet, idx in ((1, 0), (-1, 1)):
         tm, tb, tx = ext.round_metric_in_join_coordinates(phi, beta, sheet)
@@ -125,11 +64,11 @@ def test_round_sphere_recovery_against_chart_transport():
 
 
 def test_unwarped_is_scaled_warped():
-    space = perturbed_space()
+    base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
     s = 2.5
-    warped = ext.cut_via_formula(space, s, unwarped=False).sample(phi, beta)
-    unwarped = ext.cut_via_formula(space, s, unwarped=True).sample(phi, beta)
+    warped = ext.cut_via_formula(base, s, unwarped=False).sample(phi, beta)
+    unwarped = ext.cut_via_formula(base, s, unwarped=True).sample(phi, beta)
     f = math.sinh(s) ** 2
     assert np.allclose(unwarped.block_m * f, warped.block_m, rtol=1e-12)
     assert np.allclose(unwarped.block_beta * f, warped.block_beta, rtol=1e-12)
@@ -144,10 +83,10 @@ def test_unwarped_is_scaled_warped():
 @pytest.mark.parametrize("make_space", [hyperbolic_space, perturbed_space])
 @pytest.mark.parametrize("s", [1.0, 3.0])
 def test_formula_vs_pullback(make_space, s):
-    space = make_space()
+    base = make_space()
     phi, beta = ext.join_grid(24, 18)
-    formula = ext.cut_via_formula(space, s, unwarped=False).sample(phi, beta)
-    oracle = ext.cut_via_pullback(space, s, phi, beta)
+    formula = ext.cut_via_formula(base, s, unwarped=False).sample(phi, beta)
+    oracle = ext.cut_via_pullback(base, s, phi, beta)
     rep = ext.compare_join(formula, oracle)
     assert rep["max_rel_err_block_M"] < 1e-5
     assert rep["max_rel_err_block_beta"] < 1e-5
@@ -155,36 +94,36 @@ def test_formula_vs_pullback(make_space, s):
 
 
 def test_pullback_beta_block_normalizes_to_one():
-    space = hyperbolic_space()
+    base = hyperbolic_space()
     phi, beta = ext.join_grid(8, 16)
     for s in (1.0, 6.0):
-        oracle = ext.cut_via_pullback(space, s, phi, beta)
+        oracle = ext.cut_via_pullback(base, s, phi, beta)
         assert np.max(np.abs(oracle.block_beta / math.sinh(s) ** 2 - 1.0)) < 1e-6
 
 
 def test_pullback_margin_guard():
-    space = hyperbolic_space()
+    base = hyperbolic_space()
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     beta = np.linspace(1e-6, HALF_PI - 1e-6, 10)
     with pytest.raises(DomainError):
-        ext.cut_via_pullback(space, 1.0, phi, beta)
+        ext.cut_via_pullback(base, 1.0, phi, beta)
 
 
 def test_compare_join_grid_mismatch():
-    space = hyperbolic_space()
+    base = hyperbolic_space()
     phi, beta = ext.join_grid(8, 8)
     phi2, beta2 = ext.join_grid(8, 10)
-    a = ext.cut_via_formula(space, 1.0, unwarped=False).sample(phi, beta)
-    b = ext.cut_via_pullback(space, 1.0, phi2, beta2)
+    a = ext.cut_via_formula(base, 1.0, unwarped=False).sample(phi, beta)
+    b = ext.cut_via_pullback(base, 1.0, phi2, beta2)
     with pytest.raises(DomainError):
         ext.compare_join(a, b)
 
 
 def test_join_c2_distance_identity_and_symmetry():
-    space = perturbed_space()
+    base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    a = ext.cut_via_formula(space, 2.0, unwarped=True).sample(phi, beta)
-    b = ext.cut_via_formula(space, 2.5, unwarped=True).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
+    b = ext.cut_via_formula(base, 2.5, unwarped=True).sample(phi, beta)
     zero = ext.join_c2_distance(a, a)
     assert (zero.c0, zero.c1, zero.c2) == (0.0, 0.0, 0.0)
     dab = ext.join_c2_distance(a, b)
@@ -201,9 +140,9 @@ def materialized(sample):
 
 
 def test_join_sample_is_read_only_view_of_one_sheet():
-    space = perturbed_space()
+    base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    sample = ext.cut_via_formula(space, 2.0, unwarped=True).sample(phi, beta)
+    sample = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
     for block in (sample.block_m, sample.block_beta, sample.offdiag):
         assert block.shape == (2, 16, 12)
         assert not block.flags.writeable
@@ -214,22 +153,22 @@ def test_join_sample_is_read_only_view_of_one_sheet():
 
 
 def test_join_sample_views_give_unchanged_results():
-    space = perturbed_space()
+    base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    a = ext.cut_via_formula(space, 2.0, unwarped=True).sample(phi, beta)
-    b = ext.cut_via_formula(space, 2.5, unwarped=True).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
+    b = ext.cut_via_formula(base, 2.5, unwarped=True).sample(phi, beta)
     assert ext.join_c2_distance(a, b) == ext.join_c2_distance(
         materialized(a), materialized(b))
-    formula = ext.cut_via_formula(space, 1.0, unwarped=False).sample(phi, beta)
-    oracle = ext.cut_via_pullback(space, 1.0, phi, beta)
+    formula = ext.cut_via_formula(base, 1.0, unwarped=False).sample(phi, beta)
+    oracle = ext.cut_via_pullback(base, 1.0, phi, beta)
     assert ext.compare_join(formula, oracle) == ext.compare_join(
         materialized(formula), oracle)
 
 
 def test_join_c2_distance_carries_nan():
-    space = perturbed_space()
+    base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    a = ext.cut_via_formula(space, 2.0, unwarped=True).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
     bad = materialized(a)
     bad.block_m[1, 5, 6] = math.nan
     d = ext.join_c2_distance(bad, a)

@@ -203,9 +203,11 @@ def test_triangle_state_validate_fails_on_nan(leg):
 
 
 def test_triangle_state_from_nan_hypotenuse_fails():
-    # refused as input or failed in validation, never a NaN state
-    with pytest.raises((DomainError, VerificationError)):
-        ht.TriangleState.from_hypotenuse_angle(math.nan, 0.7)
+    # a non-finite hypotenuse or angle is bad input, refused before solving
+    for s, beta in [(math.nan, 0.7), (3.0, math.nan), (math.inf, 0.7),
+                    (-math.inf, 0.7), (3.0, math.inf)]:
+        with pytest.raises(DomainError):
+            ht.TriangleState.from_hypotenuse_angle(s, beta)
 
 
 @settings(max_examples=100, deadline=None)
