@@ -241,7 +241,7 @@ def build_base_metric(cfg):
     """Radial base for the oracle suite: the hyperbolic model, or one bump
     family member (index bump_base_lambda) as a warped-by-sinh metric."""
     if cfg.family == "hyperbolic":
-        return mf.hyperbolic_radial(mf.CIRCLE_ATLAS)
+        return mf.hyperbolic_radial()
     family = build_family(cfg)
     lam0 = cfg.bump_base_lambda
 

@@ -32,7 +32,7 @@ from .errors import DomainError, VerificationError
 from . import hyptrig as ht
 from . import fields as mf
 from .extension import (BETA_MARGIN, JoinMetricField, join_c2_distance,
-                        join_grid)
+                        join_grid, unwarped_join_field)
 
 HALF_PI = 0.5 * math.pi
 
@@ -59,7 +59,6 @@ class MetricFamily:
     interval is (-inf, interval_bound]).
     """
 
-    atlas: object
     cut: object
     lambda_min: float
     hyperbolic_bound: float | None = None
@@ -81,7 +80,7 @@ def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid,
     lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if np.any(b_grid > B):
         raise DomainError("is_hyperbolic_around_origin: b grid must be <= B")
-    sigma = mf.round_metric(family.atlas)
+    sigma = mf.round_metric()
     worst = 0.0
     for lam in lambda_grid:
         if lam < family.lambda_min:
@@ -118,20 +117,8 @@ def extension_family_cut(family, theta, lambda_prime, b):
             f"extension_family_cut: family index {lam:.6g} below "
             f"lambda_min {family.lambda_min}")
 
-    def block_m(phi, beta):
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        out = np.empty((phi.size, beta.size))
-        for j, bj in enumerate(beta):
-            r = ht.solve_r(s0, float(bj))
-            comp = family.cut(lam, r).at_angles(phi)[:, 0, 0]
-            out[:, j] = math.sin(bj) ** 2 * comp
-        return out
-
-    return JoinMetricField(
-        s=s0, warped=False, block_m=block_m,
-        block_beta=lambda beta: np.ones_like(np.asarray(beta, dtype=float)),
-        block_h_coeff=lambda beta: np.cos(np.asarray(beta, dtype=float)) ** 2,
+    return unwarped_join_field(
+        lambda beta: family.cut(lam, ht.solve_r(s0, beta)), s0,
         name=f"{family.family_id}-ext-cut")
 
 
@@ -186,20 +173,9 @@ def predicted_limit(family, theta, b, margin=C_PRIME_MARGIN):
             "b + ln(sin beta / sin theta) leaves the controlled interval "
             "at the equator, so no uniform limit is predicted")
 
-    def block_m(phi, beta):
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        out = np.empty((phi.size, beta.size))
-        for j, bj in enumerate(beta):
-            idx = b + math.log(math.sin(bj) / math.sin(theta))
-            comp = family.limit(idx).at_angles(phi)[:, 0, 0]
-            out[:, j] = math.sin(bj) ** 2 * comp
-        return out
-
-    interior = JoinMetricField(
-        s=None, warped=False, block_m=block_m,
-        block_beta=lambda beta: np.ones_like(np.asarray(beta, dtype=float)),
-        block_h_coeff=lambda beta: np.cos(np.asarray(beta, dtype=float)) ** 2,
+    interior = unwarped_join_field(
+        lambda beta: family.limit(
+            b + math.log(math.sin(beta) / math.sin(theta))), None,
         name=f"{family.family_id}-limit[b={b:g},theta={theta:g}]")
     boundary_m = BoundaryForm(
         normal_coeff=1.0,

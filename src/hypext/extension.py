@@ -76,7 +76,6 @@ class JoinMetricField:
     """
 
     s: float | None
-    warped: bool
     block_m: object
     block_beta: object
     block_h_coeff: object
@@ -129,6 +128,32 @@ def join_grid(n_phi=32, n_beta=24, margin=BETA_MARGIN):
     return phi, beta
 
 
+def unwarped_join_field(column, s, name):
+    """The unwarped join metric
+
+        cos^2(beta) * sigma_{S^0} + sin^2(beta) * column(beta) + dbeta^2
+
+    whose circle block at each beta is the field ``column(beta)``, called
+    once per sampled beta (a float).  The unwarped formula cut, the
+    extension-family cut and its predicted limit differ only in the column.
+    """
+
+    def block_m(phi, beta):
+        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        out = np.empty((phi.size, beta.size))
+        for j, bj in enumerate(beta):
+            bj = float(bj)
+            out[:, j] = math.sin(bj) ** 2 * column(bj).at_angles(phi)
+        return out
+
+    return JoinMetricField(
+        s=s, block_m=block_m,
+        block_beta=lambda beta: np.ones_like(np.asarray(beta, dtype=float)),
+        block_h_coeff=lambda beta: np.cos(np.asarray(beta, dtype=float)) ** 2,
+        name=name)
+
+
 def cut_via_formula(base, s, unwarped=True):
     """Closed-form cut of the extension of the radial metric ``base`` at
     sphere radius s.
@@ -139,6 +164,10 @@ def cut_via_formula(base, s, unwarped=True):
     """
     if s <= 0.0:
         raise DomainError("cut_via_formula: s must be positive")
+    if unwarped:
+        return unwarped_join_field(
+            lambda beta: mf.unwarped_cut(base, ht.solve_r(s, beta)), s,
+            name=f"{base.name}-cut-unwarped-s={s:g}")
     sinh2_s = math.sinh(s) ** 2
 
     def block_m(phi, beta):
@@ -146,25 +175,16 @@ def cut_via_formula(base, s, unwarped=True):
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
         out = np.empty((phi.size, beta.size))
         for j, bj in enumerate(beta):
-            r = ht.solve_r(s, float(bj))
-            if unwarped:
-                comp = mf.unwarped_cut(base, r).at_angles(phi)[:, 0, 0]
-                out[:, j] = math.sin(bj) ** 2 * comp
-            else:
-                out[:, j] = mf.warped_cut(base, r).at_angles(phi)[:, 0, 0]
+            out[:, j] = mf.warped_cut(base, ht.solve_r(s, float(bj))) \
+                .at_angles(phi)
         return out
 
-    if unwarped:
-        block_beta = lambda beta: np.ones_like(np.asarray(beta, dtype=float))
-        block_h = lambda beta: np.cos(np.asarray(beta, dtype=float)) ** 2
-    else:
-        block_beta = lambda beta: np.full(np.shape(beta), sinh2_s)
-        block_h = lambda beta: sinh2_s * np.cos(np.asarray(beta, dtype=float)) ** 2
-
-    tag = "unwarped" if unwarped else "warped"
-    return JoinMetricField(s=s, warped=not unwarped, block_m=block_m,
-                           block_beta=block_beta, block_h_coeff=block_h,
-                           name=f"{base.name}-cut-{tag}-s={s:g}")
+    return JoinMetricField(
+        s=s, block_m=block_m,
+        block_beta=lambda beta: np.full(np.shape(beta), sinh2_s),
+        block_h_coeff=lambda beta: sinh2_s * np.cos(
+            np.asarray(beta, dtype=float)) ** 2,
+        name=f"{base.name}-cut-warped-s={s:g}")
 
 
 def cut_via_pullback(base, s, phi, beta, fd_step=None):
@@ -205,7 +225,7 @@ def cut_via_pullback(base, s, phi, beta, fd_step=None):
     f_yy = np.cosh(r_c) ** 2                     # (n_beta,)
     f_pp = np.empty((phi.size, beta.size))       # h_r(phi) per beta row
     for j, rj in enumerate(r_c):
-        f_pp[:, j] = mf.warped_cut(base, float(rj)).at_angles(phi)[:, 0, 0]
+        f_pp[:, j] = mf.warped_cut(base, float(rj)).at_angles(phi)
 
     n_w = 2
     block_m = np.empty((n_w, phi.size, beta.size))

@@ -74,21 +74,16 @@ def bump_profile(x, start, end):
     return float(out) if out.ndim == 0 else out
 
 
-def direction_field(atlas, tag):
+def direction_field(tag):
     """The perturbation direction T on the circle: "uniform" is the round
     form itself, "cos2" modulates by cos^2 of the angle (so the block
     varies over the circle)."""
     if tag == "uniform":
-        return mf.round_metric(atlas)
+        return mf.round_metric()
     if tag != "cos2":
         raise DomainError(f"unknown direction tag {tag!r}")
-
-    def fn(chart, x):
-        # x + centre is the angle up to a multiple of 2 pi, which cos^2
-        # ignores, so it needs no wrap
-        return (np.cos(x + atlas.centers[chart]) ** 2)[..., None, None]
-
-    return mf.SphereMetricField.from_function(atlas, fn, name="T-cos2")
+    return mf.SphereMetricField.from_function(
+        lambda angles: np.cos(angles) ** 2, name="T-cos2")
 
 
 @dataclass(frozen=True)
@@ -113,17 +108,15 @@ class FamilySpec:
             if self.profile not in PROFILE_TAGS:
                 raise DomainError(f"unknown profile tag {self.profile!r}")
 
-    def build(self, atlas=None):
-        atlas = atlas or mf.CIRCLE_ATLAS
+    def build(self):
         if self.kind == "hyperbolic":
-            return hyperbolic_family(atlas)
-        return bump_family(self, atlas)
+            return hyperbolic_family()
+        return bump_family(self)
 
 
-def hyperbolic_family(atlas=None):
+def hyperbolic_family():
     """The constantly round family: every cut is the round metric."""
-    atlas = atlas or mf.CIRCLE_ATLAS
-    sigma = mf.round_metric(atlas)
+    sigma = mf.round_metric()
 
     def cut(lam, rho):
         if rho <= 0.0:
@@ -131,18 +124,17 @@ def hyperbolic_family(atlas=None):
         return sigma
 
     return MetricFamily(
-        atlas=atlas, cut=cut, lambda_min=0.5, hyperbolic_bound=math.inf,
+        cut=cut, lambda_min=0.5, hyperbolic_bound=math.inf,
         limit=lambda b: sigma, interval_bound=math.inf, family_id="hyperbolic")
 
 
-def bump_family(spec, atlas=None):
+def bump_family(spec):
     """Build the bump family from its spec, checking positivity of the
     most-perturbed cut at construction."""
-    atlas = atlas or mf.CIRCLE_ATLAS
     if spec.kind != "bump":
         raise DomainError("bump_family requires a bump spec")
-    T = direction_field(atlas, spec.direction)
-    sigma = mf.round_metric(atlas)
+    T = direction_field(spec.direction)
+    sigma = mf.round_metric()
     eps = float(spec.amplitude)
     start, end = float(spec.support_start), float(spec.support_end)
 
@@ -150,8 +142,8 @@ def bump_family(spec, atlas=None):
         if amount == 0.0:
             return sigma
         # sigma is the round form, whose components are exactly 1
-        fn = lambda chart, x: 1.0 + amount * T.components(chart, x)
-        return mf.SphereMetricField.from_function(atlas, fn, name="bump-cut")
+        fn = lambda angles: 1.0 + amount * T.components(angles)
+        return mf.SphereMetricField.from_function(fn, name="bump-cut")
 
     ok, eigmin = mf.positivity_check(perturbed(eps), resolution=256)
     if not ok:
@@ -164,7 +156,7 @@ def bump_family(spec, atlas=None):
         return perturbed(eps * bump_profile(rho - lam, start, end))
 
     return MetricFamily(
-        atlas=atlas, cut=cut, lambda_min=0.5, hyperbolic_bound=start,
+        cut=cut, lambda_min=0.5, hyperbolic_bound=start,
         limit=lambda b: perturbed(eps * bump_profile(b, start, end)),
         interval_bound=end,
         family_id=(f"bump[B={start:g},c={end:g},eps={eps:g},"

@@ -1,17 +1,16 @@
 """Closed-form symmetric bilinear-form fields on the circle.
 
-A field is a closed-form function of a chart coordinate of
-``CIRCLE_ATLAS`` (two overlapping arc charts on S^1 whose transitions are
-shifts by pi, Jacobian identically 1) and returns the 1x1 component
-matrix in that chart's frame.  ``StereographicAtlas`` keeps only the
-stereographic chart map and the round metric of S^2 that the round-sphere
-reference route of ``extension`` needs.
+A field is a closed-form, 2 pi-periodic function of the circle angle: it
+maps an array of angles to the array, of the same shape, of its one
+component ``g(d/dangle, d/dangle)`` there.  ``StereographicAtlas`` keeps
+only the stereographic chart map and the round metric of S^2 that the
+round-sphere reference route of ``extension`` needs.
 
 On top of the field type the module implements warped/unwarped spherical
 cuts of centered radial metrics, componentwise scaling, a positivity
 check, and the grid realization of the C^2 distance: sups of component
-differences and of their first and second central differences over the
-interior grid of every chart.
+differences and of their first and second central differences over two
+overlapping sampling windows that cover the circle.
 """
 
 from __future__ import annotations
@@ -24,67 +23,20 @@ import numpy as np
 from .errors import DomainError, max_carrying_nan, min_carrying_nan
 from .hyptrig import log_sinh
 
-TWO_PI = 2.0 * math.pi
+# The sampling windows are the arcs |angle - centre| <= 3 pi/5 about the
+# centres 0 and pi, each sampled by ``centre + interior_grid(n)``.  They
+# cover the circle and overlap by pi/5 at either end, so every point within
+# MARGIN = 3 pi/20 of a window's end is interior to the other window.
+# ``c2_distance`` bounds its step by MARGIN / 2, which 17 points meet
+# exactly.
+WINDOW_CENTRES = (0.0, math.pi)
+INTERIOR_HALF_WIDTH = 0.60 * math.pi
+MARGIN = 0.75 * math.pi - INTERIOR_HALF_WIDTH
 
 
-def _wrap_angle(a):
-    """Wrap to (-pi, pi]."""
-    return math.pi - np.mod(math.pi - np.asarray(a, dtype=float), TWO_PI)
-
-
-class CircleAtlas:
-    """Two arc charts on the unit circle, centred at angles 0 and pi.
-
-    Chart coordinate: x = angle - centre, wrapped; each chart's domain is
-    the open arc |x| < 3*pi/4 and its interior is |x| <= 3*pi/5, so the two
-    interiors overlap and cover the circle with margin 3*pi/20 to every
-    chart boundary.  Transitions shift by +-pi: Jacobian 1, condition
-    number 1.  So a field has the same components in either chart, and the
-    east coordinate wrapped to (-pi, pi] is a periodic angle coordinate on
-    the whole circle (``angle_coords``).
-    """
-
-    chart_ids = ("east", "west")
-    half_width = 0.75 * math.pi
-    interior_half_width = 0.60 * math.pi
-
-    centers = {"east": 0.0, "west": math.pi}
-
-    def __init__(self):
-        # the last angle_coords result, keyed by the shape and bytes of its
-        # angles
-        self._wrapped = None
-
-    @property
-    def margin(self):
-        return self.half_width - self.interior_half_width
-
-    def coords_of(self, chart, angles):
-        return _wrap_angle(np.asarray(angles, dtype=float)
-                           - self.centers[chart])
-
-    def angle_coords(self, angles):
-        """The periodic angle coordinate of ``angles``: the east chart
-        coordinate, wrapped to (-pi, pi], as a read-only array.
-
-        The last result is kept, keyed by the shape and bytes of the
-        angles: callers that evaluate many fields on one angle grid (one
-        per beta column) wrap it once.  Equal keys mean equal input bits,
-        so a kept result is the one a fresh call would compute.
-        """
-        a = np.asarray(angles, dtype=float)
-        key = (a.shape, a.tobytes())
-        last = self._wrapped     # one read: another thread may replace it
-        if last is not None and last[0] == key:
-            return last[1]
-        x = self.coords_of("east", a)
-        x.flags.writeable = False
-        self._wrapped = (key, x)
-        return x
-
-    def interior_grid(self, n):
-        L = self.interior_half_width
-        return np.linspace(-L, L, n)
+def interior_grid(n):
+    """n evenly spaced offsets from a window centre, ends included."""
+    return np.linspace(-INTERIOR_HALF_WIDTH, INTERIOR_HALF_WIDTH, n)
 
 
 class StereographicAtlas:
@@ -109,45 +61,43 @@ class StereographicAtlas:
         w = np.asarray(w, dtype=float)
         q = np.sum(w * w, axis=-1)
         factor = 4.0 / (1.0 + q) ** 2
-        return factor[..., None, None] * np.eye(2)
+        return np.multiply.outer(factor, np.eye(2))
 
 
-# module-level atlas instances
-CIRCLE_ATLAS = CircleAtlas()
 SPHERE_ATLAS = StereographicAtlas()
 
 
 @dataclass(frozen=True)
 class SphereMetricField:
     """A closed-form symmetric bilinear-form field on the circle:
-    ``_fn(chart, coords)`` gives its components at any chart point."""
+    ``_fn(angles)`` gives its component at every angle of an array."""
 
-    atlas: object
     name: str = ""
     _fn: object = None
 
     @classmethod
-    def from_function(cls, atlas, fn, name=""):
-        return cls(atlas=atlas, name=name, _fn=fn)
-
-    def components(self, chart, coords):
-        return self._fn(chart, np.asarray(coords, dtype=float))
-
-    def grid_components(self, chart, n):
-        """Components over the standard interior grid of the chart."""
-        return self.components(chart, self.atlas.interior_grid(n))
+    def from_function(cls, fn, name=""):
+        return cls(name=name, _fn=fn)
 
     def at_angles(self, angles):
-        """Evaluate at circle angles, once, through the periodic angle
-        coordinate (the east chart's formula, which holds on the whole
-        circle because every transition is a shift with Jacobian 1)."""
-        return self.components("east", self.atlas.angle_coords(angles))
+        """The field at circle angles, as an array of their shape."""
+        return self._fn(np.asarray(angles, dtype=float))
+
+    # ``components`` is the same evaluation, called by fields built on this
+    # one and by the sampling windows; perfbench traces all three methods by
+    # name and pins the ``at_angles`` count to the pipeline's own calls
+    def components(self, angles):
+        return self._fn(np.asarray(angles, dtype=float))
+
+    def grid_components(self, centre, n):
+        return self.components(interior_grid(n) + centre)
 
 
-def round_metric(atlas):
-    """The round metric of the unit circle over the given atlas."""
-    fn = lambda chart, x: np.ones(np.shape(x) + (1, 1))
-    return SphereMetricField.from_function(atlas, fn, name="round")
+def round_metric():
+    """The round metric of the unit circle: its component is 1 everywhere
+    (a fresh ``np.ones``, which costs a third of ``np.broadcast_to``)."""
+    fn = lambda angles: np.ones(np.shape(angles))
+    return SphereMetricField.from_function(fn, name="round")
 
 
 def scale(a, c):
@@ -157,8 +107,8 @@ def scale(a, c):
     c = float(c)
     if c <= 0.0 or not math.isfinite(c):
         raise DomainError("scale: factor must be positive and finite")
-    fn = lambda chart, x: c * a.components(chart, x)
-    return SphereMetricField.from_function(a.atlas, fn, name=a.name)
+    fn = lambda angles: c * a.components(angles)
+    return SphereMetricField.from_function(fn, name=a.name)
 
 
 @dataclass(frozen=True)
@@ -184,9 +134,9 @@ def sinh_warped_radial(gprime, name="sinh-warped", r_max=350.0):
                         _cut=lambda r: scale(gprime, math.sinh(r) ** 2))
 
 
-def hyperbolic_radial(atlas):
+def hyperbolic_radial():
     """g_r = sinh(r)^2 * round metric (constant-curvature -1 space)."""
-    return sinh_warped_radial(round_metric(atlas), name="hyperbolic")
+    return sinh_warped_radial(round_metric(), name="hyperbolic")
 
 
 def warped_cut(g, r0):
@@ -299,23 +249,22 @@ def c2_sups(delta, steps, periodic=None):
 def c2_distance(a, b, resolution):
     """Grid C^2 distance between two circle fields.
 
-    The comparison grid spans each chart's interior with ``resolution``
-    points; the finite-difference step is the grid spacing, which must not
-    exceed half the chart margin.  Points within the margin of a chart
-    boundary are covered by the other chart's interior instead.
+    Each sampling window is spanned by ``resolution`` points; the
+    finite-difference step is their spacing, which must not exceed half
+    of MARGIN.  Points within MARGIN of a window's end are interior to the
+    other window instead.
     """
-    atlas = a.atlas
-    axis = atlas.interior_grid(resolution)
+    axis = interior_grid(resolution)
     h = float(axis[1] - axis[0])
-    if h > atlas.margin / 2.0:
+    if h > MARGIN / 2.0:
         raise DomainError(
-            f"step {h:.4g} too large for chart margin {atlas.margin:.4g}")
+            f"step {h:.4g} too large for window margin {MARGIN:.4g}")
 
     c0 = c1 = c2 = 0.0
-    for chart in atlas.chart_ids:
-        delta = np.asarray(a.grid_components(chart, resolution), dtype=float) \
-            - np.asarray(b.grid_components(chart, resolution), dtype=float)
-        s0, s1, s2 = c2_sups(delta, (h,))
+    for centre in WINDOW_CENTRES:
+        angles = axis + centre          # the window, built once for both
+        s0, s1, s2 = c2_sups(a.components(angles) - b.components(angles),
+                             (h,))
         c0 = max_carrying_nan(c0, s0)
         c1 = max_carrying_nan(c1, s1)
         c2 = max_carrying_nan(c2, s2)
@@ -324,13 +273,13 @@ def c2_distance(a, b, resolution):
 
 
 def positivity_check(a, resolution):
-    """Minimum of the (1x1) component over the grid of every chart.
+    """Minimum of the component over both sampling windows.
 
     Returns (passed, minimum); passes iff the minimum is > 0, so a NaN
     anywhere on the grid makes the minimum NaN and fails.
     """
     worst = math.inf
-    for chart in a.atlas.chart_ids:
-        g = np.asarray(a.grid_components(chart, resolution), dtype=float)
-        worst = min_carrying_nan(worst, float(np.min(g[..., 0, 0])))
+    for centre in WINDOW_CENTRES:
+        g = np.asarray(a.grid_components(centre, resolution), dtype=float)
+        worst = min_carrying_nan(worst, float(np.min(g)))
     return worst > 0.0, worst

@@ -123,10 +123,12 @@ def _asinh_scaled_sinh(log_k, s):
 
     Direct evaluation only when both sinh(s) and the product are safely
     representable; otherwise  ln y = log_k + s - ln 2 + log(1 - e^{-2s})
-    and the asinh is taken in the log domain.
+    and the asinh is taken in the log domain.  A NaN log_k takes the
+    direct branch, which keeps the NaN without reaching log1p(-1) at a
+    tiny s.
     """
     out = np.empty_like(s)
-    direct = (s <= LOG_SWITCH) & (log_k + s <= 300.0)
+    direct = (s <= LOG_SWITCH) & ~(log_k + s > 300.0)
     out[direct] = np.arcsinh(np.exp(log_k[direct]) * np.sinh(s[direct]))
     sb = s[~direct]
     ln_y = log_k[~direct] + sb - _LN2 + np.log1p(-np.exp(-2.0 * sb))
@@ -157,7 +159,7 @@ def _solve_r_scalar(s, beta):
     if sinb == 0.0:
         return 0.0
     log_k = np.log(sinb)
-    if s <= LOG_SWITCH and log_k + s <= 300.0:
+    if s <= LOG_SWITCH and not log_k + s > 300.0:
         return float(np.arcsinh(np.exp(log_k) * np.sinh(s)))
     ln_y = log_k + s - _LN2 + np.log1p(-np.exp(-2.0 * s))
     if ln_y >= 20.0:

@@ -78,7 +78,7 @@ def test_formula_vs_pullback_oracle():
     t0 = time.perf_counter()
     phi, beta = ext.join_grid(32, 24)   # 32*24*2 sheets = 1536 points
     bases = {
-        "hyperbolic": mf.hyperbolic_radial(mf.CIRCLE_ATLAS),
+        "hyperbolic": mf.hyperbolic_radial(),
     }
     family = fam.FamilySpec(kind="bump").build()
 
@@ -113,7 +113,7 @@ def test_formula_vs_pullback_oracle():
 # ---------------------------------------------------------------------------
 
 def test_round_sphere_recovery():
-    base = mf.hyperbolic_radial(mf.CIRCLE_ATLAS)
+    base = mf.hyperbolic_radial()
     phi, beta = ext.join_grid(32, 24)
     worst = 0.0
     for s in (1.0, 3.0, 6.0):

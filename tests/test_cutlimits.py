@@ -11,7 +11,6 @@ from hypext import fields as mf
 from hypext import hyptrig as ht
 from hypext.errors import DomainError, VerificationError
 
-S1 = mf.CIRCLE_ATLAS
 HALF_PI = math.pi / 2
 PI_3 = math.pi / 3
 
@@ -27,16 +26,15 @@ def hyper():
 def unbounded_control():
     """Negative control: a constant perturbation at every radius, so no
     collar bound exists (the bump support is unbounded below)."""
-    sigma = mf.round_metric(S1)
     pert = mf.SphereMetricField.from_function(
-        S1, lambda chart, x: 1.025 * np.ones(np.shape(x) + (1, 1)))
+        lambda angles: 1.025 * np.ones(np.shape(angles)))
 
     def cut(lam, rho):
         return pert
 
-    return cl.MetricFamily(atlas=S1, cut=cut, lambda_min=0.5,
-                           hyperbolic_bound=-1.0, limit=lambda b: pert,
-                           interval_bound=1.0, family_id="unbounded-control")
+    return cl.MetricFamily(cut=cut, lambda_min=0.5, hyperbolic_bound=-1.0,
+                           limit=lambda b: pert, interval_bound=1.0,
+                           family_id="unbounded-control")
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +140,7 @@ def test_predicted_limit_beta_equals_theta_slice():
     assembly = cl.predicted_limit(family, theta, b)
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     m = assembly.interior.block_m(phi, np.array([theta]))
-    expect = (math.sin(theta) ** 2
-              * family.limit(b).at_angles(phi)[:, 0, 0])
+    expect = math.sin(theta) ** 2 * family.limit(b).at_angles(phi)
     assert np.allclose(m[:, 0], expect, rtol=1e-14)
 
 
@@ -158,7 +155,7 @@ def test_predicted_limit_refuses_b_beyond_c_prime():
 
 
 def test_predicted_limit_requires_oracle():
-    family = cl.MetricFamily(atlas=S1, cut=hyper().cut,
+    family = cl.MetricFamily(cut=hyper().cut,
                              lambda_min=0.5, hyperbolic_bound=math.inf,
                              limit=None, family_id="no-oracle")
     with pytest.raises(DomainError, match="oracle"):
@@ -174,9 +171,9 @@ def test_boundary_positivity():
 
 
 def _nan_beyond(x, value=1.0):
-    """A component array that is NaN where the chart coordinate |x| > 1."""
+    """A component array that is NaN where the angle |x| > 1."""
     x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) > 1.0, math.nan, value)[..., None, None]
+    return np.where(np.abs(x) > 1.0, math.nan, value)
 
 
 @pytest.mark.parametrize("slot", ["block_m", "block_beta", "equator"])
@@ -186,7 +183,7 @@ def test_boundary_positivity_fails_on_nan(slot):
     if slot == "block_m":
         interior = dataclasses.replace(
             interior, block_m=lambda phi, beta: np.sin(beta)[None, :] ** 2
-            * _nan_beyond(phi)[:, None, 0, 0])
+            * _nan_beyond(phi)[:, None])
     elif slot == "block_beta":
         interior = dataclasses.replace(
             interior, block_beta=lambda beta: np.where(beta > 1.0, math.nan,
@@ -194,7 +191,7 @@ def test_boundary_positivity_fails_on_nan(slot):
     else:
         eq = cl.BoundaryForm(normal_coeff=1.0,
                              h_field=mf.SphereMetricField.from_function(
-                                 S1, lambda chart, x: _nan_beyond(x)))
+                                 _nan_beyond))
     assembly = dataclasses.replace(assembly, interior=interior, boundary_m=eq)
     ok, worst = cl.boundary_positivity(assembly)
     assert not ok and math.isnan(worst)
@@ -382,12 +379,10 @@ def test_verify_beta1_claim_failure_modes():
 
 
 def test_verify_beta1_claim_fails_on_nan_block():
-    # every cut is NaN where the chart coordinate |x| > 1: the forced
-    # region is not shown round, so the claim must not pass
-    nan_cut = mf.SphereMetricField.from_function(
-        S1, lambda chart, x: _nan_beyond(x))
-    family = cl.MetricFamily(atlas=S1,
-                             cut=lambda lam, rho: nan_cut, lambda_min=0.5,
+    # every cut is NaN where the angle |x| > 1: the forced region is not
+    # shown round, so the claim must not pass
+    nan_cut = mf.SphereMetricField.from_function(_nan_beyond)
+    family = cl.MetricFamily(cut=lambda lam, rho: nan_cut, lambda_min=0.5,
                              hyperbolic_bound=-1.0, interval_bound=1.0,
                              family_id="nan-beyond-1")
     cp = cl.c_prime_bound(bump(), HALF_PI)

@@ -9,13 +9,12 @@ from hypext import fields as mf
 from hypext import hyptrig as ht
 from hypext.errors import DomainError
 
-S1 = mf.CIRCLE_ATLAS
 HALF_PI = math.pi / 2
 
 
 def hyperbolic_space():
     """The hyperbolic base, whose extension is hyperbolic 3-space."""
-    return mf.hyperbolic_radial(S1)
+    return mf.hyperbolic_radial()
 
 
 def perturbed_space():
@@ -23,12 +22,9 @@ def perturbed_space():
     perturbation along cos^2 of the angle."""
     def cut(r):
         amp = 0.05 * math.exp(-((r - 2.0) ** 2))
-        def comp(chart, x):
-            # cos^2 has period pi, so the unwrapped angle serves
-            ang = x + S1.centers[chart]
-            return (math.sinh(r) ** 2
-                    * (1.0 + amp * np.cos(ang) ** 2))[..., None, None]
-        return mf.SphereMetricField.from_function(S1, comp)
+        def comp(angles):
+            return math.sinh(r) ** 2 * (1.0 + amp * np.cos(angles) ** 2)
+        return mf.SphereMetricField.from_function(comp)
     return mf.RadialMetric(domain=(0.0, 350.0), name="perturbed", _cut=cut)
 
 

@@ -9,7 +9,6 @@ from hypext import families as fam
 from hypext import fields as mf
 from hypext.errors import DomainError
 
-S1 = mf.CIRCLE_ATLAS
 
 
 def test_smoothstep_endpoints():
@@ -94,13 +93,13 @@ def test_float_bump_profile_on_the_default_support():
 
 
 def test_direction_fields():
-    T = fam.direction_field(S1, "cos2")
-    x = np.linspace(-1.0, 1.0, 9)     # the east chart coordinate is the angle
-    assert np.allclose(T.components("east", x)[..., 0, 0], np.cos(x) ** 2)
-    U = fam.direction_field(S1, "uniform")
-    assert np.all(U.components("east", x) == 1.0)
+    T = fam.direction_field("cos2")
+    x = np.linspace(-1.0, 1.0, 9)
+    assert np.allclose(T.at_angles(x), np.cos(x) ** 2)
+    U = fam.direction_field("uniform")
+    assert np.all(U.at_angles(x) == 1.0)
     with pytest.raises(DomainError):
-        fam.direction_field(S1, "sideways")
+        fam.direction_field("sideways")
 
 
 def test_family_spec_validation():
@@ -118,14 +117,14 @@ def test_bump_family_cut_structure():
     # at radius lam + b with b <= B the cut is exactly round
     for b in (-1.0, -2.0, -5.5):
         cut = family.cut(6.0, 6.0 + b)
-        assert np.all(cut.components("east", x) == 1.0)
+        assert np.all(cut.at_angles(x) == 1.0)
     # inside the support the perturbation rides at offset rho - lam
     cut = family.cut(6.0, 6.0)
     expect = 1.0 + 0.05 * fam.bump_profile(0.0, -1.0, 1.0)
-    assert np.allclose(cut.components("east", x)[..., 0, 0], expect)
+    assert np.allclose(cut.at_angles(x), expect)
     # diagonal stationarity: cut(lam, lam + b) independent of lam
-    a = family.cut(4.0, 4.0 + 0.3).components("east", x)
-    b2 = family.cut(9.0, 9.0 + 0.3).components("east", x)
+    a = family.cut(4.0, 4.0 + 0.3).at_angles(x)
+    b2 = family.cut(9.0, 9.0 + 0.3).at_angles(x)
     assert np.array_equal(a, b2)
 
 
@@ -134,8 +133,8 @@ def test_bump_family_limit_oracle_matches_diagonal():
     x = np.linspace(-1.5, 1.5, 17)
     # dyadic offsets so that (lam + b) - lam reproduces b exactly
     for b in (-0.5, 0.0, 0.75):
-        lim = family.limit(b).components("east", x)
-        diag = family.cut(11.0, 11.0 + b).components("east", x)
+        lim = family.limit(b).at_angles(x)
+        diag = family.cut(11.0, 11.0 + b).at_angles(x)
         assert np.array_equal(lim, diag)
 
 
@@ -148,5 +147,5 @@ def test_hyperbolic_family_is_round_everywhere():
     family = fam.hyperbolic_family()
     x = np.linspace(-1.0, 1.0, 5)
     for lam, rho in [(1.0, 0.5), (20.0, 35.0)]:
-        assert np.all(family.cut(lam, rho).components("east", x) == 1.0)
+        assert np.all(family.cut(lam, rho).at_angles(x) == 1.0)
     assert family.interval_bound == math.inf

@@ -7,72 +7,38 @@ from hypothesis import strategies as st
 
 from hypext import families as fam
 from hypext import fields as mf
+from hypext import hyptrig as ht
 from hypext.errors import DomainError
 
-S1 = mf.CIRCLE_ATLAS
 S2 = mf.SPHERE_ATLAS
 
 
-def _angle(chart, x):
-    """The circle angle, wrapped to (-pi, pi], of coordinate x of a chart."""
-    return mf._wrap_angle(np.asarray(x, dtype=float) + S1.centers[chart])
+def _wrap(a):
+    """Wrap to (-pi, pi]."""
+    return math.pi - np.mod(math.pi - np.asarray(a, dtype=float),
+                            2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# atlas geometry
+# sampling windows
 # ---------------------------------------------------------------------------
 
 def test_circle_atlas_covers_with_margin():
     angles = np.linspace(-math.pi, math.pi, 5000)
-    xe = S1.coords_of("east", angles)
-    xw = S1.coords_of("west", angles)
-    assert np.all(np.abs(xe) <= math.pi) and np.all(np.abs(xw) <= math.pi)
-    # every point sits inside some chart interior, at distance >= margin
-    # from that chart's boundary
-    best = np.minimum(np.abs(xe), np.abs(xw))
-    assert np.all(best <= S1.half_width - S1.margin + 1e-12)
-    assert S1.interior_half_width == pytest.approx(S1.half_width - S1.margin)
-    # the charts differ by a shift of pi: the transition has Jacobian 1
-    assert np.allclose(mf._wrap_angle(xw - xe + math.pi), 0.0, atol=1e-12)
-
-
-def _fresh_angle_coords(angles):
-    # a new atlas keeps no earlier result
-    return mf.CircleAtlas().angle_coords(angles)
-
-
-def test_angle_coords_memo_gives_fresh_results():
-    atlas = mf.CircleAtlas()
-    a = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
-    b = a + 0.3
-    for angles in (a, b, a, a.copy(), b):
-        x = atlas.angle_coords(angles)
-        assert x.tobytes() == _fresh_angle_coords(angles).tobytes()
-        assert x.tobytes() == S1.coords_of("east", angles).tobytes()
-    # a grid of another shape with the same leading bytes is not a hit
-    x = atlas.angle_coords(a[:24])
-    assert x.shape == (24,)
-    assert x.tobytes() == _fresh_angle_coords(a[:24]).tobytes()
-
-
-def test_angle_coords_memo_recomputes_after_in_place_change():
-    atlas = mf.CircleAtlas()
-    a = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
-    before = atlas.angle_coords(a)
-    a[5] = 3.0
-    a[40] = -0.0
-    x = atlas.angle_coords(a)
-    assert x.tobytes() == _fresh_angle_coords(a).tobytes()
-    assert x.tobytes() != before.tobytes()
-
-
-def test_angle_coords_are_read_only():
-    atlas = mf.CircleAtlas()
-    a = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-    for x in (atlas.angle_coords(a), atlas.angle_coords(a)):
-        assert not x.flags.writeable
-        with pytest.raises(ValueError):
-            x[0] = 1.0
+    # every angle lies in some window, within INTERIOR_HALF_WIDTH of its
+    # centre
+    best = np.min([np.abs(_wrap(angles - c)) for c in mf.WINDOW_CENTRES],
+                  axis=0)
+    assert np.all(best <= mf.INTERIOR_HALF_WIDTH + 1e-12)
+    assert mf.MARGIN == pytest.approx(0.15 * math.pi)
+    # the windows overlap by 2 (INTERIOR_HALF_WIDTH - pi/2) on either side;
+    # a step within the margin check leaves more than two steps there
+    overlap = 2.0 * mf.INTERIOR_HALF_WIDTH - math.pi
+    assert overlap > 2.0 * (mf.MARGIN / 2.0)
+    for n in (24, 128):
+        x = mf.interior_grid(n)
+        assert x[0] == -mf.INTERIOR_HALF_WIDTH
+        assert x[-1] == mf.INTERIOR_HALF_WIDTH
 
 
 def _stereo_point(chart, w):
@@ -98,49 +64,19 @@ def test_sphere_atlas_point_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# chart covariance of closed-form fields
-# ---------------------------------------------------------------------------
-
-def chart_covariance_defect(field, angles):
-    """|G(west) - G(east)| at the same circle angles: the transitions are
-    shifts with Jacobian 1, so a field has the same components in both."""
-    east = field.components("east", S1.coords_of("east", angles))
-    west = field.components("west", S1.coords_of("west", angles))
-    return np.max(np.abs(west - east))
-
-
-def test_round_circle_chart_covariance():
-    sigma = mf.round_metric(S1)
-    x = np.linspace(0.3, 0.7 * math.pi, 50)
-    assert chart_covariance_defect(sigma, x) < 1e-12
-
-
-def test_nonround_field_chart_covariance():
-    # T = cos^2(angle) dpsi^2 on the circle, expressed per chart
-    def comp(chart, x):
-        return (np.cos(_angle(chart, x)) ** 2)[..., None, None]
-    T = mf.SphereMetricField.from_function(S1, comp, name="cos2")
-    x = np.linspace(0.3, 0.7 * math.pi, 50)
-    assert chart_covariance_defect(T, x) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # evaluation at circle angles
 # ---------------------------------------------------------------------------
 
 def both_chart_at_angles(field, angles):
-    """Reference: the both-chart route ``at_angles`` took before it used the
-    periodic angle coordinate.  Each angle goes to the chart where it is
-    most interior; both charts' formulas are evaluated at that coordinate
-    and one is picked per angle."""
+    """Reference: the wrapped both-chart route to a field's value.  Two arc
+    charts centred at 0 and pi have coordinates x = angle - centre wrapped
+    to (-pi, pi]; each angle goes to the chart where it is most interior,
+    and the field is evaluated at that chart's x + centre."""
     a = np.asarray(angles, dtype=float)
-    xe = field.atlas.coords_of("east", a)
-    xw = field.atlas.coords_of("west", a)
+    xe = _wrap(a)
+    xw = _wrap(a - math.pi)
     use_west = np.abs(xw) < np.abs(xe)
-    x = np.where(use_west, xw, xe)
-    east = field.components("east", x)
-    west = field.components("west", x)
-    return np.where(use_west[..., None, None], west, east)
+    return field.at_angles(np.where(use_west, xw + math.pi, xe))
 
 
 def _angle_fields():
@@ -151,13 +87,11 @@ def _angle_fields():
     amp = fam.FamilySpec().amplitude
     cut = family.cut(5.0, 5.0)              # bump profile at its peak, 1
     warped = mf.sinh_warped_radial(cut)
-    def two_plus_cos(chart, x):
-        return (2.0 + np.cos(_angle(chart, x)))[..., None, None]
-    period_2pi = mf.SphereMetricField.from_function(S1, two_plus_cos,
-                                                    name="2+cos")
+    period_2pi = mf.SphereMetricField.from_function(
+        lambda angles: 2.0 + np.cos(angles), name="2+cos")
     return [
-        ("round", mf.round_metric(S1), 0.0),
-        ("T-cos2", fam.direction_field(S1, "cos2"), 1.0),
+        ("round", mf.round_metric(), 0.0),
+        ("T-cos2", fam.direction_field("cos2"), 1.0),
         ("bump-cut", cut, amp),
         ("bump-limit", family.limit(0.3), amp),
         ("scaled", mf.scale(cut, 3.7), 3.7 * amp),
@@ -183,20 +117,71 @@ EPS = np.finfo(float).eps
 def test_at_angles_matches_both_chart_reference(angles):
     a = np.array(angles)
     nan = np.isnan(a)
-    # each route wraps the angle with its own roundings, which differ by at
-    # most a few ulp of max(|angle|, 2 pi); a component moves by at most
-    # its angular slope times that, on top of 4 ulp of its own value
+    # the reference wraps the angle with its own roundings, a few ulp of
+    # max(|angle|, 2 pi) away from the raw angle; a component moves by at
+    # most its angular slope times that, on top of 4 ulp of its own value
     slack = 4.0 * np.spacing(np.maximum(np.abs(a), 2.0 * math.pi))
     for name, field, slope in ANGLE_FIELDS:
         got = field.at_angles(a)
         want = both_chart_at_angles(field, a)
-        assert got.shape == want.shape == a.shape + (1, 1), name
-        got, want = got[:, 0, 0], want[:, 0, 0]
+        assert got.shape == want.shape == a.shape, name
         assert np.array_equal(np.isnan(got), np.isnan(want)), name
         if slope:
             assert np.all(np.isnan(got[nan])), name
         tol = 4.0 * EPS * np.abs(want) + slope * slack
         assert np.all(np.abs(got - want)[~nan] <= tol[~nan]), name
+
+
+def _window_fields():
+    """(field, fn(centre, x)) for every kind of field the pipeline samples on
+    the windows.  fn is the field's formula on the arc chart centred at
+    ``centre``, in its coordinate x: cos^2(x + centre) for the cos2
+    direction, 1 for the round form, and the same operations on top for
+    cuts, limits and scalings.  The boundary and collar numbers of the
+    reports rest on these bits."""
+    amp = fam.FamilySpec().amplitude
+    one = lambda c, x: np.ones(np.shape(x))
+    cos2 = lambda c, x: np.cos(x + c) ** 2
+    r = 1.7
+    w, u = math.sinh(r) ** 2, math.exp(-2.0 * ht.log_sinh(r))
+    hyper = mf.hyperbolic_radial()
+    out = [pytest.param(mf.round_metric(), one, id="round"),
+           pytest.param(mf.warped_cut(hyper, r),
+                        lambda c, x: w * one(c, x), id="hyperbolic-warped"),
+           pytest.param(mf.unwarped_cut(hyper, r),
+                        lambda c, x: u * (w * one(c, x)),
+                        id="hyperbolic-unwarped")]
+    for direction, T in (("uniform", one), ("cos2", cos2)):
+        family = fam.FamilySpec(kind="bump", direction=direction).build()
+        out.append(pytest.param(fam.direction_field(direction), T,
+                                id=f"T-{direction}"))
+        # dyadic offsets, so that rho - lam is exactly b
+        for what, field, b in (("cut", family.cut(6.0, 6.25), 0.25),
+                               ("limit", family.limit(-0.3), -0.3)):
+            a = amp * fam.bump_profile(b, -1.0, 1.0)
+            out.append(pytest.param(
+                field, lambda c, x, a=a, T=T: 1.0 + a * T(c, x),
+                id=f"bump-{what}-{direction}"))
+        cut = family.cut(2.0, 2.375)
+        a = amp * fam.bump_profile(0.375, -1.0, 1.0)
+        base = mf.RadialMetric(domain=(0.0, 350.0), name="base",
+                               _cut=lambda rr, cut=cut: mf.scale(
+                                   cut, math.sinh(rr) ** 2))
+        out.append(pytest.param(
+            mf.unwarped_cut(base, r),
+            lambda c, x, a=a, T=T: u * (w * (1.0 + a * T(c, x))),
+            id=f"oracle-unwarped-{direction}"))
+    return out
+
+
+@pytest.mark.parametrize("field,fn", _window_fields())
+@pytest.mark.parametrize("n", [24, 127, 128, 256])
+def test_grid_components_match_chart_formulas(field, fn, n):
+    for centre in mf.WINDOW_CENTRES:
+        got = np.asarray(field.grid_components(centre, n))
+        want = fn(centre, mf.interior_grid(n))
+        assert got.shape == want.shape == (n,)
+        assert got.tobytes() == want.tobytes(), centre
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +190,7 @@ def test_at_angles_matches_both_chart_reference(angles):
 
 def _euclidean_radial():
     """g_r = r^2 * round metric (the flat metric in polar form)."""
-    sigma = mf.round_metric(S1)
+    sigma = mf.round_metric()
     return mf.RadialMetric(domain=(0.0, 350.0), name="euclidean",
                            _cut=lambda r: mf.scale(sigma, r * r))
 
@@ -213,19 +198,19 @@ def _euclidean_radial():
 def test_euclidean_warped_cut():
     g = _euclidean_radial()
     cut = mf.warped_cut(g, 2.5)
-    x = S1.interior_grid(16)
-    assert np.allclose(cut.components("east", x), 2.5 ** 2, rtol=1e-15)
+    x = mf.interior_grid(16)
+    assert np.allclose(cut.at_angles(x), 2.5 ** 2, rtol=1e-15)
 
 
 def test_hyperbolic_cuts():
-    g = mf.hyperbolic_radial(S1)
+    g = mf.hyperbolic_radial()
     for r0 in (0.5, 1.0, 3.0):
         w = mf.warped_cut(g, r0)
-        x = S1.interior_grid(8)
-        assert np.allclose(w.components("east", x), math.sinh(r0) ** 2,
+        x = mf.interior_grid(8)
+        assert np.allclose(w.at_angles(x), math.sinh(r0) ** 2,
                            rtol=1e-15)
         u = mf.unwarped_cut(g, r0)
-        assert np.allclose(u.components("east", x), 1.0, rtol=1e-14)
+        assert np.allclose(u.at_angles(x), 1.0, rtol=1e-14)
 
 
 def test_euclidean_unwarped_cut():
@@ -234,24 +219,23 @@ def test_euclidean_unwarped_cut():
     u = mf.unwarped_cut(g, r0)
     x = np.array([0.1])
     expect = r0 ** 2 / math.sinh(r0) ** 2
-    assert np.allclose(u.components("east", x), expect, rtol=1e-14)
+    assert np.allclose(u.at_angles(x), expect, rtol=1e-14)
 
 
 def test_sinh_warped_unwarped_cut_constant_in_radius():
-    def comp(chart, x):
-        return (1.0 + 0.2 * np.cos(_angle(chart, x)) ** 2)[..., None, None]
-    gprime = mf.SphereMetricField.from_function(S1, comp, name="gprime")
+    gprime = mf.SphereMetricField.from_function(
+        lambda angles: 1.0 + 0.2 * np.cos(angles) ** 2, name="gprime")
     g = mf.sinh_warped_radial(gprime)
-    x = S1.interior_grid(64)
-    ref = gprime.components("east", x)
+    x = mf.interior_grid(64)
+    ref = gprime.at_angles(x)
     for r0 in (0.3, 1.0, 2.0, 4.0, 9.0):
         u = mf.unwarped_cut(g, r0)
-        got = u.components("east", x)
+        got = u.at_angles(x)
         assert np.max(np.abs(got - ref) / ref) < 1e-12
 
 
 def test_cut_domain_errors():
-    g = mf.hyperbolic_radial(S1)
+    g = mf.hyperbolic_radial()
     with pytest.raises(DomainError):
         mf.warped_cut(g, -1.0)
     with pytest.raises(DomainError):
@@ -259,16 +243,16 @@ def test_cut_domain_errors():
 
 
 def test_scale_properties():
-    sigma = mf.round_metric(S1)
+    sigma = mf.round_metric()
     x = np.array([0.2, -0.4])
-    assert np.allclose(mf.scale(sigma, 1.0).components("east", x),
-                       sigma.components("east", x))
+    assert np.allclose(mf.scale(sigma, 1.0).at_angles(x),
+                       sigma.at_angles(x))
     twice_half = mf.scale(mf.scale(sigma, 2.0), 0.5)
-    assert np.allclose(twice_half.components("east", x),
-                       sigma.components("east", x))
-    g = mf.hyperbolic_radial(S1)
-    direct = mf.warped_cut(g, 3.0).components("east", x)
-    scaled = mf.scale(sigma, math.sinh(3.0) ** 2).components("east", x)
+    assert np.allclose(twice_half.at_angles(x),
+                       sigma.at_angles(x))
+    g = mf.hyperbolic_radial()
+    direct = mf.warped_cut(g, 3.0).at_angles(x)
+    scaled = mf.scale(sigma, math.sinh(3.0) ** 2).at_angles(x)
     assert np.allclose(direct, scaled, rtol=1e-15)
     with pytest.raises(DomainError):
         mf.scale(sigma, 0.0)
@@ -486,14 +470,14 @@ def test_c2_distance_max_carries_nan():
 # ---------------------------------------------------------------------------
 
 def test_c2_distance_identity_is_zero():
-    sigma = mf.round_metric(S1)
+    sigma = mf.round_metric()
     d = mf.c2_distance(sigma, sigma, resolution=64)
     assert (d.c0, d.c1, d.c2) == (0.0, 0.0, 0.0)
 
 
 def test_c2_distance_pure_scaling():
     eps = 1e-3
-    sigma = mf.round_metric(S1)
+    sigma = mf.round_metric()
     d = mf.c2_distance(sigma, mf.scale(sigma, 1.0 + eps), resolution=64)
     # round circle components are identically 1, so c0 = eps exactly and
     # the difference is constant
@@ -503,10 +487,9 @@ def test_c2_distance_pure_scaling():
 
 def test_c2_distance_symmetry_and_triangle():
     def mk(a_amp, b_amp):
-        def comp(chart, x):
-            ang = _angle(chart, x)
-            return (1.0 + a_amp * np.cos(ang) + b_amp * np.sin(2 * ang))[..., None, None]
-        return mf.SphereMetricField.from_function(S1, comp)
+        def comp(ang):
+            return 1.0 + a_amp * np.cos(ang) + b_amp * np.sin(2 * ang)
+        return mf.SphereMetricField.from_function(comp)
     A, B, C = mk(0.1, 0.0), mk(0.0, 0.2), mk(0.05, -0.1)
     n = 96
     dab = mf.c2_distance(A, B, n)
@@ -519,24 +502,19 @@ def test_c2_distance_symmetry_and_triangle():
 
 
 def test_c2_distance_through_other_chart():
-    # a field vs its expression transported through the other chart (a
-    # shift by pi with Jacobian 1): the same tensor two ways, must agree
-    def comp(chart, x):
-        return (1.0 + 0.3 * np.cos(_angle(chart, x)))[..., None, None]
-    field = mf.SphereMetricField.from_function(S1, comp)
-
-    def transported(chart, x):
-        other = "west" if chart == "east" else "east"
-        xo = mf._wrap_angle(x + S1.centers[chart] - S1.centers[other])
-        return field.components(other, xo)
-
-    moved = mf.SphereMetricField.from_function(S1, transported)
+    # a field vs the same field at its angle taken through the other
+    # window's centre (a shift by pi, a wrap and a shift back): the same
+    # tensor two ways, must agree
+    field = mf.SphereMetricField.from_function(
+        lambda angles: 1.0 + 0.3 * np.cos(angles))
+    moved = mf.SphereMetricField.from_function(
+        lambda angles: field.components(_wrap(angles - math.pi) + math.pi))
     d = mf.c2_distance(field, moved, resolution=48)
     assert d.max() < 1e-8
 
 
 def test_c2_distance_errors():
-    s1 = mf.round_metric(S1)
+    s1 = mf.round_metric()
     with pytest.raises(DomainError):
         mf.c2_distance(s1, s1, resolution=4)  # spacing exceeds margin
 
@@ -546,34 +524,34 @@ def test_c2_distance_errors():
 # ---------------------------------------------------------------------------
 
 def test_positivity_round():
-    ok, lo = mf.positivity_check(mf.round_metric(S1), 64)
+    ok, lo = mf.positivity_check(mf.round_metric(), 64)
     assert ok and lo == pytest.approx(1.0)
 
 
 def test_positivity_fails_for_zero_form():
     zero = mf.SphereMetricField.from_function(
-        S1, lambda chart, x: np.zeros(np.shape(x) + (1, 1)))
+        lambda angles: np.zeros(np.shape(angles)))
     ok, lo = mf.positivity_check(zero, 32)
     assert not ok and lo == 0.0
 
 
 def test_positivity_detects_indefinite():
-    # positive near angle 0, negative near pi; the odd grid of the west
-    # chart contains angle pi, where the component is -0.5
-    def comp(chart, x):
-        return (0.5 + np.cos(_angle(chart, x)))[..., None, None]
-    bad = mf.SphereMetricField.from_function(S1, comp)
+    # positive near angle 0, negative near pi; the odd grid of the window
+    # about pi contains angle pi, where the component is -0.5
+    bad = mf.SphereMetricField.from_function(
+        lambda angles: 0.5 + np.cos(angles))
     ok, lo = mf.positivity_check(bad, 25)
     assert not ok and lo == pytest.approx(-0.5)
 
 
-@pytest.mark.parametrize("nan_charts", [("east", "west"), ("west",)])
+@pytest.mark.parametrize("nan_charts", [(0.0, math.pi), (math.pi,)])
 def test_positivity_fails_on_nan_circle_field(nan_charts):
-    # the NaN chart comes last in ("west",): a builtin min fold drops it
-    def comp(chart, x):
-        fill = math.nan if chart in nan_charts else 1.0
-        return np.full(np.shape(x) + (1, 1), fill)
-    field = mf.SphereMetricField.from_function(S1, comp)
+    # nan_charts: the centres of the windows that sample a NaN.  A field
+    # that is NaN only within pi/3 of the angle pi is NaN on the window
+    # about pi alone, which comes last: a builtin min fold drops it
+    cos_below = -0.5 if nan_charts == (math.pi,) else 2.0
+    field = mf.SphereMetricField.from_function(
+        lambda angles: np.where(np.cos(angles) < cos_below, math.nan, 1.0))
     ok, lo = mf.positivity_check(field, 32)
     assert not ok and math.isnan(lo)
 
