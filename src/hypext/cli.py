@@ -77,9 +77,6 @@ _FLOAT_KEYS = {"bump_support_start", "bump_support_end", "bump_amplitude",
                "claim_lambda_max"}
 
 
-# the radial domain (0, BASE_RADIUS_MAX) of both oracle bases
-BASE_RADIUS_MAX = 350.0
-
 # largest grid resolution accepted: the converge suite holds several
 # (grid/2) x grid x 2 arrays at once
 GRID_MAX = 2048
@@ -131,8 +128,13 @@ def _parse_value(key, raw):
 
 
 def read_config_file(path):
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{e.strerror or e}") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -205,10 +207,17 @@ class RunConfig:
             raise ConfigError(f"fd_step {self.fd_step} must be finite "
                               "and > 0")
         for s in self.s_values:
-            if not 0.0 < s < BASE_RADIUS_MAX:
+            if not 0.0 < s < mf.RADIUS_MAX:
                 raise ConfigError(
                     f"s value {s} outside the base's radial domain "
-                    f"(0, {BASE_RADIUS_MAX:g})")
+                    f"(0, {mf.RADIUS_MAX:g})")
+        # the reports go into out, or into a directory made there: the
+        # nearest existing path must be a directory
+        existing = next((p for p in (self.out, *self.out.parents)
+                         if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ConfigError(f"output path {existing} exists and is not "
+                              "a directory")
 
     def b_grid(self, family, theta):
         """Resolve the b grid for one theta, refusing values beyond c'."""
@@ -229,12 +238,11 @@ class RunConfig:
 def build_family(cfg):
     if cfg.family == "hyperbolic":
         return fam.hyperbolic_family()
-    spec = fam.FamilySpec(kind="bump",
-                          support_start=cfg.bump_support_start,
-                          support_end=cfg.bump_support_end,
-                          amplitude=cfg.bump_amplitude,
-                          direction=cfg.bump_direction)
-    return spec.build()
+    return fam.bump_family(fam.FamilySpec(
+        support_start=cfg.bump_support_start,
+        support_end=cfg.bump_support_end,
+        amplitude=cfg.bump_amplitude,
+        direction=cfg.bump_direction))
 
 
 def build_base_metric(cfg):
@@ -248,8 +256,7 @@ def build_base_metric(cfg):
     def cut(r):
         return mf.scale(family.cut(lam0, r), math.sinh(r) ** 2)
 
-    return mf.RadialMetric(domain=(0.0, BASE_RADIUS_MAX),
-                           name=f"bump-member[lam={lam0:g}]", _cut=cut)
+    return mf.RadialMetric(name=f"bump-member[lam={lam0:g}]", _cut=cut)
 
 
 def _atomic_write(path, text):
@@ -440,14 +447,14 @@ def cmd_claim(cfg):
     all_ok = True
     for theta in cfg.thetas:
         cp = c + math.log(math.sin(theta)) - cl.C_PRIME_MARGIN
-        params = ht.ReparamParams(theta=theta, b=0.0, B=B, c=c, c_prime=cp)
+        params = ht.ReparamParams(theta=theta, B=B, c=c, c_prime=cp)
         beta1 = None
         try:
             beta1 = (1.5 if cfg.corrupt == "beta1-large"
                      else ht.beta1_threshold(
                          params, lambda_max=cfg.claim_lambda_max))
-            params = ht.ReparamParams(theta=theta, b=0.0, B=B, c=c,
-                                      c_prime=cp, beta1=beta1)
+            params = ht.ReparamParams(theta=theta, B=B, c=c, c_prime=cp,
+                                      beta1=beta1)
             rep = cl.verify_beta1_claim(
                 family, params,
                 np.geomspace(1.0, cfg.claim_lambda_max, 80))

@@ -13,18 +13,19 @@ For such a family the engine builds, for a fixed angle theta in
 at sphere radius lambda' + b (``extension_family_cut``, a join-coordinate
 field) and the predicted limit of those cuts (``predicted_limit``):
 interior block sin^2(beta) * limit(b + ln(sin beta / sin theta)), round
-S^0 coefficient cos^2(beta), unit beta block, together with the two
-boundary-sphere forms that the join chart cannot reach.
-``run_convergence`` measures grid C^2 distances between the two across a
-lambda' grid and reports them; the limit is assembled from the oracle,
-never extrapolated from measurements, so the two routes stay independent.
+S^0 coefficient cos^2(beta), unit beta block, together with the equator
+form that the join chart cannot reach (the polar form is the flat metric
+itself).  ``run_convergence`` measures grid C^2 distances between the two
+across a lambda' grid and reports them; the limit is assembled from the
+oracle, never extrapolated from measurements, so the two routes stay
+independent.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,8 +35,6 @@ from . import fields as mf
 from .extension import (BETA_MARGIN, JoinMetricField, join_c2_distance,
                         join_grid, unwarped_join_field)
 
-HALF_PI = 0.5 * math.pi
-
 # the reparametrized family is controlled for b < c + ln sin(theta); runs
 # keep a fixed margin below that strict bound so they are reproducible
 C_PRIME_MARGIN = 0.1
@@ -44,7 +43,23 @@ C_PRIME_MARGIN = 0.1
 # roundoff noise and monotone decay is no longer meaningful
 C2_FLOOR = 1e-8
 
+# gates at the last lambda': C^2 distance to the limit, equator distance
+FINAL_TOL = 1e-4
+BOUNDARY_TOL = 1e-6
+
 HYPERBOLIC_PASS_TOL = 1e-10
+
+# points per sampling window of the collar check and the equator distance
+BOUNDARY_RESOLUTION = 128
+
+# the equator form of the limit is the family limit on the base circle
+# plus this coefficient of the flat normal block; the measured coefficient
+# is coth^2(lambda' + b) = 1 + 1/sinh^2(lambda' + b)
+EQUATOR_NORMAL_COEFF = 1.0
+
+# phi points and tolerance of the small-angle claim's exact-roundness check
+CLAIM_N_PHI = 16
+EXACTNESS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -67,8 +82,7 @@ class MetricFamily:
     family_id: str = ""
 
 
-def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid,
-                                resolution=128):
+def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid):
     """Check the round-collar property: cuts at radius lam + b equal the
     round metric for every b <= B on the tested grids.
 
@@ -93,7 +107,7 @@ def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid,
                     "is_hyperbolic_around_origin: cut radius lam + b must "
                     "be positive")
             d = mf.c2_distance(family.cut(float(lam), float(lam + b)), sigma,
-                               resolution=resolution)
+                               resolution=BOUNDARY_RESOLUTION)
             worst = mf.max_carrying_nan(worst, d.max())
     return worst < HYPERBOLIC_PASS_TOL, worst
 
@@ -118,41 +132,30 @@ def extension_family_cut(family, theta, lambda_prime, b):
             f"lambda_min {family.lambda_min}")
 
     return unwarped_join_field(
-        lambda beta: family.cut(lam, ht.solve_r(s0, beta)), s0,
-        name=f"{family.family_id}-ext-cut")
-
-
-@dataclass(frozen=True)
-class BoundaryForm:
-    """Limit form on the equatorial base circle: a field on S^1 plus
-    the coefficient of the flat hyperbolic-factor block in the normal
-    splitting at the equator."""
-
-    normal_coeff: float
-    h_field: object
+        lambda beta: family.cut(lam, ht.solve_r(s0, beta)), s0)
 
 
 @dataclass(frozen=True)
 class LimitAssembly:
     """Predicted limit of the reparametrized extension cuts at a fixed b:
-    the interior join field plus the two boundary-sphere forms, which the
-    degenerate join chart is never asked to produce."""
+    the interior join field plus the base-circle field of the equator form
+    (whose normal block is EQUATOR_NORMAL_COEFF), which the degenerate
+    join chart is never asked to produce."""
 
     b: float
     theta: float
     interior: JoinMetricField
-    boundary_h: np.ndarray
-    boundary_m: BoundaryForm
+    equator: object
 
 
-def c_prime_bound(family, theta, margin=C_PRIME_MARGIN):
-    """Largest admitted b: interval_bound + ln sin(theta) - margin."""
+def c_prime_bound(family, theta):
+    """Largest admitted b: interval_bound + ln sin(theta) - C_PRIME_MARGIN."""
     if not math.isfinite(family.interval_bound):
         return math.inf
-    return family.interval_bound + math.log(math.sin(theta)) - margin
+    return family.interval_bound + math.log(math.sin(theta)) - C_PRIME_MARGIN
 
 
-def predicted_limit(family, theta, b, margin=C_PRIME_MARGIN):
+def predicted_limit(family, theta, b):
     """Assembled limit of the reparametrized extension cuts at b.
 
     Interior block_m at angle beta uses the family limit at the shifted
@@ -160,13 +163,13 @@ def predicted_limit(family, theta, b, margin=C_PRIME_MARGIN):
     the collar bound the block is exactly round.  The equator form is the
     family limit at b - ln sin(theta) plus a unit flat normal block; the
     polar form is the flat metric.  b beyond c' = interval_bound +
-    ln sin(theta) - margin is refused: past it the shifted index leaves
-    the interval where the family's limits are controlled.
+    ln sin(theta) - C_PRIME_MARGIN is refused: past it the shifted index
+    leaves the interval where the family's limits are controlled.
     """
     if family.limit is None:
         raise DomainError(
             f"family {family.family_id!r} declares no limit oracle")
-    cp = c_prime_bound(family, theta, margin)
+    cp = c_prime_bound(family, theta)
     if b > cp:
         raise DomainError(
             f"b = {b} exceeds c' = {cp:.6g}: beyond c' the shifted index "
@@ -175,40 +178,33 @@ def predicted_limit(family, theta, b, margin=C_PRIME_MARGIN):
 
     interior = unwarped_join_field(
         lambda beta: family.limit(
-            b + math.log(math.sin(beta) / math.sin(theta))), None,
-        name=f"{family.family_id}-limit[b={b:g},theta={theta:g}]")
-    boundary_m = BoundaryForm(
-        normal_coeff=1.0,
-        h_field=family.limit(b - math.log(math.sin(theta))))
+            b + math.log(math.sin(beta) / math.sin(theta))), None)
     return LimitAssembly(b=b, theta=theta, interior=interior,
-                         boundary_h=np.eye(2), boundary_m=boundary_m)
+                         equator=family.limit(b - math.log(math.sin(theta))))
 
 
-def boundary_positivity(assembly, resolution=128):
+def boundary_positivity(assembly):
     """Positivity of the assembled limit: interior blocks on the join
-    grid, the polar flat form, and the equator form."""
+    grid and the equator's base-circle field.  The polar form (flat) and
+    the equator's normal block (EQUATOR_NORMAL_COEFF) are positive
+    constants."""
     phi, beta = join_grid(32, 48)
     sample = assembly.interior.sample(phi, beta)
-    _, eq_min = mf.positivity_check(assembly.boundary_m.h_field, resolution)
+    _, eq_min = mf.positivity_check(assembly.equator, BOUNDARY_RESOLUTION)
     worst = mf.min_carrying_nan(
         float(np.min(sample.block_m)), float(np.min(sample.block_beta)),
-        float(np.min(np.linalg.eigvalsh(assembly.boundary_h))),
-        eq_min, assembly.boundary_m.normal_coeff)
+        eq_min)
     return worst > 0.0, worst
 
 
 @dataclass
 class ConvergenceReport:
     """Per-(theta, b, lambda') grid C^2 distances to the predicted limit,
-    plus boundary checks and grid metadata."""
+    plus boundary checks, and the wall time of the measuring loop."""
 
     family_id: str
     records: list
-    n_phi: int
-    n_beta: int
-    beta_margin: float
     wall_clock_s: float
-    cauchy_worst: float = 0.0
 
     CSV_COLUMNS = ("theta", "b", "lambda_prime", "c0", "c1", "c2",
                    "grid", "fd_step", "family_id",
@@ -216,14 +212,14 @@ class ConvergenceReport:
 
 
 def run_convergence(family, theta, b_grid, lambda_prime_grid,
-                    n_phi=48, n_beta=96, margin=C_PRIME_MARGIN,
-                    boundary_resolution=128, corrupt_limit=0.0):
+                    n_phi=48, n_beta=96, corrupt_limit=0.0):
     """Measure grid C^2 distances between the reparametrized extension
     cuts and the assembled limit over (b, lambda') grids.
 
     Preconditions are checked up front: the family must pass the
     round-collar check at its declared bound, every b must lie in the
-    admitted interval, and the lambda' grid must be strictly increasing.
+    admitted interval and appear once, and the lambda' grid must be
+    strictly increasing.
     Records are emitted sorted by (b, lambda').  ``corrupt_limit`` is a
     test-only hook that shifts the predicted limit components by a
     constant, used by the negative-control suite.
@@ -232,6 +228,9 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     lp_grid = [float(x) for x in np.atleast_1d(lambda_prime_grid)]
     if not all(x < y for x, y in zip(lp_grid, lp_grid[1:])):
         raise DomainError("lambda' grid must be strictly increasing")
+    repeated = sorted({x for x, y in zip(b_grid, b_grid[1:]) if x == y})
+    if repeated:
+        raise DomainError(f"b grid repeats the values {repeated}")
     if family.limit is None:
         raise DomainError("run_convergence requires a family limit oracle")
 
@@ -254,26 +253,31 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     records = []
     cauchy_worst = 0.0
     for b in b_grid:
-        assembly = predicted_limit(family, theta, b, margin)
+        assembly = predicted_limit(family, theta, b)
         pred = assembly.interior.sample(phi, beta)
         if corrupt_limit:
-            pred = _shift_sample(pred, corrupt_limit)
-        h_pred = assembly.boundary_m.h_field
-        samples = []
+            pred = replace(pred, block_m=pred.block_m + corrupt_limit)
+        h_pred = assembly.equator
+        # Cauchy spot check: adjacent cuts are no farther apart than the
+        # sum of their distances to the limit
+        prev = None     # (sample, distance to the limit) of the last cut
         for lp in lp_grid:
             cut = extension_family_cut(family, theta, lp, b)
             meas = cut.sample(phi, beta)
-            samples.append(meas)
             dist = join_c2_distance(meas, pred)
+            if prev is not None:
+                direct = join_c2_distance(prev[0], meas).max()
+                cauchy_worst = mf.max_carrying_nan(
+                    cauchy_worst, direct - (prev[1] + dist.max()))
+            prev = (meas, dist.max())
 
             lam = ht.reparam(lp, theta)
             normal_meas = 1.0 + ht.coth_sq_minus_one(lp + b)
             h_meas = family.cut(lam, lp + b)
             bdist = mf.c2_distance(h_meas, h_pred,
-                                   resolution=boundary_resolution)
+                                   resolution=BOUNDARY_RESOLUTION)
             boundary_m_c0 = mf.max_carrying_nan(
-                abs(normal_meas - assembly.boundary_m.normal_coeff),
-                bdist.max())
+                abs(normal_meas - EQUATOR_NORMAL_COEFF), bdist.max())
 
             pole_m = cut.block_m(phi, probe_beta)
             pole_dev = float(np.max(np.abs(
@@ -286,47 +290,27 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
                 "boundary_M_c0": boundary_m_c0,
                 "boundary_H_c0": pole_dev,
             })
-        # Cauchy spot check: adjacent cuts are no farther apart than the
-        # sum of their distances to the limit
-        for i in range(len(samples) - 1):
-            direct = join_c2_distance(samples[i], samples[i + 1]).max()
-            via = (_rec(records, b, lp_grid[i]) + _rec(records, b, lp_grid[i + 1]))
-            cauchy_worst = mf.max_carrying_nan(cauchy_worst, direct - via)
     if not (cauchy_worst <= 1e-12):
         raise VerificationError(
             f"Cauchy spot check violated by {cauchy_worst:.3e}")
     return ConvergenceReport(
         family_id=family.family_id, records=records,
-        n_phi=n_phi, n_beta=n_beta, beta_margin=BETA_MARGIN,
-        wall_clock_s=time.perf_counter() - t0, cauchy_worst=cauchy_worst)
+        wall_clock_s=time.perf_counter() - t0)
 
 
-def _rec(records, b, lp):
-    for r in records:
-        if r["b"] == b and r["lambda_prime"] == lp:
-            return mf.max_carrying_nan(r["c0"], r["c1"], r["c2"])
-    raise KeyError((b, lp))
-
-
-def _shift_sample(sample, delta):
-    from dataclasses import replace
-    return replace(sample, block_m=sample.block_m + delta)
-
-
-def check_convergence_assertions(reports, floor=C2_FLOOR, final_tol=1e-4,
-                                 boundary_tol=1e-6):
+def check_convergence_assertions(reports):
     """Monotone-decay, final-tolerance and boundary assertions over one or
     more convergence reports.  Returns a list of failure descriptions
     (empty = all passed).
 
     Per (theta, b) the distance must decrease strictly in lambda' while
-    above the finite-difference floor (at or below the floor only
+    above the finite-difference floor C2_FLOOR (at or below the floor only
     non-growth beyond the floor is required); the maximum over b must
-    decrease strictly; the final distances must beat final_tol and the
-    final boundary distances boundary_tol.
+    decrease strictly; the final distances must beat FINAL_TOL and the
+    final boundary distances BOUNDARY_TOL.
 
     The boundary distance carries the structural coth^2(lambda' + b) - 1
-    gap (~4 e^{-2(lambda'+b)}), so boundary_tol = 1e-6 presumes a grid
+    gap (~4 e^{-2(lambda'+b)}), so BOUNDARY_TOL = 1e-6 presumes a grid
     whose top reaches lambda' + b >= 8; shorter grids report an honest
     "not yet within tolerance".
     """
@@ -345,24 +329,24 @@ def check_convergence_assertions(reports, floor=C2_FLOOR, final_tol=1e-4,
                      for r in rows]
             for i in range(len(dists) - 1):
                 lo, hi = dists[i + 1], dists[i]
-                if not (lo < hi or (lo <= floor and hi <= floor)):
+                if not (lo < hi or (lo <= C2_FLOOR and hi <= C2_FLOOR)):
                     failures.append(
                         f"theta={theta:.6g} b={b:.6g}: distance not "
                         f"decreasing above floor ({hi:.3e} -> {lo:.3e})")
-            if not (dists[-1] < final_tol):
+            if not (dists[-1] < FINAL_TOL):
                 failures.append(
                     f"theta={theta:.6g} b={b:.6g}: final C^2 distance "
-                    f"{dists[-1]:.3e} >= {final_tol:.0e}")
-            if not (rows[-1]["boundary_M_c0"] < boundary_tol):
+                    f"{dists[-1]:.3e} >= {FINAL_TOL:.0e}")
+            if not (rows[-1]["boundary_M_c0"] < BOUNDARY_TOL):
                 failures.append(
                     f"theta={theta:.6g} b={b:.6g}: boundary distance "
-                    f"{rows[-1]['boundary_M_c0']:.3e} >= {boundary_tol:.0e}")
+                    f"{rows[-1]['boundary_M_c0']:.3e} >= {BOUNDARY_TOL:.0e}")
             for lp, d in zip(lp_sorted, dists):
                 max_over_b[lp] = mf.max_carrying_nan(max_over_b[lp], d)
         agg = [max_over_b[lp] for lp in lp_sorted]
         for i in range(len(agg) - 1):
             lo, hi = agg[i + 1], agg[i]
-            if not (lo < hi or (lo <= floor and hi <= floor)):
+            if not (lo < hi or (lo <= C2_FLOOR and hi <= C2_FLOOR)):
                 failures.append(
                     f"theta={rep.records[0]['theta']:.6g}: max-over-b "
                     f"distance not strictly decreasing above floor "
@@ -370,8 +354,7 @@ def check_convergence_assertions(reports, floor=C2_FLOOR, final_tol=1e-4,
     return failures
 
 
-def verify_beta1_claim(family, params, lambda_prime_grid, n_phi=16,
-                       exactness_tol=1e-14):
+def verify_beta1_claim(family, params, lambda_prime_grid):
     """Verify the small-angle inequality r(lambda' + c', beta1) <=
     reparam(lambda') + B on the grid and the exact roundness it forces.
 
@@ -379,7 +362,7 @@ def verify_beta1_claim(family, params, lambda_prime_grid, n_phi=16,
     the top of the grid, the margin at the top, and the worst deviation of
     block_m from sin^2(beta) * round on the forced region (beta <= beta1,
     b <= c').  Raises VerificationError if the inequality never holds or
-    the forced region is not exactly round to ``exactness_tol``.
+    the forced region is not exactly round to EXACTNESS_TOL.
     """
     if params.beta1 is None:
         raise DomainError("verify_beta1_claim: params.beta1 is unset; "
@@ -401,7 +384,7 @@ def verify_beta1_claim(family, params, lambda_prime_grid, n_phi=16,
     margin_top = float(rhs[-1] - lhs[-1])
 
     # exact roundness of block_m on the forced region
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    phi = np.linspace(0.0, 2.0 * math.pi, CLAIM_N_PHI, endpoint=False)
     betas = np.linspace(max(1e-3, params.beta1 / 5.0), params.beta1, 5)
     bs = [params.c_prime, params.c_prime - 0.5]
     lps = [lp for lp in np.geomspace(max(lambda0, 2.0), grid[-1], 4)
@@ -414,10 +397,10 @@ def verify_beta1_claim(family, params, lambda_prime_grid, n_phi=16,
             m = cut.block_m(phi, betas)
             worst = mf.max_carrying_nan(worst, float(np.max(
                 np.abs(m - np.sin(betas)[None, :] ** 2))))
-    if not (worst <= exactness_tol):
+    if not (worst <= EXACTNESS_TOL):
         raise VerificationError(
             f"verify_beta1_claim: forced region not exactly round "
-            f"(deviation {worst:.3e} > {exactness_tol:.0e})")
+            f"(deviation {worst:.3e} > {EXACTNESS_TOL:.0e})")
     return {
         "beta1": params.beta1,
         "lambda0": lambda0,

@@ -47,11 +47,8 @@ BETA_MARGIN = 0.05
 
 HALF_PI = 0.5 * math.pi
 
-
-def default_fd_step(s):
-    """Step for pullback tangents: balances truncation against cancellation
-    across the radius range used."""
-    return max(1e-5, 1e-6 * float(s))
+# the two sheets w = +1, -1 of the join chart
+SHEETS = (1, -1)
 
 
 def _richardson_d1(f, x, h):
@@ -71,7 +68,7 @@ class JoinMetricField:
       + block_beta(beta) * dbeta^2
 
     Blocks are independent of the sheet label w for the bases considered;
-    the pullback oracle still samples both sheets and the comparison
+    the pullback oracle still samples both SHEETS and the comparison
     checks them separately.
     """
 
@@ -79,9 +76,8 @@ class JoinMetricField:
     block_m: object
     block_beta: object
     block_h_coeff: object
-    name: str = ""
 
-    def sample(self, phi, beta, sheets=(1, -1)):
+    def sample(self, phi, beta):
         phi = np.asarray(phi, dtype=float)
         beta = np.asarray(beta, dtype=float)
         m = np.asarray(self.block_m(phi, beta), dtype=float)
@@ -89,29 +85,28 @@ class JoinMetricField:
                              (phi.size, beta.size))
         # the blocks do not depend on the sheet: every sheet is a read-only
         # view of the one computed sheet
-        shape = (len(sheets), phi.size, beta.size)
+        shape = (len(SHEETS), phi.size, beta.size)
         return JoinSample(
-            phi=phi, beta=beta, sheets=tuple(sheets),
+            phi=phi, beta=beta,
             block_m=np.broadcast_to(m, shape),
             block_beta=np.broadcast_to(bb, shape),
             offdiag=np.broadcast_to(0.0, shape),
             block_h_coeff=np.asarray(self.block_h_coeff(beta), dtype=float),
-            s=self.s, name=self.name)
+            s=self.s)
 
 
 @dataclass(frozen=True)
 class JoinSample:
-    """Join-chart components sampled on a (sheet, phi, beta) grid."""
+    """Join-chart components sampled on a (sheet, phi, beta) grid, the
+    sheets in the order of SHEETS."""
 
     phi: np.ndarray
     beta: np.ndarray
-    sheets: tuple
     block_m: np.ndarray      # (n_sheets, n_phi, n_beta)
     block_beta: np.ndarray   # (n_sheets, n_phi, n_beta)
     offdiag: np.ndarray      # (n_sheets, n_phi, n_beta)
     block_h_coeff: np.ndarray | None = None   # (n_beta,) or None (oracle)
     s: float | None = None
-    name: str = ""
 
     @property
     def steps(self):
@@ -120,15 +115,15 @@ class JoinSample:
         return hphi, hbeta
 
 
-def join_grid(n_phi=32, n_beta=24, margin=BETA_MARGIN):
+def join_grid(n_phi, n_beta):
     """Standard join-chart grid: phi uniform over the full circle, beta
-    uniform over [margin, pi/2 - margin]."""
+    uniform over [BETA_MARGIN, pi/2 - BETA_MARGIN]."""
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    beta = np.linspace(margin, HALF_PI - margin, n_beta)
+    beta = np.linspace(BETA_MARGIN, HALF_PI - BETA_MARGIN, n_beta)
     return phi, beta
 
 
-def unwarped_join_field(column, s, name):
+def unwarped_join_field(column, s):
     """The unwarped join metric
 
         cos^2(beta) * sigma_{S^0} + sin^2(beta) * column(beta) + dbeta^2
@@ -150,8 +145,7 @@ def unwarped_join_field(column, s, name):
     return JoinMetricField(
         s=s, block_m=block_m,
         block_beta=lambda beta: np.ones_like(np.asarray(beta, dtype=float)),
-        block_h_coeff=lambda beta: np.cos(np.asarray(beta, dtype=float)) ** 2,
-        name=name)
+        block_h_coeff=lambda beta: np.cos(np.asarray(beta, dtype=float)) ** 2)
 
 
 def cut_via_formula(base, s, unwarped=True):
@@ -166,8 +160,7 @@ def cut_via_formula(base, s, unwarped=True):
         raise DomainError("cut_via_formula: s must be positive")
     if unwarped:
         return unwarped_join_field(
-            lambda beta: mf.unwarped_cut(base, ht.solve_r(s, beta)), s,
-            name=f"{base.name}-cut-unwarped-s={s:g}")
+            lambda beta: mf.unwarped_cut(base, ht.solve_r(s, beta)), s)
     sinh2_s = math.sinh(s) ** 2
 
     def block_m(phi, beta):
@@ -175,19 +168,17 @@ def cut_via_formula(base, s, unwarped=True):
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
         out = np.empty((phi.size, beta.size))
         for j, bj in enumerate(beta):
-            out[:, j] = mf.warped_cut(base, ht.solve_r(s, float(bj))) \
-                .at_angles(phi)
+            out[:, j] = base.cut_at(ht.solve_r(s, float(bj))).at_angles(phi)
         return out
 
     return JoinMetricField(
         s=s, block_m=block_m,
         block_beta=lambda beta: np.full(np.shape(beta), sinh2_s),
         block_h_coeff=lambda beta: sinh2_s * np.cos(
-            np.asarray(beta, dtype=float)) ** 2,
-        name=f"{base.name}-cut-warped-s={s:g}")
+            np.asarray(beta, dtype=float)) ** 2)
 
 
-def cut_via_pullback(base, s, phi, beta, fd_step=None):
+def cut_via_pullback(base, s, phi, beta):
     """Finite-difference pullback of the ambient metric of the extension
     of ``base`` through the join embedding; the independent oracle for the
     closed-form (warped) cut.
@@ -197,12 +188,14 @@ def cut_via_pullback(base, s, phi, beta, fd_step=None):
     differences with one Richardson pass, the ambient components are
     evaluated at the center point, and the pulled-back 2x2 matrix is
     assembled.  The off-diagonal entry is computed, not assumed zero.
+    The step max(1e-5, 1e-6 s) balances truncation against cancellation
+    across the radius range used.
     """
     if s <= 0.0:
         raise DomainError("cut_via_pullback: s must be positive")
     phi = np.asarray(phi, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    h = fd_step if fd_step is not None else default_fd_step(s)
+    h = max(1e-5, 1e-6 * float(s))
     if np.min(beta) < 2.0 * h or np.max(beta) > HALF_PI - 2.0 * h:
         raise DomainError(
             "cut_via_pullback: beta grid must stay 2*fd_step inside "
@@ -225,13 +218,12 @@ def cut_via_pullback(base, s, phi, beta, fd_step=None):
     f_yy = np.cosh(r_c) ** 2                     # (n_beta,)
     f_pp = np.empty((phi.size, beta.size))       # h_r(phi) per beta row
     for j, rj in enumerate(r_c):
-        f_pp[:, j] = mf.warped_cut(base, float(rj)).at_angles(phi)
+        f_pp[:, j] = base.cut_at(float(rj)).at_angles(phi)
 
-    n_w = 2
-    block_m = np.empty((n_w, phi.size, beta.size))
+    block_m = np.empty((len(SHEETS), phi.size, beta.size))
     block_beta_arr = np.empty_like(block_m)
     offdiag = np.empty_like(block_m)
-    for iw, w in enumerate((1, -1)):
+    for iw, w in enumerate(SHEETS):
         v_beta = (w * dt_db, dphi_db, dr_db)          # functions of beta
         v_phi = (w * dt_dphi, dphi_dphi, dr_dphi)     # functions of phi
         g_bb = (f_yy * v_beta[0] ** 2)[None, :] \
@@ -247,10 +239,9 @@ def cut_via_pullback(base, s, phi, beta, fd_step=None):
         block_beta_arr[iw] = g_bb
         offdiag[iw] = g_pb
 
-    return JoinSample(phi=phi, beta=beta, sheets=(1, -1),
-                      block_m=block_m, block_beta=block_beta_arr,
-                      offdiag=offdiag, block_h_coeff=None, s=s,
-                      name=f"{base.name}-pullback-s={s:g}")
+    return JoinSample(phi=phi, beta=beta, block_m=block_m,
+                      block_beta=block_beta_arr, offdiag=offdiag,
+                      block_h_coeff=None, s=s)
 
 
 def compare_join(formula, oracle):
@@ -291,8 +282,7 @@ def join_c2_distance(a, b):
             c0 = mf.max_carrying_nan(c0, s0)
             c1 = mf.max_carrying_nan(c1, s1)
             c2 = mf.max_carrying_nan(c2, s2)
-    return mf.C2Distance(c0=c0, c1=c1, c2=c2,
-                         grid_resolution=int(a.beta.size), fd_step=hbeta)
+    return mf.C2Distance(c0=c0, c1=c1, c2=c2, fd_step=hbeta)
 
 
 def round_join_blocks(phi, beta):
@@ -463,28 +453,28 @@ def _model_distance_to_origin(u, v):
     return 2.0 * math.asinh(abs(w - 1j) / (2.0 * math.sqrt(w.imag)))
 
 
-def angle_oracle(s, beta, n_steps=None, fd_step=1e-6):
+def angle_oracle(s, beta):
     """Interior angle at the far vertex of the right triangle, measured in
     an explicit 2D hyperbolic model with no use of triangle identities.
 
     The point p is found by shooting the geodesic from the origin at angle
-    beta for arc length s; the angle between the unit gradients of the
-    distance-to-origin function and the distance-to-axis function v is
-    then  cos(alpha) = (ds/dv) / |grad s|  with the gradient taken
-    numerically in the warped metric.
+    beta for arc length s, in max(1500, 600 s) RK4 steps; the angle
+    between the unit gradients of the distance-to-origin function and the
+    distance-to-axis function v is then  cos(alpha) = (ds/dv) / |grad s|
+    with the gradient taken by central differences of step 1e-6 in the
+    warped metric.
     """
     if s <= 0.0:
         raise DomainError("angle_oracle: s must be positive")
     if not (0.0 < beta < HALF_PI):
         raise DomainError("angle_oracle: beta must lie in (0, pi/2)")
-    n = n_steps if n_steps is not None else max(1500, int(600 * s))
-    u, v = _geodesic_shoot(beta, s, n)
+    u, v = _geodesic_shoot(beta, s, max(1500, int(600 * s)))
     d_check = _model_distance_to_origin(u, v)
     if abs(d_check - s) > 1e-6 * max(1.0, s):
         raise VerificationError(
             f"angle_oracle: shot geodesic landed at distance {d_check}, "
             f"expected {s}")
-    h = fd_step
+    h = 1e-6
     ds_du = (_model_distance_to_origin(u + h, v)
              - _model_distance_to_origin(u - h, v)) / (2.0 * h)
     ds_dv = (_model_distance_to_origin(u, v + h)

@@ -1,8 +1,8 @@
 """Synthetic metric families for the convergence experiments.
 
-Two kinds are provided.  The *hyperbolic* family is constantly round: every
-unwarped cut is the round circle metric, so it is a fixed point of the
-whole pipeline.  The *bump* family perturbs the round metric by a
+Two families are provided.  The *hyperbolic* family is constantly round:
+every unwarped cut is the round circle metric, so it is a fixed point of
+the whole pipeline.  The *bump* family perturbs the round metric by a
 compactly supported C^2 profile riding at a fixed offset from the family
 index:
 
@@ -28,7 +28,6 @@ from . import fields as mf
 from .cutlimits import MetricFamily
 
 DIRECTION_TAGS = ("uniform", "cos2")
-PROFILE_TAGS = ("quintic",)
 
 
 def quintic_smoothstep(u):
@@ -83,35 +82,23 @@ def direction_field(tag):
     if tag != "cos2":
         raise DomainError(f"unknown direction tag {tag!r}")
     return mf.SphereMetricField.from_function(
-        lambda angles: np.cos(angles) ** 2, name="T-cos2")
+        lambda angles: np.cos(angles) ** 2)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Construction recipe for a synthetic family."""
+    """Construction recipe for the bump family (``bump_family``)."""
 
-    kind: str = "bump"
     support_start: float = -1.0
     support_end: float = 1.0
     amplitude: float = 0.05
     direction: str = "uniform"
-    profile: str = "quintic"
 
     def __post_init__(self):
-        if self.kind not in ("hyperbolic", "bump"):
-            raise DomainError(f"unknown family kind {self.kind!r}")
-        if self.kind == "bump":
-            if not self.support_start < self.support_end:
-                raise DomainError("bump support must be a proper interval")
-            if self.direction not in DIRECTION_TAGS:
-                raise DomainError(f"unknown direction tag {self.direction!r}")
-            if self.profile not in PROFILE_TAGS:
-                raise DomainError(f"unknown profile tag {self.profile!r}")
-
-    def build(self):
-        if self.kind == "hyperbolic":
-            return hyperbolic_family()
-        return bump_family(self)
+        if not self.support_start < self.support_end:
+            raise DomainError("bump support must be a proper interval")
+        if self.direction not in DIRECTION_TAGS:
+            raise DomainError(f"unknown direction tag {self.direction!r}")
 
 
 def hyperbolic_family():
@@ -131,8 +118,6 @@ def hyperbolic_family():
 def bump_family(spec):
     """Build the bump family from its spec, checking positivity of the
     most-perturbed cut at construction."""
-    if spec.kind != "bump":
-        raise DomainError("bump_family requires a bump spec")
     T = direction_field(spec.direction)
     sigma = mf.round_metric()
     eps = float(spec.amplitude)
@@ -143,7 +128,7 @@ def bump_family(spec):
             return sigma
         # sigma is the round form, whose components are exactly 1
         fn = lambda angles: 1.0 + amount * T.components(angles)
-        return mf.SphereMetricField.from_function(fn, name="bump-cut")
+        return mf.SphereMetricField.from_function(fn)
 
     ok, eigmin = mf.positivity_check(perturbed(eps), resolution=256)
     if not ok:

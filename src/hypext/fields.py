@@ -6,8 +6,9 @@ component ``g(d/dangle, d/dangle)`` there.  ``StereographicAtlas`` keeps
 only the stereographic chart map and the round metric of S^2 that the
 round-sphere reference route of ``extension`` needs.
 
-On top of the field type the module implements warped/unwarped spherical
-cuts of centered radial metrics, componentwise scaling, a positivity
+On top of the field type the module implements centered radial metrics
+on the radial domain (0, RADIUS_MAX), given by their warped cuts
+``cut_at(r)``, the unwarped cut, componentwise scaling, a positivity
 check, and the grid realization of the C^2 distance: sups of component
 differences and of their first and second central differences over two
 overlapping sampling windows that cover the circle.
@@ -32,6 +33,9 @@ from .hyptrig import log_sinh
 WINDOW_CENTRES = (0.0, math.pi)
 INTERIOR_HALF_WIDTH = 0.60 * math.pi
 MARGIN = 0.75 * math.pi - INTERIOR_HALF_WIDTH
+
+# every radial metric lives on the radii (0, RADIUS_MAX)
+RADIUS_MAX = 350.0
 
 
 def interior_grid(n):
@@ -72,12 +76,11 @@ class SphereMetricField:
     """A closed-form symmetric bilinear-form field on the circle:
     ``_fn(angles)`` gives its component at every angle of an array."""
 
-    name: str = ""
-    _fn: object = None
+    _fn: object
 
     @classmethod
-    def from_function(cls, fn, name=""):
-        return cls(name=name, _fn=fn)
+    def from_function(cls, fn):
+        return cls(_fn=fn)
 
     def at_angles(self, angles):
         """The field at circle angles, as an array of their shape."""
@@ -97,7 +100,7 @@ def round_metric():
     """The round metric of the unit circle: its component is 1 everywhere
     (a fresh ``np.ones``, which costs a third of ``np.broadcast_to``)."""
     fn = lambda angles: np.ones(np.shape(angles))
-    return SphereMetricField.from_function(fn, name="round")
+    return SphereMetricField.from_function(fn)
 
 
 def scale(a, c):
@@ -108,29 +111,29 @@ def scale(a, c):
     if c <= 0.0 or not math.isfinite(c):
         raise DomainError("scale: factor must be positive and finite")
     fn = lambda angles: c * a.components(angles)
-    return SphereMetricField.from_function(fn, name=a.name)
+    return SphereMetricField.from_function(fn)
 
 
 @dataclass(frozen=True)
 class RadialMetric:
-    """A centered metric g = g_r + dr^2 given by its warped cuts r -> g_r."""
+    """A centered metric g = g_r + dr^2 on the radii (0, RADIUS_MAX),
+    given by its warped cuts r -> g_r: ``cut_at(r)`` is the metric induced
+    on the radius-r sphere."""
 
-    domain: tuple
-    name: str = ""
-    _cut: object = None
+    name: str
+    _cut: object
 
     def cut_at(self, r):
-        lo, hi = self.domain
-        if not (lo < r < hi):
+        if not (0.0 < r < RADIUS_MAX):
             raise DomainError(
-                f"radius {r} outside the radial domain ({lo}, {hi}) "
-                f"of {self.name or 'metric'}")
+                f"radius {r} outside the radial domain (0.0, {RADIUS_MAX}) "
+                f"of {self.name}")
         return self._cut(float(r))
 
 
-def sinh_warped_radial(gprime, name="sinh-warped", r_max=350.0):
+def sinh_warped_radial(gprime, name="sinh-warped"):
     """g_r = sinh(r)^2 * g' for a fixed field g' (warped-by-sinh metric)."""
-    return RadialMetric(domain=(0.0, r_max), name=name,
+    return RadialMetric(name=name,
                         _cut=lambda r: scale(gprime, math.sinh(r) ** 2))
 
 
@@ -139,28 +142,23 @@ def hyperbolic_radial():
     return sinh_warped_radial(round_metric(), name="hyperbolic")
 
 
-def warped_cut(g, r0):
-    """The metric induced on the radius-r0 sphere, as a field g_{r0}."""
-    return g.cut_at(r0)
-
-
 def unwarped_cut(g, r0):
     """The warped cut rescaled by 1/sinh(r0)^2 (constant in r0 exactly for
     warped-by-sinh metrics)."""
     if r0 <= 0.0:
         raise DomainError("unwarped_cut: r0 must be positive")
-    return scale(warped_cut(g, r0), math.exp(-2.0 * log_sinh(r0)))
+    return scale(g.cut_at(r0), math.exp(-2.0 * log_sinh(r0)))
 
 
 @dataclass(frozen=True)
 class C2Distance:
     """Sups of component differences and their first/second central
-    differences over the interior grids; deterministic given (grid, step)."""
+    differences over the interior grids, and the finite-difference step
+    they were taken with."""
 
     c0: float
     c1: float
     c2: float
-    grid_resolution: int
     fd_step: float
 
     def max(self):
@@ -268,8 +266,7 @@ def c2_distance(a, b, resolution):
         c0 = max_carrying_nan(c0, s0)
         c1 = max_carrying_nan(c1, s1)
         c2 = max_carrying_nan(c2, s2)
-    return C2Distance(c0=c0, c1=c1, c2=c2, grid_resolution=resolution,
-                      fd_step=h)
+    return C2Distance(c0=c0, c1=c1, c2=c2, fd_step=h)
 
 
 def positivity_check(a, resolution):

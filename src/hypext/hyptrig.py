@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, VerificationError, max_carrying_nan
+from .errors import DomainError, VerificationError
 
 _LN2 = math.log(2.0)
 HALF_PI = 0.5 * math.pi
@@ -54,6 +54,11 @@ LOG_SWITCH = 30.0
 # asin/acos arguments may leave [-1, 1] by roundoff only; anything beyond
 # this budget is treated as a caller bug rather than silently clamped.
 CLAMP_BUDGET = 1e-12
+
+# beta1_threshold: the slack below the asymptotic bound on ln(sin beta1),
+# and the number of geometric grid points its candidate is verified on
+BETA1_MARGIN = 0.5
+BETA1_GRID = 80
 
 
 def _prepare(*vals):
@@ -253,29 +258,6 @@ def solve_alpha(s, beta):
     return _finish(out, shape, scalar)
 
 
-def beta_of_r(s, r):
-    """Angle from the opposite leg: beta = asin(sinh(r) / sinh(s)).
-
-    Inverse of :func:`solve_r` in its second argument.
-    """
-    (s, r), shape, scalar = _prepare(s, r)
-    if np.any(s <= 0.0):
-        raise DomainError("beta_of_r: s must be > 0")
-    if np.any(r < 0.0):
-        raise DomainError("beta_of_r: r must be >= 0")
-    if np.any(r > s):
-        raise DomainError("beta_of_r: r must not exceed s (sin(beta) > 1)")
-    ratio = np.zeros_like(s)
-    pos = r > 0.0
-    small = pos & (s <= LOG_SWITCH)
-    ratio[small] = np.sinh(r[small]) / np.sinh(s[small])
-    big = pos & (s > LOG_SWITCH)
-    if np.any(big):
-        ratio[big] = np.exp(log_sinh(r[big]) - log_sinh(s[big]))
-    out = _clamped_arc(np.arcsin, ratio, "beta_of_r")
-    return _finish(out, shape, scalar)
-
-
 def reparam(lambda_prime, theta):
     """Index change lambda = asinh(sinh(lambda') * sin(theta)).
 
@@ -346,68 +328,6 @@ def vartheta_shift(beta, b, theta):
 
 
 @dataclass(frozen=True)
-class TriangleState:
-    """The five quantities of the right triangle, kept mutually consistent.
-
-    ``from_hypotenuse_angle`` builds the state from (s, beta);
-    ``residuals`` reports the relative defect of the three defining
-    relations, and ``validate`` enforces them to 1e-12.
-    """
-
-    s: float
-    t: float
-    r: float
-    beta: float
-    alpha: float
-
-    @classmethod
-    def from_hypotenuse_angle(cls, s, beta):
-        (sf, bf), _, scalar = _prepare(s, beta)
-        if not scalar:
-            raise DomainError("TriangleState is built from scalar (s, beta)")
-        # a NaN fails every comparison, so each check is written to pass
-        # only finite, in-range input
-        if not 0.0 < float(sf[0]) < math.inf:
-            raise DomainError("TriangleState: s must be finite and > 0")
-        if not math.isfinite(float(bf[0])):
-            raise DomainError("TriangleState: beta must be finite")
-        _check_beta_closed(bf, "TriangleState")
-        r, t = _solve_rt(sf, bf)
-        if 0.0 < float(bf[0]) < HALF_PI:
-            alpha = float(solve_alpha(float(sf[0]), float(bf[0])))
-        else:
-            # degenerate triangles: cos(alpha) = tanh(r)/tanh(s) gives
-            # alpha -> 0 at beta = pi/2 (r = s) and pi/2 at beta = 0 (r = 0)
-            alpha = 0.0 if float(bf[0]) >= HALF_PI else HALF_PI
-        state = cls(float(sf[0]), float(t[0]), float(r[0]), float(bf[0]), alpha)
-        state.validate()
-        return state
-
-    def residuals(self):
-        s, t, r, beta = self.s, self.t, self.r, self.beta
-        sin_law = abs(math.sinh(r) - math.sin(beta) * math.sinh(s))
-        sin_sc = max(abs(math.sinh(r)), abs(math.sin(beta) * math.sinh(s)), 1.0)
-        cross = abs(math.cosh(r) * math.sinh(t) - math.sinh(s) * math.cos(beta))
-        cross_sc = max(abs(math.sinh(s) * math.cos(beta)), 1.0)
-        pyth = abs(math.cosh(s) - math.cosh(r) * math.cosh(t))
-        pyth_sc = max(math.cosh(s), 1.0)
-        return {
-            "law_of_sines": sin_law / sin_sc,
-            "cross_identity": cross / cross_sc,
-            "pythagorean": pyth / pyth_sc,
-        }
-
-    def validate(self, tol=1e-12):
-        res = self.residuals()
-        worst = max_carrying_nan(*res.values())
-        if not (worst <= tol):
-            raise VerificationError(
-                f"TriangleState inconsistent: worst relative residual "
-                f"{worst:.3e} exceeds {tol:.0e} ({res})"
-            )
-
-
-@dataclass(frozen=True)
 class ReparamParams:
     """Parameters of a reparametrized cut-limit run.
 
@@ -417,7 +337,6 @@ class ReparamParams:
     """
 
     theta: float
-    b: float
     B: float
     c: float
     c_prime: float
@@ -436,18 +355,17 @@ class ReparamParams:
             raise DomainError("ReparamParams: beta1 must lie in (0, pi/2)")
 
 
-def beta1_threshold(params, lambda_min=None, lambda_max=700.0, n_grid=80,
-                    margin=0.5):
+def beta1_threshold(params, lambda_min=None, lambda_max=700.0):
     """A small angle beta1 with solve_r(l' + c', beta1) <= reparam(l') + B
     for every l' in [lambda_min, lambda_max].
 
     Asymptotically the inequality reads ln(sin beta1) <= B - c' +
-    ln(sin theta), so beta1 = asin(exp(B - c' + ln sin(theta) - margin))
-    works with slack `margin`; when the exponent is already nonnegative the
-    inequality has slack for every angle and pi/4 is returned.  The
-    candidate is then verified by direct evaluation on a geometric grid;
-    failure raises VerificationError rather than returning an unchecked
-    angle.
+    ln(sin theta), so beta1 = asin(exp(B - c' + ln sin(theta) -
+    BETA1_MARGIN)) works with that slack; when the exponent is already
+    nonnegative the inequality has slack for every angle and pi/4 is
+    returned.  The candidate is then verified by direct evaluation on a
+    geometric grid of BETA1_GRID points; failure raises VerificationError
+    rather than returning an unchecked angle.
 
     The claim is about all sufficiently large lambda': the inequality only
     becomes meaningful once reparam(lambda') clears -B (its right side
@@ -461,7 +379,7 @@ def beta1_threshold(params, lambda_min=None, lambda_max=700.0, n_grid=80,
     if expo0 >= 0.0:
         beta1 = 0.25 * math.pi
     else:
-        beta1 = math.asin(math.exp(expo0 - margin))
+        beta1 = math.asin(math.exp(expo0 - BETA1_MARGIN))
     if lambda_min is None:
         lam_lo = 5.0
         if params.B < 2.0:
@@ -471,7 +389,7 @@ def beta1_threshold(params, lambda_min=None, lambda_max=700.0, n_grid=80,
         lam_lo = max(lam_lo, 1.0 - params.c_prime)
     else:
         lam_lo = lambda_min
-    grid = np.geomspace(lam_lo, lambda_max, n_grid)
+    grid = np.geomspace(lam_lo, lambda_max, BETA1_GRID)
     lhs = solve_r(grid + params.c_prime, beta1)
     rhs = reparam(grid, params.theta) + params.B
     if np.any(lhs > rhs):

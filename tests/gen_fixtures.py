@@ -96,7 +96,6 @@ def main():
     assert abs(a_closed - a_model) < mpf(10) ** (-40), (a_closed, a_model)
     add("solve_alpha", (2.0, 0.5), a_model)
 
-    add("beta_of_r", (5.0, 2.0), asin(sinh(mpf(2.0)) / sinh(mpf(5.0))))
 
     add("reparam", (1.0, 0.4), reparam(mpf(1.0), mpf(0.4)))
 
@@ -125,7 +124,6 @@ def main():
     add("solve_t", (500.0, 1e-8), solve_t(mpf(500.0), mpf(1e-8)))
     add("solve_t", (40.0, 1e-6), solve_t(mpf(40.0), mpf(1e-6)))
     add("solve_t", (40.0, 1.5), solve_t(mpf(40.0), mpf(1.5)))
-    add("beta_of_r", (600.0, 300.0), asin(sinh(mpf(300.0)) / sinh(mpf(600.0))))
     add("reparam", (650.0, 0.1), reparam(mpf(650.0), mpf(0.1)))
     add("reparam_inverse", (650.0, 0.1), reparam_inverse(mpf(650.0), mpf(0.1)))
     add("vartheta", (600.0, 0.4, -1.0, th_third),

@@ -80,13 +80,13 @@ def test_formula_vs_pullback_oracle():
     bases = {
         "hyperbolic": mf.hyperbolic_radial(),
     }
-    family = fam.FamilySpec(kind="bump").build()
+    family = fam.bump_family(fam.FamilySpec())
 
     def member_cut(r):
         return mf.scale(family.cut(2.0, r), math.sinh(r) ** 2)
 
-    bases["bump-member"] = mf.RadialMetric(
-        domain=(0.0, 350.0), name="bump-member", _cut=member_cut)
+    bases["bump-member"] = mf.RadialMetric(name="bump-member",
+                                           _cut=member_cut)
 
     worst_rel = 0.0
     worst_off = 0.0
@@ -160,8 +160,8 @@ def test_shift_asymptotics():
 
 def test_cut_limit_convergence():
     t0 = time.perf_counter()
-    family = fam.FamilySpec(kind="bump", support_start=-1.0, support_end=1.0,
-                            amplitude=0.05).build()
+    family = fam.bump_family(fam.FamilySpec(
+        support_start=-1.0, support_end=1.0, amplitude=0.05))
     reports = []
     finals, boundaries = [], []
     for theta in (HALF_PI, PI_3):
@@ -175,8 +175,10 @@ def test_cut_limit_convergence():
                       if r["lambda_prime"] == 10.0)
         boundaries.extend(r["boundary_M_c0"] for r in rep.records
                           if r["lambda_prime"] == 10.0)
-    failures = cl.check_convergence_assertions(
-        reports, floor=1e-8, final_tol=1e-4, boundary_tol=1e-6)
+    # the gates are cl.C2_FLOOR = 1e-8, cl.FINAL_TOL = 1e-4 and
+    # cl.BOUNDARY_TOL = 1e-6, the values this criterion states
+    assert (cl.C2_FLOOR, cl.FINAL_TOL, cl.BOUNDARY_TOL) == (1e-8, 1e-4, 1e-6)
+    failures = cl.check_convergence_assertions(reports)
     elapsed = time.perf_counter() - t0
     coth_dev = max(ht.coth_sq_minus_one(10.0 + b)
                    for b in np.linspace(-2.0, 0.9, 5))
@@ -196,14 +198,14 @@ def test_cut_limit_convergence():
 # ---------------------------------------------------------------------------
 
 def test_small_angle_claim():
-    family = fam.FamilySpec(kind="bump").build()
+    family = fam.bump_family(fam.FamilySpec())
     worst_lambda0 = 0.0
     worst_dev = 0.0
     for theta in (HALF_PI, PI_3):
         cp = cl.c_prime_bound(family, theta)
-        params = ht.ReparamParams(theta=theta, b=0.0, B=-1.0, c=1.0,
+        params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
                                   c_prime=cp)
-        params = ht.ReparamParams(theta=theta, b=0.0, B=-1.0, c=1.0,
+        params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
                                   c_prime=cp,
                                   beta1=ht.beta1_threshold(params))
         rep = cl.verify_beta1_claim(family, params,

@@ -85,12 +85,23 @@ def test_angle_parsing():
     ["identities", "--fd-step", "-0.001"],
     ["identities", "--fd-step", "nan"],
     ["identities", "--grid", "100000"],
+    # unusable paths; {tmp} holds the file "file" and nothing else
+    ["identities", "--config", "{tmp}/missing.cfg"],
+    ["identities", "--config", "{tmp}"],
+    ["identities", "--out", "{tmp}/file"],
+    ["identities", "--out", "{tmp}/file/sub"],
+    # a repeated b is bad input, not a failed decay check
+    ["converge", "--grid", "24", "--theta", "pi/2", "--b=0.5,0.5"],
 ])
 def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
-    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    (tmp_path / "file").write_text("")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    # a later --out in argv overrides this one
+    assert run(argv[:1] + ["--out", str(tmp_path / "out")] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert "hypext" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("suite,line", [
@@ -360,3 +371,33 @@ def test_claim_negative_control(tmp_path):
               "--theta", "pi/2", "--corrupt", "beta1-large"])
     assert rc == 1
 
+
+
+# ---------------------------------------------------------------------------
+# frozen small-grid reports (tests/gen_regression.py)
+# ---------------------------------------------------------------------------
+
+FROZEN_REPORTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "report_regression.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("case", FROZEN_REPORTS, ids=lambda c: c["name"])
+def test_report_matches_frozen_records(tmp_path, case):
+    extra = ["--out", str(tmp_path / "out")]
+    if case["config"] is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(case["config"])
+        extra += ["--config", str(cfgfile)]
+    assert run(case["argv"] + extra) == 0
+    recs = read_jsonl(tmp_path / "out")
+    assert len(recs) == len(case["records"])
+    for got, want in zip(recs, case["records"]):
+        assert got.keys() == want.keys()
+        for key, ref in want.items():
+            if isinstance(ref, float) or (
+                    isinstance(ref, list)
+                    and any(isinstance(v, float) for v in ref)):
+                assert got[key] == pytest.approx(ref, rel=1e-12), key
+            else:
+                assert got[key] == ref, key

@@ -16,7 +16,7 @@ PI_3 = math.pi / 3
 
 
 def bump():
-    return fam.FamilySpec(kind="bump").build()
+    return fam.bump_family(fam.FamilySpec())
 
 
 def hyper():
@@ -102,7 +102,7 @@ def test_region_exactness():
     # block is exactly round: an identity of the construction
     family = bump()
     theta = PI_3
-    params = ht.ReparamParams(theta=theta, b=0.0, B=-1.0, c=1.0,
+    params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
                               c_prime=cl.c_prime_bound(family, theta))
     beta1 = ht.beta1_threshold(params)
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
@@ -179,7 +179,7 @@ def _nan_beyond(x, value=1.0):
 @pytest.mark.parametrize("slot", ["block_m", "block_beta", "equator"])
 def test_boundary_positivity_fails_on_nan(slot):
     assembly = cl.predicted_limit(bump(), HALF_PI, 0.5)
-    interior, eq = assembly.interior, assembly.boundary_m
+    interior, eq = assembly.interior, assembly.equator
     if slot == "block_m":
         interior = dataclasses.replace(
             interior, block_m=lambda phi, beta: np.sin(beta)[None, :] ** 2
@@ -189,10 +189,8 @@ def test_boundary_positivity_fails_on_nan(slot):
             interior, block_beta=lambda beta: np.where(beta > 1.0, math.nan,
                                                        1.0))
     else:
-        eq = cl.BoundaryForm(normal_coeff=1.0,
-                             h_field=mf.SphereMetricField.from_function(
-                                 _nan_beyond))
-    assembly = dataclasses.replace(assembly, interior=interior, boundary_m=eq)
+        eq = mf.SphereMetricField.from_function(_nan_beyond)
+    assembly = dataclasses.replace(assembly, interior=interior, equator=eq)
     ok, worst = cl.boundary_positivity(assembly)
     assert not ok and math.isnan(worst)
 
@@ -291,7 +289,7 @@ def test_convergence_rate_tracks_exponential_law():
 def test_run_convergence_with_angle_dependent_direction():
     # the cos2 direction makes block_m genuinely phi-dependent; the whole
     # pipeline must still decay to the predicted limit
-    family = fam.FamilySpec(kind="bump", direction="cos2").build()
+    family = fam.bump_family(fam.FamilySpec(direction="cos2"))
     theta = PI_3
     cp = cl.c_prime_bound(family, theta)
     rep = cl.run_convergence(family, theta, [-1.0, cp],
@@ -303,6 +301,8 @@ def test_run_convergence_rejects_bad_inputs():
     family = bump()
     with pytest.raises(DomainError):
         cl.run_convergence(family, HALF_PI, [0.0], [4.0, 4.0])
+    with pytest.raises(DomainError, match="repeats"):
+        cl.run_convergence(family, HALF_PI, [0.5, -1.0, 0.5], [4.0, 6.0])
     with pytest.raises(DomainError):
         cl.run_convergence(family, PI_3, [5.0], [4.0, 6.0])  # b > c'
     with pytest.raises(VerificationError, match="round-collar"):
@@ -324,7 +324,6 @@ def _report(c2_values, boundary=1e-8):
                 "boundary_M_c0": boundary}
                for lp, c2 in zip((4.0, 6.0, 8.0), c2_values)]
     return cl.ConvergenceReport(family_id="synthetic", records=records,
-                                n_phi=8, n_beta=8, beta_margin=0.1,
                                 wall_clock_s=0.0)
 
 
@@ -346,9 +345,9 @@ def test_verify_beta1_claim_defaults():
     family = bump()
     for theta in (HALF_PI, PI_3):
         cp = cl.c_prime_bound(family, theta)
-        params = ht.ReparamParams(theta=theta, b=0.0, B=-1.0, c=1.0,
+        params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
                                   c_prime=cp)
-        params = ht.ReparamParams(theta=theta, b=0.0, B=-1.0, c=1.0,
+        params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
                                   c_prime=cp,
                                   beta1=ht.beta1_threshold(params))
         report = cl.verify_beta1_claim(family, params,
@@ -366,14 +365,14 @@ def test_verify_beta1_claim_stricter_c_prime_for_smaller_theta():
 
 def test_verify_beta1_claim_failure_modes():
     family = bump()
-    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=-1.0, c=1.0,
+    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0,
                               c_prime=0.9, beta1=1.5)
     with pytest.raises(VerificationError, match="never holds"):
         cl.verify_beta1_claim(family, params, np.geomspace(1.0, 40.0, 30))
     with pytest.raises(DomainError, match="unset"):
         cl.verify_beta1_claim(
             family,
-            ht.ReparamParams(theta=HALF_PI, b=0.0, B=-1.0, c=1.0,
+            ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0,
                              c_prime=0.9),
             np.geomspace(1.0, 40.0, 30))
 
@@ -386,9 +385,9 @@ def test_verify_beta1_claim_fails_on_nan_block():
                              hyperbolic_bound=-1.0, interval_bound=1.0,
                              family_id="nan-beyond-1")
     cp = cl.c_prime_bound(bump(), HALF_PI)
-    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=-1.0, c=1.0,
+    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0,
                               c_prime=cp)
-    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=-1.0, c=1.0,
+    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0,
                               c_prime=cp, beta1=ht.beta1_threshold(params))
     with pytest.raises(VerificationError, match="not exactly round"):
         cl.verify_beta1_claim(family, params, np.geomspace(1.0, 40.0, 40))

@@ -25,7 +25,7 @@ def perturbed_space():
         def comp(angles):
             return math.sinh(r) ** 2 * (1.0 + amp * np.cos(angles) ** 2)
         return mf.SphereMetricField.from_function(comp)
-    return mf.RadialMetric(domain=(0.0, 350.0), name="perturbed", _cut=cut)
+    return mf.RadialMetric(name="perturbed", _cut=cut)
 
 
 # ---------------------------------------------------------------------------

@@ -104,15 +104,13 @@ def test_direction_fields():
 
 def test_family_spec_validation():
     with pytest.raises(DomainError):
-        fam.FamilySpec(kind="flat")
+        fam.FamilySpec(support_start=1.0, support_end=-1.0)
     with pytest.raises(DomainError):
-        fam.FamilySpec(kind="bump", support_start=1.0, support_end=-1.0)
-    with pytest.raises(DomainError):
-        fam.FamilySpec(kind="bump", direction="nope")
+        fam.FamilySpec(direction="nope")
 
 
 def test_bump_family_cut_structure():
-    family = fam.FamilySpec(kind="bump").build()
+    family = fam.bump_family(fam.FamilySpec())
     x = np.linspace(-1.5, 1.5, 33)
     # at radius lam + b with b <= B the cut is exactly round
     for b in (-1.0, -2.0, -5.5):
@@ -129,7 +127,7 @@ def test_bump_family_cut_structure():
 
 
 def test_bump_family_limit_oracle_matches_diagonal():
-    family = fam.FamilySpec(kind="bump", direction="cos2").build()
+    family = fam.bump_family(fam.FamilySpec(direction="cos2"))
     x = np.linspace(-1.5, 1.5, 17)
     # dyadic offsets so that (lam + b) - lam reproduces b exactly
     for b in (-0.5, 0.0, 0.75):
@@ -140,7 +138,7 @@ def test_bump_family_limit_oracle_matches_diagonal():
 
 def test_amplitude_positivity_guard():
     with pytest.raises(DomainError):
-        fam.FamilySpec(kind="bump", amplitude=-1.5).build()
+        fam.bump_family(fam.FamilySpec(amplitude=-1.5))
 
 
 def test_hyperbolic_family_is_round_everywhere():

@@ -83,19 +83,19 @@ def _angle_fields():
     """(name, field, bound on |d component / d angle|) of the circle fields
     the pipeline evaluates at angles, plus one with period 2 pi only, which
     tells the two charts apart (cos^2 cannot: its period is pi)."""
-    family = fam.FamilySpec(kind="bump", direction="cos2").build()
+    family = fam.bump_family(fam.FamilySpec(direction="cos2"))
     amp = fam.FamilySpec().amplitude
     cut = family.cut(5.0, 5.0)              # bump profile at its peak, 1
     warped = mf.sinh_warped_radial(cut)
     period_2pi = mf.SphereMetricField.from_function(
-        lambda angles: 2.0 + np.cos(angles), name="2+cos")
+        lambda angles: 2.0 + np.cos(angles))
     return [
         ("round", mf.round_metric(), 0.0),
         ("T-cos2", fam.direction_field("cos2"), 1.0),
         ("bump-cut", cut, amp),
         ("bump-limit", family.limit(0.3), amp),
         ("scaled", mf.scale(cut, 3.7), 3.7 * amp),
-        ("warped", mf.warped_cut(warped, 2.3), math.sinh(2.3) ** 2 * amp),
+        ("warped", warped.cut_at(2.3), math.sinh(2.3) ** 2 * amp),
         ("unwarped", mf.unwarped_cut(warped, 2.3), 1.001 * amp),
         ("2+cos", period_2pi, 1.0),
     ]
@@ -146,13 +146,13 @@ def _window_fields():
     w, u = math.sinh(r) ** 2, math.exp(-2.0 * ht.log_sinh(r))
     hyper = mf.hyperbolic_radial()
     out = [pytest.param(mf.round_metric(), one, id="round"),
-           pytest.param(mf.warped_cut(hyper, r),
+           pytest.param(hyper.cut_at(r),
                         lambda c, x: w * one(c, x), id="hyperbolic-warped"),
            pytest.param(mf.unwarped_cut(hyper, r),
                         lambda c, x: u * (w * one(c, x)),
                         id="hyperbolic-unwarped")]
     for direction, T in (("uniform", one), ("cos2", cos2)):
-        family = fam.FamilySpec(kind="bump", direction=direction).build()
+        family = fam.bump_family(fam.FamilySpec(direction=direction))
         out.append(pytest.param(fam.direction_field(direction), T,
                                 id=f"T-{direction}"))
         # dyadic offsets, so that rho - lam is exactly b
@@ -164,7 +164,7 @@ def _window_fields():
                 id=f"bump-{what}-{direction}"))
         cut = family.cut(2.0, 2.375)
         a = amp * fam.bump_profile(0.375, -1.0, 1.0)
-        base = mf.RadialMetric(domain=(0.0, 350.0), name="base",
+        base = mf.RadialMetric(name="base",
                                _cut=lambda rr, cut=cut: mf.scale(
                                    cut, math.sinh(rr) ** 2))
         out.append(pytest.param(
@@ -191,13 +191,13 @@ def test_grid_components_match_chart_formulas(field, fn, n):
 def _euclidean_radial():
     """g_r = r^2 * round metric (the flat metric in polar form)."""
     sigma = mf.round_metric()
-    return mf.RadialMetric(domain=(0.0, 350.0), name="euclidean",
+    return mf.RadialMetric(name="euclidean",
                            _cut=lambda r: mf.scale(sigma, r * r))
 
 
 def test_euclidean_warped_cut():
     g = _euclidean_radial()
-    cut = mf.warped_cut(g, 2.5)
+    cut = g.cut_at(2.5)
     x = mf.interior_grid(16)
     assert np.allclose(cut.at_angles(x), 2.5 ** 2, rtol=1e-15)
 
@@ -205,7 +205,7 @@ def test_euclidean_warped_cut():
 def test_hyperbolic_cuts():
     g = mf.hyperbolic_radial()
     for r0 in (0.5, 1.0, 3.0):
-        w = mf.warped_cut(g, r0)
+        w = g.cut_at(r0)
         x = mf.interior_grid(8)
         assert np.allclose(w.at_angles(x), math.sinh(r0) ** 2,
                            rtol=1e-15)
@@ -224,7 +224,7 @@ def test_euclidean_unwarped_cut():
 
 def test_sinh_warped_unwarped_cut_constant_in_radius():
     gprime = mf.SphereMetricField.from_function(
-        lambda angles: 1.0 + 0.2 * np.cos(angles) ** 2, name="gprime")
+        lambda angles: 1.0 + 0.2 * np.cos(angles) ** 2)
     g = mf.sinh_warped_radial(gprime)
     x = mf.interior_grid(64)
     ref = gprime.at_angles(x)
@@ -237,7 +237,7 @@ def test_sinh_warped_unwarped_cut_constant_in_radius():
 def test_cut_domain_errors():
     g = mf.hyperbolic_radial()
     with pytest.raises(DomainError):
-        mf.warped_cut(g, -1.0)
+        g.cut_at(-1.0)
     with pytest.raises(DomainError):
         mf.unwarped_cut(g, 0.0)
 
@@ -251,7 +251,7 @@ def test_scale_properties():
     assert np.allclose(twice_half.at_angles(x),
                        sigma.at_angles(x))
     g = mf.hyperbolic_radial()
-    direct = mf.warped_cut(g, 3.0).at_angles(x)
+    direct = g.cut_at(3.0).at_angles(x)
     scaled = mf.scale(sigma, math.sinh(3.0) ** 2).at_angles(x)
     assert np.allclose(direct, scaled, rtol=1e-15)
     with pytest.raises(DomainError):
@@ -458,9 +458,9 @@ def test_c2_sups_cross_term_keeps_subtraction_order(seed):
 def test_c2_distance_max_carries_nan():
     for values in [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0),
                    (0.0, 1.0, math.nan)]:
-        d = mf.C2Distance(*values, grid_resolution=8, fd_step=0.1)
+        d = mf.C2Distance(*values, fd_step=0.1)
         assert math.isnan(d.max())
-    assert mf.C2Distance(1e-3, 2e-3, 0.0, 8, 0.1).max() == 2e-3
+    assert mf.C2Distance(1e-3, 2e-3, 0.0, 0.1).max() == 2e-3
     assert math.isnan(mf.max_carrying_nan(0.0, math.nan))
     assert mf.max_carrying_nan(0.0, -0.0, 3.0) == 3.0
 

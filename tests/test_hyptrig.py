@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +24,6 @@ def test_fixture_table(fixture_table):
         "solve_r": ht.solve_r,
         "solve_t": ht.solve_t,
         "solve_alpha": ht.solve_alpha,
-        "beta_of_r": ht.beta_of_r,
         "reparam": ht.reparam,
         "reparam_inverse": ht.reparam_inverse,
         "vartheta": ht.vartheta,
@@ -37,9 +35,9 @@ def test_fixture_table(fixture_table):
     for name, args, expected in fixture_table:
         if name == "beta1_threshold":
             B, c, c_prime, theta, margin = args
-            params = ht.ReparamParams(theta=theta, b=0.0, B=B, c=c,
-                                      c_prime=c_prime)
-            got = ht.beta1_threshold(params, margin=margin)
+            assert margin == ht.BETA1_MARGIN
+            params = ht.ReparamParams(theta=theta, B=B, c=c, c_prime=c_prime)
+            got = ht.beta1_threshold(params)
         else:
             got = dispatch[name](*args)
         assert rel_err(got, expected) < 1e-13, (name, args, got, expected)
@@ -59,11 +57,6 @@ def test_solve_r_endpoints():
 def test_solve_t_endpoints():
     assert abs(ht.solve_t(3.0, HALF_PI)) < 1e-15
     assert ht.solve_t(3.0, 0.0) == pytest.approx(3.0, rel=1e-14)
-
-
-def test_beta_of_r_endpoints():
-    assert ht.beta_of_r(4.0, 4.0) == pytest.approx(HALF_PI, rel=1e-14)
-    assert ht.beta_of_r(4.0, 0.0) == 0.0
 
 
 def test_solve_alpha_euclidean_limit():
@@ -111,8 +104,8 @@ def test_vartheta_shift_trivials():
     (ht.solve_t, (0.0, 0.3)),
     (ht.solve_alpha, (1.0, 0.0)),
     (ht.solve_alpha, (1.0, HALF_PI)),
-    (ht.beta_of_r, (2.0, 2.5)),
-    (ht.beta_of_r, (2.0, -0.1)),
+    (ht.solve_t, (1.0, -0.1)),
+    (ht.reparam_inverse, (0.0, 1.0)),
     (ht.reparam, (-3.0, 1.0)),
     (ht.reparam, (3.0, 0.0)),
     (ht.reparam, (3.0, HALF_PI + 1e-6)),
@@ -183,39 +176,6 @@ def test_reparam_round_trip(lam, theta):
     assert rel_err(fwd, lam) < 1e-12
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(0.1, 30.0), st.floats(0.01, HALF_PI - 0.01))
-def test_triangle_state_consistency(s, beta):
-    state = ht.TriangleState.from_hypotenuse_angle(s, beta)
-    assert max(state.residuals().values()) < 1e-12
-    # solver inverse pair
-    assert rel_err(ht.beta_of_r(s, state.r), beta) < 1e-10
-
-
-@pytest.mark.parametrize("leg", ["s", "t", "r"])
-def test_triangle_state_validate_fails_on_nan(leg):
-    # a NaN t leaves the law of sines finite: a builtin max fold would
-    # keep that finite residual and pass
-    good = ht.TriangleState.from_hypotenuse_angle(2.0, 0.7)
-    bad = dataclasses.replace(good, **{leg: math.nan})
-    with pytest.raises(VerificationError):
-        bad.validate()
-
-
-def test_triangle_state_from_nan_hypotenuse_fails():
-    # a non-finite hypotenuse or angle is bad input, refused before solving
-    for s, beta in [(math.nan, 0.7), (3.0, math.nan), (math.inf, 0.7),
-                    (-math.inf, 0.7), (3.0, math.inf)]:
-        with pytest.raises(DomainError):
-            ht.TriangleState.from_hypotenuse_angle(s, beta)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(0.2, 600.0), st.floats(0.1, HALF_PI - 0.1))
-def test_beta_of_r_inverts_solve_r(s, beta):
-    assert rel_err(ht.beta_of_r(s, ht.solve_r(s, beta)), beta) < 1e-10
-
-
 def test_solve_r_monotone_in_both_arguments():
     s = np.linspace(0.2, 25.0, 60)
     beta = np.linspace(0.05, HALF_PI - 0.05, 60)
@@ -246,7 +206,7 @@ def test_vartheta_asymptotic_law():
 # ---------------------------------------------------------------------------
 
 def test_beta1_example_case():
-    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=-1.0, c=1.0, c_prime=0.0)
+    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0, c_prime=0.0)
     beta1 = ht.beta1_threshold(params)
     assert beta1 == pytest.approx(math.asin(math.exp(-1.5)), rel=1e-12)
     # the defining inequality on a spot grid
@@ -255,20 +215,19 @@ def test_beta1_example_case():
 
 
 def test_beta1_degenerate_returns_pi_over_4():
-    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=0.5, c=1.0, c_prime=0.2)
+    params = ht.ReparamParams(theta=HALF_PI, B=0.5, c=1.0, c_prime=0.2)
     assert ht.beta1_threshold(params) == pytest.approx(math.pi / 4)
 
 
 def test_beta1_absurdly_low_bound_still_passes():
     # the bound is monotone: pushing B far down just makes beta1 tiny
-    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=-9.0, c=1.0,
-                              c_prime=0.9)
+    params = ht.ReparamParams(theta=HALF_PI, B=-9.0, c=1.0, c_prime=0.9)
     beta1 = ht.beta1_threshold(params)
     assert 0.0 < beta1 < 1e-4
 
 
 def test_beta1_requires_B_below_c():
-    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=1.0, c=1.0, c_prime=0.0)
+    params = ht.ReparamParams(theta=HALF_PI, B=1.0, c=1.0, c_prime=0.0)
     with pytest.raises(DomainError):
         ht.beta1_threshold(params)
 
@@ -280,13 +239,13 @@ def test_beta1_threshold_property(B, theta, c_gap, cp_gap):
     # any admissible (B, c, c', theta) yields a verified angle
     c = B + c_gap
     c_prime = c + math.log(math.sin(theta)) - cp_gap
-    params = ht.ReparamParams(theta=theta, b=0.0, B=B, c=c, c_prime=c_prime)
+    params = ht.ReparamParams(theta=theta, B=B, c=c, c_prime=c_prime)
     beta1 = ht.beta1_threshold(params)
     assert 0.0 < beta1 <= math.pi / 4
 
 
 def test_beta1_verification_failure_raises():
-    params = ht.ReparamParams(theta=HALF_PI, b=0.0, B=-1.0, c=1.0, c_prime=0.0)
+    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0, c_prime=0.0)
     with pytest.raises(VerificationError):
         # sweep from tiny lambda' where the inequality cannot hold yet
         ht.beta1_threshold(params, lambda_min=1e-3)
@@ -294,10 +253,10 @@ def test_beta1_verification_failure_raises():
 
 def test_reparam_params_validation():
     with pytest.raises(DomainError):
-        ht.ReparamParams(theta=0.0, b=0.0, B=-1.0, c=1.0, c_prime=0.0)
+        ht.ReparamParams(theta=0.0, B=-1.0, c=1.0, c_prime=0.0)
     with pytest.raises(DomainError):
         # c_prime bound: requires c' < c + ln sin(theta)
-        ht.ReparamParams(theta=math.pi / 3, b=0.0, B=-1.0, c=1.0, c_prime=0.99)
+        ht.ReparamParams(theta=math.pi / 3, B=-1.0, c=1.0, c_prime=0.99)
 
 
 # ---------------------------------------------------------------------------
