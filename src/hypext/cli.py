@@ -24,7 +24,8 @@ instead); --corrupt formula-beta scales the closed-form beta block by
 1.01 in the oracle suite; --corrupt limit-shift displaces the predicted
 limit in the converge suite; --corrupt beta1-large replaces the verified
 threshold angle by 1.5 in the claim suite.  Each must flip the
-corresponding suite to exit code 1.
+corresponding suite to exit code 1; a hook given to any other suite is
+refused with exit code 2.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ from . import cutlimits as cl
 from . import families as fam
 
 SCHEMA_VERSION = 1
+
+# the suite each negative-control hook corrupts
+CORRUPT_SUITES = {"formula-beta": "oracle", "limit-shift": "converge",
+                  "beta1-large": "claim"}
 
 DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
@@ -520,12 +525,18 @@ def build_parser():
         p.add_argument("--s-values", dest="s_values", type=str, default=None,
                        help="comma list of sphere radii for the oracle suite")
         p.add_argument("--corrupt", type=str, default=None,
-                       choices=("formula-beta", "limit-shift", "beta1-large"),
+                       choices=tuple(CORRUPT_SUITES),
                        help="test-only corruption hooks (negative controls)")
     return parser
 
 
 def resolve_config(args):
+    if args.corrupt is not None and \
+            CORRUPT_SUITES[args.corrupt] != args.command:
+        # a hook the suite never reads would pass silently
+        raise ConfigError(
+            f"--corrupt {args.corrupt} applies to the "
+            f"{CORRUPT_SUITES[args.corrupt]} suite, not {args.command}")
     values = dict(DEFAULTS)
     if args.config:
         values.update(read_config_file(args.config))

@@ -244,11 +244,19 @@ def cut_via_pullback(base, s, phi, beta):
                       block_h_coeff=None, s=s)
 
 
+def _require_same_grid(a, b, who):
+    """Refuse two samples unless they lie on the same (phi, beta) grid
+    with blocks of the same shape."""
+    if a.block_m.shape != b.block_m.shape or not all(
+            x is y or np.array_equal(x, y)
+            for x, y in ((a.phi, b.phi), (a.beta, b.beta))):
+        raise DomainError(f"{who}: sample grids differ")
+
+
 def compare_join(formula, oracle):
     """Blockwise maximum relative errors and the worst off-diagonal entry
     between a closed-form sample and an oracle sample on the same grid."""
-    if formula.block_m.shape != oracle.block_m.shape:
-        raise DomainError("compare_join: sample grids differ")
+    _require_same_grid(formula, oracle, "compare_join")
 
     def rel(a, b):
         return float(np.max(np.abs(a - b) / np.abs(a)))
@@ -265,17 +273,33 @@ def compare_join(formula, oracle):
     return out
 
 
+def _slot_difference(x, y):
+    """x - y, subtracted on one index of every axis along which neither
+    operand varies (stride 0, as in a broadcast sample) and broadcast back
+    to the full read-only shape."""
+    one = tuple(slice(None) if x.strides[ax] or y.strides[ax]
+                else slice(0, 1) for ax in range(x.ndim))
+    return np.broadcast_to(x[one] - y[one], x.shape)
+
+
 def join_c2_distance(a, b):
-    """C^2-style grid distance between join samples: sups of component
-    differences and their central differences, periodic in phi, interior
-    in beta, maximized over sheets and the three component slots."""
-    if a.block_m.shape != b.block_m.shape:
-        raise DomainError("join_c2_distance: sample grids differ")
+    """C^2-style grid distance between join samples on the same grid: sups
+    of component differences and their central differences, periodic in
+    phi, interior in beta, maximized over sheets and the three component
+    slots.
+
+    Each slot is differenced only along the axes where one of the two
+    samples varies: formula samples are broadcast views of one sheet with
+    constant beta and off-diagonal blocks, so their difference is computed
+    once per slot and viewed on every sheet; materialized samples (the
+    pullback oracle) are subtracted in full.
+    """
+    _require_same_grid(a, b, "join_c2_distance")
     hphi, hbeta = a.steps
     c0 = c1 = c2 = 0.0
-    for da in (a.block_m - b.block_m,
-               a.block_beta - b.block_beta,
-               a.offdiag - b.offdiag):
+    for da in (_slot_difference(a.block_m, b.block_m),
+               _slot_difference(a.block_beta, b.block_beta),
+               _slot_difference(a.offdiag, b.offdiag)):
         for sheet in range(da.shape[0]):
             s0, s1, s2 = mf.c2_sups(da[sheet], (hphi, hbeta),
                                     periodic=(True, False))
@@ -283,15 +307,6 @@ def join_c2_distance(a, b):
             c1 = mf.max_carrying_nan(c1, s1)
             c2 = mf.max_carrying_nan(c2, s2)
     return mf.C2Distance(c0=c0, c1=c1, c2=c2, fd_step=hbeta)
-
-
-def round_join_blocks(phi, beta):
-    """The round 2-sphere metric written directly in join coordinates:
-    block_m = sin^2(beta), block_beta = 1."""
-    phi = np.asarray(phi, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    m = np.broadcast_to(np.sin(beta)[None, :] ** 2, (phi.size, beta.size))
-    return m.copy(), np.ones((phi.size, beta.size))
 
 
 def round_metric_in_join_coordinates(phi, beta, sheet=1):

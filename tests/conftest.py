@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -27,3 +28,17 @@ def load_fixture_table():
 @pytest.fixture(scope="session")
 def fixture_table():
     return load_fixture_table()
+
+
+@pytest.fixture(scope="session")
+def round_join_blocks():
+    """The round 2-sphere metric written directly in join coordinates, as
+    a reference: (phi, beta) -> (block_m = sin^2(beta), block_beta = 1),
+    each of shape (n_phi, n_beta)."""
+    def blocks(phi, beta):
+        phi = np.asarray(phi, dtype=float)
+        beta = np.asarray(beta, dtype=float)
+        m = np.broadcast_to(np.sin(beta)[None, :] ** 2,
+                            (phi.size, beta.size))
+        return m.copy(), np.ones((phi.size, beta.size))
+    return blocks

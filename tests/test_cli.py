@@ -92,6 +92,11 @@ def test_angle_parsing():
     ["identities", "--out", "{tmp}/file/sub"],
     # a repeated b is bad input, not a failed decay check
     ["converge", "--grid", "24", "--theta", "pi/2", "--b=0.5,0.5"],
+    # a corruption hook belongs to one suite; elsewhere it would be ignored
+    ["converge", "--grid", "24", "--corrupt", "formula-beta"],
+    ["claim", "--corrupt", "limit-shift"],
+    ["oracle", "--grid", "24", "--corrupt", "beta1-large"],
+    ["identities", "--corrupt", "limit-shift"],
 ])
 def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")

@@ -77,10 +77,10 @@ def test_collar_check_guards():
 # extension family cut
 # ---------------------------------------------------------------------------
 
-def test_round_family_gives_round_join_metric():
+def test_round_family_gives_round_join_metric(round_join_blocks):
     family = hyper()
     phi, beta = ext.join_grid(16, 12)
-    ref_m, ref_b = ext.round_join_blocks(phi, beta)
+    ref_m, ref_b = round_join_blocks(phi, beta)
     for theta in (HALF_PI, PI_3):
         for lp, b in [(4.0, 0.0), (7.0, -1.2), (10.0, 0.7)]:
             cut = cl.extension_family_cut(family, theta, lp, b)
@@ -121,10 +121,10 @@ def test_region_exactness():
 # predicted limit
 # ---------------------------------------------------------------------------
 
-def test_predicted_limit_round_family():
+def test_predicted_limit_round_family(round_join_blocks):
     family = hyper()
     phi, beta = ext.join_grid(16, 12)
-    ref_m, ref_b = ext.round_join_blocks(phi, beta)
+    ref_m, ref_b = round_join_blocks(phi, beta)
     for theta, b in [(HALF_PI, 0.0), (PI_3, -2.0), (0.4, 5.0)]:
         assembly = cl.predicted_limit(family, theta, b)
         sample = assembly.interior.sample(phi, beta)

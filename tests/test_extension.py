@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,10 +33,10 @@ def perturbed_space():
 # closed-form cut: round-sphere recovery and scaling law
 # ---------------------------------------------------------------------------
 
-def test_round_sphere_recovery():
+def test_round_sphere_recovery(round_join_blocks):
     base = hyperbolic_space()
     phi, beta = ext.join_grid(24, 20)
-    ref_m, ref_b = ext.round_join_blocks(phi, beta)
+    ref_m, ref_b = round_join_blocks(phi, beta)
     for s in (1.0, 3.0, 6.0):
         cut = ext.cut_via_formula(base, s, unwarped=True)
         sample = cut.sample(phi, beta)
@@ -159,6 +160,71 @@ def test_join_sample_views_give_unchanged_results():
     oracle = ext.cut_via_pullback(base, 1.0, phi, beta)
     assert ext.compare_join(formula, oracle) == ext.compare_join(
         materialized(formula), oracle)
+
+
+def test_join_c2_distance_broadcast_against_materialized():
+    base = perturbed_space()
+    phi, beta = ext.join_grid(16, 12)
+    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
+    b = ext.cut_via_formula(base, 2.5, unwarped=True).sample(phi, beta)
+    full = ext.join_c2_distance(materialized(a), materialized(b))
+    assert full.c0 > 0
+    assert ext.join_c2_distance(materialized(a), b) == full
+    assert ext.join_c2_distance(b, materialized(a)) == ext.join_c2_distance(
+        materialized(b), materialized(a))
+
+
+def test_join_c2_distance_sees_a_second_sheet_that_alone_differs():
+    base = perturbed_space()
+    phi, beta = ext.join_grid(16, 12)
+    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
+    for slot in ("block_m", "block_beta", "offdiag"):
+        odd = materialized(a)
+        getattr(odd, slot)[1, 5, 6] += 1e-3
+        for d in (ext.join_c2_distance(odd, a), ext.join_c2_distance(a, odd)):
+            assert d.c0 == pytest.approx(1e-3, rel=1e-9)
+            assert d.c2 > 0
+
+
+def test_join_c2_distance_peak_allocation():
+    # a formula sample is one block_m sheet viewed on both sheets, with
+    # constant beta and off-diagonal blocks: its differences cost one
+    # sheet, not a full (2, n_phi, n_beta) array per slot (11 sheets in all
+    # when every slot was subtracted in full)
+    base = perturbed_space()
+    phi, beta = ext.join_grid(64, 128)
+    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
+    b = ext.cut_via_formula(base, 2.5, unwarped=True).sample(phi, beta)
+    sheet_bytes = phi.size * beta.size * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base_mem = tracemalloc.get_traced_memory()[0]
+        ext.join_c2_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base_mem
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * sheet_bytes
+
+
+def test_join_c2_distance_and_compare_join_refuse_a_shifted_grid():
+    base = perturbed_space()
+    phi, beta = ext.join_grid(16, 12)
+    a = ext.cut_via_formula(base, 2.0, unwarped=False).sample(phi, beta)
+    for phi2, beta2 in ((phi + 0.3, beta), (phi, 0.5 * beta + 0.1),
+                        (phi + 0.3, 0.5 * beta + 0.1)):
+        b = ext.cut_via_formula(base, 2.0, unwarped=False).sample(phi2, beta2)
+        assert b.block_m.shape == a.block_m.shape
+        with pytest.raises(DomainError):
+            ext.join_c2_distance(a, b)
+        with pytest.raises(DomainError):
+            ext.join_c2_distance(b, a)
+        with pytest.raises(DomainError):
+            ext.compare_join(a, ext.cut_via_pullback(base, 2.0, phi2, beta2))
+    # equal grids in distinct arrays are the same grid
+    twin = ext.cut_via_formula(base, 2.0, unwarped=False).sample(
+        phi.copy(), beta.copy())
+    assert ext.join_c2_distance(a, twin).max() == 0.0
 
 
 def test_join_c2_distance_carries_nan():
