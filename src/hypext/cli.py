@@ -1,21 +1,27 @@
 """Command-line front end for the identity, oracle, convergence and
 small-angle-claim suites.
 
-Subcommands
------------
-identities   triangle and reparametrization identities on random grids,
-             plus the polar coordinate identity (finite-difference and
-             closed-form derivative variants)
-oracle       closed-form cut vs finite-difference pullback, per family
-converge     cut-limit convergence of reparametrized extension families
-claim        small-angle threshold: inequality sweep plus exact-roundness
+Subcommands and the flags each takes besides --config and --out
+---------------------------------------------------------------
+identities   --seed, --fd-step: triangle and reparametrization identities
+             on random grids, plus the polar coordinate identity
+             (finite-difference and closed-form derivative variants)
+oracle       --family, --grid, --s-values: closed-form cut vs
+             finite-difference pullback, per family
+converge     --family, --theta, --b, --lambda-prime, --grid: cut-limit
+             convergence of reparametrized extension families
+claim        --family, --theta: small-angle threshold, inequality sweep
+             plus exact-roundness
 
-Configuration is a flat ``key = value`` text file (see DEFAULTS for the
-schema; the file must carry ``schema_version = 1``); command-line flags
-override file keys.  Every suite writes report.jsonl, report.csv and
-summary.txt into --out, atomically, and byte-identically for identical
-configuration (including the seed).  Exit codes: 0 all assertions passed,
-1 an assertion failed, 2 usage or configuration error.
+Every configuration key has one row in KEYS: its default and the parser
+that each of its values, from the defaults, a flag or a flat
+``key = value`` file (--config; it must carry ``schema_version = 1``),
+goes through once.  Flags override file keys, and file keys serve every
+suite; a flag a suite does not read is refused.  RunConfig.validate checks
+every key whichever suite runs.  Every suite writes report.jsonl,
+report.csv and summary.txt into --out, atomically, and byte-identically
+for identical configuration (including the seed).  Exit codes: 0 all
+assertions passed, 1 an assertion failed, 2 usage or configuration error.
 
 Negative-control hooks (test-only, documented here on purpose): a coarse
 --fd-step 0.02 breaks the identities suite's tolerance (steps so large
@@ -24,8 +30,7 @@ instead); --corrupt formula-beta scales the closed-form beta block by
 1.01 in the oracle suite; --corrupt limit-shift displaces the predicted
 limit in the converge suite; --corrupt beta1-large replaces the verified
 threshold angle by 1.5 in the claim suite.  Each must flip the
-corresponding suite to exit code 1; a hook given to any other suite is
-refused with exit code 2.
+corresponding suite to exit code 1; only that suite takes the hook.
 """
 
 from __future__ import annotations
@@ -49,46 +54,14 @@ from . import families as fam
 
 SCHEMA_VERSION = 1
 
-# the suite each negative-control hook corrupts
-CORRUPT_SUITES = {"formula-beta": "oracle", "limit-shift": "converge",
-                  "beta1-large": "claim"}
-
-DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "family": "bump",
-    "theta": "pi/2,pi/3",
-    "b": "auto",
-    "lambda_prime": "4,6,8,10",
-    "grid": 96,
-    "seed": 0,
-    "out": "out",
-    "fd_step": "auto",
-    "s_values": "1,3,6",
-    "bump_support_start": -1.0,
-    "bump_support_end": 1.0,
-    "bump_amplitude": 0.05,
-    "bump_direction": "uniform",
-    "bump_base_lambda": 2.0,
-    "s_min": 0.1,
-    "s_max": 30.0,
-    "beta_min": 0.01,
-    "beta_max": math.pi / 2 - 0.01,
-    "claim_lambda_max": 700.0,
-}
-
-_INT_KEYS = {"schema_version", "grid", "seed"}
-_FLOAT_KEYS = {"bump_support_start", "bump_support_end", "bump_amplitude",
-               "bump_base_lambda", "s_min", "s_max", "beta_min", "beta_max",
-               "claim_lambda_max"}
-
-
 # largest grid resolution accepted: the converge suite holds several
 # (grid/2) x grid x 2 arrays at once
 GRID_MAX = 2048
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(argparse.ArgumentTypeError):
+    """Bad configuration; argparse reports one raised by a flag's parser
+    as a usage error."""
 
 
 def _finite(value, what):
@@ -114,22 +87,60 @@ def parse_angle(tok):
     return _finite(val, "angle")
 
 
-def _parse_floats(text, what):
-    """A comma list of finite floats; anything else is a ConfigError."""
-    try:
-        vals = [float(t) for t in str(text).split(",")]
-    except ValueError:
-        raise ConfigError(f"bad {what} list {text!r}") from None
-    return [_finite(v, what) for v in vals]
+def _number(kind):
+    """Parser of one int, or of one finite float."""
+    def parse(text):
+        try:
+            return _finite(kind(text), "number")
+        except ValueError:
+            raise ConfigError(f"bad {kind.__name__} {text!r}") from None
+    return parse
 
 
-def _parse_value(key, raw):
-    raw = raw.strip()
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+def _list(parse):
+    """Parser of a comma list, each item by ``parse``."""
+    return lambda text: [parse(t) for t in text.split(",")]
+
+
+def _auto(parse):
+    """Parser of 'auto' (None) or of one ``parse`` value."""
+    return lambda text: None if text == "auto" else parse(text)
+
+
+_int, _float = _number(int), _number(float)
+
+
+def _schema_version(text):
+    if _int(text) != SCHEMA_VERSION:
+        raise ConfigError(f"{text} is not supported (expected "
+                          f"{SCHEMA_VERSION})")
+    return SCHEMA_VERSION
+
+
+# every configuration key: its default and its parser
+KEYS = {
+    "schema_version": (SCHEMA_VERSION, _schema_version),
+    "family": ("bump", str),
+    "theta": ("pi/2,pi/3", _list(parse_angle)),
+    "b": ("auto", _auto(_list(_float))),
+    "lambda_prime": ("4,6,8,10", _list(_float)),
+    "grid": (96, _int),
+    "seed": (0, _int),
+    "out": ("out", Path),
+    "fd_step": ("auto", _auto(_float)),
+    "s_values": ("1,3,6", _list(_float)),
+    "bump_support_start": (-1.0, _float),
+    "bump_support_end": (1.0, _float),
+    "bump_amplitude": (0.05, _float),
+    "bump_direction": ("uniform", str),
+    "bump_base_lambda": (2.0, _float),
+    "s_min": (0.1, _float),
+    "s_max": (30.0, _float),
+    "beta_min": (0.01, _float),
+    "beta_max": (math.pi / 2 - 0.01, _float),
+    "claim_lambda_max": (700.0, _float),
+}
+DEFAULTS = {key: default for key, (default, _) in KEYS.items()}
 
 
 def read_config_file(path):
@@ -146,27 +157,25 @@ def read_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (t.strip() for t in line.split("=", 1))
-        if key not in DEFAULTS:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(key, raw)
-        except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}")
-    if values.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}: schema_version {values.get('schema_version')} is "
-            f"not supported (expected {SCHEMA_VERSION})")
+            values[key] = KEYS[key][1](raw)
+        except ConfigError as e:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value for {key}: {e}") from None
     return values
 
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters shared by the suites."""
+    """Resolved run parameters: one field per configuration key but
+    schema_version ('auto' is None), and the corruption hook."""
 
     family: str
-    thetas: list
-    b_values: list | None     # None: the "auto" grid
-    lambda_primes: list
+    theta: list
+    b: list | None
+    lambda_prime: list
     grid: int
     seed: int
     out: Path
@@ -182,40 +191,47 @@ class RunConfig:
     beta_min: float
     beta_max: float
     claim_lambda_max: float
-    corrupt: str | None = None
+    corrupt: str | None
 
     def validate(self):
-        """Refuse any value a suite cannot run: every number finite, every
-        angle, radius, step and seed in its range."""
-        for key in sorted(_FLOAT_KEYS):
-            _finite(getattr(self, key), key)
+        """Refuse any value some suite cannot run, whichever suite runs:
+        every angle, radius, range, step and seed in its range, and the
+        bump keys by the FamilySpec rules.  The parsers have refused
+        every non-finite number."""
         if self.family not in ("hyperbolic", "bump"):
             raise ConfigError(f"unknown family {self.family!r}")
-        if not self.thetas:
-            raise ConfigError("theta list is empty")
-        for th in self.thetas:
+        for th in self.theta:
             if not (0.0 < th <= math.pi / 2):
                 raise ConfigError(f"theta {th} outside (0, pi/2]")
-        if not self.lambda_primes or sorted(self.lambda_primes) != \
-                self.lambda_primes:
-            raise ConfigError("lambda_prime grid must be nonempty and sorted")
-        if self.lambda_primes[0] <= 0.0:
+        if sorted(self.lambda_prime) != self.lambda_prime:
+            raise ConfigError("lambda_prime grid must be sorted")
+        if self.lambda_prime[0] <= 0.0:
             raise ConfigError(
-                f"lambda_prime {self.lambda_primes[0]} must be > 0")
+                f"lambda_prime {self.lambda_prime[0]} must be > 0")
         if not 24 <= self.grid <= GRID_MAX:
             raise ConfigError(
                 f"grid resolution {self.grid} outside [24, {GRID_MAX}]")
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} must be >= 0")
-        if self.fd_step is not None and not (
-                math.isfinite(self.fd_step) and self.fd_step > 0.0):
-            raise ConfigError(f"fd_step {self.fd_step} must be finite "
-                              "and > 0")
-        for s in self.s_values:
+        if self.fd_step is not None and not self.fd_step > 0.0:
+            raise ConfigError(f"fd_step {self.fd_step} must be > 0")
+        for s in (*self.s_values, self.s_min, self.s_max):
             if not 0.0 < s < mf.RADIUS_MAX:
                 raise ConfigError(
                     f"s value {s} outside the base's radial domain "
                     f"(0, {mf.RADIUS_MAX:g})")
+        if not self.s_min <= self.s_max:
+            raise ConfigError(f"s_min {self.s_min} exceeds s_max "
+                              f"{self.s_max}")
+        if not 0.0 <= self.beta_min <= self.beta_max <= math.pi / 2:
+            raise ConfigError(
+                f"beta range [{self.beta_min}, {self.beta_max}] is not "
+                "an interval in [0, pi/2]")
+        if not self.claim_lambda_max > 1.0:
+            raise ConfigError(
+                f"claim_lambda_max {self.claim_lambda_max} must be > 1, "
+                "the start of the claim sweep")
+        self.bump_spec()
         # the reports go into out, or into a directory made there: the
         # nearest existing path must be a directory
         existing = next((p for p in (self.out, *self.out.parents)
@@ -224,30 +240,32 @@ class RunConfig:
             raise ConfigError(f"output path {existing} exists and is not "
                               "a directory")
 
+    def bump_spec(self):
+        """The bump family's recipe from the bump keys."""
+        return fam.FamilySpec(
+            support_start=self.bump_support_start,
+            support_end=self.bump_support_end,
+            amplitude=self.bump_amplitude, direction=self.bump_direction)
+
     def b_grid(self, family, theta):
         """Resolve the b grid for one theta, refusing values beyond c'."""
         cp = cl.c_prime_bound(family, theta)
-        if self.b_values is None:
+        if self.b is None:
             top = cp if math.isfinite(cp) else 1.0
             return list(np.linspace(-2.0, top, 5))
-        bs = self.b_values
-        beyond = [b for b in bs if b > cp]
+        beyond = [b for b in self.b if b > cp]
         if beyond:
             raise ConfigError(
                 f"b values {beyond} exceed c' = {cp:.6g} for theta = "
                 f"{theta:.6g}: the reparametrized family has no predicted "
                 "limit there (requires b <= c + ln sin(theta) - margin)")
-        return bs
+        return self.b
 
 
 def build_family(cfg):
     if cfg.family == "hyperbolic":
         return fam.hyperbolic_family()
-    return fam.bump_family(fam.FamilySpec(
-        support_start=cfg.bump_support_start,
-        support_end=cfg.bump_support_end,
-        amplitude=cfg.bump_amplitude,
-        direction=cfg.bump_direction))
+    return fam.bump_family(cfg.bump_spec())
 
 
 def build_base_metric(cfg):
@@ -410,10 +428,10 @@ def cmd_converge(cfg):
     n_beta = cfg.grid
     n_phi = max(16, cfg.grid // 2)
     reports = []
-    for theta in cfg.thetas:
+    for theta in cfg.theta:
         bs = cfg.b_grid(family, theta)
         rep = cl.run_convergence(
-            family, theta, bs, cfg.lambda_primes,
+            family, theta, bs, cfg.lambda_prime,
             n_phi=n_phi, n_beta=n_beta,
             corrupt_limit=1e-3 if cfg.corrupt == "limit-shift" else 0.0)
         reports.append(rep)
@@ -450,7 +468,7 @@ def cmd_claim(cfg):
         B, c = 0.0, 1.0
     records, summary = [], []
     all_ok = True
-    for theta in cfg.thetas:
+    for theta in cfg.theta:
         cp = c + math.log(math.sin(theta)) - cl.C_PRIME_MARGIN
         params = ht.ReparamParams(theta=theta, B=B, c=c, c_prime=cp)
         beta1 = None
@@ -494,82 +512,49 @@ def cmd_claim(cfg):
 # argument handling
 # ---------------------------------------------------------------------------
 
+# each suite: its function, the keys it takes as flags besides --out, and
+# its negative-control hook
+SUITES = {
+    "identities": (cmd_identities, ("seed", "fd_step"), None),
+    "oracle": (cmd_oracle, ("family", "grid", "s_values"), "formula-beta"),
+    "converge": (cmd_converge, ("family", "theta", "b", "lambda_prime",
+                                "grid"), "limit-shift"),
+    "claim": (cmd_claim, ("family", "theta"), "beta1-large"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hypext",
         description="identity, oracle, convergence and claim suites for "
                     "hyperbolic-extension cut limits")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("identities", cmd_identities), ("oracle", cmd_oracle),
-                     ("converge", cmd_converge), ("claim", cmd_claim)):
+    for name, (fn, keys, hook) in SUITES.items():
         p = sub.add_parser(name)
-        p.set_defaults(func=fn)
-        p.add_argument("--config", type=str, default=None,
+        p.set_defaults(func=fn, corrupt=None)
+        p.add_argument("--config",
                        help="flat key = value configuration file")
-        p.add_argument("--theta", type=str, default=None,
-                       help="comma list of angles (pi/2, pi/3, 0.9, ...)")
-        p.add_argument("--lambda-prime", dest="lambda_prime", type=str,
-                       default=None, help="comma list of sphere radii")
-        p.add_argument("--b", type=str, default=None,
-                       help="comma list of cut offsets, or 'auto'; use the "
-                            "--b=-2,-1 form for values starting with a minus")
-        p.add_argument("--family", type=str, default=None,
-                       choices=("hyperbolic", "bump"))
-        p.add_argument("--out", type=str, default=None,
-                       help="output directory")
-        p.add_argument("--grid", type=int, default=None,
-                       help="grid resolution")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--fd-step", dest="fd_step", type=float, default=None,
-                       help="finite-difference step override")
-        p.add_argument("--s-values", dest="s_values", type=str, default=None,
-                       help="comma list of sphere radii for the oracle suite")
-        p.add_argument("--corrupt", type=str, default=None,
-                       choices=tuple(CORRUPT_SUITES),
-                       help="test-only corruption hooks (negative controls)")
+        for key in ("out", *keys):
+            # a flag left out stays out of the namespace, so that a file
+            # key is overridden only by a flag that is given
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=KEYS[key][1], default=argparse.SUPPRESS,
+                           help=f"the {key} key (default {DEFAULTS[key]})")
+        if hook:
+            p.add_argument("--corrupt", choices=(hook,),
+                           help="test-only negative-control hook")
     return parser
 
 
 def resolve_config(args):
-    if args.corrupt is not None and \
-            CORRUPT_SUITES[args.corrupt] != args.command:
-        # a hook the suite never reads would pass silently
-        raise ConfigError(
-            f"--corrupt {args.corrupt} applies to the "
-            f"{CORRUPT_SUITES[args.corrupt]} suite, not {args.command}")
-    values = dict(DEFAULTS)
-    if args.config:
-        values.update(read_config_file(args.config))
-    overrides = {
-        "theta": args.theta, "lambda_prime": args.lambda_prime, "b": args.b,
-        "family": args.family, "out": args.out, "grid": args.grid,
-        "seed": args.seed, "s_values": args.s_values,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    fd_step = args.fd_step
-    if fd_step is None and values["fd_step"] != "auto":
-        fd_step = float(values["fd_step"])
-    b = str(values["b"])
-    cfg = RunConfig(
-        family=str(values["family"]),
-        thetas=[parse_angle(t) for t in str(values["theta"]).split(",")],
-        b_values=None if b == "auto" else _parse_floats(b, "b"),
-        lambda_primes=_parse_floats(values["lambda_prime"], "lambda_prime"),
-        grid=int(values["grid"]), seed=int(values["seed"]),
-        out=Path(values["out"]), fd_step=fd_step,
-        s_values=_parse_floats(values["s_values"], "s value"),
-        bump_support_start=float(values["bump_support_start"]),
-        bump_support_end=float(values["bump_support_end"]),
-        bump_amplitude=float(values["bump_amplitude"]),
-        bump_direction=str(values["bump_direction"]),
-        bump_base_lambda=float(values["bump_base_lambda"]),
-        s_min=float(values["s_min"]), s_max=float(values["s_max"]),
-        beta_min=float(values["beta_min"]), beta_max=float(values["beta_max"]),
-        claim_lambda_max=float(values["claim_lambda_max"]),
-        corrupt=args.corrupt,
-    )
+    """The run configuration: each key from its flag, else its --config
+    file line, else its default, then validated."""
+    given = read_config_file(args.config) if args.config else {}
+    given.update((k, v) for k, v in vars(args).items() if k in KEYS)
+    values = {key: given[key] if key in given else parse(str(default))
+              for key, (default, parse) in KEYS.items()}
+    del values["schema_version"]   # checked by its parser
+    cfg = RunConfig(**values, corrupt=args.corrupt)
     cfg.validate()
     return cfg
 

@@ -67,17 +67,17 @@ class MetricFamily:
     """A lambda-indexed family of centered metrics, given by unwarped cuts.
 
     ``cut(lam, rho)`` is the unwarped cut of the member lam at radius rho;
-    ``limit(b)``, when present, is the C^2 limit of the diagonal cuts at
-    radius lam + b; ``hyperbolic_bound`` is the collar bound B (math.inf
-    for a family that is round at every radius); ``interval_bound`` is the
-    largest b for which the limit oracle is controlled (the cut-limit
-    interval is (-inf, interval_bound]).
+    ``limit(b)`` is the C^2 limit of the diagonal cuts at radius lam + b;
+    ``hyperbolic_bound`` is the collar bound B (math.inf for a family that
+    is round at every radius); ``interval_bound`` is the largest b for
+    which the limit oracle is controlled (the cut-limit interval is
+    (-inf, interval_bound]).
     """
 
     cut: object
     lambda_min: float
-    hyperbolic_bound: float | None = None
-    limit: object = None
+    hyperbolic_bound: float
+    limit: object
     interval_bound: float = math.inf
     family_id: str = ""
 
@@ -142,8 +142,6 @@ class LimitAssembly:
     (whose normal block is EQUATOR_NORMAL_COEFF), which the degenerate
     join chart is never asked to produce."""
 
-    b: float
-    theta: float
     interior: JoinMetricField
     equator: object
 
@@ -166,9 +164,6 @@ def predicted_limit(family, theta, b):
     ln sin(theta) - C_PRIME_MARGIN is refused: past it the shifted index
     leaves the interval where the family's limits are controlled.
     """
-    if family.limit is None:
-        raise DomainError(
-            f"family {family.family_id!r} declares no limit oracle")
     cp = c_prime_bound(family, theta)
     if b > cp:
         raise DomainError(
@@ -179,22 +174,8 @@ def predicted_limit(family, theta, b):
     interior = unwarped_join_field(
         lambda beta: family.limit(
             b + math.log(math.sin(beta) / math.sin(theta))), None)
-    return LimitAssembly(b=b, theta=theta, interior=interior,
-                         equator=family.limit(b - math.log(math.sin(theta))))
-
-
-def boundary_positivity(assembly):
-    """Positivity of the assembled limit: interior blocks on the join
-    grid and the equator's base-circle field.  The polar form (flat) and
-    the equator's normal block (EQUATOR_NORMAL_COEFF) are positive
-    constants."""
-    phi, beta = join_grid(32, 48)
-    sample = assembly.interior.sample(phi, beta)
-    _, eq_min = mf.positivity_check(assembly.equator, BOUNDARY_RESOLUTION)
-    worst = mf.min_carrying_nan(
-        float(np.min(sample.block_m)), float(np.min(sample.block_beta)),
-        eq_min)
-    return worst > 0.0, worst
+    return LimitAssembly(interior,
+                         family.limit(b - math.log(math.sin(theta))))
 
 
 @dataclass
@@ -231,12 +212,7 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     repeated = sorted({x for x, y in zip(b_grid, b_grid[1:]) if x == y})
     if repeated:
         raise DomainError(f"b grid repeats the values {repeated}")
-    if family.limit is None:
-        raise DomainError("run_convergence requires a family limit oracle")
-
     bound = family.hyperbolic_bound
-    if bound is None:
-        raise DomainError("run_convergence requires a declared collar bound")
     b_check = 0.0 if math.isinf(bound) else bound
     lam_lo = max(family.lambda_min + 0.5, 2.0, 2.0 - b_check)
     lam_check = [lam_lo, lam_lo + 4.0]

@@ -84,7 +84,7 @@ def test_angle_parsing():
     ["identities", "--fd-step", "0"],
     ["identities", "--fd-step", "-0.001"],
     ["identities", "--fd-step", "nan"],
-    ["identities", "--grid", "100000"],
+    ["converge", "--grid", "100000"],
     # unusable paths; {tmp} holds the file "file" and nothing else
     ["identities", "--config", "{tmp}/missing.cfg"],
     ["identities", "--config", "{tmp}"],
@@ -92,7 +92,7 @@ def test_angle_parsing():
     ["identities", "--out", "{tmp}/file/sub"],
     # a repeated b is bad input, not a failed decay check
     ["converge", "--grid", "24", "--theta", "pi/2", "--b=0.5,0.5"],
-    # a corruption hook belongs to one suite; elsewhere it would be ignored
+    # a corruption hook belongs to one suite; no other suite takes it
     ["converge", "--grid", "24", "--corrupt", "formula-beta"],
     ["claim", "--corrupt", "limit-shift"],
     ["oracle", "--grid", "24", "--corrupt", "beta1-large"],
@@ -116,6 +116,17 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     ("converge", "bump_support_end = inf"),
     ("oracle", "bump_base_lambda = nan"),
     ("identities", "fd_step = 0"),
+    # the identities ranges: ordered, s inside the base's radial domain
+    ("identities", "s_min = 50"),
+    ("identities", "s_max = 1000"),
+    ("identities", "s_min = 0"),
+    ("identities", "beta_max = 0.005"),
+    # every key is checked whichever suite runs; the claim sweep starts
+    # at lambda' = 1
+    ("identities", "bump_direction = foo"),
+    ("identities", "bump_support_start = 2"),
+    ("claim", "claim_lambda_max = 0.5"),
+    ("claim", "claim_lambda_max = -5"),
     # the extension rank and the base dimension are fixed (1 and 2): they
     # are not configuration keys
     ("converge", "k = 1"),
@@ -124,13 +135,68 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
 def test_non_finite_config_file_value_is_exit_2(tmp_path, capsys, suite,
                                                 line):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(f"schema_version = 1\n{line}\n")
-    assert run([suite, "--config", str(cfgfile), "--grid", "24",
+    # the grid is a file key, since not every suite takes --grid
+    cfgfile.write_text(f"schema_version = 1\ngrid = 24\n{line}\n")
+    assert run([suite, "--config", str(cfgfile),
                 "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "hypext" in err and "Traceback" not in err
     if line.split("=")[0].strip() not in cli.DEFAULTS:
         assert "unknown key" in err
+
+
+# the flags of each suite besides --config and --out (README "Command
+# line"), each with a value the suite accepts
+SUITE_FLAGS = {
+    "identities": {"--seed": "1", "--fd-step": "0.001"},
+    "oracle": {"--family": "bump", "--grid": "48", "--s-values": "1"},
+    "converge": {"--family": "bump", "--theta": "pi/2", "--b": "0",
+                 "--lambda-prime": "4,6", "--grid": "48"},
+    "claim": {"--family": "bump", "--theta": "pi/2"},
+}
+FLAG_VALUES = {flag: value for flags in SUITE_FLAGS.values()
+               for flag, value in flags.items()}
+
+
+@pytest.mark.parametrize("suite,flag", [
+    (suite, flag) for suite in sorted(SUITE_FLAGS)
+    for flag in sorted(FLAG_VALUES) if flag not in SUITE_FLAGS[suite]])
+def test_flag_a_suite_does_not_read_is_exit_2(tmp_path, capsys, suite,
+                                              flag):
+    out = tmp_path / "out"
+    assert run([suite, flag, FLAG_VALUES[flag], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "hypext" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite,key,value", [
+    ("converge", "grid", "48"),
+    ("converge", "theta", "pi/3,0.9"),
+    ("converge", "b", "-1,0.5"),
+    ("converge", "lambda_prime", "4,6"),
+    ("oracle", "family", "hyperbolic"),
+    ("oracle", "s_values", "1,3"),
+    ("identities", "seed", "5"),
+    ("identities", "fd_step", "0.001"),
+])
+def test_flag_file_line_and_default_resolve_alike(tmp_path, suite, key,
+                                                  value):
+    def resolved(*argv):
+        args = cli.build_parser().parse_args(
+            [suite, "--out", str(tmp_path / "out"), *argv])
+        return cli.resolve_config(args)
+
+    flag = "--" + key.replace("_", "-")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"schema_version = 1\n{key} = {value}\n")
+    default = resolved()
+    assert resolved(f"{flag}={value}") == resolved("--config", str(cfgfile))
+    assert resolved(f"{flag}={value}") != default
+    # the default given as a flag, alone or over the file line
+    assert resolved(f"{flag}={cli.DEFAULTS[key]}") == default
+    assert resolved("--config", str(cfgfile),
+                    f"{flag}={cli.DEFAULTS[key]}") == default
 
 
 # ---------------------------------------------------------------------------
@@ -142,26 +208,31 @@ def _listed(tokens):
                     max_size=3).map(",".join)
 
 
-def _flag(name, values):
-    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+def _flag(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
 
 
-_argv = st.tuples(
-    st.sampled_from(["identities", "oracle", "converge", "claim"]),
-    _flag("family", st.sampled_from(["bump", "hyperbolic"])),
-    _flag("theta", _listed(["pi/2", "pi/3", "pi/6", "0.9", "pi/0", "nan",
-                            "0", "pi", "-1", "inf"])),
-    _flag("b", st.one_of(st.just("auto"), _listed(
-        ["-2", "-1", "0", "0.5", "3", "nan", "inf", "-inf", "x"]))),
-    _flag("lambda-prime", _listed(["4", "6", "10", "0", "-1", "nan", "inf",
-                                   "1e6"])),
-    _flag("s-values", _listed(["1", "3", "0.01", "0", "-1", "349", "350",
-                               "800", "nan"])),
-    _flag("seed", st.integers(-3, 50).map(str)),
-    _flag("fd-step", st.sampled_from(["0", "-0.001", "0.02", "1e-3",
-                                      "1e-300", "0.5", "nan", "inf"])),
-    _flag("grid", st.integers(-1, 48).map(str)),
-).map(lambda parts: [parts[0]] + [a for flag in parts[1:] for a in flag])
+_FLAG_DRAWS = {
+    "--family": st.sampled_from(["bump", "hyperbolic"]),
+    "--theta": _listed(["pi/2", "pi/3", "pi/6", "0.9", "pi/0", "nan", "0",
+                        "pi", "-1", "inf"]),
+    "--b": st.one_of(st.just("auto"), _listed(
+        ["-2", "-1", "0", "0.5", "3", "nan", "inf", "-inf", "x"])),
+    "--lambda-prime": _listed(["4", "6", "10", "0", "-1", "nan", "inf",
+                               "1e6"]),
+    "--s-values": _listed(["1", "3", "0.01", "0", "-1", "349", "350", "800",
+                           "nan"]),
+    "--seed": st.integers(-3, 50).map(str),
+    "--fd-step": st.sampled_from(["0", "-0.001", "0.02", "1e-3", "1e-300",
+                                  "0.5", "nan", "inf"]),
+    "--grid": st.integers(-1, 48).map(str),
+}
+
+# a suite and some of its own flags, so that every example reaches it
+_argv = st.sampled_from(sorted(SUITE_FLAGS)).flatmap(
+    lambda suite: st.tuples(*(_flag(flag, _FLAG_DRAWS[flag])
+                              for flag in SUITE_FLAGS[suite]))
+    .map(lambda flags: [suite] + [a for flag in flags for a in flag]))
 
 
 @settings(max_examples=40, deadline=None)

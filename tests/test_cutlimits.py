@@ -154,47 +154,6 @@ def test_predicted_limit_refuses_b_beyond_c_prime():
     assert cl.c_prime_bound(hyper(), PI_3) == math.inf
 
 
-def test_predicted_limit_requires_oracle():
-    family = cl.MetricFamily(cut=hyper().cut,
-                             lambda_min=0.5, hyperbolic_bound=math.inf,
-                             limit=None, family_id="no-oracle")
-    with pytest.raises(DomainError, match="oracle"):
-        cl.predicted_limit(family, HALF_PI, 0.0)
-
-
-def test_boundary_positivity():
-    for family in (hyper(), bump()):
-        for theta, b in [(HALF_PI, 0.5), (PI_3, -1.0)]:
-            assembly = cl.predicted_limit(family, theta, b)
-            ok, worst = cl.boundary_positivity(assembly)
-            assert ok and worst > 0.0
-
-
-def _nan_beyond(x, value=1.0):
-    """A component array that is NaN where the angle |x| > 1."""
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) > 1.0, math.nan, value)
-
-
-@pytest.mark.parametrize("slot", ["block_m", "block_beta", "equator"])
-def test_boundary_positivity_fails_on_nan(slot):
-    assembly = cl.predicted_limit(bump(), HALF_PI, 0.5)
-    interior, eq = assembly.interior, assembly.equator
-    if slot == "block_m":
-        interior = dataclasses.replace(
-            interior, block_m=lambda phi, beta: np.sin(beta)[None, :] ** 2
-            * _nan_beyond(phi)[:, None])
-    elif slot == "block_beta":
-        interior = dataclasses.replace(
-            interior, block_beta=lambda beta: np.where(beta > 1.0, math.nan,
-                                                       1.0))
-    else:
-        eq = mf.SphereMetricField.from_function(_nan_beyond)
-    assembly = dataclasses.replace(assembly, interior=interior, equator=eq)
-    ok, worst = cl.boundary_positivity(assembly)
-    assert not ok and math.isnan(worst)
-
-
 # ---------------------------------------------------------------------------
 # translation
 # ---------------------------------------------------------------------------
@@ -377,13 +336,19 @@ def test_verify_beta1_claim_failure_modes():
             np.geomspace(1.0, 40.0, 30))
 
 
+def _nan_beyond(x):
+    """A component array that is NaN where the angle |x| > 1."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) > 1.0, math.nan, 1.0)
+
+
 def test_verify_beta1_claim_fails_on_nan_block():
     # every cut is NaN where the angle |x| > 1: the forced region is not
     # shown round, so the claim must not pass
     nan_cut = mf.SphereMetricField.from_function(_nan_beyond)
     family = cl.MetricFamily(cut=lambda lam, rho: nan_cut, lambda_min=0.5,
-                             hyperbolic_bound=-1.0, interval_bound=1.0,
-                             family_id="nan-beyond-1")
+                             hyperbolic_bound=-1.0, limit=lambda b: nan_cut,
+                             interval_bound=1.0, family_id="nan-beyond-1")
     cp = cl.c_prime_bound(bump(), HALF_PI)
     params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0,
                               c_prime=cp)
