@@ -389,13 +389,13 @@ def cmd_oracle(cfg):
     records, summary = [], []
     all_ok = True
     for s in cfg.s_values:
-        formula = ext.cut_via_formula(base, s, unwarped=False) \
-            .sample(phi, beta)
+        formula = ext.cut_via_formula(base, s).sample(phi, beta)
         if cfg.corrupt == "formula-beta":
             from dataclasses import replace
             formula = replace(formula, block_beta=formula.block_beta * 1.01)
         oracle = ext.cut_via_pullback(base, s, phi, beta)
         rep = ext.compare_join(formula, oracle)
+        rep["s"] = s
         rep["family_id"] = base.name
         ok = (rep["max_rel_err_block_M"] < 1e-5
               and rep["max_rel_err_block_beta"] < 1e-5

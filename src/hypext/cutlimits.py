@@ -132,7 +132,7 @@ def extension_family_cut(family, theta, lambda_prime, b):
             f"lambda_min {family.lambda_min}")
 
     return unwarped_join_field(
-        lambda beta: family.cut(lam, ht.solve_r(s0, beta)), s0)
+        lambda beta: family.cut(lam, ht.solve_r(s0, beta)))
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def predicted_limit(family, theta, b):
 
     interior = unwarped_join_field(
         lambda beta: family.limit(
-            b + math.log(math.sin(beta) / math.sin(theta))), None)
+            b + math.log(math.sin(beta) / math.sin(theta))))
     return LimitAssembly(interior,
                          family.limit(b - math.log(math.sin(theta))))
 
@@ -183,7 +183,6 @@ class ConvergenceReport:
     """Per-(theta, b, lambda') grid C^2 distances to the predicted limit,
     plus boundary checks, and the wall time of the measuring loop."""
 
-    family_id: str
     records: list
     wall_clock_s: float
 
@@ -269,14 +268,13 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     if not (cauchy_worst <= 1e-12):
         raise VerificationError(
             f"Cauchy spot check violated by {cauchy_worst:.3e}")
-    return ConvergenceReport(
-        family_id=family.family_id, records=records,
-        wall_clock_s=time.perf_counter() - t0)
+    return ConvergenceReport(records=records,
+                             wall_clock_s=time.perf_counter() - t0)
 
 
 def check_convergence_assertions(reports):
-    """Monotone-decay, final-tolerance and boundary assertions over one or
-    more convergence reports.  Returns a list of failure descriptions
+    """Monotone-decay, final-tolerance and boundary assertions over a list
+    of convergence reports.  Returns a list of failure descriptions
     (empty = all passed).
 
     Per (theta, b) the distance must decrease strictly in lambda' while
@@ -291,8 +289,6 @@ def check_convergence_assertions(reports):
     "not yet within tolerance".
     """
     failures = []
-    if isinstance(reports, ConvergenceReport):
-        reports = [reports]
     for rep in reports:
         by_b = {}
         for r in rep.records:

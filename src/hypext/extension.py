@@ -17,17 +17,16 @@ beta in (0, pi/2) the angle from the H^1 axis.  The chart covers the
 Two independent routes to the induced sphere metric are implemented:
 
 * ``cut_via_formula`` -- the closed-form block expression
-  sinh^2(s) cos^2(beta) sigma_{S^0} + h_r + sinh^2(s) dbeta^2 (warped),
-  respectively cos^2(beta) sigma + sin^2(beta) h^_r + dbeta^2 (unwarped),
-  with r = asinh(sin(beta) sinh(s));
+  sinh^2(s) cos^2(beta) sigma_{S^0} + h_r + sinh^2(s) dbeta^2 with
+  r = asinh(sin(beta) sinh(s));
 * ``cut_via_pullback`` -- a finite-difference pullback of the ambient
   metric through the embedding of the join chart, which assumes no block
   structure and therefore serves as the oracle for the closed form.
 
 ``polar_identity_residual`` checks the underlying change-of-variables
-identity sinh^2(s) dbeta^2 + ds^2 = cosh^2(r) dt^2 + dr^2, and
-``angle_oracle`` realizes the triangle in an explicit 2D model to validate
-the closed-form interior angle.
+identity sinh^2(s) dbeta^2 + ds^2 = cosh^2(r) dt^2 + dr^2.
+``unwarped_join_field`` builds the unwarped join metric whose circle block
+is a given field per beta; the cut limits of ``cutlimits`` use it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError
 from . import hyptrig as ht
 from . import fields as mf
 
@@ -72,7 +71,6 @@ class JoinMetricField:
     checks them separately.
     """
 
-    s: float | None
     block_m: object
     block_beta: object
     block_h_coeff: object
@@ -91,8 +89,7 @@ class JoinMetricField:
             block_m=np.broadcast_to(m, shape),
             block_beta=np.broadcast_to(bb, shape),
             offdiag=np.broadcast_to(0.0, shape),
-            block_h_coeff=np.asarray(self.block_h_coeff(beta), dtype=float),
-            s=self.s)
+            block_h_coeff=np.asarray(self.block_h_coeff(beta), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,6 @@ class JoinSample:
     block_beta: np.ndarray   # (n_sheets, n_phi, n_beta)
     offdiag: np.ndarray      # (n_sheets, n_phi, n_beta)
     block_h_coeff: np.ndarray | None = None   # (n_beta,) or None (oracle)
-    s: float | None = None
 
     @property
     def steps(self):
@@ -123,14 +119,14 @@ def join_grid(n_phi, n_beta):
     return phi, beta
 
 
-def unwarped_join_field(column, s):
+def unwarped_join_field(column):
     """The unwarped join metric
 
         cos^2(beta) * sigma_{S^0} + sin^2(beta) * column(beta) + dbeta^2
 
     whose circle block at each beta is the field ``column(beta)``, called
-    once per sampled beta (a float).  The unwarped formula cut, the
-    extension-family cut and its predicted limit differ only in the column.
+    once per sampled beta (a float).  The extension-family cut and its
+    predicted limit differ only in the column.
     """
 
     def block_m(phi, beta):
@@ -143,24 +139,18 @@ def unwarped_join_field(column, s):
         return out
 
     return JoinMetricField(
-        s=s, block_m=block_m,
+        block_m=block_m,
         block_beta=lambda beta: np.ones_like(np.asarray(beta, dtype=float)),
         block_h_coeff=lambda beta: np.cos(np.asarray(beta, dtype=float)) ** 2)
 
 
-def cut_via_formula(base, s, unwarped=True):
+def cut_via_formula(base, s):
     """Closed-form cut of the extension of the radial metric ``base`` at
-    sphere radius s.
-
-    Warped blocks: sinh^2(s) cos^2(beta), h_r, sinh^2(s); unwarped blocks:
-    cos^2(beta), sin^2(beta) * unwarped base cut at r, 1 -- both with
+    sphere radius s: blocks sinh^2(s) cos^2(beta), h_r and sinh^2(s), with
     r = asinh(sin(beta) sinh(s)).
     """
     if s <= 0.0:
         raise DomainError("cut_via_formula: s must be positive")
-    if unwarped:
-        return unwarped_join_field(
-            lambda beta: mf.unwarped_cut(base, ht.solve_r(s, beta)), s)
     sinh2_s = math.sinh(s) ** 2
 
     def block_m(phi, beta):
@@ -172,7 +162,7 @@ def cut_via_formula(base, s, unwarped=True):
         return out
 
     return JoinMetricField(
-        s=s, block_m=block_m,
+        block_m=block_m,
         block_beta=lambda beta: np.full(np.shape(beta), sinh2_s),
         block_h_coeff=lambda beta: sinh2_s * np.cos(
             np.asarray(beta, dtype=float)) ** 2)
@@ -181,7 +171,7 @@ def cut_via_formula(base, s, unwarped=True):
 def cut_via_pullback(base, s, phi, beta):
     """Finite-difference pullback of the ambient metric of the extension
     of ``base`` through the join embedding; the independent oracle for the
-    closed-form (warped) cut.
+    closed-form cut.
 
     At every grid point the tangent vectors of the embedding
     (phi, beta) -> (w t(s, beta), phi, r(s, beta)) are built by central
@@ -241,7 +231,7 @@ def cut_via_pullback(base, s, phi, beta):
 
     return JoinSample(phi=phi, beta=beta, block_m=block_m,
                       block_beta=block_beta_arr, offdiag=offdiag,
-                      block_h_coeff=None, s=s)
+                      block_h_coeff=None)
 
 
 def _require_same_grid(a, b, who):
@@ -262,7 +252,6 @@ def compare_join(formula, oracle):
         return float(np.max(np.abs(a - b) / np.abs(a)))
 
     out = {
-        "s": formula.s,
         "grid": [int(formula.phi.size), int(formula.beta.size)],
         "max_rel_err_block_M": rel(formula.block_m, oracle.block_m),
         "max_rel_err_block_beta": rel(formula.block_beta, oracle.block_beta),
@@ -307,62 +296,6 @@ def join_c2_distance(a, b):
             c1 = mf.max_carrying_nan(c1, s1)
             c2 = mf.max_carrying_nan(c2, s2)
     return mf.C2Distance(c0=c0, c1=c1, c2=c2, fd_step=hbeta)
-
-
-def round_metric_in_join_coordinates(phi, beta, sheet=1):
-    """The round 2-sphere metric transported into join coordinates through
-    a stereographic chart, fully analytically.
-
-    The join point is (sin b cos p, sin b sin p, w cos b); its chart image
-    and both Jacobian factors are closed-form, so the pullback
-    J^T G_chart J is an independent expression of the same tensor, used to
-    witness that the unwarped cut of the hyperbolic-base extension is the
-    round metric.
-    Returns (block_m, block_beta, offdiag) arrays of shape (n_phi, n_beta).
-    """
-    atlas = mf.SPHERE_ATLAS
-    phi = np.asarray(phi, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    pp, bb = np.meshgrid(phi, beta, indexing="ij")
-    w = float(sheet)
-    pts = np.stack([np.sin(bb) * np.cos(pp),
-                    np.sin(bb) * np.sin(pp),
-                    w * np.cos(bb)], axis=-1)
-    # d(point)/d(phi, beta): (..., 3, 2)
-    dp = np.empty(pp.shape + (3, 2))
-    dp[..., 0, 0] = -np.sin(bb) * np.sin(pp)
-    dp[..., 1, 0] = np.sin(bb) * np.cos(pp)
-    dp[..., 2, 0] = 0.0
-    dp[..., 0, 1] = np.cos(bb) * np.cos(pp)
-    dp[..., 1, 1] = np.cos(bb) * np.sin(pp)
-    dp[..., 2, 1] = -w * np.sin(bb)
-
-    chart = "north" if sheet == 1 else "south"
-    coords = atlas.coords_of(chart, pts)
-    jc = _stereo_coords_jacobian(chart, pts)      # (..., 2, 3)
-    J = np.einsum("...ij,...jk->...ik", jc, dp)   # (..., 2, 2)
-    G = atlas.round_components(coords)
-    pulled = np.einsum("...ki,...kl,...lj->...ij", J, G, J)
-    return pulled[..., 0, 0], pulled[..., 1, 1], pulled[..., 0, 1]
-
-
-def _stereo_coords_jacobian(chart, pts):
-    """d(chart coords)/d(x, y, z) for the stereographic charts."""
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    out = np.zeros(pts.shape[:-1] + (2, 3))
-    if chart == "north":
-        denom = 1.0 + z
-        out[..., 0, 0] = 1.0 / denom
-        out[..., 0, 2] = -x / denom ** 2
-        out[..., 1, 1] = 1.0 / denom
-        out[..., 1, 2] = -y / denom ** 2
-    else:
-        denom = 1.0 - z
-        out[..., 0, 0] = 1.0 / denom
-        out[..., 0, 2] = x / denom ** 2
-        out[..., 1, 1] = -1.0 / denom
-        out[..., 1, 2] = -y / denom ** 2
-    return out
 
 
 def polar_identity_residual(s, beta, fd_step=None, derivatives="fd"):
@@ -414,86 +347,3 @@ def polar_identity_residual(s, beta, fd_step=None, derivatives="fd"):
         np.abs(g_bb / sh ** 2 - 1.0),
     ])
     return float(res[0]) if scalar else res
-
-
-# ---------------------------------------------------------------------------
-# independent 2D-model oracle for the interior angle
-# ---------------------------------------------------------------------------
-
-def _geodesic_shoot(beta, s, n_steps):
-    """Unit-speed geodesic of cosh^2(v) du^2 + dv^2 from the origin at
-    angle beta to the u-axis, integrated with fixed-step RK4.
-
-    Geodesic equations: u'' = -2 tanh(v) u' v',  v'' = cosh(v) sinh(v) u'^2.
-    """
-    h = s / n_steps
-    state = np.array([0.0, 0.0, math.cos(beta), math.sin(beta)])
-
-    def rhs(st):
-        u, v, du, dv = st
-        return np.array([
-            du,
-            dv,
-            -2.0 * math.tanh(v) * du * dv,
-            math.cosh(v) * math.sinh(v) * du * du,
-        ])
-
-    for _ in range(n_steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    u, v, du, dv = state
-    speed2 = math.cosh(v) ** 2 * du * du + dv * dv
-    if abs(speed2 - 1.0) > 1e-8:
-        raise VerificationError(
-            f"angle_oracle: integrator lost unit speed ({speed2 - 1.0:.2e})")
-    return u, v
-
-
-def _model_distance_to_origin(u, v):
-    """Distance from (0, 0) in the warped model, via the upper half-plane.
-
-    The isometric chain is warped coords -> Minkowski hyperboloid
-    (cosh v cosh u, cosh v sinh u, sinh v) -> Poincare disk -> upper half
-    plane, where d(w1, w2) = 2 asinh(|w1 - w2| / (2 sqrt(Im w1 Im w2))).
-    The origin maps to i.
-    """
-    x0 = math.cosh(v) * math.cosh(u)
-    x1 = math.cosh(v) * math.sinh(u)
-    x2 = math.sinh(v)
-    z = complex(x1, x2) / (1.0 + x0)
-    w = 1j * (1.0 + z) / (1.0 - z)
-    return 2.0 * math.asinh(abs(w - 1j) / (2.0 * math.sqrt(w.imag)))
-
-
-def angle_oracle(s, beta):
-    """Interior angle at the far vertex of the right triangle, measured in
-    an explicit 2D hyperbolic model with no use of triangle identities.
-
-    The point p is found by shooting the geodesic from the origin at angle
-    beta for arc length s, in max(1500, 600 s) RK4 steps; the angle
-    between the unit gradients of the distance-to-origin function and the
-    distance-to-axis function v is then  cos(alpha) = (ds/dv) / |grad s|
-    with the gradient taken by central differences of step 1e-6 in the
-    warped metric.
-    """
-    if s <= 0.0:
-        raise DomainError("angle_oracle: s must be positive")
-    if not (0.0 < beta < HALF_PI):
-        raise DomainError("angle_oracle: beta must lie in (0, pi/2)")
-    u, v = _geodesic_shoot(beta, s, max(1500, int(600 * s)))
-    d_check = _model_distance_to_origin(u, v)
-    if abs(d_check - s) > 1e-6 * max(1.0, s):
-        raise VerificationError(
-            f"angle_oracle: shot geodesic landed at distance {d_check}, "
-            f"expected {s}")
-    h = 1e-6
-    ds_du = (_model_distance_to_origin(u + h, v)
-             - _model_distance_to_origin(u - h, v)) / (2.0 * h)
-    ds_dv = (_model_distance_to_origin(u, v + h)
-             - _model_distance_to_origin(u, v - h)) / (2.0 * h)
-    grad_norm = math.sqrt(ds_du ** 2 / math.cosh(v) ** 2 + ds_dv ** 2)
-    cos_alpha = ds_dv / grad_norm
-    return math.acos(max(-1.0, min(1.0, cos_alpha)))

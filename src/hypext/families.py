@@ -99,6 +99,12 @@ class FamilySpec:
             raise DomainError("bump support must be a proper interval")
         if self.direction not in DIRECTION_TAGS:
             raise DomainError(f"unknown direction tag {self.direction!r}")
+        # both direction fields take values in [0, 1] and reach 1, so the
+        # smallest cut component 1 + a * T is min(1, 1 + a)
+        if not self.amplitude > -1.0:
+            raise DomainError(
+                f"amplitude {self.amplitude} must be > -1: the cut "
+                "1 + amplitude * T is not positive where T = 1")
 
 
 def hyperbolic_family():

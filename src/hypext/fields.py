@@ -2,16 +2,14 @@
 
 A field is a closed-form, 2 pi-periodic function of the circle angle: it
 maps an array of angles to the array, of the same shape, of its one
-component ``g(d/dangle, d/dangle)`` there.  ``StereographicAtlas`` keeps
-only the stereographic chart map and the round metric of S^2 that the
-round-sphere reference route of ``extension`` needs.
+component ``g(d/dangle, d/dangle)`` there.
 
-On top of the field type the module implements centered radial metrics
-on the radial domain (0, RADIUS_MAX), given by their warped cuts
-``cut_at(r)``, the unwarped cut, componentwise scaling, a positivity
-check, and the grid realization of the C^2 distance: sups of component
-differences and of their first and second central differences over two
-overlapping sampling windows that cover the circle.
+On top of the field type the module implements centered radial metrics on
+the radial domain (0, RADIUS_MAX), given by their warped cuts
+``cut_at(r)``, componentwise scaling, a positivity check, and the grid
+realization of the C^2 distance: sups of component differences and of
+their first and second central differences over two overlapping sampling
+windows that cover the circle.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, max_carrying_nan, min_carrying_nan
-from .hyptrig import log_sinh
 
 # The sampling windows are the arcs |angle - centre| <= 3 pi/5 about the
 # centres 0 and pi, each sampled by ``centre + interior_grid(n)``.  They
@@ -41,34 +38,6 @@ RADIUS_MAX = 350.0
 def interior_grid(n):
     """n evenly spaced offsets from a window centre, ends included."""
     return np.linspace(-INTERIOR_HALF_WIDTH, INTERIOR_HALF_WIDTH, n)
-
-
-class StereographicAtlas:
-    """The two stereographic charts of the unit 2-sphere.
-
-    Chart "north" projects from the south pole: w = (x, y) / (1 + z).
-    Chart "south" projects from the north pole with the second coordinate
-    flipped: w = (x, -y) / (1 - z).  The round metric has components
-    4 I / (1 + |w|^2)^2 in either chart.
-    """
-
-    def coords_of(self, chart, p):
-        p = np.asarray(p, dtype=float)
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        if chart == "north":
-            denom = 1.0 + z
-            return np.stack([x / denom, y / denom], axis=-1)
-        denom = 1.0 - z
-        return np.stack([x / denom, -y / denom], axis=-1)
-
-    def round_components(self, w):
-        w = np.asarray(w, dtype=float)
-        q = np.sum(w * w, axis=-1)
-        factor = 4.0 / (1.0 + q) ** 2
-        return np.multiply.outer(factor, np.eye(2))
-
-
-SPHERE_ATLAS = StereographicAtlas()
 
 
 @dataclass(frozen=True)
@@ -140,14 +109,6 @@ def sinh_warped_radial(gprime, name="sinh-warped"):
 def hyperbolic_radial():
     """g_r = sinh(r)^2 * round metric (constant-curvature -1 space)."""
     return sinh_warped_radial(round_metric(), name="hyperbolic")
-
-
-def unwarped_cut(g, r0):
-    """The warped cut rescaled by 1/sinh(r0)^2 (constant in r0 exactly for
-    warped-by-sinh metrics)."""
-    if r0 <= 0.0:
-        raise DomainError("unwarped_cut: r0 must be positive")
-    return scale(g.cut_at(r0), math.exp(-2.0 * log_sinh(r0)))
 
 
 @dataclass(frozen=True)

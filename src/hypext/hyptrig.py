@@ -1,10 +1,9 @@
 """Numerically stable hyperbolic right-triangle trigonometry.
 
 Everything here concerns a geodesic right triangle in the hyperbolic plane
-with hypotenuse ``s``, legs ``t`` and ``r``, angle ``beta`` at the vertex
-joining ``s`` and ``t`` (so ``r`` is the side opposite ``beta``), and angle
-``alpha`` at the vertex joining ``s`` and ``r``.  The three classical
-relations
+with hypotenuse ``s``, legs ``t`` and ``r``, and angle ``beta`` at the
+vertex joining ``s`` and ``t`` (so ``r`` is the side opposite ``beta``).
+The three classical relations
 
     sinh(r) = sin(beta) * sinh(s)           (law of sines)
     cosh(r) * sinh(t) = sinh(s) * cos(beta)
@@ -51,10 +50,6 @@ HALF_PI = 0.5 * math.pi
 # relative to 1, so log-domain forms are exact to the last bit.
 LOG_SWITCH = 30.0
 
-# asin/acos arguments may leave [-1, 1] by roundoff only; anything beyond
-# this budget is treated as a caller bug rather than silently clamped.
-CLAMP_BUDGET = 1e-12
-
 # beta1_threshold: the slack below the asymptotic bound on ln(sin beta1),
 # and the number of geometric grid points its candidate is verified on
 BETA1_MARGIN = 0.5
@@ -72,17 +67,6 @@ def _prepare(*vals):
 
 def _finish(out, shape, scalar):
     return float(out[0]) if scalar else out.reshape(shape)
-
-
-def _clamped_arc(fn, x, what):
-    """Apply asin/acos after clamping x to [-1, 1] within CLAMP_BUDGET."""
-    over = np.maximum(np.abs(x) - 1.0, 0.0)
-    if np.any(over > CLAMP_BUDGET):
-        raise DomainError(
-            f"{what}: argument exceeds [-1, 1] by {float(np.max(over)):.3e}, "
-            f"more than the roundoff budget {CLAMP_BUDGET:.0e}"
-        )
-    return fn(np.clip(x, -1.0, 1.0))
 
 
 def log_sinh(x):
@@ -239,25 +223,6 @@ def solve_t(s, beta):
     return _finish(t, shape, scalar)
 
 
-def solve_alpha(s, beta):
-    """Interior angle at the vertex joining the hypotenuse and the leg r.
-
-    Closed form: cos(alpha) = tanh(r) / tanh(s) (equivalently
-    cosh(t) * sin(beta)).  This is derived, not quoted; it must agree with
-    the independent 2D-model oracle (``extension.angle_oracle``) before
-    being trusted, and the test suite enforces that.
-    """
-    (s, beta), shape, scalar = _prepare(s, beta)
-    if np.any(s <= 0.0):
-        raise DomainError("solve_alpha: s must be > 0")
-    if np.any((beta <= 0.0) | (beta >= HALF_PI)):
-        raise DomainError("solve_alpha: beta must lie in (0, pi/2)")
-    r, _ = _solve_rt(s, beta)
-    cosa = np.tanh(r) / np.tanh(s)
-    out = _clamped_arc(np.arccos, cosa, "solve_alpha")
-    return _finish(out, shape, scalar)
-
-
 def reparam(lambda_prime, theta):
     """Index change lambda = asinh(sinh(lambda') * sin(theta)).
 
@@ -355,9 +320,9 @@ class ReparamParams:
             raise DomainError("ReparamParams: beta1 must lie in (0, pi/2)")
 
 
-def beta1_threshold(params, lambda_min=None, lambda_max=700.0):
+def beta1_threshold(params, lambda_max=700.0):
     """A small angle beta1 with solve_r(l' + c', beta1) <= reparam(l') + B
-    for every l' in [lambda_min, lambda_max].
+    for every l' in a sweep [lam_lo, lambda_max].
 
     Asymptotically the inequality reads ln(sin beta1) <= B - c' +
     ln(sin theta), so beta1 = asin(exp(B - c' + ln sin(theta) -
@@ -369,9 +334,8 @@ def beta1_threshold(params, lambda_min=None, lambda_max=700.0):
 
     The claim is about all sufficiently large lambda': the inequality only
     becomes meaningful once reparam(lambda') clears -B (its right side
-    must exceed the nonnegative leg length).  When lambda_min is None the
-    sweep therefore starts at max(5, the radius where that happens); an
-    explicit lambda_min is honored as given.
+    must exceed the nonnegative leg length).  The sweep therefore starts
+    at lam_lo = max(5, the radius where that happens).
     """
     if not params.B < params.c:
         raise DomainError("beta1_threshold: requires B < c")
@@ -380,15 +344,11 @@ def beta1_threshold(params, lambda_min=None, lambda_max=700.0):
         beta1 = 0.25 * math.pi
     else:
         beta1 = math.asin(math.exp(expo0 - BETA1_MARGIN))
-    if lambda_min is None:
-        lam_lo = 5.0
-        if params.B < 2.0:
-            lam_lo = max(lam_lo,
-                         reparam_inverse(2.0 - params.B, params.theta))
-        # the swept hypotenuse lambda' + c' must stay positive
-        lam_lo = max(lam_lo, 1.0 - params.c_prime)
-    else:
-        lam_lo = lambda_min
+    lam_lo = 5.0
+    if params.B < 2.0:
+        lam_lo = max(lam_lo, reparam_inverse(2.0 - params.B, params.theta))
+    # the swept hypotenuse lambda' + c' must stay positive
+    lam_lo = max(lam_lo, 1.0 - params.c_prime)
     grid = np.geomspace(lam_lo, lambda_max, BETA1_GRID)
     lhs = solve_r(grid + params.c_prime, beta1)
     rhs = reparam(grid, params.theta) + params.B

@@ -92,8 +92,7 @@ def test_formula_vs_pullback_oracle():
     worst_off = 0.0
     for name, base in bases.items():
         for s in (1.0, 3.0, 6.0):
-            formula = ext.cut_via_formula(base, s, unwarped=False) \
-                .sample(phi, beta)
+            formula = ext.cut_via_formula(base, s).sample(phi, beta)
             oracle = ext.cut_via_pullback(base, s, phi, beta)
             rep = ext.compare_join(formula, oracle)
             worst_rel = max(worst_rel, rep["max_rel_err_block_M"],
@@ -112,17 +111,19 @@ def test_formula_vs_pullback_oracle():
 # 4. round-sphere recovery
 # ---------------------------------------------------------------------------
 
-def test_round_sphere_recovery():
+def test_round_sphere_recovery(round_metric_in_join_coordinates):
+    # the cut of the hyperbolic base over sinh^2(s) is the round metric
     base = mf.hyperbolic_radial()
     phi, beta = ext.join_grid(32, 24)
     worst = 0.0
     for s in (1.0, 3.0, 6.0):
-        sample = ext.cut_via_formula(base, s, unwarped=True).sample(phi, beta)
+        sample = ext.cut_via_formula(base, s).sample(phi, beta)
+        f = math.sinh(s) ** 2
         for sheet, idx in ((1, 0), (-1, 1)):
-            tm, tb, tx = ext.round_metric_in_join_coordinates(phi, beta, sheet)
+            tm, tb, tx = round_metric_in_join_coordinates(phi, beta, sheet)
             worst = max(worst,
-                        float(np.max(np.abs(sample.block_m[idx] - tm))),
-                        float(np.max(np.abs(sample.block_beta[idx] - tb))),
+                        float(np.max(np.abs(sample.block_m[idx] / f - tm))),
+                        float(np.max(np.abs(sample.block_beta[idx] / f - tb))),
                         float(np.max(np.abs(tx))))
     report("round-sphere-recovery", worst < 1e-10,
            f"worst deviation from the chart-transported round metric "

@@ -127,6 +127,11 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     ("identities", "bump_support_start = 2"),
     ("claim", "claim_lambda_max = 0.5"),
     ("claim", "claim_lambda_max = -5"),
+    # a bump amplitude of at most -1 makes the cut indefinite where the
+    # direction field is 1
+    ("identities", "bump_amplitude = -30"),
+    ("converge", "bump_direction = cos2\nbump_amplitude = -1"),
+    ("converge", "bump_direction = cos2\nbump_amplitude = -1.00001"),
     # the extension rank and the base dimension are fixed (1 and 2): they
     # are not configuration keys
     ("converge", "k = 1"),

@@ -217,7 +217,7 @@ def test_run_convergence_bump_decays():
     cp = cl.c_prime_bound(family, theta)
     rep = cl.run_convergence(family, theta, [-2.0, 0.0, cp],
                              [4.0, 6.0, 8.0, 10.0], n_phi=24, n_beta=48)
-    failures = cl.check_convergence_assertions(rep)
+    failures = cl.check_convergence_assertions([rep])
     assert failures == []
     # the active-b distances really decay (sanity on magnitudes)
     by_b = {}
@@ -253,7 +253,7 @@ def test_run_convergence_with_angle_dependent_direction():
     cp = cl.c_prime_bound(family, theta)
     rep = cl.run_convergence(family, theta, [-1.0, cp],
                              [4.0, 6.0, 8.0, 10.0], n_phi=32, n_beta=64)
-    assert cl.check_convergence_assertions(rep) == []
+    assert cl.check_convergence_assertions([rep]) == []
 
 
 def test_run_convergence_rejects_bad_inputs():
@@ -273,26 +273,25 @@ def test_corrupt_limit_hook_breaks_assertions():
     family = bump()
     rep = cl.run_convergence(family, HALF_PI, [0.0], [4.0, 6.0],
                              n_phi=16, n_beta=32, corrupt_limit=1e-3)
-    failures = cl.check_convergence_assertions(rep)
+    failures = cl.check_convergence_assertions([rep])
     assert failures != []
 
 
-def _report(c2_values, boundary=1e-8):
+def _reports(c2_values, boundary=1e-8):
     records = [{"theta": HALF_PI, "b": 0.0, "lambda_prime": lp,
                 "c0": c2 / 10.0, "c1": c2 / 2.0, "c2": c2,
                 "boundary_M_c0": boundary}
                for lp, c2 in zip((4.0, 6.0, 8.0), c2_values)]
-    return cl.ConvergenceReport(family_id="synthetic", records=records,
-                                wall_clock_s=0.0)
+    return [cl.ConvergenceReport(records=records, wall_clock_s=0.0)]
 
 
 def test_convergence_assertions_fail_on_nan():
-    assert cl.check_convergence_assertions(_report([1e-2, 1e-3, 1e-5])) == []
+    assert cl.check_convergence_assertions(_reports([1e-2, 1e-3, 1e-5])) == []
     failures = cl.check_convergence_assertions(
-        _report([1e-2, 1e-3, math.nan]))
+        _reports([1e-2, 1e-3, math.nan]))
     assert any("final C^2 distance" in f for f in failures)
     failures = cl.check_convergence_assertions(
-        _report([1e-2, 1e-3, 1e-5], boundary=math.nan))
+        _reports([1e-2, 1e-3, 1e-5], boundary=math.nan))
     assert any("boundary distance" in f for f in failures)
 
 

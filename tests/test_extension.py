@@ -30,42 +30,53 @@ def perturbed_space():
 
 
 # ---------------------------------------------------------------------------
-# closed-form cut: round-sphere recovery and scaling law
+# closed-form cut: round-sphere recovery
 # ---------------------------------------------------------------------------
 
 def test_round_sphere_recovery(round_join_blocks):
+    # the cut of the hyperbolic base is sinh^2(s) times the round 2-sphere
+    # metric
     base = hyperbolic_space()
     phi, beta = ext.join_grid(24, 20)
     ref_m, ref_b = round_join_blocks(phi, beta)
     for s in (1.0, 3.0, 6.0):
-        cut = ext.cut_via_formula(base, s, unwarped=True)
-        sample = cut.sample(phi, beta)
+        sample = ext.cut_via_formula(base, s).sample(phi, beta)
+        f = math.sinh(s) ** 2
         for sheet in range(2):
-            assert np.max(np.abs(sample.block_m[sheet] - ref_m)) < 1e-10
-            assert np.max(np.abs(sample.block_beta[sheet] - ref_b)) < 1e-10
+            assert np.max(np.abs(sample.block_m[sheet] / f - ref_m)) < 1e-10
+            assert np.max(np.abs(sample.block_beta[sheet] / f - ref_b)) < 1e-10
 
 
-def test_round_sphere_recovery_against_chart_transport():
+def test_round_sphere_recovery_against_chart_transport(
+        round_metric_in_join_coordinates):
     # independent expression of the round metric through the stereographic
     # atlas; agreement witnesses that the extension of the hyperbolic base
     # is hyperbolic space itself
     base = hyperbolic_space()
     phi, beta = ext.join_grid(24, 20)
-    cut = ext.cut_via_formula(base, 3.0, unwarped=True)
-    sample = cut.sample(phi, beta)
+    sample = ext.cut_via_formula(base, 3.0).sample(phi, beta)
+    f = math.sinh(3.0) ** 2
     for sheet, idx in ((1, 0), (-1, 1)):
-        tm, tb, tx = ext.round_metric_in_join_coordinates(phi, beta, sheet)
-        assert np.max(np.abs(sample.block_m[idx] - tm)) < 1e-10
-        assert np.max(np.abs(sample.block_beta[idx] - tb)) < 1e-10
+        tm, tb, tx = round_metric_in_join_coordinates(phi, beta, sheet)
+        assert np.max(np.abs(sample.block_m[idx] / f - tm)) < 1e-10
+        assert np.max(np.abs(sample.block_beta[idx] / f - tb)) < 1e-10
         assert np.max(np.abs(tx)) < 1e-12
 
 
 def test_unwarped_is_scaled_warped():
+    # the unwarped join field that the converge suite samples, with the
+    # unwarped base cut as its column, is the closed-form cut that the
+    # pullback oracle checks, over sinh^2(s)
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
     s = 2.5
-    warped = ext.cut_via_formula(base, s, unwarped=False).sample(phi, beta)
-    unwarped = ext.cut_via_formula(base, s, unwarped=True).sample(phi, beta)
+
+    def column(b):
+        r = ht.solve_r(s, b)
+        return mf.scale(base.cut_at(r), 1.0 / math.sinh(r) ** 2)
+
+    warped = ext.cut_via_formula(base, s).sample(phi, beta)
+    unwarped = ext.unwarped_join_field(column).sample(phi, beta)
     f = math.sinh(s) ** 2
     assert np.allclose(unwarped.block_m * f, warped.block_m, rtol=1e-12)
     assert np.allclose(unwarped.block_beta * f, warped.block_beta, rtol=1e-12)
@@ -82,7 +93,7 @@ def test_unwarped_is_scaled_warped():
 def test_formula_vs_pullback(make_space, s):
     base = make_space()
     phi, beta = ext.join_grid(24, 18)
-    formula = ext.cut_via_formula(base, s, unwarped=False).sample(phi, beta)
+    formula = ext.cut_via_formula(base, s).sample(phi, beta)
     oracle = ext.cut_via_pullback(base, s, phi, beta)
     rep = ext.compare_join(formula, oracle)
     assert rep["max_rel_err_block_M"] < 1e-5
@@ -110,7 +121,7 @@ def test_compare_join_grid_mismatch():
     base = hyperbolic_space()
     phi, beta = ext.join_grid(8, 8)
     phi2, beta2 = ext.join_grid(8, 10)
-    a = ext.cut_via_formula(base, 1.0, unwarped=False).sample(phi, beta)
+    a = ext.cut_via_formula(base, 1.0).sample(phi, beta)
     b = ext.cut_via_pullback(base, 1.0, phi2, beta2)
     with pytest.raises(DomainError):
         ext.compare_join(a, b)
@@ -119,8 +130,8 @@ def test_compare_join_grid_mismatch():
 def test_join_c2_distance_identity_and_symmetry():
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
-    b = ext.cut_via_formula(base, 2.5, unwarped=True).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
+    b = ext.cut_via_formula(base, 2.5).sample(phi, beta)
     zero = ext.join_c2_distance(a, a)
     assert (zero.c0, zero.c1, zero.c2) == (0.0, 0.0, 0.0)
     dab = ext.join_c2_distance(a, b)
@@ -139,7 +150,7 @@ def materialized(sample):
 def test_join_sample_is_read_only_view_of_one_sheet():
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    sample = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
+    sample = ext.cut_via_formula(base, 2.0).sample(phi, beta)
     for block in (sample.block_m, sample.block_beta, sample.offdiag):
         assert block.shape == (2, 16, 12)
         assert not block.flags.writeable
@@ -152,11 +163,11 @@ def test_join_sample_is_read_only_view_of_one_sheet():
 def test_join_sample_views_give_unchanged_results():
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
-    b = ext.cut_via_formula(base, 2.5, unwarped=True).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
+    b = ext.cut_via_formula(base, 2.5).sample(phi, beta)
     assert ext.join_c2_distance(a, b) == ext.join_c2_distance(
         materialized(a), materialized(b))
-    formula = ext.cut_via_formula(base, 1.0, unwarped=False).sample(phi, beta)
+    formula = ext.cut_via_formula(base, 1.0).sample(phi, beta)
     oracle = ext.cut_via_pullback(base, 1.0, phi, beta)
     assert ext.compare_join(formula, oracle) == ext.compare_join(
         materialized(formula), oracle)
@@ -165,8 +176,8 @@ def test_join_sample_views_give_unchanged_results():
 def test_join_c2_distance_broadcast_against_materialized():
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
-    b = ext.cut_via_formula(base, 2.5, unwarped=True).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
+    b = ext.cut_via_formula(base, 2.5).sample(phi, beta)
     full = ext.join_c2_distance(materialized(a), materialized(b))
     assert full.c0 > 0
     assert ext.join_c2_distance(materialized(a), b) == full
@@ -177,7 +188,7 @@ def test_join_c2_distance_broadcast_against_materialized():
 def test_join_c2_distance_sees_a_second_sheet_that_alone_differs():
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
     for slot in ("block_m", "block_beta", "offdiag"):
         odd = materialized(a)
         getattr(odd, slot)[1, 5, 6] += 1e-3
@@ -193,8 +204,8 @@ def test_join_c2_distance_peak_allocation():
     # when every slot was subtracted in full)
     base = perturbed_space()
     phi, beta = ext.join_grid(64, 128)
-    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
-    b = ext.cut_via_formula(base, 2.5, unwarped=True).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
+    b = ext.cut_via_formula(base, 2.5).sample(phi, beta)
     sheet_bytes = phi.size * beta.size * 8
     tracemalloc.start()
     try:
@@ -210,10 +221,10 @@ def test_join_c2_distance_peak_allocation():
 def test_join_c2_distance_and_compare_join_refuse_a_shifted_grid():
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    a = ext.cut_via_formula(base, 2.0, unwarped=False).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
     for phi2, beta2 in ((phi + 0.3, beta), (phi, 0.5 * beta + 0.1),
                         (phi + 0.3, 0.5 * beta + 0.1)):
-        b = ext.cut_via_formula(base, 2.0, unwarped=False).sample(phi2, beta2)
+        b = ext.cut_via_formula(base, 2.0).sample(phi2, beta2)
         assert b.block_m.shape == a.block_m.shape
         with pytest.raises(DomainError):
             ext.join_c2_distance(a, b)
@@ -222,7 +233,7 @@ def test_join_c2_distance_and_compare_join_refuse_a_shifted_grid():
         with pytest.raises(DomainError):
             ext.compare_join(a, ext.cut_via_pullback(base, 2.0, phi2, beta2))
     # equal grids in distinct arrays are the same grid
-    twin = ext.cut_via_formula(base, 2.0, unwarped=False).sample(
+    twin = ext.cut_via_formula(base, 2.0).sample(
         phi.copy(), beta.copy())
     assert ext.join_c2_distance(a, twin).max() == 0.0
 
@@ -230,7 +241,7 @@ def test_join_c2_distance_and_compare_join_refuse_a_shifted_grid():
 def test_join_c2_distance_carries_nan():
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    a = ext.cut_via_formula(base, 2.0, unwarped=True).sample(phi, beta)
+    a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
     bad = materialized(a)
     bad.block_m[1, 5, 6] = math.nan
     d = ext.join_c2_distance(bad, a)
@@ -267,30 +278,3 @@ def test_polar_identity_stress_near_fiber():
 def test_polar_identity_rejects_bad_step():
     with pytest.raises(DomainError):
         ext.polar_identity_residual(1.0, 0.5, fd_step=0.5, derivatives="fd")
-
-
-# ---------------------------------------------------------------------------
-# angle oracle
-# ---------------------------------------------------------------------------
-
-def test_angle_oracle_euclidean_limit():
-    assert ext.angle_oracle(1e-3, 0.7) == pytest.approx(HALF_PI - 0.7, abs=1e-5)
-
-
-def test_angle_oracle_validates_closed_form():
-    # the acceptance point for the derived cos(alpha) = tanh(r)/tanh(s)
-    got = ext.angle_oracle(2.0, 0.5)
-    assert abs(got - ht.solve_alpha(2.0, 0.5)) < 1e-6
-
-
-@pytest.mark.parametrize("s,beta", [(0.5, 0.3), (1.0, 1.2), (3.0, 0.9),
-                                    (2.0, HALF_PI - 0.1)])
-def test_angle_oracle_spot_grid(s, beta):
-    assert abs(ext.angle_oracle(s, beta) - ht.solve_alpha(s, beta)) < 1e-6
-
-
-def test_angle_oracle_domain():
-    with pytest.raises(DomainError):
-        ext.angle_oracle(-1.0, 0.5)
-    with pytest.raises(DomainError):
-        ext.angle_oracle(1.0, 0.0)

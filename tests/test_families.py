@@ -139,6 +139,9 @@ def test_bump_family_limit_oracle_matches_diagonal():
 def test_amplitude_positivity_guard():
     with pytest.raises(DomainError):
         fam.bump_family(fam.FamilySpec(amplitude=-1.5))
+    # cos^2 reaches 1 only at isolated angles, where the cut is 1 + a = 0
+    with pytest.raises(DomainError):
+        fam.FamilySpec(amplitude=-1.0, direction="cos2")
 
 
 def test_hyperbolic_family_is_round_everywhere():

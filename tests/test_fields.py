@@ -10,8 +10,6 @@ from hypext import fields as mf
 from hypext import hyptrig as ht
 from hypext.errors import DomainError
 
-S2 = mf.SPHERE_ATLAS
-
 
 def _wrap(a):
     """Wrap to (-pi, pi]."""
@@ -52,15 +50,15 @@ def _stereo_point(chart, w):
     return np.stack([x, -y, -z], axis=-1)
 
 
-def test_sphere_atlas_point_round_trip():
+def test_sphere_atlas_point_round_trip(sphere_atlas):
     rng = np.random.default_rng(3)
     w = rng.uniform(-1.4, 1.4, size=(500, 2))
     w = w[np.linalg.norm(w, axis=1) < 1.45]
     p = _stereo_point("north", w)
     assert np.allclose(np.linalg.norm(p, axis=-1), 1.0, atol=1e-12)
-    assert np.allclose(S2.coords_of("north", p), w, atol=1e-12)
+    assert np.allclose(sphere_atlas.coords_of("north", p), w, atol=1e-12)
     p2 = _stereo_point("south", w)
-    assert np.allclose(S2.coords_of("south", p2), w, atol=1e-12)
+    assert np.allclose(sphere_atlas.coords_of("south", p2), w, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +94,6 @@ def _angle_fields():
         ("bump-limit", family.limit(0.3), amp),
         ("scaled", mf.scale(cut, 3.7), 3.7 * amp),
         ("warped", warped.cut_at(2.3), math.sinh(2.3) ** 2 * amp),
-        ("unwarped", mf.unwarped_cut(warped, 2.3), 1.001 * amp),
         ("2+cos", period_2pi, 1.0),
     ]
 
@@ -148,7 +145,7 @@ def _window_fields():
     out = [pytest.param(mf.round_metric(), one, id="round"),
            pytest.param(hyper.cut_at(r),
                         lambda c, x: w * one(c, x), id="hyperbolic-warped"),
-           pytest.param(mf.unwarped_cut(hyper, r),
+           pytest.param(mf.scale(hyper.cut_at(r), u),
                         lambda c, x: u * (w * one(c, x)),
                         id="hyperbolic-unwarped")]
     for direction, T in (("uniform", one), ("cos2", cos2)):
@@ -168,7 +165,7 @@ def _window_fields():
                                _cut=lambda rr, cut=cut: mf.scale(
                                    cut, math.sinh(rr) ** 2))
         out.append(pytest.param(
-            mf.unwarped_cut(base, r),
+            mf.scale(base.cut_at(r), u),
             lambda c, x, a=a, T=T: u * (w * (1.0 + a * T(c, x))),
             id=f"oracle-unwarped-{direction}"))
     return out
@@ -209,17 +206,6 @@ def test_hyperbolic_cuts():
         x = mf.interior_grid(8)
         assert np.allclose(w.at_angles(x), math.sinh(r0) ** 2,
                            rtol=1e-15)
-        u = mf.unwarped_cut(g, r0)
-        assert np.allclose(u.at_angles(x), 1.0, rtol=1e-14)
-
-
-def test_euclidean_unwarped_cut():
-    g = _euclidean_radial()
-    r0 = 1.7
-    u = mf.unwarped_cut(g, r0)
-    x = np.array([0.1])
-    expect = r0 ** 2 / math.sinh(r0) ** 2
-    assert np.allclose(u.at_angles(x), expect, rtol=1e-14)
 
 
 def test_sinh_warped_unwarped_cut_constant_in_radius():
@@ -229,8 +215,7 @@ def test_sinh_warped_unwarped_cut_constant_in_radius():
     x = mf.interior_grid(64)
     ref = gprime.at_angles(x)
     for r0 in (0.3, 1.0, 2.0, 4.0, 9.0):
-        u = mf.unwarped_cut(g, r0)
-        got = u.at_angles(x)
+        got = g.cut_at(r0).at_angles(x) / math.sinh(r0) ** 2
         assert np.max(np.abs(got - ref) / ref) < 1e-12
 
 
@@ -239,7 +224,7 @@ def test_cut_domain_errors():
     with pytest.raises(DomainError):
         g.cut_at(-1.0)
     with pytest.raises(DomainError):
-        mf.unwarped_cut(g, 0.0)
+        g.cut_at(0.0)
 
 
 def test_scale_properties():

@@ -23,7 +23,6 @@ def test_fixture_table(fixture_table):
     dispatch = {
         "solve_r": ht.solve_r,
         "solve_t": ht.solve_t,
-        "solve_alpha": ht.solve_alpha,
         "reparam": ht.reparam,
         "reparam_inverse": ht.reparam_inverse,
         "vartheta": ht.vartheta,
@@ -59,12 +58,6 @@ def test_solve_t_endpoints():
     assert ht.solve_t(3.0, 0.0) == pytest.approx(3.0, rel=1e-14)
 
 
-def test_solve_alpha_euclidean_limit():
-    # tiny triangles are asymptotically Euclidean: alpha -> pi/2 - beta
-    for s in (1e-4, 3e-4, 1e-3):
-        assert ht.solve_alpha(s, 0.7) == pytest.approx(HALF_PI - 0.7, abs=1e-6)
-
-
 def test_reparam_at_right_angle_is_identity():
     for lp in (0.3, 1.0, 17.0, 250.0, 700.0):
         assert rel_err(ht.reparam(lp, HALF_PI), lp) < 1e-14
@@ -93,7 +86,7 @@ def test_vartheta_shift_trivials():
 
 
 # ---------------------------------------------------------------------------
-# domain errors and clamping
+# domain errors
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("fn,args", [
@@ -102,8 +95,8 @@ def test_vartheta_shift_trivials():
     (ht.solve_r, (1.0, -0.1)),
     (ht.solve_r, (1.0, HALF_PI + 0.1)),
     (ht.solve_t, (0.0, 0.3)),
-    (ht.solve_alpha, (1.0, 0.0)),
-    (ht.solve_alpha, (1.0, HALF_PI)),
+    (ht.solve_t, (-1.0, 0.3)),
+    (ht.solve_t, (1.0, HALF_PI + 0.1)),
     (ht.solve_t, (1.0, -0.1)),
     (ht.reparam_inverse, (0.0, 1.0)),
     (ht.reparam, (-3.0, 1.0)),
@@ -127,14 +120,6 @@ def test_vartheta_rejects_nonpositive_radius():
 def test_array_domain_error_reports_any_bad_point():
     with pytest.raises(DomainError):
         ht.solve_r(np.array([1.0, -2.0]), np.array([0.3, 0.4]))
-
-
-def test_clamp_budget_rejects_gross_overshoot():
-    with pytest.raises(DomainError):
-        ht._clamped_arc(np.arccos, np.array([1.0 + 1e-9]), "test")
-    # roundoff-level overshoot is accepted
-    out = ht._clamped_arc(np.arccos, np.array([1.0 + 1e-13]), "test")
-    assert out[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +229,13 @@ def test_beta1_threshold_property(B, theta, c_gap, cp_gap):
     assert 0.0 < beta1 <= math.pi / 4
 
 
-def test_beta1_verification_failure_raises():
+def test_beta1_verification_failure_raises(monkeypatch):
     params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0, c_prime=0.0)
+    # a negative margin puts the candidate above the asymptotic bound, so
+    # the inequality fails on the whole sweep
+    monkeypatch.setattr(ht, "BETA1_MARGIN", -0.5)
     with pytest.raises(VerificationError):
-        # sweep from tiny lambda' where the inequality cannot hold yet
-        ht.beta1_threshold(params, lambda_min=1e-3)
+        ht.beta1_threshold(params)
 
 
 def test_reparam_params_validation():
@@ -257,6 +244,46 @@ def test_reparam_params_validation():
     with pytest.raises(DomainError):
         # c_prime bound: requires c' < c + ln sin(theta)
         ht.ReparamParams(theta=math.pi / 3, B=-1.0, c=1.0, c_prime=0.99)
+
+
+# ---------------------------------------------------------------------------
+# the legs against a geodesic shot in the (t, r)-plane
+# ---------------------------------------------------------------------------
+
+def _geodesic_shoot(beta, s, n_steps):
+    """Unit-speed geodesic of cosh^2(v) du^2 + dv^2 from the origin at
+    angle beta to the u-axis, integrated with fixed-step RK4; returns its
+    end point (u, v).
+
+    Geodesic equations: u'' = -2 tanh(v) u' v',  v'' = cosh(v) sinh(v) u'^2.
+    """
+    h = s / n_steps
+    state = np.array([0.0, 0.0, math.cos(beta), math.sin(beta)])
+
+    def rhs(st):
+        u, v, du, dv = st
+        return np.array([du, dv, -2.0 * math.tanh(v) * du * dv,
+                         math.cosh(v) * math.sinh(v) * du * du])
+
+    for _ in range(n_steps):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u, v, du, dv = state
+    assert abs(math.cosh(v) ** 2 * du * du + dv * dv - 1.0) < 1e-8
+    return u, v
+
+
+@pytest.mark.parametrize("s,beta", [(0.5, 0.3), (1.0, 1.2), (3.0, 0.9),
+                                    (2.0, HALF_PI - 0.1), (6.0, 0.05)])
+def test_geodesic_shoot_lands_at_the_legs(s, beta):
+    # the geodesic of length s at angle beta ends at the far vertex of the
+    # right triangle, (u, v) = (t, r), found with no triangle identity
+    u, v = _geodesic_shoot(beta, s, max(1500, int(600 * s)))
+    assert abs(u - ht.solve_t(s, beta)) < 1e-10
+    assert abs(v - ht.solve_r(s, beta)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
