@@ -11,7 +11,8 @@ oracle       --family, --grid, --s-values: closed-form cut vs
 converge     --family, --theta, --b, --lambda-prime, --grid: cut-limit
              convergence of reparametrized extension families
 claim        --family, --theta: small-angle threshold, inequality sweep
-             plus exact-roundness
+             plus exact-roundness, at the collar bound B and shifted edge
+             c' that cutlimits.claim_bounds reads from the family
 
 Every configuration key has one row in KEYS: its default and the parser
 that each of its values, from the defaults, a flag or a flat
@@ -21,7 +22,9 @@ suite; a flag a suite does not read is refused.  RunConfig.validate checks
 every key whichever suite runs.  Every suite writes report.jsonl,
 report.csv and summary.txt into --out, atomically, and byte-identically
 for identical configuration (including the seed).  Exit codes: 0 all
-assertions passed, 1 an assertion failed, 2 usage or configuration error.
+assertions passed, 1 an assertion failed, 2 usage or configuration error,
+or an input a suite refuses (say a claim_lambda_max at or below the start
+of the claim's threshold sweep).
 
 Negative-control hooks (test-only, documented here on purpose): a coarse
 --fd-step 0.02 breaks the identities suite's tolerance (steps so large
@@ -230,7 +233,7 @@ class RunConfig:
         if not self.claim_lambda_max > 1.0:
             raise ConfigError(
                 f"claim_lambda_max {self.claim_lambda_max} must be > 1, "
-                "the start of the claim sweep")
+                "the start of the claim's verification grid")
         self.bump_spec()
         # the reports go into out, or into a directory made there: the
         # nearest existing path must be a directory
@@ -461,25 +464,17 @@ def cmd_converge(cfg):
 
 def cmd_claim(cfg):
     family = build_family(cfg)
-    if cfg.family == "bump":
-        B, c = cfg.bump_support_start, cfg.bump_support_end
-    else:
-        # every cut is round: any finite bound below the interval top works
-        B, c = 0.0, 1.0
     records, summary = [], []
     all_ok = True
     for theta in cfg.theta:
-        cp = c + math.log(math.sin(theta)) - cl.C_PRIME_MARGIN
-        params = ht.ReparamParams(theta=theta, B=B, c=c, c_prime=cp)
+        B, cp = cl.claim_bounds(family, theta)
         beta1 = None
         try:
             beta1 = (1.5 if cfg.corrupt == "beta1-large"
-                     else ht.beta1_threshold(
-                         params, lambda_max=cfg.claim_lambda_max))
-            params = ht.ReparamParams(theta=theta, B=B, c=c, c_prime=cp,
-                                      beta1=beta1)
+                     else ht.beta1_threshold(theta, B, cp,
+                                             cfg.claim_lambda_max))
             rep = cl.verify_beta1_claim(
-                family, params,
+                family, theta, beta1,
                 np.geomspace(1.0, cfg.claim_lambda_max, 80))
             ok = True
         except VerificationError as e:

@@ -39,6 +39,13 @@ from .extension import (BETA_MARGIN, JoinMetricField, join_c2_distance,
 # keep a fixed margin below that strict bound so they are reproducible
 C_PRIME_MARGIN = 0.1
 
+# the smallest family index any family is evaluated at
+LAMBDA_MIN = 0.5
+
+# finite stand-ins for the collar bound B and the interval top c of a
+# family that is round at every radius: any B < c serves there
+ROUND_B, ROUND_C = 0.0, 1.0
+
 # grid C^2 floors: below this level differences are finite-difference and
 # roundoff noise and monotone decay is no longer meaningful
 C2_FLOOR = 1e-8
@@ -66,20 +73,19 @@ EXACTNESS_TOL = 1e-14
 class MetricFamily:
     """A lambda-indexed family of centered metrics, given by unwarped cuts.
 
-    ``cut(lam, rho)`` is the unwarped cut of the member lam at radius rho;
-    ``limit(b)`` is the C^2 limit of the diagonal cuts at radius lam + b;
-    ``hyperbolic_bound`` is the collar bound B (math.inf for a family that
-    is round at every radius); ``interval_bound`` is the largest b for
-    which the limit oracle is controlled (the cut-limit interval is
-    (-inf, interval_bound]).
+    ``cut(lam, rho)`` is the unwarped cut of the member lam >= LAMBDA_MIN
+    at radius rho; ``limit(b)`` is the C^2 limit of the diagonal cuts at
+    radius lam + b; ``hyperbolic_bound`` is the collar bound B (math.inf
+    for a family that is round at every radius); ``interval_bound`` is the
+    largest b for which the limit oracle is controlled (the cut-limit
+    interval is (-inf, interval_bound]).
     """
 
     cut: object
-    lambda_min: float
     hyperbolic_bound: float
     limit: object
-    interval_bound: float = math.inf
-    family_id: str = ""
+    interval_bound: float
+    family_id: str
 
 
 def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid):
@@ -97,10 +103,10 @@ def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid):
     sigma = mf.round_metric()
     worst = 0.0
     for lam in lambda_grid:
-        if lam < family.lambda_min:
+        if lam < LAMBDA_MIN:
             raise DomainError(
-                f"is_hyperbolic_around_origin: lambda {lam} below the "
-                f"family's lambda_min {family.lambda_min}")
+                f"is_hyperbolic_around_origin: lambda {lam} below "
+                f"LAMBDA_MIN {LAMBDA_MIN}")
         for b in b_grid:
             if lam + b <= 0.0:
                 raise DomainError(
@@ -126,10 +132,10 @@ def extension_family_cut(family, theta, lambda_prime, b):
             f"extension_family_cut: cut radius lambda'+b = {s0} must be "
             "positive")
     lam = ht.reparam(lambda_prime, theta)
-    if lam < family.lambda_min:
+    if lam < LAMBDA_MIN:
         raise DomainError(
             f"extension_family_cut: family index {lam:.6g} below "
-            f"lambda_min {family.lambda_min}")
+            f"LAMBDA_MIN {LAMBDA_MIN}")
 
     return unwarped_join_field(
         lambda beta: family.cut(lam, ht.solve_r(s0, beta)))
@@ -147,10 +153,20 @@ class LimitAssembly:
 
 
 def c_prime_bound(family, theta):
-    """Largest admitted b: interval_bound + ln sin(theta) - C_PRIME_MARGIN."""
-    if not math.isfinite(family.interval_bound):
-        return math.inf
+    """Largest admitted b: c' = interval_bound + ln sin(theta) -
+    C_PRIME_MARGIN, infinite for an infinite interval."""
     return family.interval_bound + math.log(math.sin(theta)) - C_PRIME_MARGIN
+
+
+def claim_bounds(family, theta):
+    """The finite bounds (B, c') of the family at theta that the
+    small-angle claim and the collar check read: its collar bound and
+    c_prime_bound, with ROUND_B and ROUND_C standing in for the bounds of
+    a family that is round at every radius."""
+    if math.isinf(family.hyperbolic_bound):
+        family = replace(family, hyperbolic_bound=ROUND_B,
+                         interval_bound=ROUND_C)
+    return family.hyperbolic_bound, c_prime_bound(family, theta)
 
 
 def predicted_limit(family, theta, b):
@@ -211,9 +227,8 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     repeated = sorted({x for x, y in zip(b_grid, b_grid[1:]) if x == y})
     if repeated:
         raise DomainError(f"b grid repeats the values {repeated}")
-    bound = family.hyperbolic_bound
-    b_check = 0.0 if math.isinf(bound) else bound
-    lam_lo = max(family.lambda_min + 0.5, 2.0, 2.0 - b_check)
+    b_check, _ = claim_bounds(family, theta)
+    lam_lo = max(2.0, 2.0 - b_check)
     lam_check = [lam_lo, lam_lo + 4.0]
     ok, dev = is_hyperbolic_around_origin(
         family, b_check, lam_check, [b_check - 1.0, b_check])
@@ -326,9 +341,10 @@ def check_convergence_assertions(reports):
     return failures
 
 
-def verify_beta1_claim(family, params, lambda_prime_grid):
+def verify_beta1_claim(family, theta, beta1, lambda_prime_grid):
     """Verify the small-angle inequality r(lambda' + c', beta1) <=
-    reparam(lambda') + B on the grid and the exact roundness it forces.
+    reparam(lambda') + B on the grid, with (B, c') the family's
+    claim_bounds at theta, and the exact roundness it forces.
 
     Reports the first grid lambda' from which the inequality holds through
     the top of the grid, the margin at the top, and the worst deviation of
@@ -336,12 +352,10 @@ def verify_beta1_claim(family, params, lambda_prime_grid):
     b <= c').  Raises VerificationError if the inequality never holds or
     the forced region is not exactly round to EXACTNESS_TOL.
     """
-    if params.beta1 is None:
-        raise DomainError("verify_beta1_claim: params.beta1 is unset; "
-                          "call beta1_threshold first")
+    B, c_prime = claim_bounds(family, theta)
     grid = np.sort(np.atleast_1d(np.asarray(lambda_prime_grid, dtype=float)))
-    lhs = ht.solve_r(grid + params.c_prime, params.beta1)
-    rhs = ht.reparam(grid, params.theta) + params.B
+    lhs = ht.solve_r(grid + c_prime, beta1)
+    rhs = ht.reparam(grid, theta) + B
     holds = lhs <= rhs
     idx = None
     for i in range(len(grid)):
@@ -357,15 +371,15 @@ def verify_beta1_claim(family, params, lambda_prime_grid):
 
     # exact roundness of block_m on the forced region
     phi = np.linspace(0.0, 2.0 * math.pi, CLAIM_N_PHI, endpoint=False)
-    betas = np.linspace(max(1e-3, params.beta1 / 5.0), params.beta1, 5)
-    bs = [params.c_prime, params.c_prime - 0.5]
+    betas = np.linspace(max(1e-3, beta1 / 5.0), beta1, 5)
+    bs = [c_prime, c_prime - 0.5]
     lps = [lp for lp in np.geomspace(max(lambda0, 2.0), grid[-1], 4)
-           if ht.reparam(float(lp), params.theta) >= family.lambda_min
+           if ht.reparam(float(lp), theta) >= LAMBDA_MIN
            and lp + min(bs) > 0.0]
     worst = 0.0
     for lp in lps:
         for b in bs:
-            cut = extension_family_cut(family, params.theta, float(lp), b)
+            cut = extension_family_cut(family, theta, float(lp), b)
             m = cut.block_m(phi, betas)
             worst = mf.max_carrying_nan(worst, float(np.max(
                 np.abs(m - np.sin(betas)[None, :] ** 2))))
@@ -374,7 +388,7 @@ def verify_beta1_claim(family, params, lambda_prime_grid):
             f"verify_beta1_claim: forced region not exactly round "
             f"(deviation {worst:.3e} > {EXACTNESS_TOL:.0e})")
     return {
-        "beta1": params.beta1,
+        "beta1": beta1,
         "lambda0": lambda0,
         "margin_at_top": margin_top,
         "exactness_max_dev": worst,

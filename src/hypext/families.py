@@ -117,7 +117,7 @@ def hyperbolic_family():
         return sigma
 
     return MetricFamily(
-        cut=cut, lambda_min=0.5, hyperbolic_bound=math.inf,
+        cut=cut, hyperbolic_bound=math.inf,
         limit=lambda b: sigma, interval_bound=math.inf, family_id="hyperbolic")
 
 
@@ -147,7 +147,7 @@ def bump_family(spec):
         return perturbed(eps * bump_profile(rho - lam, start, end))
 
     return MetricFamily(
-        cut=cut, lambda_min=0.5, hyperbolic_bound=start,
+        cut=cut, hyperbolic_bound=start,
         limit=lambda b: perturbed(eps * bump_profile(b, start, end)),
         interval_bound=end,
         family_id=(f"bump[B={start:g},c={end:g},eps={eps:g},"

@@ -17,7 +17,9 @@ module provides the sphere-radius change of variables
 its inverse, the composed map ``vartheta`` and its additive large-radius
 limit ``vartheta_shift``, and the small-angle threshold ``beta1_threshold``
 used to control the region where cuts of a hyperbolically-collared family
-are exactly round.
+are exactly round.  The threshold takes the family's bounds (the collar
+bound B and the shifted interval edge c') as plain floats; ``cutlimits``
+derives them from the family.
 
 All functions accept floats or numpy arrays (inputs broadcast together);
 scalar inputs give scalar outputs.  Compositions of ``sinh``/``asinh`` are
@@ -37,7 +39,6 @@ paths; only ``sin(beta) == 0`` gives ``r = 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -260,21 +261,13 @@ def vartheta(lam, beta, b, theta):
         vartheta(lambda, beta, b, theta) = solve_r(reparam_inverse(lambda,
         theta) + b, beta)
 
-    evaluated through the stable primitives above, so the composition keeps
-    full precision for lambda up to 700 and beyond.
+    Both stages are the stable primitives above, so the composition keeps
+    full precision for lambda up to 700 and beyond.  A beta <= 0 is
+    refused here; the other refusals are those of the two stages.
     """
-    (lam, beta, b, theta), shape, scalar = _prepare(lam, beta, b, theta)
-    if np.any(lam <= 0.0):
-        raise DomainError("vartheta: lambda must be > 0")
-    if np.any((beta <= 0.0) | (beta > HALF_PI)):
+    if np.any(np.asarray(beta) <= 0.0):
         raise DomainError("vartheta: beta must lie in (0, pi/2]")
-    _check_theta(theta, "vartheta")
-    s = _asinh_scaled_sinh(-np.log(np.sin(theta)), lam) + b
-    if np.any(s <= 0.0):
-        raise DomainError("vartheta: lambda'(lambda) + b must be positive")
-    sinb = np.sin(beta)
-    out = _asinh_scaled_sinh(np.log(sinb), s)
-    return _finish(out, shape, scalar)
+    return solve_r(reparam_inverse(lam, theta) + b, beta)
 
 
 def vartheta_shift(beta, b, theta):
@@ -292,37 +285,10 @@ def vartheta_shift(beta, b, theta):
     return _finish(out, shape, scalar)
 
 
-@dataclass(frozen=True)
-class ReparamParams:
-    """Parameters of a reparametrized cut-limit run.
-
-    ``c_prime`` must satisfy c' < c + ln(sin(theta)); ``beta1`` is the
-    small-angle threshold below which cuts are exactly round (filled in by
-    :func:`beta1_threshold`).
-    """
-
-    theta: float
-    B: float
-    c: float
-    c_prime: float
-    beta1: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.theta <= HALF_PI):
-            raise DomainError("ReparamParams: theta must lie in (0, pi/2]")
-        if not (self.c_prime < self.c + math.log(math.sin(self.theta))):
-            raise DomainError(
-                "ReparamParams: requires c_prime < c + ln(sin(theta)) "
-                f"(got c_prime={self.c_prime}, bound="
-                f"{self.c + math.log(math.sin(self.theta))})"
-            )
-        if self.beta1 is not None and not (0.0 < self.beta1 < HALF_PI):
-            raise DomainError("ReparamParams: beta1 must lie in (0, pi/2)")
-
-
-def beta1_threshold(params, lambda_max=700.0):
+def beta1_threshold(theta, B, c_prime, lambda_max):
     """A small angle beta1 with solve_r(l' + c', beta1) <= reparam(l') + B
-    for every l' in a sweep [lam_lo, lambda_max].
+    for every l' in a sweep [lam_lo, lambda_max], for a family with collar
+    bound B and shifted interval edge c' at the angle theta.
 
     Asymptotically the inequality reads ln(sin beta1) <= B - c' +
     ln(sin theta), so beta1 = asin(exp(B - c' + ln sin(theta) -
@@ -335,23 +301,28 @@ def beta1_threshold(params, lambda_max=700.0):
     The claim is about all sufficiently large lambda': the inequality only
     becomes meaningful once reparam(lambda') clears -B (its right side
     must exceed the nonnegative leg length).  The sweep therefore starts
-    at lam_lo = max(5, the radius where that happens).
+    at lam_lo = max(5, the radius where that happens); a lambda_max at or
+    below lam_lo is refused, as is a theta outside (0, pi/2].
     """
-    if not params.B < params.c:
-        raise DomainError("beta1_threshold: requires B < c")
-    expo0 = params.B - params.c_prime + math.log(math.sin(params.theta))
+    if not 0.0 < theta <= HALF_PI:
+        raise DomainError("beta1_threshold: theta must lie in (0, pi/2]")
+    expo0 = B - c_prime + math.log(math.sin(theta))
     if expo0 >= 0.0:
         beta1 = 0.25 * math.pi
     else:
         beta1 = math.asin(math.exp(expo0 - BETA1_MARGIN))
     lam_lo = 5.0
-    if params.B < 2.0:
-        lam_lo = max(lam_lo, reparam_inverse(2.0 - params.B, params.theta))
+    if B < 2.0:
+        lam_lo = max(lam_lo, reparam_inverse(2.0 - B, theta))
     # the swept hypotenuse lambda' + c' must stay positive
-    lam_lo = max(lam_lo, 1.0 - params.c_prime)
+    lam_lo = max(lam_lo, 1.0 - c_prime)
+    if not lambda_max > lam_lo:
+        raise DomainError(
+            f"beta1_threshold: the sweep top {lambda_max:.6g} must exceed "
+            f"its start {lam_lo:.6g}")
     grid = np.geomspace(lam_lo, lambda_max, BETA1_GRID)
-    lhs = solve_r(grid + params.c_prime, beta1)
-    rhs = reparam(grid, params.theta) + params.B
+    lhs = solve_r(grid + c_prime, beta1)
+    rhs = reparam(grid, theta) + B
     if np.any(lhs > rhs):
         worst = float(np.max(lhs - rhs))
         raise VerificationError(

@@ -203,13 +203,9 @@ def test_small_angle_claim():
     worst_lambda0 = 0.0
     worst_dev = 0.0
     for theta in (HALF_PI, PI_3):
-        cp = cl.c_prime_bound(family, theta)
-        params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
-                                  c_prime=cp)
-        params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
-                                  c_prime=cp,
-                                  beta1=ht.beta1_threshold(params))
-        rep = cl.verify_beta1_claim(family, params,
+        B, cp = cl.claim_bounds(family, theta)
+        beta1 = ht.beta1_threshold(theta, B, cp, 700.0)
+        rep = cl.verify_beta1_claim(family, theta, beta1,
                                     np.geomspace(1.0, 700.0, 80))
         worst_lambda0 = max(worst_lambda0, rep["lambda0"])
         worst_dev = max(worst_dev, rep["exactness_max_dev"])

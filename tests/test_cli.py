@@ -121,12 +121,15 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     ("identities", "s_max = 1000"),
     ("identities", "s_min = 0"),
     ("identities", "beta_max = 0.005"),
-    # every key is checked whichever suite runs; the claim sweep starts
-    # at lambda' = 1
+    # every key is checked whichever suite runs; the claim's verification
+    # grid starts at lambda' = 1
     ("identities", "bump_direction = foo"),
     ("identities", "bump_support_start = 2"),
     ("claim", "claim_lambda_max = 0.5"),
     ("claim", "claim_lambda_max = -5"),
+    # the claim's threshold sweep starts at lambda' = 5 or above: a top
+    # below it is refused, not swept backwards into a failed inequality
+    ("claim", "claim_lambda_max = 1.5"),
     # a bump amplitude of at most -1 makes the cut indefinite where the
     # direction field is 1
     ("identities", "bump_amplitude = -30"),

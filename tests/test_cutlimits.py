@@ -32,7 +32,7 @@ def unbounded_control():
     def cut(lam, rho):
         return pert
 
-    return cl.MetricFamily(cut=cut, lambda_min=0.5, hyperbolic_bound=-1.0,
+    return cl.MetricFamily(cut=cut, hyperbolic_bound=-1.0,
                            limit=lambda b: pert, interval_bound=1.0,
                            family_id="unbounded-control")
 
@@ -94,7 +94,7 @@ def test_extension_family_cut_guards():
     with pytest.raises(DomainError):
         cl.extension_family_cut(family, HALF_PI, 1.0, -2.0)  # radius <= 0
     with pytest.raises(DomainError):
-        cl.extension_family_cut(family, PI_3, 0.4, 0.0)  # below lambda_min
+        cl.extension_family_cut(family, PI_3, 0.4, 0.0)  # below LAMBDA_MIN
 
 
 def test_region_exactness():
@@ -102,15 +102,14 @@ def test_region_exactness():
     # block is exactly round: an identity of the construction
     family = bump()
     theta = PI_3
-    params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
-                              c_prime=cl.c_prime_bound(family, theta))
-    beta1 = ht.beta1_threshold(params)
+    B, cp = cl.claim_bounds(family, theta)
+    beta1 = ht.beta1_threshold(theta, B, cp, 700.0)
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     betas = np.linspace(1e-3, beta1, 7)
     for lp in (6.0, 10.0):
-        for b in (params.c_prime, -1.5):
+        for b in (cp, -1.5):
             lam = ht.reparam(lp, theta)
-            cond = ht.vartheta(lam, betas, b, theta) <= lam - 1.0
+            cond = ht.vartheta(lam, betas, b, theta) <= lam + B
             cut = cl.extension_family_cut(family, theta, lp, b)
             m = cut.block_m(phi, betas)
             exact = np.abs(m - np.sin(betas)[None, :] ** 2) == 0.0
@@ -163,7 +162,6 @@ def _translated(family, a):
     at lam - a, so the new cut limit at b equals the old one at b + a."""
     return dataclasses.replace(
         family, cut=lambda lam, rho: family.cut(lam - a, rho),
-        lambda_min=family.lambda_min + a,
         hyperbolic_bound=family.hyperbolic_bound - a,
         limit=lambda b: family.limit(b + a),
         interval_bound=family.interval_bound - a,
@@ -299,16 +297,23 @@ def test_convergence_assertions_fail_on_nan():
 # small-angle claim
 # ---------------------------------------------------------------------------
 
+def test_claim_bounds_read_the_family():
+    # the bump family's own collar bound and shifted edge; finite
+    # stand-ins for the family that is round at every radius
+    family, round_family = bump(), hyper()
+    for theta in (HALF_PI, PI_3):
+        assert cl.claim_bounds(family, theta) == (
+            -1.0, cl.c_prime_bound(family, theta))
+        assert cl.claim_bounds(round_family, theta) == (
+            0.0, 1.0 + math.log(math.sin(theta)) - 0.1)
+
+
 def test_verify_beta1_claim_defaults():
     family = bump()
     for theta in (HALF_PI, PI_3):
-        cp = cl.c_prime_bound(family, theta)
-        params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
-                                  c_prime=cp)
-        params = ht.ReparamParams(theta=theta, B=-1.0, c=1.0,
-                                  c_prime=cp,
-                                  beta1=ht.beta1_threshold(params))
-        report = cl.verify_beta1_claim(family, params,
+        B, cp = cl.claim_bounds(family, theta)
+        beta1 = ht.beta1_threshold(theta, B, cp, 700.0)
+        report = cl.verify_beta1_claim(family, theta, beta1,
                                        np.geomspace(1.0, 40.0, 40))
         assert report["lambda0"] <= 10.0
         assert report["margin_at_top"] > 0.0
@@ -322,17 +327,9 @@ def test_verify_beta1_claim_stricter_c_prime_for_smaller_theta():
 
 
 def test_verify_beta1_claim_failure_modes():
-    family = bump()
-    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0,
-                              c_prime=0.9, beta1=1.5)
     with pytest.raises(VerificationError, match="never holds"):
-        cl.verify_beta1_claim(family, params, np.geomspace(1.0, 40.0, 30))
-    with pytest.raises(DomainError, match="unset"):
-        cl.verify_beta1_claim(
-            family,
-            ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0,
-                             c_prime=0.9),
-            np.geomspace(1.0, 40.0, 30))
+        cl.verify_beta1_claim(bump(), HALF_PI, 1.5,
+                              np.geomspace(1.0, 40.0, 30))
 
 
 def _nan_beyond(x):
@@ -345,16 +342,14 @@ def test_verify_beta1_claim_fails_on_nan_block():
     # every cut is NaN where the angle |x| > 1: the forced region is not
     # shown round, so the claim must not pass
     nan_cut = mf.SphereMetricField.from_function(_nan_beyond)
-    family = cl.MetricFamily(cut=lambda lam, rho: nan_cut, lambda_min=0.5,
+    family = cl.MetricFamily(cut=lambda lam, rho: nan_cut,
                              hyperbolic_bound=-1.0, limit=lambda b: nan_cut,
                              interval_bound=1.0, family_id="nan-beyond-1")
-    cp = cl.c_prime_bound(bump(), HALF_PI)
-    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0,
-                              c_prime=cp)
-    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0,
-                              c_prime=cp, beta1=ht.beta1_threshold(params))
+    B, cp = cl.claim_bounds(family, HALF_PI)
+    beta1 = ht.beta1_threshold(HALF_PI, B, cp, 700.0)
     with pytest.raises(VerificationError, match="not exactly round"):
-        cl.verify_beta1_claim(family, params, np.geomspace(1.0, 40.0, 40))
+        cl.verify_beta1_claim(family, HALF_PI, beta1,
+                              np.geomspace(1.0, 40.0, 40))
 
 
 # ---------------------------------------------------------------------------

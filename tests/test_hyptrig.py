@@ -33,10 +33,11 @@ def test_fixture_table(fixture_table):
     checked = 0
     for name, args, expected in fixture_table:
         if name == "beta1_threshold":
-            B, c, c_prime, theta, margin = args
+            # the row keeps the interval top c, which the threshold does
+            # not read (it takes c' = c + ln sin(theta) - margin)
+            B, _c, c_prime, theta, margin = args
             assert margin == ht.BETA1_MARGIN
-            params = ht.ReparamParams(theta=theta, B=B, c=c, c_prime=c_prime)
-            got = ht.beta1_threshold(params)
+            got = ht.beta1_threshold(theta, B, c_prime, 700.0)
         else:
             got = dispatch[name](*args)
         assert rel_err(got, expected) < 1e-13, (name, args, got, expected)
@@ -191,8 +192,7 @@ def test_vartheta_asymptotic_law():
 # ---------------------------------------------------------------------------
 
 def test_beta1_example_case():
-    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0, c_prime=0.0)
-    beta1 = ht.beta1_threshold(params)
+    beta1 = ht.beta1_threshold(HALF_PI, -1.0, 0.0, 700.0)
     assert beta1 == pytest.approx(math.asin(math.exp(-1.5)), rel=1e-12)
     # the defining inequality on a spot grid
     grid = np.geomspace(5.0, 700.0, 50)
@@ -200,21 +200,14 @@ def test_beta1_example_case():
 
 
 def test_beta1_degenerate_returns_pi_over_4():
-    params = ht.ReparamParams(theta=HALF_PI, B=0.5, c=1.0, c_prime=0.2)
-    assert ht.beta1_threshold(params) == pytest.approx(math.pi / 4)
+    assert ht.beta1_threshold(HALF_PI, 0.5, 0.2, 700.0) == pytest.approx(
+        math.pi / 4)
 
 
 def test_beta1_absurdly_low_bound_still_passes():
     # the bound is monotone: pushing B far down just makes beta1 tiny
-    params = ht.ReparamParams(theta=HALF_PI, B=-9.0, c=1.0, c_prime=0.9)
-    beta1 = ht.beta1_threshold(params)
+    beta1 = ht.beta1_threshold(HALF_PI, -9.0, 0.9, 700.0)
     assert 0.0 < beta1 < 1e-4
-
-
-def test_beta1_requires_B_below_c():
-    params = ht.ReparamParams(theta=HALF_PI, B=1.0, c=1.0, c_prime=0.0)
-    with pytest.raises(DomainError):
-        ht.beta1_threshold(params)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,26 +217,29 @@ def test_beta1_threshold_property(B, theta, c_gap, cp_gap):
     # any admissible (B, c, c', theta) yields a verified angle
     c = B + c_gap
     c_prime = c + math.log(math.sin(theta)) - cp_gap
-    params = ht.ReparamParams(theta=theta, B=B, c=c, c_prime=c_prime)
-    beta1 = ht.beta1_threshold(params)
+    beta1 = ht.beta1_threshold(theta, B, c_prime, 700.0)
     assert 0.0 < beta1 <= math.pi / 4
 
 
 def test_beta1_verification_failure_raises(monkeypatch):
-    params = ht.ReparamParams(theta=HALF_PI, B=-1.0, c=1.0, c_prime=0.0)
     # a negative margin puts the candidate above the asymptotic bound, so
     # the inequality fails on the whole sweep
     monkeypatch.setattr(ht, "BETA1_MARGIN", -0.5)
     with pytest.raises(VerificationError):
-        ht.beta1_threshold(params)
+        ht.beta1_threshold(HALF_PI, -1.0, 0.0, 700.0)
 
 
-def test_reparam_params_validation():
-    with pytest.raises(DomainError):
-        ht.ReparamParams(theta=0.0, B=-1.0, c=1.0, c_prime=0.0)
-    with pytest.raises(DomainError):
-        # c_prime bound: requires c' < c + ln sin(theta)
-        ht.ReparamParams(theta=math.pi / 3, B=-1.0, c=1.0, c_prime=0.99)
+def test_beta1_threshold_refuses_bad_theta_and_backward_sweep():
+    for theta in (0.0, -0.3, HALF_PI + 1e-6, math.nan):
+        with pytest.raises(DomainError, match="theta"):
+            ht.beta1_threshold(theta, -1.0, 0.0, 700.0)
+    # the sweep starts at lam_lo >= 5; a top at or below it would sweep
+    # backwards over radii the threshold does not claim, at either angle
+    for theta in (HALF_PI, math.pi / 3):
+        for lambda_max in (1.5, 5.0):
+            with pytest.raises(DomainError, match="must exceed its start 5"):
+                ht.beta1_threshold(theta, -1.0, 0.0, lambda_max)
+        assert 0.0 < ht.beta1_threshold(theta, -1.0, 0.0, 5.5) < HALF_PI
 
 
 # ---------------------------------------------------------------------------
