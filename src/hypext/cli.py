@@ -17,14 +17,15 @@ claim        --family, --theta: small-angle threshold, inequality sweep
 Every configuration key has one row in KEYS: its default and the parser
 that each of its values, from the defaults, a flag or a flat
 ``key = value`` file (--config; it must carry ``schema_version = 1``),
-goes through once.  Flags override file keys, and file keys serve every
-suite; a flag a suite does not read is refused.  RunConfig.validate checks
-every key whichever suite runs.  Every suite writes report.jsonl,
-report.csv and summary.txt into --out, atomically, and byte-identically
-for identical configuration (including the seed).  Exit codes: 0 all
-assertions passed, 1 an assertion failed, 2 usage or configuration error,
-or an input a suite refuses (say a claim_lambda_max at or below the start
-of the claim's threshold sweep).
+goes through once; a file sets each key at most once.  Flags override
+file keys, and file keys serve every suite; a flag a suite does not read
+is refused.  RunConfig.validate checks every key whichever suite runs.
+Every suite writes report.jsonl, report.csv and summary.txt into --out,
+atomically, and byte-identically for identical configuration (including
+the seed).  Exit codes: 0 all assertions passed, 1 an assertion failed,
+2 usage or configuration error, or an input a suite refuses (say a claim
+theta so small that the claim's threshold sweep would start above its
+top, cutlimits.CLAIM_LAMBDA_MAX).
 
 Negative-control hooks (test-only, documented here on purpose): a coarse
 --fd-step 0.02 breaks the identities suite's tolerance (steps so large
@@ -60,6 +61,13 @@ SCHEMA_VERSION = 1
 # largest grid resolution accepted: the converge suite holds several
 # (grid/2) x grid x 2 arrays at once
 GRID_MAX = 2048
+
+# radius and angle ranges of the identities suite's random triangles
+IDENTITIES_S_RANGE = (0.1, 30.0)
+IDENTITIES_BETA_RANGE = (0.01, math.pi / 2 - 0.01)
+
+# the bump family member whose warped cut is the oracle suite's base
+ORACLE_BASE_LAMBDA = 2.0
 
 
 class ConfigError(argparse.ArgumentTypeError):
@@ -136,12 +144,6 @@ KEYS = {
     "bump_support_end": (1.0, _float),
     "bump_amplitude": (0.05, _float),
     "bump_direction": ("uniform", str),
-    "bump_base_lambda": (2.0, _float),
-    "s_min": (0.1, _float),
-    "s_max": (30.0, _float),
-    "beta_min": (0.01, _float),
-    "beta_max": (math.pi / 2 - 0.01, _float),
-    "claim_lambda_max": (700.0, _float),
 }
 DEFAULTS = {key: default for key, (default, _) in KEYS.items()}
 
@@ -152,7 +154,7 @@ def read_config_file(path):
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: "
                           f"{e.strerror or e}") from None
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -162,6 +164,10 @@ def read_config_file(path):
         key, raw = (t.strip() for t in line.split("=", 1))
         if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = KEYS[key][1](raw)
         except ConfigError as e:
@@ -188,17 +194,11 @@ class RunConfig:
     bump_support_end: float
     bump_amplitude: float
     bump_direction: str
-    bump_base_lambda: float
-    s_min: float
-    s_max: float
-    beta_min: float
-    beta_max: float
-    claim_lambda_max: float
     corrupt: str | None
 
     def validate(self):
         """Refuse any value some suite cannot run, whichever suite runs:
-        every angle, radius, range, step and seed in its range, and the
+        every angle, radius, step and seed in its range, and the
         bump keys by the FamilySpec rules.  The parsers have refused
         every non-finite number."""
         if self.family not in ("hyperbolic", "bump"):
@@ -218,22 +218,11 @@ class RunConfig:
             raise ConfigError(f"seed {self.seed} must be >= 0")
         if self.fd_step is not None and not self.fd_step > 0.0:
             raise ConfigError(f"fd_step {self.fd_step} must be > 0")
-        for s in (*self.s_values, self.s_min, self.s_max):
+        for s in self.s_values:
             if not 0.0 < s < mf.RADIUS_MAX:
                 raise ConfigError(
                     f"s value {s} outside the base's radial domain "
                     f"(0, {mf.RADIUS_MAX:g})")
-        if not self.s_min <= self.s_max:
-            raise ConfigError(f"s_min {self.s_min} exceeds s_max "
-                              f"{self.s_max}")
-        if not 0.0 <= self.beta_min <= self.beta_max <= math.pi / 2:
-            raise ConfigError(
-                f"beta range [{self.beta_min}, {self.beta_max}] is not "
-                "an interval in [0, pi/2]")
-        if not self.claim_lambda_max > 1.0:
-            raise ConfigError(
-                f"claim_lambda_max {self.claim_lambda_max} must be > 1, "
-                "the start of the claim's verification grid")
         self.bump_spec()
         # the reports go into out, or into a directory made there: the
         # nearest existing path must be a directory
@@ -251,10 +240,16 @@ class RunConfig:
             amplitude=self.bump_amplitude, direction=self.bump_direction)
 
     def b_grid(self, family, theta):
-        """Resolve the b grid for one theta, refusing values beyond c'."""
+        """Resolve the b grid for one theta, refusing values beyond c' and
+        an auto grid [-2, c'] that holds no five distinct values."""
         cp = cl.c_prime_bound(family, theta)
         if self.b is None:
             top = cp if math.isfinite(cp) else 1.0
+            if not top > -2.0:
+                raise ConfigError(
+                    f"the auto b grid runs from -2 up to c' = {cp:.6g}, "
+                    f"which lies at or below -2 for theta = {theta:.6g}: "
+                    "give b values at or below c'")
             return list(np.linspace(-2.0, top, 5))
         beyond = [b for b in self.b if b > cp]
         if beyond:
@@ -273,11 +268,11 @@ def build_family(cfg):
 
 def build_base_metric(cfg):
     """Radial base for the oracle suite: the hyperbolic model, or one bump
-    family member (index bump_base_lambda) as a warped-by-sinh metric."""
+    family member (index ORACLE_BASE_LAMBDA) as a warped-by-sinh metric."""
     if cfg.family == "hyperbolic":
         return mf.hyperbolic_radial()
     family = build_family(cfg)
-    lam0 = cfg.bump_base_lambda
+    lam0 = ORACLE_BASE_LAMBDA
 
     def cut(r):
         return mf.scale(family.cut(lam0, r), math.sinh(r) ** 2)
@@ -318,8 +313,8 @@ def write_reports(out_dir, records, csv_columns, summary_lines):
 
 def cmd_identities(cfg):
     rng = np.random.default_rng(cfg.seed)
-    s = rng.uniform(cfg.s_min, cfg.s_max, size=(100, 100))
-    beta = rng.uniform(cfg.beta_min, cfg.beta_max, size=(100, 100))
+    s = rng.uniform(*IDENTITIES_S_RANGE, size=(100, 100))
+    beta = rng.uniform(*IDENTITIES_BETA_RANGE, size=(100, 100))
     r = ht.solve_r(s, beta)
     t = ht.solve_t(s, beta)
 
@@ -368,8 +363,8 @@ def cmd_identities(cfg):
         all_ok &= ok
         records.append({"identity": name, "worst": worst, "tolerance": tol,
                         "passed": ok,
-                        "s_range": [cfg.s_min, cfg.s_max],
-                        "beta_range": [cfg.beta_min, cfg.beta_max],
+                        "s_range": list(IDENTITIES_S_RANGE),
+                        "beta_range": list(IDENTITIES_BETA_RANGE),
                         "seed": cfg.seed})
         summary.append(f"{'PASS' if ok else 'FAIL'} {name}: worst residual "
                        f"{worst:.3e} (tolerance {tol:.0e})")
@@ -430,9 +425,10 @@ def cmd_converge(cfg):
     family = build_family(cfg)
     n_beta = cfg.grid
     n_phi = max(16, cfg.grid // 2)
+    # every b grid is checked before the first cut
+    b_grids = [cfg.b_grid(family, theta) for theta in cfg.theta]
     reports = []
-    for theta in cfg.theta:
-        bs = cfg.b_grid(family, theta)
+    for theta, bs in zip(cfg.theta, b_grids):
         rep = cl.run_convergence(
             family, theta, bs, cfg.lambda_prime,
             n_phi=n_phi, n_beta=n_beta,
@@ -472,10 +468,10 @@ def cmd_claim(cfg):
         try:
             beta1 = (1.5 if cfg.corrupt == "beta1-large"
                      else ht.beta1_threshold(theta, B, cp,
-                                             cfg.claim_lambda_max))
+                                             cl.CLAIM_LAMBDA_MAX))
             rep = cl.verify_beta1_claim(
                 family, theta, beta1,
-                np.geomspace(1.0, cfg.claim_lambda_max, 80))
+                np.geomspace(1.0, cl.CLAIM_LAMBDA_MAX, 80))
             ok = True
         except VerificationError as e:
             rep = {"beta1": beta1, "error": str(e)}

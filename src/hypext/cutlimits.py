@@ -64,6 +64,9 @@ BOUNDARY_RESOLUTION = 128
 # is coth^2(lambda' + b) = 1 + 1/sinh^2(lambda' + b)
 EQUATOR_NORMAL_COEFF = 1.0
 
+# top of the small-angle claim's lambda' sweeps
+CLAIM_LAMBDA_MAX = 700.0
+
 # phi points and tolerance of the small-angle claim's exact-roundness check
 CLAIM_N_PHI = 16
 EXACTNESS_TOL = 1e-14

@@ -110,26 +110,17 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("suite,line", [
-    ("identities", "s_min = nan"),
-    ("identities", "beta_max = nan"),
-    ("claim", "claim_lambda_max = inf"),
     ("converge", "bump_support_end = inf"),
-    ("oracle", "bump_base_lambda = nan"),
     ("identities", "fd_step = 0"),
-    # the identities ranges: ordered, s inside the base's radial domain
-    ("identities", "s_min = 50"),
-    ("identities", "s_max = 1000"),
-    ("identities", "s_min = 0"),
-    ("identities", "beta_max = 0.005"),
-    # every key is checked whichever suite runs; the claim's verification
-    # grid starts at lambda' = 1
+    # every key is checked whichever suite runs
     ("identities", "bump_direction = foo"),
     ("identities", "bump_support_start = 2"),
-    ("claim", "claim_lambda_max = 0.5"),
-    ("claim", "claim_lambda_max = -5"),
-    # the claim's threshold sweep starts at lambda' = 5 or above: a top
-    # below it is refused, not swept backwards into a failed inequality
-    ("claim", "claim_lambda_max = 1.5"),
+    # a file sets each key once, not the last of several values
+    ("identities", "seed = 1\nseed = 2"),
+    # at so small a theta the claim's threshold sweep would start above
+    # its top, lambda' = 700: refused, not swept backwards into a failed
+    # inequality
+    ("claim", "theta = 1e-304"),
     # a bump amplitude of at most -1 makes the cut indefinite where the
     # direction field is 1
     ("identities", "bump_amplitude = -30"),
@@ -139,6 +130,14 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     # are not configuration keys
     ("converge", "k = 1"),
     ("oracle", "n = 2"),
+    # so are the identities suite's sampling ranges, the oracle's base
+    # member and the claim's sweep top (module constants)
+    ("identities", "s_min = 0"),
+    ("identities", "s_max = 1000"),
+    ("identities", "beta_min = 0.01"),
+    ("identities", "beta_max = 0.005"),
+    ("oracle", "bump_base_lambda = nan"),
+    ("claim", "claim_lambda_max = 0.5"),
 ])
 def test_non_finite_config_file_value_is_exit_2(tmp_path, capsys, suite,
                                                 line):
@@ -294,18 +293,6 @@ def test_identities_unrunnable_fd_step_is_refused(tmp_path):
     assert run(["identities", "--out", str(out), "--fd-step", "0.5"]) == 2
 
 
-def test_identities_narrowed_grid(tmp_path):
-    cfgfile = tmp_path / "narrow.cfg"
-    cfgfile.write_text(
-        "schema_version = 1\n"
-        "s_min = 1.0\ns_max = 2.0\nbeta_min = 0.5\nbeta_max = 1.0\n")
-    out = tmp_path / "out"
-    assert run(["identities", "--config", str(cfgfile),
-                "--out", str(out)]) == 0
-    recs = read_jsonl(out)
-    assert all(r["s_range"] == [1.0, 2.0] for r in recs)
-
-
 def test_identities_shift_gap_fails_on_nan(tmp_path, monkeypatch):
     # NaN from the second angle on: a builtin max keeps the first, finite
     # gap and drops the rest
@@ -391,6 +378,24 @@ def test_converge_refuses_b_beyond_c_prime(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "c'" in err and "ln sin(theta)" in err
+
+
+def test_converge_refuses_auto_b_grid_below_minus_two(tmp_path, capsys,
+                                                      monkeypatch):
+    # c' = 1 + ln sin(0.04) - 0.1 ~ -2.32: the auto grid [-2, c'] would
+    # hold b values beyond c' only.  Every b grid is resolved before the
+    # first cut, so pi/2, which comes first, is not cut either.
+    cuts = []
+    monkeypatch.setattr(cli.cl, "run_convergence",
+                        lambda *args, **kw: cuts.append(args))
+    out = tmp_path / "out"
+    rc = run(["converge", "--out", str(out), "--grid", "24",
+              "--theta", "pi/2,0.04"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "auto b grid" in err and "theta = 0.04" in err
+    assert "Traceback" not in err
+    assert cuts == [] and not out.exists()
 
 
 def test_converge_negative_control(tmp_path):
