@@ -173,6 +173,10 @@ def read_config_file(path):
         except ConfigError as e:
             raise ConfigError(
                 f"{path}:{lineno}: bad value for {key}: {e}") from None
+    if "schema_version" not in values:
+        raise ConfigError(f"{path}: missing key 'schema_version' (a config "
+                          f"file must carry schema_version = "
+                          f"{SCHEMA_VERSION})")
     return values
 
 
@@ -460,10 +464,13 @@ def cmd_converge(cfg):
 
 def cmd_claim(cfg):
     family = build_family(cfg)
+    # every theta's threshold sweep is checked before the first claim
+    bounds = [cl.claim_bounds(family, theta) for theta in cfg.theta]
+    for theta, (B, cp) in zip(cfg.theta, bounds):
+        ht.beta1_sweep_start(theta, B, cp, cl.CLAIM_LAMBDA_MAX)
     records, summary = [], []
     all_ok = True
-    for theta in cfg.theta:
-        B, cp = cl.claim_bounds(family, theta)
+    for theta, (B, cp) in zip(cfg.theta, bounds):
         beta1 = None
         try:
             beta1 = (1.5 if cfg.corrupt == "beta1-large"

@@ -127,15 +127,23 @@ def unwarped_join_field(column):
     whose circle block at each beta is the field ``column(beta)``, called
     once per sampled beta (a float).  The extension-family cut and its
     predicted limit differ only in the column.
+
+    Each column's field is stored as a contiguous row of a (beta, phi)
+    buffer, and sin^2(beta) is applied once, by a transposing multiply
+    into the C-ordered (phi, beta) block: every element is the same
+    product as a per-column ``sin^2(beta) * field``.
     """
 
     def block_m(phi, beta):
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        rows = np.empty((beta.size, phi.size))
+        sin2 = np.empty(beta.size)
+        for j, bj in enumerate(beta.tolist()):
+            sin2[j] = math.sin(bj) ** 2
+            rows[j] = column(bj).at_angles(phi)
         out = np.empty((phi.size, beta.size))
-        for j, bj in enumerate(beta):
-            bj = float(bj)
-            out[:, j] = math.sin(bj) ** 2 * column(bj).at_angles(phi)
+        np.multiply(rows.T, sin2, out=out)
         return out
 
     return JoinMetricField(

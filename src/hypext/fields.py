@@ -126,6 +126,12 @@ class C2Distance:
         return max_carrying_nan(self.c0, self.c1, self.c2)
 
 
+def _sup(x, factor):
+    """sup |x| / |factor|, NaN if x holds one; max(max x, -min x) reads x
+    twice and writes nothing, and ``abs`` folds its -0.0."""
+    return float(abs(max(x.max(), -x.min())) / abs(factor))
+
+
 def c2_sups(delta, steps, periodic=None):
     """(c0, c1, c2) sups for a difference array over a structured grid.
 
@@ -135,72 +141,111 @@ def c2_sups(delta, steps, periodic=None):
     interior.
 
     Each periodic axis is padded once with one wrapped layer on either
-    side, so every forward, backward, mid and cross stencil is a view of
-    that one copy.  The division by the stencil's step factor is taken
-    after the sup: correctly rounded division by a positive number is
-    monotone, so ``max|x| / c`` equals ``max|x / c|`` bit for bit.  An
-    exactly zero ``delta`` returns ``(0.0, 0.0, 0.0)`` at once.  A NaN
-    anywhere a stencil reaches makes that sup NaN; it is never dropped.
+    side, and the C-ordered pad is read as one flat vector: a grid
+    neighbour is then a fixed element offset, so every forward, backward,
+    mid and cross stencil is a contiguous 1-D slice of that vector.  Each
+    stencil is computed over the flat span from its first to its last
+    evaluation point into one scratch buffer, allocated with the pad; the
+    lanes of that span that fall between rows (the columns outside the
+    evaluation region) are zeroed before the sup.  A sup is
+    ``max(max x, -min x)`` of the buffer, its sign of zero folded by
+    ``abs``, and is divided by the stencil's step factor afterwards:
+    correctly rounded division by a positive number is monotone, so
+    ``max|x| / c`` equals ``max|x / c|`` bit for bit.  An exactly zero
+    ``delta`` returns ``(0.0, 0.0, 0.0)`` at once.  A NaN anywhere a
+    stencil reaches makes that sup NaN; it is never dropped.
     """
     delta = np.asarray(delta, dtype=float)
     n_axes = len(steps)
     periodic = tuple(periodic or (False,) * n_axes)
 
-    def sup(arr, factor):
-        """sup |arr| / |factor|; ``arr`` is a temporary and is
-        overwritten."""
-        if arr.size == 0:
-            return 0.0
-        return float(np.max(np.abs(arr, out=arr)) / abs(factor))
-
-    c0 = float(np.max(np.abs(delta))) if delta.size else 0.0
+    c0 = float(abs(max(delta.max(), -delta.min()))) if delta.size else 0.0
     if c0 == 0.0:
         return 0.0, 0.0, 0.0
 
-    # one wrapped layer on each side of every periodic axis
-    padded = delta
+    # one allocation holds the pad, with one wrapped layer on each side of
+    # every periodic axis, and the scratch that each stencil is computed
+    # in: a second large array per call is often mapped afresh and faulted
+    # in page by page, which at 192x384 cost more than the stencils
+    comps = delta.shape[n_axes:]
+    pad_shape = tuple(n + 2 * w for n, w in zip(delta.shape, periodic))
+    size = math.prod(pad_shape + comps)
+    work = np.empty(2 * size)
+    flat, scratch = work[:size], work[size:]
+    padded = flat.reshape(pad_shape + comps)
+    inner = tuple(slice(1, -1) if w else slice(None) for w in periodic)
+    padded[inner] = delta
     for ax in range(n_axes):
         if periodic[ax]:
-            last = padded[(slice(None),) * ax + (slice(-1, None),)]
-            first = padded[(slice(None),) * ax + (slice(None, 1),)]
-            padded = np.concatenate([last, padded, first], axis=ax)
+            lead = (slice(None),) * ax
+            padded[lead + (0,)] = padded[lead + (-2,)]
+            padded[lead + (-1,)] = padded[lead + (1,)]
 
-    shift_slices = {1: slice(2, None), -1: slice(None, -2), 0: slice(1, -1)}
+    # the pad as rows x cols cells of ``comp`` elements in C order; a single
+    # grid axis is one bounded row
+    (rows, cols), (wrap_rows, wrap_cols) = (
+        (pad_shape, periodic) if n_axes == 2
+        else ((1,) + pad_shape, (False,) + periodic))
+    comp = math.prod(comps)
+    row = cols * comp
 
-    def view(offsets):
-        """The stencil neighbour at ``offsets`` (one of +1, -1, 0 or None
-        per grid axis; None leaves that axis undifferenced) of every
-        evaluation point, as a view of ``padded``."""
-        return padded[tuple(
-            shift_slices[off] if off is not None
-            else (slice(1, -1) if periodic[ax] else slice(None))
-            for ax, off in enumerate(offsets))]
+    def region(r0, q0):
+        """The evaluation rows [r0, rows - r0) and columns [q0, cols - q0)
+        as (flat index of their first element, length of the flat span to
+        their last, the span's seam lanes as scratch rows or None), or
+        None if empty.  The seam lanes lie between one row's last
+        evaluation column and the next row's first."""
+        n_rows, width = rows - 2 * r0, (cols - 2 * q0) * comp
+        if n_rows <= 0 or width <= 0:
+            return None
+        seams = None
+        if width < row and n_rows > 1:
+            seams = scratch[width:width + (n_rows - 1) * row].reshape(
+                n_rows - 1, row)[:, :row - width]
+        return r0 * row + q0 * comp, (n_rows - 1) * row + width, seams
 
     sups1, sups2 = [], []
-    for ax in range(n_axes):
-        h = steps[ax]
-        fwd, bwd, mid = (view([off if a == ax else None
-                               for a in range(n_axes)])
-                         for off in (1, -1, 0))
-        sups1.append(sup(fwd - bwd, 2.0 * h))
-        d2 = 2.0 * mid
-        np.subtract(fwd, d2, out=d2)
-        d2 += bwd
-        sups2.append(sup(d2, h * h))
+    for h, off, r0, q0 in ((steps[0], row, 1, int(wrap_cols)),
+                           (steps[-1], comp, int(wrap_rows), 1))[2 - n_axes:]:
+        box = region(r0, q0)
+        if box is None:
+            sups1.append(0.0)
+            sups2.append(0.0)
+            continue
+        start, n, seams = box
+        fwd = flat[start + off:start + off + n]
+        bwd = flat[start - off:start - off + n]
+        out = scratch[:n]
+        np.subtract(fwd, bwd, out=out)
+        if seams is not None:
+            seams[...] = 0.0
+        sups1.append(_sup(out, 2.0 * h))
+        np.multiply(flat[start:start + n], 2.0, out=out)
+        np.subtract(fwd, out, out=out)
+        out += bwd
+        if seams is not None:
+            seams[...] = 0.0
+        sups2.append(_sup(out, h * h))
 
-    if n_axes == 2:
-        h0, h1 = steps
-        pm, mp = view((1, -1)), view((-1, 1))
+    box = region(1, 1) if n_axes == 2 else None
+    if box is not None:
+        start, n, seams = box
+        pm, mp = row - comp, comp - row
         if periodic == (True, False):
             # the rounding of the cross stencil depends on the order of its
             # terms: with the periodic axis first, (-1, +1) is subtracted
             # before (+1, -1), which keeps the results bit-identical to the
             # roll-based reference kernel in tests/test_fields.py
             pm, mp = mp, pm
-        dxy = view((1, 1)) - pm
-        dxy -= mp
-        dxy += view((-1, -1))
-        sups2.append(sup(dxy, 4.0 * h0 * h1))
+        pp, mm = row + comp, -row - comp
+        out = scratch[:n]
+        np.subtract(flat[start + pp:start + pp + n],
+                    flat[start + pm:start + pm + n], out=out)
+        out -= flat[start + mp:start + mp + n]
+        out += flat[start + mm:start + mm + n]
+        if seams is not None:
+            seams[...] = 0.0
+        sups2.append(_sup(out, 4.0 * steps[0] * steps[1]))
 
     return c0, max_carrying_nan(*sups1), max_carrying_nan(*sups2)
 

@@ -285,6 +285,24 @@ def vartheta_shift(beta, b, theta):
     return _finish(out, shape, scalar)
 
 
+def beta1_sweep_start(theta, B, c_prime, lambda_max):
+    """The start lam_lo of beta1_threshold's sweep [lam_lo, lambda_max]
+    (see there), refusing a theta outside (0, pi/2] and a lambda_max at or
+    below lam_lo."""
+    if not 0.0 < theta <= HALF_PI:
+        raise DomainError("beta1_threshold: theta must lie in (0, pi/2]")
+    lam_lo = 5.0
+    if B < 2.0:
+        lam_lo = max(lam_lo, reparam_inverse(2.0 - B, theta))
+    # the swept hypotenuse lambda' + c' must stay positive
+    lam_lo = max(lam_lo, 1.0 - c_prime)
+    if not lambda_max > lam_lo:
+        raise DomainError(
+            f"beta1_threshold: the sweep top {lambda_max:.6g} must exceed "
+            f"its start {lam_lo:.6g} at theta = {theta:.6g}")
+    return lam_lo
+
+
 def beta1_threshold(theta, B, c_prime, lambda_max):
     """A small angle beta1 with solve_r(l' + c', beta1) <= reparam(l') + B
     for every l' in a sweep [lam_lo, lambda_max], for a family with collar
@@ -304,22 +322,12 @@ def beta1_threshold(theta, B, c_prime, lambda_max):
     at lam_lo = max(5, the radius where that happens); a lambda_max at or
     below lam_lo is refused, as is a theta outside (0, pi/2].
     """
-    if not 0.0 < theta <= HALF_PI:
-        raise DomainError("beta1_threshold: theta must lie in (0, pi/2]")
+    lam_lo = beta1_sweep_start(theta, B, c_prime, lambda_max)
     expo0 = B - c_prime + math.log(math.sin(theta))
     if expo0 >= 0.0:
         beta1 = 0.25 * math.pi
     else:
         beta1 = math.asin(math.exp(expo0 - BETA1_MARGIN))
-    lam_lo = 5.0
-    if B < 2.0:
-        lam_lo = max(lam_lo, reparam_inverse(2.0 - B, theta))
-    # the swept hypotenuse lambda' + c' must stay positive
-    lam_lo = max(lam_lo, 1.0 - c_prime)
-    if not lambda_max > lam_lo:
-        raise DomainError(
-            f"beta1_threshold: the sweep top {lambda_max:.6g} must exceed "
-            f"its start {lam_lo:.6g}")
     grid = np.geomspace(lam_lo, lambda_max, BETA1_GRID)
     lhs = solve_r(grid + c_prime, beta1)
     rhs = reparam(grid, theta) + B

@@ -55,6 +55,17 @@ def test_bad_schema_version_is_exit_2(tmp_path):
     assert run(["identities", "--config", str(cfgfile)]) == 2
 
 
+def test_config_file_without_schema_version_is_exit_2(tmp_path, capsys):
+    cfgfile = tmp_path / "bare.cfg"
+    cfgfile.write_text("grid = 24\n")
+    out = tmp_path / "out"
+    assert run(["identities", "--config", str(cfgfile),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "missing key 'schema_version'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_exit_2(tmp_path):
     assert run(["frobnicate"]) == 2
 
@@ -459,6 +470,24 @@ def test_claim_negative_control(tmp_path):
     rc = run(["claim", "--out", str(out), "--family", "bump",
               "--theta", "pi/2", "--corrupt", "beta1-large"])
     assert rc == 1
+
+
+def test_claim_checks_every_theta_before_the_first_claim(tmp_path, capsys,
+                                                         monkeypatch):
+    # the sweep of 1e-304 would start above its top, lambda' = 700; every
+    # theta is checked first, so pi/2, which comes first, is not claimed
+    def claim(*args):
+        raise AssertionError("a claim ran before every theta was checked")
+
+    monkeypatch.setattr(cli.ht, "beta1_threshold", claim)
+    monkeypatch.setattr(cli.cl, "verify_beta1_claim", claim)
+    out = tmp_path / "out"
+    rc = run(["claim", "--out", str(out), "--theta", "pi/2,pi/3,1e-304"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sweep top 700" in err and "theta = 1e-304" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 

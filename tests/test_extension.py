@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypext import extension as ext
+from hypext import families as fam
 from hypext import fields as mf
 from hypext import hyptrig as ht
 from hypext.errors import DomainError
@@ -82,6 +83,31 @@ def test_unwarped_is_scaled_warped():
     assert np.allclose(unwarped.block_beta * f, warped.block_beta, rtol=1e-12)
     assert np.allclose(unwarped.block_h_coeff * f, warped.block_h_coeff,
                        rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [
+    pytest.param(np.array([0.7]), id="one-beta"),
+    # the pole probes of cutlimits.run_convergence
+    pytest.param(np.geomspace(1e-3, ext.BETA_MARGIN, 6), id="pole-probes"),
+    pytest.param(ext.join_grid(16, 12)[1], id="join-grid"),
+])
+def test_unwarped_block_m_is_the_per_column_product(beta):
+    # a cos2 bump column whose bump is off round at every probed beta: the
+    # block is C-ordered (phi, beta) and, bit for bit, sin^2(beta) times the
+    # column's field in every column
+    family = fam.bump_family(fam.FamilySpec(direction="cos2"))
+
+    def column(b):
+        return family.cut(5.0, 5.0 + math.sin(7.0 * b))
+
+    phi = ext.join_grid(16, 12)[0]
+    got = ext.unwarped_join_field(column).block_m(phi, beta)
+    assert got.shape == (phi.size, beta.size)
+    assert got.flags.c_contiguous
+    want = np.empty_like(got)
+    for j, b in enumerate(beta.tolist()):
+        want[:, j] = math.sin(b) ** 2 * column(b).at_angles(phi)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -438,6 +439,79 @@ def test_c2_sups_cross_term_keeps_subtraction_order(seed):
                            ((False, True), delta.T.copy(), steps[::-1])):
         assert_bit_identical(mf.c2_sups(d, h, periodic=periodic),
                              roll_c2_sups(d, h, periodic=periodic))
+
+
+def _layouts(grid, comps, rng):
+    """(name, array of shape grid + comps) in memory layouts that are not
+    C-contiguous: a transpose, a stride-0 sheet such as
+    ``extension._slot_difference`` broadcasts (constant along the first
+    grid axis, as a block_beta difference is along phi), and a strided
+    slice of a larger array."""
+    shape = grid + comps
+    n = len(shape)
+    transposed = rng.uniform(-1.0, 1.0, shape[::-1]).transpose()
+    sheet = np.broadcast_to(rng.uniform(-1.0, 1.0, (1,) + shape[1:]), shape)
+    big = rng.uniform(-1.0, 1.0, tuple(3 * k + 1 for k in shape))
+    strided = big[(slice(1, None, 3),) * n]
+    return [("transposed", transposed), ("stride-0 sheet", sheet),
+            ("strided", strided)]
+
+
+@pytest.mark.parametrize("periodic", PERIODIC_1 + PERIODIC_2)
+@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
+def test_c2_sups_non_contiguous_input_matches_reference(periodic, comps):
+    rng = np.random.default_rng(11)
+    grid = (5, 7)[:len(periodic)]
+    steps = (0.3, 0.07)[:len(periodic)]
+    for name, delta in _layouts(grid, comps, rng):
+        assert delta.shape == grid + comps, name
+        if name != "transposed" or sum(k > 1 for k in delta.shape) > 1:
+            assert not delta.flags.c_contiguous, name
+        want = roll_c2_sups(delta, steps, periodic=periodic)
+        got = mf.c2_sups(delta, steps, periodic=periodic)
+        assert_bit_identical(got, want)
+        assert_bit_identical(
+            mf.c2_sups(np.ascontiguousarray(delta), steps, periodic=periodic),
+            got)
+
+
+@pytest.mark.parametrize("periodic", PERIODIC_1 + PERIODIC_2)
+@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_c2_sups_row_seams_never_leak(periodic, comps, seed):
+    # finite values of random sign near 1e300 on the first and last two
+    # columns, small ones inside: the stencil lanes between rows (the
+    # columns outside the evaluation region) would hold sums of up to four
+    # of them, larger than any sup of the evaluation region, were they not
+    # zeroed.  Nothing here overflows, so neither kernel may warn.
+    rng = np.random.default_rng(seed)
+    grid = (6, 5)[-len(periodic):]
+    delta = rng.uniform(-1e-3, 1e-3, grid + comps)
+    edges = rng.choice([-1.0, 1.0], (grid[:-1] + (4,) + comps))
+    edge_columns = (Ellipsis, [0, 1, -2, -1]) + (slice(None),) * len(comps)
+    delta[edge_columns] = 1e300 * edges * rng.uniform(0.9, 1.0, edges.shape)
+    steps = (0.3, 0.07)[-len(periodic):]
+    with warnings.catch_warnings(record=True) as ref_warned:
+        warnings.simplefilter("always")
+        want = roll_c2_sups(delta, steps, periodic=periodic)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        got = mf.c2_sups(delta, steps, periodic=periodic)
+    assert ref_warned == []
+    assert [str(w.message) for w in warned] == []
+    assert_bit_identical(got, want)
+
+
+def test_c2_sups_results_do_not_alias_the_scratch():
+    # each sup is a Python float taken out of the scratch buffer: a later
+    # call, which fills a scratch of the same size, leaves it as it was
+    rng = np.random.default_rng(5)
+    steps, periodic = (0.3, 0.07), (True, False)
+    first = mf.c2_sups(rng.uniform(-1.0, 1.0, (8, 9)), steps, periodic)
+    kept = [repr(v) for v in first]
+    mf.c2_sups(rng.uniform(-1e3, 1e3, (8, 9)), steps, periodic)
+    assert [repr(v) for v in first] == kept
+    assert all(type(v) is float for v in first)
 
 
 def test_c2_distance_max_carries_nan():
