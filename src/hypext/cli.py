@@ -66,7 +66,7 @@ GRID_MAX = 2048
 IDENTITIES_S_RANGE = (0.1, 30.0)
 IDENTITIES_BETA_RANGE = (0.01, math.pi / 2 - 0.01)
 
-# the bump family member whose warped cut is the oracle suite's base
+# the bump family member whose unwarped cut is the oracle suite's base
 ORACLE_BASE_LAMBDA = 2.0
 
 
@@ -223,10 +223,10 @@ class RunConfig:
         if self.fd_step is not None and not self.fd_step > 0.0:
             raise ConfigError(f"fd_step {self.fd_step} must be > 0")
         for s in self.s_values:
-            if not 0.0 < s < mf.RADIUS_MAX:
+            if not 0.0 < s < ext.RADIUS_MAX:
                 raise ConfigError(
-                    f"s value {s} outside the base's radial domain "
-                    f"(0, {mf.RADIUS_MAX:g})")
+                    f"s value {s} outside the sphere radii "
+                    f"(0, {ext.RADIUS_MAX:g}) of the oracle's cuts")
         self.bump_spec()
         # the reports go into out, or into a directory made there: the
         # nearest existing path must be a directory
@@ -271,17 +271,16 @@ def build_family(cfg):
 
 
 def build_base_metric(cfg):
-    """Radial base for the oracle suite: the hyperbolic model, or one bump
-    family member (index ORACLE_BASE_LAMBDA) as a warped-by-sinh metric."""
+    """(name, unwarped cut r -> circle field) of the oracle suite's
+    sinh-warped base: the hyperbolic model, whose unwarped cut is the
+    round form at every radius, or one bump family member (index
+    ORACLE_BASE_LAMBDA)."""
     if cfg.family == "hyperbolic":
-        return mf.hyperbolic_radial()
+        sigma = mf.round_metric()
+        return "hyperbolic", lambda r: sigma
     family = build_family(cfg)
     lam0 = ORACLE_BASE_LAMBDA
-
-    def cut(r):
-        return mf.scale(family.cut(lam0, r), math.sinh(r) ** 2)
-
-    return mf.RadialMetric(name=f"bump-member[lam={lam0:g}]", _cut=cut)
+    return f"bump-member[lam={lam0:g}]", lambda r: family.cut(lam0, r)
 
 
 def _atomic_write(path, text):
@@ -384,7 +383,7 @@ def cmd_identities(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(cfg):
-    base = build_base_metric(cfg)
+    base_name, base = build_base_metric(cfg)
     n_phi = max(16, cfg.grid // 3)
     n_beta = max(12, cfg.grid // 4)
     phi, beta = ext.join_grid(n_phi, n_beta)
@@ -398,7 +397,7 @@ def cmd_oracle(cfg):
         oracle = ext.cut_via_pullback(base, s, phi, beta)
         rep = ext.compare_join(formula, oracle)
         rep["s"] = s
-        rep["family_id"] = base.name
+        rep["family_id"] = base_name
         ok = (rep["max_rel_err_block_M"] < 1e-5
               and rep["max_rel_err_block_beta"] < 1e-5
               and rep["max_rel_err_block_H"] < 1e-5
@@ -412,7 +411,7 @@ def cmd_oracle(cfg):
             f"{rep['max_rel_err_block_beta']:.3e}, offdiag "
             f"{rep['max_abs_offdiag']:.3e}")
     summary.append(f"{'PASS' if all_ok else 'FAIL'} oracle suite "
-                   f"({base.name}, {n_phi}x{n_beta}x2 points)")
+                   f"({base_name}, {n_phi}x{n_beta}x2 points)")
     write_reports(cfg.out, records,
                   ("family_id", "s", "grid", "max_rel_err_block_H",
                    "max_rel_err_block_M", "max_rel_err_block_beta",
@@ -429,8 +428,11 @@ def cmd_converge(cfg):
     family = build_family(cfg)
     n_beta = cfg.grid
     n_phi = max(16, cfg.grid // 2)
-    # every b grid is checked before the first cut
+    # every b grid, and every theta's smallest cut radius and family
+    # index, are checked before the first cut
     b_grids = [cfg.b_grid(family, theta) for theta in cfg.theta]
+    for theta, bs in zip(cfg.theta, b_grids):
+        cl.cut_indices(theta, cfg.lambda_prime[0], min(bs))
     reports = []
     for theta, bs in zip(cfg.theta, b_grids):
         rep = cl.run_convergence(

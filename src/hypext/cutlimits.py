@@ -33,7 +33,7 @@ from .errors import DomainError, VerificationError
 from . import hyptrig as ht
 from . import fields as mf
 from .extension import (BETA_MARGIN, JoinMetricField, join_c2_distance,
-                        join_grid, unwarped_join_field)
+                        join_field, join_grid)
 
 # the reparametrized family is controlled for b < c + ln sin(theta); runs
 # keep a fixed margin below that strict bound so they are reproducible
@@ -121,14 +121,10 @@ def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid):
     return worst < HYPERBOLIC_PASS_TOL, worst
 
 
-def extension_family_cut(family, theta, lambda_prime, b):
-    """Unwarped cut of the theta-reparametrized extension family member at
-    sphere radius lambda' + b, in join coordinates:
-
-        cos^2(beta) * sigma_{S^0}
-      + sin^2(beta) * cut(reparam(lambda', theta), r(lambda' + b, beta))
-      + dbeta^2.
-    """
+def cut_indices(theta, lambda_prime, b):
+    """The sphere radius lambda' + b and family index reparam(lambda',
+    theta) of an extension family cut, refusing a radius <= 0 and an index
+    below LAMBDA_MIN."""
     s0 = lambda_prime + b
     if s0 <= 0.0:
         raise DomainError(
@@ -139,9 +135,20 @@ def extension_family_cut(family, theta, lambda_prime, b):
         raise DomainError(
             f"extension_family_cut: family index {lam:.6g} below "
             f"LAMBDA_MIN {LAMBDA_MIN}")
+    return s0, lam
 
-    return unwarped_join_field(
-        lambda beta: family.cut(lam, ht.solve_r(s0, beta)))
+
+def extension_family_cut(family, theta, lambda_prime, b):
+    """Unwarped cut of the theta-reparametrized extension family member at
+    sphere radius lambda' + b, in join coordinates:
+
+        cos^2(beta) * sigma_{S^0}
+      + sin^2(beta) * cut(reparam(lambda', theta), r(lambda' + b, beta))
+      + dbeta^2.
+    """
+    s0, lam = cut_indices(theta, lambda_prime, b)
+    return join_field(
+        lambda beta: family.cut(lam, ht.solve_r(s0, beta)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -190,9 +197,9 @@ def predicted_limit(family, theta, b):
             "b + ln(sin beta / sin theta) leaves the controlled interval "
             "at the equator, so no uniform limit is predicted")
 
-    interior = unwarped_join_field(
+    interior = join_field(
         lambda beta: family.limit(
-            b + math.log(math.sin(beta) / math.sin(theta))))
+            b + math.log(math.sin(beta) / math.sin(theta))), 1.0)
     return LimitAssembly(interior,
                          family.limit(b - math.log(math.sin(theta))))
 
@@ -346,8 +353,10 @@ def check_convergence_assertions(reports):
 
 def verify_beta1_claim(family, theta, beta1, lambda_prime_grid):
     """Verify the small-angle inequality r(lambda' + c', beta1) <=
-    reparam(lambda') + B on the grid, with (B, c') the family's
-    claim_bounds at theta, and the exact roundness it forces.
+    reparam(lambda') + B on the grid points where the hypotenuse
+    lambda' + c' is positive (as in beta1_threshold's sweep), with
+    (B, c') the family's claim_bounds at theta, and the exact roundness
+    it forces.
 
     Reports the first grid lambda' from which the inequality holds through
     the top of the grid, the margin at the top, and the worst deviation of
@@ -357,6 +366,7 @@ def verify_beta1_claim(family, theta, beta1, lambda_prime_grid):
     """
     B, c_prime = claim_bounds(family, theta)
     grid = np.sort(np.atleast_1d(np.asarray(lambda_prime_grid, dtype=float)))
+    grid = grid[grid + c_prime > 0.0]
     lhs = ht.solve_r(grid + c_prime, beta1)
     rhs = ht.reparam(grid, theta) + B
     holds = lhs <= rhs

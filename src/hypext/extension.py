@@ -7,26 +7,30 @@ carries the warped product metric
 
     f = cosh^2(r) * dt^2 + h
 
-on H^1 x M.  A geodesic sphere of radius s about the center meets every
-totally geodesic 2-plane spanned by a base ray and an H^1 ray in a right
-triangle with hypotenuse s, so the sphere is charted by join coordinates
-(w, u, beta): w the sign label of the two H^1 rays, u a circle angle, and
-beta in (0, pi/2) the angle from the H^1 axis.  The chart covers the
-2-sphere minus the two poles and the equator.
+on H^1 x M.  Every base here is sinh-warped, h_r = sinh^2(r) * g'_r, and
+is given by its unwarped cut: a function r -> g'_r (a circle field).  A
+geodesic sphere of radius s in (0, RADIUS_MAX) about the center meets
+every totally geodesic 2-plane spanned by a base ray and an H^1 ray in a
+right triangle with hypotenuse s, so the sphere is charted by join
+coordinates (w, u, beta): w the sign label of the two H^1 rays, u a
+circle angle, and beta in (0, pi/2) the angle from the H^1 axis.  The
+chart covers the 2-sphere minus the two poles and the equator.
 
 Two independent routes to the induced sphere metric are implemented:
 
 * ``cut_via_formula`` -- the closed-form block expression
-  sinh^2(s) cos^2(beta) sigma_{S^0} + h_r + sinh^2(s) dbeta^2 with
-  r = asinh(sin(beta) sinh(s));
+  sinh^2(s) * (cos^2(beta) sigma_{S^0} + sin^2(beta) g'_r + dbeta^2)
+  with r = asinh(sin(beta) sinh(s)), since sinh^2(r) = sin^2(beta)
+  sinh^2(s);
 * ``cut_via_pullback`` -- a finite-difference pullback of the ambient
   metric through the embedding of the join chart, which assumes no block
   structure and therefore serves as the oracle for the closed form.
 
 ``polar_identity_residual`` checks the underlying change-of-variables
 identity sinh^2(s) dbeta^2 + ds^2 = cosh^2(r) dt^2 + dr^2.
-``unwarped_join_field`` builds the unwarped join metric whose circle block
-is a given field per beta; the cut limits of ``cutlimits`` use it.
+``join_field`` builds every join metric of this form from its circle
+block per beta and its radial factor: the closed-form cut, and, with
+radial factor 1, the unwarped cuts and limits of ``cutlimits``.
 """
 
 from __future__ import annotations
@@ -49,6 +53,10 @@ HALF_PI = 0.5 * math.pi
 # the two sheets w = +1, -1 of the join chart
 SHEETS = (1, -1)
 
+# every cut is taken on a sphere of radius s in (0, RADIUS_MAX), where
+# sinh^2(s) stays finite
+RADIUS_MAX = 350.0
+
 
 def _richardson_d1(f, x, h):
     """Central difference with one Richardson pass (step ratio 2)."""
@@ -62,9 +70,9 @@ class JoinMetricField:
     """Closed-form join metric on the extension's sphere (rank 1, circle
     base):
 
-        block_h_coeff(beta) * sigma_{S^0}  (zero-dimensional at k = 1)
+        radial * (cos^2(beta) * sigma_{S^0}  (zero-dimensional at k = 1)
+                  + dbeta^2)
       + block_m(phi, beta) * dphi^2
-      + block_beta(beta) * dbeta^2
 
     Blocks are independent of the sheet label w for the bases considered;
     the pullback oracle still samples both SHEETS and the comparison
@@ -72,24 +80,24 @@ class JoinMetricField:
     """
 
     block_m: object
-    block_beta: object
-    block_h_coeff: object
+    radial: float
 
     def sample(self, phi, beta):
         phi = np.asarray(phi, dtype=float)
         beta = np.asarray(beta, dtype=float)
         m = np.asarray(self.block_m(phi, beta), dtype=float)
-        bb = np.broadcast_to(np.asarray(self.block_beta(beta), dtype=float),
-                             (phi.size, beta.size))
         # the blocks do not depend on the sheet: every sheet is a read-only
-        # view of the one computed sheet
+        # view of the one computed sheet.  The beta block is viewed from a
+        # beta vector: reductions over a view with stride 0 on every axis
+        # skip numpy's vectorized loops
         shape = (len(SHEETS), phi.size, beta.size)
         return JoinSample(
             phi=phi, beta=beta,
             block_m=np.broadcast_to(m, shape),
-            block_beta=np.broadcast_to(bb, shape),
+            block_beta=np.broadcast_to(np.full(beta.size, self.radial),
+                                       shape),
             offdiag=np.broadcast_to(0.0, shape),
-            block_h_coeff=np.asarray(self.block_h_coeff(beta), dtype=float))
+            block_h_coeff=self.radial * np.cos(beta) ** 2)
 
 
 @dataclass(frozen=True)
@@ -119,61 +127,53 @@ def join_grid(n_phi, n_beta):
     return phi, beta
 
 
-def unwarped_join_field(column):
-    """The unwarped join metric
+def _check_radius(s, who):
+    if not 0.0 < s < RADIUS_MAX:
+        raise DomainError(
+            f"{who}: sphere radius {s} outside (0, {RADIUS_MAX:g})")
 
-        cos^2(beta) * sigma_{S^0} + sin^2(beta) * column(beta) + dbeta^2
 
-    whose circle block at each beta is the field ``column(beta)``, called
-    once per sampled beta (a float).  The extension-family cut and its
-    predicted limit differ only in the column.
+def _column_rows(column, x, phi):
+    """The (x.size, phi.size) array whose row j is the field column(x_j)
+    at the angles phi, each row written contiguously; column is called
+    once per x_j (a float)."""
+    rows = np.empty((x.size, phi.size))
+    for j, xj in enumerate(x.tolist()):
+        rows[j] = column(xj).at_angles(phi)
+    return rows
 
-    Each column's field is stored as a contiguous row of a (beta, phi)
-    buffer, and sin^2(beta) is applied once, by a transposing multiply
-    into the C-ordered (phi, beta) block: every element is the same
-    product as a per-column ``sin^2(beta) * field``.
+
+def join_field(column, radial):
+    """The join metric
+
+        radial * (cos^2(beta) * sigma_{S^0} + sin^2(beta) * column(beta)
+                  + dbeta^2)
+
+    whose circle block at each beta is the field ``column(beta)``.  The
+    extension-family cut and its predicted limit are unwarped (radial 1)
+    and differ only in the column; the closed-form cut has radial
+    sinh^2(s).  radial * sin^2(beta) is applied once, by a transposing
+    multiply of the column rows into the C-ordered (phi, beta) block.
     """
 
     def block_m(phi, beta):
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        rows = np.empty((beta.size, phi.size))
-        sin2 = np.empty(beta.size)
-        for j, bj in enumerate(beta.tolist()):
-            sin2[j] = math.sin(bj) ** 2
-            rows[j] = column(bj).at_angles(phi)
+        weight = np.array([radial * math.sin(b) ** 2 for b in beta.tolist()])
         out = np.empty((phi.size, beta.size))
-        np.multiply(rows.T, sin2, out=out)
+        np.multiply(_column_rows(column, beta, phi).T, weight, out=out)
         return out
 
-    return JoinMetricField(
-        block_m=block_m,
-        block_beta=lambda beta: np.ones_like(np.asarray(beta, dtype=float)),
-        block_h_coeff=lambda beta: np.cos(np.asarray(beta, dtype=float)) ** 2)
+    return JoinMetricField(block_m=block_m, radial=float(radial))
 
 
 def cut_via_formula(base, s):
-    """Closed-form cut of the extension of the radial metric ``base`` at
-    sphere radius s: blocks sinh^2(s) cos^2(beta), h_r and sinh^2(s), with
-    r = asinh(sin(beta) sinh(s)).
+    """Closed-form cut of the extension of the base with unwarped cut
+    ``base`` (r -> circle field) at sphere radius s: the join field of
+    the column base(r(s, beta)) with radial factor sinh^2(s).
     """
-    if s <= 0.0:
-        raise DomainError("cut_via_formula: s must be positive")
-    sinh2_s = math.sinh(s) ** 2
-
-    def block_m(phi, beta):
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        out = np.empty((phi.size, beta.size))
-        for j, bj in enumerate(beta):
-            out[:, j] = base.cut_at(ht.solve_r(s, float(bj))).at_angles(phi)
-        return out
-
-    return JoinMetricField(
-        block_m=block_m,
-        block_beta=lambda beta: np.full(np.shape(beta), sinh2_s),
-        block_h_coeff=lambda beta: sinh2_s * np.cos(
-            np.asarray(beta, dtype=float)) ** 2)
+    _check_radius(s, "cut_via_formula")
+    return join_field(lambda b: base(ht.solve_r(s, b)), math.sinh(s) ** 2)
 
 
 def cut_via_pullback(base, s, phi, beta):
@@ -189,8 +189,7 @@ def cut_via_pullback(base, s, phi, beta):
     The step max(1e-5, 1e-6 s) balances truncation against cancellation
     across the radius range used.
     """
-    if s <= 0.0:
-        raise DomainError("cut_via_pullback: s must be positive")
+    _check_radius(s, "cut_via_pullback")
     phi = np.asarray(phi, dtype=float)
     beta = np.asarray(beta, dtype=float)
     h = max(1e-5, 1e-6 * float(s))
@@ -214,9 +213,8 @@ def cut_via_pullback(base, s, phi, beta):
 
     r_c = ht.solve_r(s, beta)
     f_yy = np.cosh(r_c) ** 2                     # (n_beta,)
-    f_pp = np.empty((phi.size, beta.size))       # h_r(phi) per beta row
-    for j, rj in enumerate(r_c):
-        f_pp[:, j] = base.cut_at(float(rj)).at_angles(phi)
+    f_pp = np.empty((phi.size, beta.size))       # h_r = sinh^2(r) g'_r
+    np.multiply(_column_rows(base, r_c, phi).T, np.sinh(r_c) ** 2, out=f_pp)
 
     block_m = np.empty((len(SHEETS), phi.size, beta.size))
     block_beta_arr = np.empty_like(block_m)

@@ -4,12 +4,10 @@ A field is a closed-form, 2 pi-periodic function of the circle angle: it
 maps an array of angles to the array, of the same shape, of its one
 component ``g(d/dangle, d/dangle)`` there.
 
-On top of the field type the module implements centered radial metrics on
-the radial domain (0, RADIUS_MAX), given by their warped cuts
-``cut_at(r)``, componentwise scaling, a positivity check, and the grid
-realization of the C^2 distance: sups of component differences and of
-their first and second central differences over two overlapping sampling
-windows that cover the circle.
+On top of the field type the module implements the round form, a
+positivity check, and the grid realization of the C^2 distance: sups of
+component differences and of their first and second central differences
+over two overlapping sampling windows that cover the circle.
 """
 
 from __future__ import annotations
@@ -30,9 +28,6 @@ from .errors import DomainError, max_carrying_nan, min_carrying_nan
 WINDOW_CENTRES = (0.0, math.pi)
 INTERIOR_HALF_WIDTH = 0.60 * math.pi
 MARGIN = 0.75 * math.pi - INTERIOR_HALF_WIDTH
-
-# every radial metric lives on the radii (0, RADIUS_MAX)
-RADIUS_MAX = 350.0
 
 
 def interior_grid(n):
@@ -70,45 +65,6 @@ def round_metric():
     (a fresh ``np.ones``, which costs a third of ``np.broadcast_to``)."""
     fn = lambda angles: np.ones(np.shape(angles))
     return SphereMetricField.from_function(fn)
-
-
-def scale(a, c):
-    """Componentwise multiple c * a of a field; c must be positive."""
-    if not np.isscalar(c) and np.ndim(c) != 0:
-        raise DomainError("scale: c must be a scalar")
-    c = float(c)
-    if c <= 0.0 or not math.isfinite(c):
-        raise DomainError("scale: factor must be positive and finite")
-    fn = lambda angles: c * a.components(angles)
-    return SphereMetricField.from_function(fn)
-
-
-@dataclass(frozen=True)
-class RadialMetric:
-    """A centered metric g = g_r + dr^2 on the radii (0, RADIUS_MAX),
-    given by its warped cuts r -> g_r: ``cut_at(r)`` is the metric induced
-    on the radius-r sphere."""
-
-    name: str
-    _cut: object
-
-    def cut_at(self, r):
-        if not (0.0 < r < RADIUS_MAX):
-            raise DomainError(
-                f"radius {r} outside the radial domain (0.0, {RADIUS_MAX}) "
-                f"of {self.name}")
-        return self._cut(float(r))
-
-
-def sinh_warped_radial(gprime, name="sinh-warped"):
-    """g_r = sinh(r)^2 * g' for a fixed field g' (warped-by-sinh metric)."""
-    return RadialMetric(name=name,
-                        _cut=lambda r: scale(gprime, math.sinh(r) ** 2))
-
-
-def hyperbolic_radial():
-    """g_r = sinh(r)^2 * round metric (constant-curvature -1 space)."""
-    return sinh_warped_radial(round_metric(), name="hyperbolic")
 
 
 @dataclass(frozen=True)

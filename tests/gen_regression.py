@@ -57,7 +57,7 @@ def freeze_cut():
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     beta = np.linspace(0.1, math.pi / 2 - 0.1, 6)
     m = cut.block_m(phi, beta)
-    bb = np.broadcast_to(cut.block_beta(beta), m.shape)
+    bb = np.broadcast_to(cut.radial, m.shape)
     lines = [
         "# regression fixture: extension_family_cut(bump, theta=pi/3, "
         "lambda'=8, b=0)",

@@ -77,16 +77,13 @@ def test_polar_identity():
 def test_formula_vs_pullback_oracle():
     t0 = time.perf_counter()
     phi, beta = ext.join_grid(32, 24)   # 32*24*2 sheets = 1536 points
-    bases = {
-        "hyperbolic": mf.hyperbolic_radial(),
-    }
+    # each base by its unwarped cut r -> circle field
+    sigma = mf.round_metric()
     family = fam.bump_family(fam.FamilySpec())
-
-    def member_cut(r):
-        return mf.scale(family.cut(2.0, r), math.sinh(r) ** 2)
-
-    bases["bump-member"] = mf.RadialMetric(name="bump-member",
-                                           _cut=member_cut)
+    bases = {
+        "hyperbolic": lambda r: sigma,
+        "bump-member": lambda r: family.cut(2.0, r),
+    }
 
     worst_rel = 0.0
     worst_off = 0.0
@@ -112,8 +109,10 @@ def test_formula_vs_pullback_oracle():
 # ---------------------------------------------------------------------------
 
 def test_round_sphere_recovery(round_metric_in_join_coordinates):
-    # the cut of the hyperbolic base over sinh^2(s) is the round metric
-    base = mf.hyperbolic_radial()
+    # the cut of the hyperbolic base (unwarped cut: the round form at
+    # every radius) over sinh^2(s) is the round metric
+    sigma = mf.round_metric()
+    base = lambda r: sigma
     phi, beta = ext.join_grid(32, 24)
     worst = 0.0
     for s in (1.0, 3.0, 6.0):

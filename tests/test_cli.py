@@ -409,6 +409,31 @@ def test_converge_refuses_auto_b_grid_below_minus_two(tmp_path, capsys,
     assert cuts == [] and not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    # reparam(1, 0.3) = 0.3407 is below LAMBDA_MIN = 0.5
+    (["--theta", "pi/2,0.3", "--b=-0.5", "--lambda-prime", "1,2"],
+     "family index 0.340668 below LAMBDA_MIN"),
+    # lambda' + b = 1 - 1.5 is no sphere radius
+    (["--theta", "pi/3,pi/2", "--b=-1.5", "--lambda-prime", "1,4"],
+     "cut radius lambda'+b = -0.5"),
+], ids=["index", "radius"])
+def test_converge_checks_every_theta_before_the_first_cut(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # the smallest lambda' and b of every theta are checked before the
+    # first theta is measured
+    def measure(*args, **kw):
+        raise AssertionError("a theta was measured before every theta "
+                             "was checked")
+
+    monkeypatch.setattr(cli.cl, "run_convergence", measure)
+    out = tmp_path / "out"
+    rc = run(["converge", "--out", str(out), "--grid", "24"] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_converge_negative_control(tmp_path):
     out = tmp_path / "out"
     rc = run(["converge", "--out", str(out), "--family", "bump",

@@ -320,6 +320,24 @@ def test_verify_beta1_claim_defaults():
         assert report["exactness_max_dev"] <= 1e-14
 
 
+@pytest.mark.parametrize("make,theta", [
+    (bump, 0.1), (bump, 0.14), (bump, 0.01), (bump, 1e-200), (hyper, 0.05)],
+    ids=["bump-0.1", "bump-0.14", "bump-0.01", "bump-1e-200", "round-0.05"])
+def test_verify_beta1_claim_skips_nonpositive_hypotenuses(make, theta):
+    # below theta ~ 0.148 (0.08 for the round family) c' < -1, so the
+    # claim grid [1, 700] starts where the hypotenuse lambda' + c' is not
+    # positive; those points are skipped, as the threshold sweep skips them
+    family = make()
+    B, cp = cl.claim_bounds(family, theta)
+    assert cp < -1.0
+    beta1 = ht.beta1_threshold(theta, B, cp, cl.CLAIM_LAMBDA_MAX)
+    report = cl.verify_beta1_claim(
+        family, theta, beta1, np.geomspace(1.0, cl.CLAIM_LAMBDA_MAX, 80))
+    assert report["grid_min"] + cp > 0.0
+    assert report["margin_at_top"] > 0.0
+    assert report["exactness_max_dev"] <= 1e-14
+
+
 def test_verify_beta1_claim_stricter_c_prime_for_smaller_theta():
     family = bump()
     assert (cl.c_prime_bound(family, PI_3)
@@ -372,7 +390,7 @@ def test_extension_family_cut_regression(tmp_path):
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     beta = np.linspace(0.1, HALF_PI - 0.1, 6)
     m = cut.block_m(phi, beta)
-    bb = np.broadcast_to(cut.block_beta(beta), m.shape)
+    bb = np.broadcast_to(cut.radial, m.shape)
     for i, j, want_m, want_b in rows:
         assert m[i, j] == pytest.approx(want_m, rel=1e-12)
         assert bb[i, j] == pytest.approx(want_b, rel=1e-12)

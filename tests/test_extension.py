@@ -15,8 +15,10 @@ HALF_PI = math.pi / 2
 
 
 def hyperbolic_space():
-    """The hyperbolic base, whose extension is hyperbolic 3-space."""
-    return mf.hyperbolic_radial()
+    """The unwarped cut of the hyperbolic base, whose extension is
+    hyperbolic 3-space: the round form at every radius."""
+    sigma = mf.round_metric()
+    return lambda r: sigma
 
 
 def perturbed_space():
@@ -24,10 +26,9 @@ def perturbed_space():
     perturbation along cos^2 of the angle."""
     def cut(r):
         amp = 0.05 * math.exp(-((r - 2.0) ** 2))
-        def comp(angles):
-            return math.sinh(r) ** 2 * (1.0 + amp * np.cos(angles) ** 2)
-        return mf.SphereMetricField.from_function(comp)
-    return mf.RadialMetric(name="perturbed", _cut=cut)
+        return mf.SphereMetricField.from_function(
+            lambda angles: 1.0 + amp * np.cos(angles) ** 2)
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +66,15 @@ def test_round_sphere_recovery_against_chart_transport(
 
 
 def test_unwarped_is_scaled_warped():
-    # the unwarped join field that the converge suite samples, with the
-    # unwarped base cut as its column, is the closed-form cut that the
-    # pullback oracle checks, over sinh^2(s)
+    # the closed-form cut that the pullback oracle checks is sinh^2(s)
+    # times the radial-1 join field (the kind the converge suite samples)
+    # of the same column
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
     s = 2.5
-
-    def column(b):
-        r = ht.solve_r(s, b)
-        return mf.scale(base.cut_at(r), 1.0 / math.sinh(r) ** 2)
-
     warped = ext.cut_via_formula(base, s).sample(phi, beta)
-    unwarped = ext.unwarped_join_field(column).sample(phi, beta)
+    unwarped = ext.join_field(lambda b: base(ht.solve_r(s, b)),
+                              1.0).sample(phi, beta)
     f = math.sinh(s) ** 2
     assert np.allclose(unwarped.block_m * f, warped.block_m, rtol=1e-12)
     assert np.allclose(unwarped.block_beta * f, warped.block_beta, rtol=1e-12)
@@ -101,13 +98,31 @@ def test_unwarped_block_m_is_the_per_column_product(beta):
         return family.cut(5.0, 5.0 + math.sin(7.0 * b))
 
     phi = ext.join_grid(16, 12)[0]
-    got = ext.unwarped_join_field(column).block_m(phi, beta)
+    got = ext.join_field(column, 1.0).block_m(phi, beta)
     assert got.shape == (phi.size, beta.size)
     assert got.flags.c_contiguous
     want = np.empty_like(got)
     for j, b in enumerate(beta.tolist()):
         want[:, j] = math.sin(b) ** 2 * column(b).at_angles(phi)
     assert got.tobytes() == want.tobytes()
+
+
+def test_formula_block_m_is_c_contiguous():
+    phi, beta = ext.join_grid(16, 12)
+    got = ext.cut_via_formula(perturbed_space(), 2.0).block_m(phi, beta)
+    assert got.shape == (16, 12)
+    assert got.flags.c_contiguous
+
+
+def test_cut_domain_errors():
+    # both routes refuse a sphere radius outside (0, RADIUS_MAX)
+    base = hyperbolic_space()
+    phi, beta = ext.join_grid(8, 8)
+    for s in (-1.0, 0.0, ext.RADIUS_MAX, 400.0, math.nan):
+        with pytest.raises(DomainError, match="sphere radius"):
+            ext.cut_via_formula(base, s)
+        with pytest.raises(DomainError, match="sphere radius"):
+            ext.cut_via_pullback(base, s, phi, beta)
 
 
 # ---------------------------------------------------------------------------

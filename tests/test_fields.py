@@ -1,14 +1,15 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypext import cli
 from hypext import families as fam
 from hypext import fields as mf
-from hypext import hyptrig as ht
 from hypext.errors import DomainError
 
 
@@ -85,7 +86,6 @@ def _angle_fields():
     family = fam.bump_family(fam.FamilySpec(direction="cos2"))
     amp = fam.FamilySpec().amplitude
     cut = family.cut(5.0, 5.0)              # bump profile at its peak, 1
-    warped = mf.sinh_warped_radial(cut)
     period_2pi = mf.SphereMetricField.from_function(
         lambda angles: 2.0 + np.cos(angles))
     return [
@@ -93,8 +93,6 @@ def _angle_fields():
         ("T-cos2", fam.direction_field("cos2"), 1.0),
         ("bump-cut", cut, amp),
         ("bump-limit", family.limit(0.3), amp),
-        ("scaled", mf.scale(cut, 3.7), 3.7 * amp),
-        ("warped", warped.cut_at(2.3), math.sinh(2.3) ** 2 * amp),
         ("2+cos", period_2pi, 1.0),
     ]
 
@@ -135,20 +133,14 @@ def _window_fields():
     the windows.  fn is the field's formula on the arc chart centred at
     ``centre``, in its coordinate x: cos^2(x + centre) for the cos2
     direction, 1 for the round form, and the same operations on top for
-    cuts, limits and scalings.  The boundary and collar numbers of the
-    reports rest on these bits."""
+    cuts and limits, the oracle suite's unwarped base cuts among them.  The
+    boundary and collar numbers of the reports rest on these bits."""
     amp = fam.FamilySpec().amplitude
     one = lambda c, x: np.ones(np.shape(x))
     cos2 = lambda c, x: np.cos(x + c) ** 2
-    r = 1.7
-    w, u = math.sinh(r) ** 2, math.exp(-2.0 * ht.log_sinh(r))
-    hyper = mf.hyperbolic_radial()
+    _, hyper = cli.build_base_metric(SimpleNamespace(family="hyperbolic"))
     out = [pytest.param(mf.round_metric(), one, id="round"),
-           pytest.param(hyper.cut_at(r),
-                        lambda c, x: w * one(c, x), id="hyperbolic-warped"),
-           pytest.param(mf.scale(hyper.cut_at(r), u),
-                        lambda c, x: u * (w * one(c, x)),
-                        id="hyperbolic-unwarped")]
+           pytest.param(hyper(1.7), one, id="hyperbolic-unwarped")]
     for direction, T in (("uniform", one), ("cos2", cos2)):
         family = fam.bump_family(fam.FamilySpec(direction=direction))
         out.append(pytest.param(fam.direction_field(direction), T,
@@ -160,14 +152,13 @@ def _window_fields():
             out.append(pytest.param(
                 field, lambda c, x, a=a, T=T: 1.0 + a * T(c, x),
                 id=f"bump-{what}-{direction}"))
-        cut = family.cut(2.0, 2.375)
+        # the oracle's base is the member cli.ORACLE_BASE_LAMBDA = 2
+        _, base = cli.build_base_metric(SimpleNamespace(
+            family="bump",
+            bump_spec=lambda d=direction: fam.FamilySpec(direction=d)))
         a = amp * fam.bump_profile(0.375, -1.0, 1.0)
-        base = mf.RadialMetric(name="base",
-                               _cut=lambda rr, cut=cut: mf.scale(
-                                   cut, math.sinh(rr) ** 2))
         out.append(pytest.param(
-            mf.scale(base.cut_at(r), u),
-            lambda c, x, a=a, T=T: u * (w * (1.0 + a * T(c, x))),
+            base(2.375), lambda c, x, a=a, T=T: 1.0 + a * T(c, x),
             id=f"oracle-unwarped-{direction}"))
     return out
 
@@ -180,70 +171,6 @@ def test_grid_components_match_chart_formulas(field, fn, n):
         want = fn(centre, mf.interior_grid(n))
         assert got.shape == want.shape == (n,)
         assert got.tobytes() == want.tobytes(), centre
-
-
-# ---------------------------------------------------------------------------
-# cuts of radial metrics
-# ---------------------------------------------------------------------------
-
-def _euclidean_radial():
-    """g_r = r^2 * round metric (the flat metric in polar form)."""
-    sigma = mf.round_metric()
-    return mf.RadialMetric(name="euclidean",
-                           _cut=lambda r: mf.scale(sigma, r * r))
-
-
-def test_euclidean_warped_cut():
-    g = _euclidean_radial()
-    cut = g.cut_at(2.5)
-    x = mf.interior_grid(16)
-    assert np.allclose(cut.at_angles(x), 2.5 ** 2, rtol=1e-15)
-
-
-def test_hyperbolic_cuts():
-    g = mf.hyperbolic_radial()
-    for r0 in (0.5, 1.0, 3.0):
-        w = g.cut_at(r0)
-        x = mf.interior_grid(8)
-        assert np.allclose(w.at_angles(x), math.sinh(r0) ** 2,
-                           rtol=1e-15)
-
-
-def test_sinh_warped_unwarped_cut_constant_in_radius():
-    gprime = mf.SphereMetricField.from_function(
-        lambda angles: 1.0 + 0.2 * np.cos(angles) ** 2)
-    g = mf.sinh_warped_radial(gprime)
-    x = mf.interior_grid(64)
-    ref = gprime.at_angles(x)
-    for r0 in (0.3, 1.0, 2.0, 4.0, 9.0):
-        got = g.cut_at(r0).at_angles(x) / math.sinh(r0) ** 2
-        assert np.max(np.abs(got - ref) / ref) < 1e-12
-
-
-def test_cut_domain_errors():
-    g = mf.hyperbolic_radial()
-    with pytest.raises(DomainError):
-        g.cut_at(-1.0)
-    with pytest.raises(DomainError):
-        g.cut_at(0.0)
-
-
-def test_scale_properties():
-    sigma = mf.round_metric()
-    x = np.array([0.2, -0.4])
-    assert np.allclose(mf.scale(sigma, 1.0).at_angles(x),
-                       sigma.at_angles(x))
-    twice_half = mf.scale(mf.scale(sigma, 2.0), 0.5)
-    assert np.allclose(twice_half.at_angles(x),
-                       sigma.at_angles(x))
-    g = mf.hyperbolic_radial()
-    direct = g.cut_at(3.0).at_angles(x)
-    scaled = mf.scale(sigma, math.sinh(3.0) ** 2).at_angles(x)
-    assert np.allclose(direct, scaled, rtol=1e-15)
-    with pytest.raises(DomainError):
-        mf.scale(sigma, 0.0)
-    with pytest.raises(DomainError):
-        mf.scale(sigma, -2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +464,9 @@ def test_c2_distance_identity_is_zero():
 def test_c2_distance_pure_scaling():
     eps = 1e-3
     sigma = mf.round_metric()
-    d = mf.c2_distance(sigma, mf.scale(sigma, 1.0 + eps), resolution=64)
+    scaled = mf.SphereMetricField.from_function(
+        lambda angles: (1.0 + eps) * np.ones(np.shape(angles)))
+    d = mf.c2_distance(sigma, scaled, resolution=64)
     # round circle components are identically 1, so c0 = eps exactly and
     # the difference is constant
     assert d.c0 == pytest.approx(eps, rel=1e-12)
