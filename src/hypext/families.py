@@ -81,8 +81,17 @@ def direction_field(tag):
         return mf.round_metric()
     if tag != "cos2":
         raise DomainError(f"unknown direction tag {tag!r}")
-    return mf.SphereMetricField.from_function(
-        lambda angles: np.cos(angles) ** 2)
+
+    def cos2(angles):
+        c = np.cos(angles)
+        if c.ndim == 0:
+            # np.cos of a 0-d array is a numpy scalar, which has no buffer
+            # to square into; a scalar's ``** 2`` is the C ``pow``, which
+            # can differ from ``c * c`` in the last bit, so it is kept
+            return c ** 2
+        return np.multiply(c, c, out=c)
+
+    return mf.SphereMetricField.from_function(cos2)
 
 
 @dataclass(frozen=True)
@@ -132,8 +141,14 @@ def bump_family(spec):
     def perturbed(amount):
         if amount == 0.0:
             return sigma
-        # sigma is the round form, whose components are exactly 1
-        fn = lambda angles: 1.0 + amount * T.components(angles)
+        # sigma is the round form, whose components are exactly 1; T's
+        # evaluation is a fresh array, so 1 + amount * T is formed in it
+        def fn(angles):
+            out = T.components(angles)
+            out *= amount
+            out += 1.0
+            return out
+
         return mf.SphereMetricField.from_function(fn)
 
     ok, eigmin = mf.positivity_check(perturbed(eps), resolution=256)

@@ -8,6 +8,11 @@ On top of the field type the module implements the round form, a
 positivity check, and the grid realization of the C^2 distance: sups of
 component differences and of their first and second central differences
 over two overlapping sampling windows that cover the circle.
+
+Every evaluation of a field (``at_angles``, ``components``) returns a
+fresh array that the caller owns and may write into: the next evaluation
+is unaffected.  Fields built on another field's evaluation rely on this
+and transform it in place (the bump family's ``1 + a * T``).
 """
 
 from __future__ import annotations
@@ -61,9 +66,15 @@ class SphereMetricField:
 
 
 def round_metric():
-    """The round metric of the unit circle: its component is 1 everywhere
-    (a fresh ``np.ones``, which costs a third of ``np.broadcast_to``)."""
-    fn = lambda angles: np.ones(np.shape(angles))
+    """The round metric of the unit circle: its component is 1 everywhere,
+    written into a fresh ``np.empty`` of the angles' shape (faster than
+    ``np.ones``; ``fn`` is only given the float array of ``at_angles``)."""
+
+    def fn(angles):
+        out = np.empty(angles.shape)
+        out.fill(1.0)
+        return out
+
     return SphereMetricField.from_function(fn)
 
 
@@ -107,15 +118,25 @@ def c2_sups(delta, steps, periodic=None):
     ``max(max x, -min x)`` of the buffer, its sign of zero folded by
     ``abs``, and is divided by the stencil's step factor afterwards:
     correctly rounded division by a positive number is monotone, so
-    ``max|x| / c`` equals ``max|x / c|`` bit for bit.  An exactly zero
-    ``delta`` returns ``(0.0, 0.0, 0.0)`` at once.  A NaN anywhere a
-    stencil reaches makes that sup NaN; it is never dropped.
+    ``max|x| / c`` equals ``max|x / c|`` bit for bit.  The c0 sup reads
+    only the distinct elements of ``delta``: on every axis with stride 0
+    (a broadcast view, such as a constant join slot) it takes index 0,
+    since the view repeats its values along that axis, so a NaN or the
+    sup is never lost.  An exactly zero ``delta`` then returns
+    ``(0.0, 0.0, 0.0)`` at once, in time independent of the repeats.  A
+    NaN anywhere a stencil reaches makes that sup NaN; it is never
+    dropped.
     """
     delta = np.asarray(delta, dtype=float)
     n_axes = len(steps)
     periodic = tuple(periodic or (False,) * n_axes)
 
-    c0 = float(abs(max(delta.max(), -delta.min()))) if delta.size else 0.0
+    distinct = delta
+    if 0 in delta.strides:
+        distinct = delta[tuple(slice(None) if st else slice(0, 1)
+                               for st in delta.strides)]
+    c0 = float(abs(max(distinct.max(), -distinct.min()))) \
+        if delta.size else 0.0
     if c0 == 0.0:
         return 0.0, 0.0, 0.0
 

@@ -102,6 +102,49 @@ def test_direction_fields():
         fam.direction_field("sideways")
 
 
+def _circle_fields():
+    """(name, field) of the round form, the cos2 direction and bump cuts
+    inside the support with either direction."""
+    return [
+        ("round", mf.round_metric()),
+        ("cos2", fam.direction_field("cos2")),
+        ("bump-cos2", fam.bump_family(
+            fam.FamilySpec(direction="cos2")).cut(4.0, 4.3)),
+        ("bump-uniform", fam.bump_family(fam.FamilySpec()).cut(4.0, 4.3)),
+    ]
+
+
+def test_circle_fields_evaluate_a_0d_angle():
+    # np.cos of a 0-d angle is a numpy scalar, which cannot be written
+    # into: the in-place evaluations keep the values of the out-of-place
+    # ones (1 + a * cos^2, with cos^2 the scalar's ** 2)
+    want = {"round": 1.0, "cos2": 0.9126678074548391,
+            "bump-cos2": 1.0381914970707553, "bump-uniform": 1.041846}
+    for name, field in _circle_fields():
+        for angle in (0.3, np.float64(0.3), np.asarray(0.3)):
+            for evaluate in (field.at_angles, field.components):
+                got = evaluate(angle)
+                assert np.ndim(got) == 0
+                assert _bits(got) == _bits(want[name]), name
+
+
+def test_circle_field_evaluations_are_fresh_arrays():
+    # a field's evaluation belongs to the caller: writing into it leaves
+    # the next evaluation unchanged (the bump cut forms 1 + a * T in the
+    # array that T returns)
+    x = np.linspace(-3.0, 3.0, 17)
+    for name, field in _circle_fields():
+        first = field.at_angles(x)
+        want = first.copy()
+        for evaluate in (field.at_angles, field.components):
+            got = evaluate(x)
+            got[...] = -7.0
+            assert np.array_equal(evaluate(x), want), name
+        assert np.array_equal(first, want), name
+        assert np.array_equal(field.at_angles(x.reshape(1, 17)),
+                              want.reshape(1, 17)), name
+
+
 def test_family_spec_validation():
     with pytest.raises(DomainError):
         fam.FamilySpec(support_start=1.0, support_end=-1.0)

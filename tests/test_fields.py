@@ -441,6 +441,65 @@ def test_c2_sups_results_do_not_alias_the_scratch():
     assert all(type(v) is float for v in first)
 
 
+def _stride0_view(src, shape, strides, read_only):
+    """A view of src with the given shape and strides (0 where it repeats
+    src), writeable or read-only."""
+    return np.lib.stride_tricks.as_strided(src, shape, strides,
+                                           writeable=not read_only)
+
+
+def _broadcast_cases(read_only):
+    """(view, steps, periodic) for views with stride-0 axes, as the join
+    slots are: stride 0 on every axis, viewed from a vector along either
+    grid axis, and a block broadcast over a leading sheet axis."""
+    rng = np.random.default_rng(11)
+    n_phi, n_beta = 12, 9
+    vectors = [rng.uniform(-2.0, 2.0, n_beta), -np.zeros(n_beta),
+               np.array([0.0, -0.0] * 4 + [0.0])]
+    nan_vec = rng.uniform(-2.0, 2.0, n_beta)
+    nan_vec[4] = math.nan
+    vectors.append(nan_vec)
+    cases = []
+    for value in (0.0, -0.0, 0.75, math.nan):
+        src = np.array([value])
+        for shape in ((n_phi, n_beta), (n_phi, n_beta, 2, 2), (n_phi,)):
+            cases.append((_stride0_view(src, shape, (0,) * len(shape),
+                                        read_only),
+                          (0.3, 0.07)[:min(len(shape), 2)],
+                          (True, False)[:min(len(shape), 2)]))
+    for vec in vectors:
+        along_beta = _stride0_view(vec, (n_phi, n_beta), (0, 8), read_only)
+        along_phi = _stride0_view(np.resize(vec, n_phi), (n_phi, n_beta),
+                                  (8, 0), read_only)
+        for view in (along_beta, along_phi):
+            cases.append((view, (0.3, 0.07), (True, False)))
+    block = rng.uniform(-1.0, 1.0, (n_phi, n_beta))
+    block[3, 5] = math.nan
+    for m in (block, rng.uniform(-1.0, 1.0, (n_phi, n_beta))):
+        sheets = _stride0_view(m, (2, n_phi, n_beta), (0,) + m.strides,
+                               read_only)
+        # the sheet axis as a grid axis, with phi, or with phi and beta as
+        # component axes
+        cases.append((sheets, (1.0, 0.3), (False, True)))
+        cases.append((sheets, (1.0,), (False,)))
+    return cases
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+def test_c2_sups_broadcast_view_matches_its_copy(read_only):
+    # c0 is read from the distinct elements of a stride-0 view: the sups,
+    # NaN and the sign of zero included, are those of a contiguous copy
+    for view, steps, periodic in _broadcast_cases(read_only):
+        assert 0 in view.strides
+        assert view.flags.writeable is not read_only
+        copy = np.ascontiguousarray(view)
+        got = mf.c2_sups(view, steps, periodic=periodic)
+        want = mf.c2_sups(copy, steps, periodic=periodic)
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(view, copy, equal_nan=True)
+
+
 def test_c2_distance_max_carries_nan():
     for values in [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0),
                    (0.0, 1.0, math.nan)]:
