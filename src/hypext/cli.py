@@ -140,9 +140,6 @@ KEYS = {
     "out": ("out", Path),
     "fd_step": ("auto", _auto(_float)),
     "s_values": ("1,3,6", _list(_float)),
-    "bump_support_start": (-1.0, _float),
-    "bump_support_end": (1.0, _float),
-    "bump_amplitude": (0.05, _float),
     "bump_direction": ("uniform", str),
 }
 DEFAULTS = {key: default for key, (default, _) in KEYS.items()}
@@ -194,17 +191,14 @@ class RunConfig:
     out: Path
     fd_step: float | None
     s_values: list
-    bump_support_start: float
-    bump_support_end: float
-    bump_amplitude: float
     bump_direction: str
     corrupt: str | None
 
     def validate(self):
         """Refuse any value some suite cannot run, whichever suite runs:
-        every angle, radius, step and seed in its range, and the
-        bump keys by the FamilySpec rules.  The parsers have refused
-        every non-finite number."""
+        every angle, radius, step and seed in its range, and a bump
+        direction outside families.DIRECTION_TAGS.  The parsers have
+        refused every non-finite number."""
         if self.family not in ("hyperbolic", "bump"):
             raise ConfigError(f"unknown family {self.family!r}")
         for th in self.theta:
@@ -223,11 +217,15 @@ class RunConfig:
         if self.fd_step is not None and not self.fd_step > 0.0:
             raise ConfigError(f"fd_step {self.fd_step} must be > 0")
         for s in self.s_values:
-            if not 0.0 < s < ext.RADIUS_MAX:
+            if not ext.RADIUS_MIN <= s < ext.RADIUS_MAX:
                 raise ConfigError(
                     f"s value {s} outside the sphere radii "
-                    f"(0, {ext.RADIUS_MAX:g}) of the oracle's cuts")
-        self.bump_spec()
+                    f"[{ext.RADIUS_MIN:.3g}, {ext.RADIUS_MAX:g}) of the "
+                    "oracle's cuts")
+        if self.bump_direction not in fam.DIRECTION_TAGS:
+            raise ConfigError(
+                f"unknown bump_direction {self.bump_direction!r} (expected "
+                f"one of {', '.join(fam.DIRECTION_TAGS)})")
         # the reports go into out, or into a directory made there: the
         # nearest existing path must be a directory
         existing = next((p for p in (self.out, *self.out.parents)
@@ -235,13 +233,6 @@ class RunConfig:
         if existing is not None and not existing.is_dir():
             raise ConfigError(f"output path {existing} exists and is not "
                               "a directory")
-
-    def bump_spec(self):
-        """The bump family's recipe from the bump keys."""
-        return fam.FamilySpec(
-            support_start=self.bump_support_start,
-            support_end=self.bump_support_end,
-            amplitude=self.bump_amplitude, direction=self.bump_direction)
 
     def b_grid(self, family, theta):
         """Resolve the b grid for one theta, refusing values beyond c' and
@@ -267,7 +258,7 @@ class RunConfig:
 def build_family(cfg):
     if cfg.family == "hyperbolic":
         return fam.hyperbolic_family()
-    return fam.bump_family(cfg.bump_spec())
+    return fam.bump_family(cfg.bump_direction)
 
 
 def build_base_metric(cfg):

@@ -9,9 +9,9 @@ carries the warped product metric
 
 on H^1 x M.  Every base here is sinh-warped, h_r = sinh^2(r) * g'_r, and
 is given by its unwarped cut: a function r -> g'_r (a circle field).  A
-geodesic sphere of radius s in (0, RADIUS_MAX) about the center meets
-every totally geodesic 2-plane spanned by a base ray and an H^1 ray in a
-right triangle with hypotenuse s, so the sphere is charted by join
+geodesic sphere of radius s in [RADIUS_MIN, RADIUS_MAX) about the center
+meets every totally geodesic 2-plane spanned by a base ray and an H^1 ray
+in a right triangle with hypotenuse s, so the sphere is charted by join
 coordinates (w, u, beta): w the sign label of the two H^1 rays, u a
 circle angle, and beta in (0, pi/2) the angle from the H^1 axis.  The
 chart covers the 2-sphere minus the two poles and the equator.
@@ -36,6 +36,7 @@ radial factor 1, the unwarped cuts and limits of ``cutlimits``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,10 @@ HALF_PI = 0.5 * math.pi
 # the two sheets w = +1, -1 of the join chart
 SHEETS = (1, -1)
 
-# every cut is taken on a sphere of radius s in (0, RADIUS_MAX), where
-# sinh^2(s) stays finite
+# every cut is taken on a sphere of radius s in [RADIUS_MIN, RADIUS_MAX):
+# every closed-form block, the smallest about (s * sin(BETA_MARGIN))^2, is a
+# normal double, and sinh^2(s) stays finite
+RADIUS_MIN = math.sqrt(sys.float_info.min) / math.sin(BETA_MARGIN)
 RADIUS_MAX = 350.0
 
 
@@ -128,9 +131,9 @@ def join_grid(n_phi, n_beta):
 
 
 def _check_radius(s, who):
-    if not 0.0 < s < RADIUS_MAX:
-        raise DomainError(
-            f"{who}: sphere radius {s} outside (0, {RADIUS_MAX:g})")
+    if not RADIUS_MIN <= s < RADIUS_MAX:
+        raise DomainError(f"{who}: sphere radius {s} outside "
+                          f"[{RADIUS_MIN:.3g}, {RADIUS_MAX:g})")
 
 
 def _column_rows(column, x, phi):

@@ -6,26 +6,30 @@ the whole pipeline.  The *bump* family perturbs the round metric by a
 compactly supported C^2 profile riding at a fixed offset from the family
 index:
 
-    cut(lam, rho) = sigma + amplitude * bump(rho - lam) * T
+    cut(lam, rho) = sigma + BUMP_AMPLITUDE * bump(rho - lam) * T
 
-with bump supported on [support_start, support_end] and T a fixed
-symmetric direction field on the circle.  The family is round at every
-radius lam + b with b <= support_start (so it is hyperbolic around the
-origin with that bound), and since the cuts depend only on rho - lam the
-diagonal family is stationary: its cut limit at b is exactly
-sigma + amplitude * bump(b) * T.
+with bump supported on BUMP_SUPPORT = [B, c] = [-1, 1], amplitude
+BUMP_AMPLITUDE = 0.05, and T a fixed symmetric direction field on the
+circle, named by one of DIRECTION_TAGS.  The family is round at every
+radius lam + b with b <= B (so it is hyperbolic around the origin with
+that bound), and since the cuts depend only on rho - lam the diagonal
+family is stationary: its cut limit at b is exactly
+sigma + BUMP_AMPLITUDE * bump(b) * T.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from . import fields as mf
 from .cutlimits import MetricFamily
+
+# the bump family's shape: its support [B, c] and its amplitude
+BUMP_SUPPORT = (-1.0, 1.0)
+BUMP_AMPLITUDE = 0.05
 
 DIRECTION_TAGS = ("uniform", "cos2")
 
@@ -74,13 +78,13 @@ def bump_profile(x, start, end):
 
 
 def direction_field(tag):
-    """The perturbation direction T on the circle: "uniform" is the round
-    form itself, "cos2" modulates by cos^2 of the angle (so the block
-    varies over the circle)."""
+    """The perturbation direction T on the circle named by ``tag``, one of
+    DIRECTION_TAGS: "uniform" is the round form itself, "cos2" modulates
+    by cos^2 of the angle (so the block varies over the circle)."""
+    if tag not in DIRECTION_TAGS:
+        raise DomainError(f"unknown direction tag {tag!r}")
     if tag == "uniform":
         return mf.round_metric()
-    if tag != "cos2":
-        raise DomainError(f"unknown direction tag {tag!r}")
 
     def cos2(angles):
         c = np.cos(angles)
@@ -92,28 +96,6 @@ def direction_field(tag):
         return np.multiply(c, c, out=c)
 
     return mf.SphereMetricField.from_function(cos2)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Construction recipe for the bump family (``bump_family``)."""
-
-    support_start: float = -1.0
-    support_end: float = 1.0
-    amplitude: float = 0.05
-    direction: str = "uniform"
-
-    def __post_init__(self):
-        if not self.support_start < self.support_end:
-            raise DomainError("bump support must be a proper interval")
-        if self.direction not in DIRECTION_TAGS:
-            raise DomainError(f"unknown direction tag {self.direction!r}")
-        # both direction fields take values in [0, 1] and reach 1, so the
-        # smallest cut component 1 + a * T is min(1, 1 + a)
-        if not self.amplitude > -1.0:
-            raise DomainError(
-                f"amplitude {self.amplitude} must be > -1: the cut "
-                "1 + amplitude * T is not positive where T = 1")
 
 
 def hyperbolic_family():
@@ -130,13 +112,14 @@ def hyperbolic_family():
         limit=lambda b: sigma, interval_bound=math.inf, family_id="hyperbolic")
 
 
-def bump_family(spec):
-    """Build the bump family from its spec, checking positivity of the
-    most-perturbed cut at construction."""
-    T = direction_field(spec.direction)
+def bump_family(direction):
+    """Build the bump family with direction field ``direction`` (one of
+    DIRECTION_TAGS), checking positivity of the most-perturbed cut at
+    construction."""
+    T = direction_field(direction)
     sigma = mf.round_metric()
-    eps = float(spec.amplitude)
-    start, end = float(spec.support_start), float(spec.support_end)
+    eps = BUMP_AMPLITUDE
+    start, end = BUMP_SUPPORT
 
     def perturbed(amount):
         if amount == 0.0:
@@ -166,4 +149,4 @@ def bump_family(spec):
         limit=lambda b: perturbed(eps * bump_profile(b, start, end)),
         interval_bound=end,
         family_id=(f"bump[B={start:g},c={end:g},eps={eps:g},"
-                   f"{spec.direction}]"))
+                   f"{direction}]"))

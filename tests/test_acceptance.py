@@ -79,7 +79,7 @@ def test_formula_vs_pullback_oracle():
     phi, beta = ext.join_grid(32, 24)   # 32*24*2 sheets = 1536 points
     # each base by its unwarped cut r -> circle field
     sigma = mf.round_metric()
-    family = fam.bump_family(fam.FamilySpec())
+    family = fam.bump_family("uniform")
     bases = {
         "hyperbolic": lambda r: sigma,
         "bump-member": lambda r: family.cut(2.0, r),
@@ -160,8 +160,7 @@ def test_shift_asymptotics():
 
 def test_cut_limit_convergence():
     t0 = time.perf_counter()
-    family = fam.bump_family(fam.FamilySpec(
-        support_start=-1.0, support_end=1.0, amplitude=0.05))
+    family = fam.bump_family("uniform")
     reports = []
     finals, boundaries = [], []
     for theta in (HALF_PI, PI_3):
@@ -198,7 +197,7 @@ def test_cut_limit_convergence():
 # ---------------------------------------------------------------------------
 
 def test_small_angle_claim():
-    family = fam.bump_family(fam.FamilySpec())
+    family = fam.bump_family("uniform")
     worst_lambda0 = 0.0
     worst_dev = 0.0
     for theta in (HALF_PI, PI_3):

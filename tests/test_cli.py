@@ -108,6 +108,10 @@ def test_angle_parsing():
     ["claim", "--corrupt", "limit-shift"],
     ["oracle", "--grid", "24", "--corrupt", "beta1-large"],
     ["identities", "--corrupt", "limit-shift"],
+    # below extension.RADIUS_MIN the compared blocks are subnormal: a
+    # vacuous PASS at 1e-160, a 0/0 at 1e-170
+    ["oracle", "--grid", "24", "--s-values", "1e-160"],
+    ["oracle", "--grid", "24", "--s-values", "1e-170"],
 ])
 def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
@@ -132,8 +136,8 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     # its top, lambda' = 700: refused, not swept backwards into a failed
     # inequality
     ("claim", "theta = 1e-304"),
-    # a bump amplitude of at most -1 makes the cut indefinite where the
-    # direction field is 1
+    # the bump shape is fixed (families.BUMP_SUPPORT and BUMP_AMPLITUDE):
+    # its support and amplitude are not configuration keys
     ("identities", "bump_amplitude = -30"),
     ("converge", "bump_direction = cos2\nbump_amplitude = -1"),
     ("converge", "bump_direction = cos2\nbump_amplitude = -1.00001"),
@@ -239,7 +243,8 @@ _FLAG_DRAWS = {
     "--lambda-prime": _listed(["4", "6", "10", "0", "-1", "nan", "inf",
                                "1e6"]),
     "--s-values": _listed(["1", "3", "0.01", "0", "-1", "349", "350", "800",
-                           "nan"]),
+                           "nan", "1e-150", "3e-153", "1e-160", "1e-170",
+                           "5e-324"]),
     "--seed": st.integers(-3, 50).map(str),
     "--fd-step": st.sampled_from(["0", "-0.001", "0.02", "1e-3", "1e-300",
                                   "0.5", "nan", "inf"]),
@@ -451,12 +456,11 @@ def test_converge_with_full_config_file(tmp_path):
         "b = -1.0,0.5\n"
         "lambda_prime = 4,6,8,10\n"
         "grid = 48\n"
-        "bump_amplitude = 0.03\n"
         "bump_direction = cos2\n")
     out = tmp_path / "out"
     assert run(["converge", "--config", str(cfgfile), "--out", str(out)]) == 0
     recs = read_jsonl(out)
-    assert all("eps=0.03,cos2" in r["family_id"] for r in recs)
+    assert all("eps=0.05,cos2" in r["family_id"] for r in recs)
     assert {r["b"] for r in recs} == {-1.0, 0.5}
 
 

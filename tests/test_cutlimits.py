@@ -16,7 +16,7 @@ PI_3 = math.pi / 3
 
 
 def bump():
-    return fam.bump_family(fam.FamilySpec())
+    return fam.bump_family("uniform")
 
 
 def hyper():
@@ -246,7 +246,7 @@ def test_convergence_rate_tracks_exponential_law():
 def test_run_convergence_with_angle_dependent_direction():
     # the cos2 direction makes block_m genuinely phi-dependent; the whole
     # pipeline must still decay to the predicted limit
-    family = fam.bump_family(fam.FamilySpec(direction="cos2"))
+    family = fam.bump_family("cos2")
     theta = PI_3
     cp = cl.c_prime_bound(family, theta)
     rep = cl.run_convergence(family, theta, [-1.0, cp],

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -92,7 +93,7 @@ def test_unwarped_block_m_is_the_per_column_product(beta):
     # a cos2 bump column whose bump is off round at every probed beta: the
     # block is C-ordered (phi, beta) and, bit for bit, sin^2(beta) times the
     # column's field in every column
-    family = fam.bump_family(fam.FamilySpec(direction="cos2"))
+    family = fam.bump_family("cos2")
 
     def column(b):
         return family.cut(5.0, 5.0 + math.sin(7.0 * b))
@@ -115,10 +116,11 @@ def test_formula_block_m_is_c_contiguous():
 
 
 def test_cut_domain_errors():
-    # both routes refuse a sphere radius outside (0, RADIUS_MAX)
+    # both routes refuse a sphere radius outside [RADIUS_MIN, RADIUS_MAX)
     base = hyperbolic_space()
     phi, beta = ext.join_grid(8, 8)
-    for s in (-1.0, 0.0, ext.RADIUS_MAX, 400.0, math.nan):
+    for s in (-1.0, 0.0, 5e-324, 1e-160, math.nextafter(ext.RADIUS_MIN, 0.0),
+              ext.RADIUS_MAX, 400.0, math.nan):
         with pytest.raises(DomainError, match="sphere radius"):
             ext.cut_via_formula(base, s)
         with pytest.raises(DomainError, match="sphere radius"):
@@ -130,14 +132,18 @@ def test_cut_domain_errors():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("make_space", [hyperbolic_space, perturbed_space])
-@pytest.mark.parametrize("s", [1.0, 3.0])
+@pytest.mark.parametrize("s", [1.0, 3.0, ext.RADIUS_MIN])
 def test_formula_vs_pullback(make_space, s):
     base = make_space()
     phi, beta = ext.join_grid(24, 18)
     formula = ext.cut_via_formula(base, s).sample(phi, beta)
     oracle = ext.cut_via_pullback(base, s, phi, beta)
+    # compare_join divides by the closed-form blocks: down to RADIUS_MIN
+    # they are normal doubles, so no error is 0/0 or vacuously 0
+    for block in (formula.block_m, formula.block_beta):
+        assert np.min(block) >= sys.float_info.min
     rep = ext.compare_join(formula, oracle)
-    assert rep["max_rel_err_block_M"] < 1e-5
+    assert 0.0 < rep["max_rel_err_block_M"] < 1e-5
     assert rep["max_rel_err_block_beta"] < 1e-5
     assert rep["max_abs_offdiag"] < 1e-6
 

@@ -108,9 +108,8 @@ def _circle_fields():
     return [
         ("round", mf.round_metric()),
         ("cos2", fam.direction_field("cos2")),
-        ("bump-cos2", fam.bump_family(
-            fam.FamilySpec(direction="cos2")).cut(4.0, 4.3)),
-        ("bump-uniform", fam.bump_family(fam.FamilySpec()).cut(4.0, 4.3)),
+        ("bump-cos2", fam.bump_family("cos2").cut(4.0, 4.3)),
+        ("bump-uniform", fam.bump_family("uniform").cut(4.0, 4.3)),
     ]
 
 
@@ -147,13 +146,11 @@ def test_circle_field_evaluations_are_fresh_arrays():
 
 def test_family_spec_validation():
     with pytest.raises(DomainError):
-        fam.FamilySpec(support_start=1.0, support_end=-1.0)
-    with pytest.raises(DomainError):
-        fam.FamilySpec(direction="nope")
+        fam.bump_family("nope")
 
 
 def test_bump_family_cut_structure():
-    family = fam.bump_family(fam.FamilySpec())
+    family = fam.bump_family("uniform")
     x = np.linspace(-1.5, 1.5, 33)
     # at radius lam + b with b <= B the cut is exactly round
     for b in (-1.0, -2.0, -5.5):
@@ -170,21 +167,13 @@ def test_bump_family_cut_structure():
 
 
 def test_bump_family_limit_oracle_matches_diagonal():
-    family = fam.bump_family(fam.FamilySpec(direction="cos2"))
+    family = fam.bump_family("cos2")
     x = np.linspace(-1.5, 1.5, 17)
     # dyadic offsets so that (lam + b) - lam reproduces b exactly
     for b in (-0.5, 0.0, 0.75):
         lim = family.limit(b).at_angles(x)
         diag = family.cut(11.0, 11.0 + b).at_angles(x)
         assert np.array_equal(lim, diag)
-
-
-def test_amplitude_positivity_guard():
-    with pytest.raises(DomainError):
-        fam.bump_family(fam.FamilySpec(amplitude=-1.5))
-    # cos^2 reaches 1 only at isolated angles, where the cut is 1 + a = 0
-    with pytest.raises(DomainError):
-        fam.FamilySpec(amplitude=-1.0, direction="cos2")
 
 
 def test_hyperbolic_family_is_round_everywhere():

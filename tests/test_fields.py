@@ -83,8 +83,8 @@ def _angle_fields():
     """(name, field, bound on |d component / d angle|) of the circle fields
     the pipeline evaluates at angles, plus one with period 2 pi only, which
     tells the two charts apart (cos^2 cannot: its period is pi)."""
-    family = fam.bump_family(fam.FamilySpec(direction="cos2"))
-    amp = fam.FamilySpec().amplitude
+    family = fam.bump_family("cos2")
+    amp = fam.BUMP_AMPLITUDE
     cut = family.cut(5.0, 5.0)              # bump profile at its peak, 1
     period_2pi = mf.SphereMetricField.from_function(
         lambda angles: 2.0 + np.cos(angles))
@@ -135,14 +135,14 @@ def _window_fields():
     direction, 1 for the round form, and the same operations on top for
     cuts and limits, the oracle suite's unwarped base cuts among them.  The
     boundary and collar numbers of the reports rest on these bits."""
-    amp = fam.FamilySpec().amplitude
+    amp = fam.BUMP_AMPLITUDE
     one = lambda c, x: np.ones(np.shape(x))
     cos2 = lambda c, x: np.cos(x + c) ** 2
     _, hyper = cli.build_base_metric(SimpleNamespace(family="hyperbolic"))
     out = [pytest.param(mf.round_metric(), one, id="round"),
            pytest.param(hyper(1.7), one, id="hyperbolic-unwarped")]
     for direction, T in (("uniform", one), ("cos2", cos2)):
-        family = fam.bump_family(fam.FamilySpec(direction=direction))
+        family = fam.bump_family(direction)
         out.append(pytest.param(fam.direction_field(direction), T,
                                 id=f"T-{direction}"))
         # dyadic offsets, so that rho - lam is exactly b
@@ -154,8 +154,7 @@ def _window_fields():
                 id=f"bump-{what}-{direction}"))
         # the oracle's base is the member cli.ORACLE_BASE_LAMBDA = 2
         _, base = cli.build_base_metric(SimpleNamespace(
-            family="bump",
-            bump_spec=lambda d=direction: fam.FamilySpec(direction=d)))
+            family="bump", bump_direction=direction))
         a = amp * fam.bump_profile(0.375, -1.0, 1.0)
         out.append(pytest.param(
             base(2.375), lambda c, x, a=a, T=T: 1.0 + a * T(c, x),
