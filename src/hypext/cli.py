@@ -20,12 +20,13 @@ that each of its values, from the defaults, a flag or a flat
 goes through once; a file sets each key at most once.  Flags override
 file keys, and file keys serve every suite; a flag a suite does not read
 is refused.  RunConfig.validate checks every key whichever suite runs.
-Every suite writes report.jsonl, report.csv and summary.txt into --out,
-atomically, and byte-identically for identical configuration (including
-the seed).  Exit codes: 0 all assertions passed, 1 an assertion failed,
-2 usage or configuration error, or an input a suite refuses (say a claim
-theta so small that the claim's threshold sweep would start above its
-top, cutlimits.CLAIM_LAMBDA_MAX).
+Every suite writes report.jsonl, report.csv and summary.txt into --out
+(never empty), atomically, and byte-identically for identical
+configuration (including the seed).  Exit codes: 0 all assertions
+passed, 1 an assertion failed, 2 usage or configuration error, or an
+input a suite refuses (say a lambda' above hyptrig.LAMBDA_PRIME_MAX, or a
+claim theta so small that the claim's threshold sweep would start above
+that top).
 
 Negative-control hooks (test-only, documented here on purpose): a coarse
 --fd-step 0.02 breaks the identities suite's tolerance (steps so large
@@ -121,6 +122,13 @@ def _auto(parse):
 _int, _float = _number(int), _number(float)
 
 
+def _path(text):
+    """Parser of a non-empty path (Path("") is the current directory)."""
+    if not text:
+        raise ConfigError("empty path")
+    return Path(text)
+
+
 def _schema_version(text):
     if _int(text) != SCHEMA_VERSION:
         raise ConfigError(f"{text} is not supported (expected "
@@ -137,7 +145,7 @@ KEYS = {
     "lambda_prime": ("4,6,8,10", _list(_float)),
     "grid": (96, _int),
     "seed": (0, _int),
-    "out": ("out", Path),
+    "out": ("out", _path),
     "fd_step": ("auto", _auto(_float)),
     "s_values": ("1,3,6", _list(_float)),
     "bump_direction": ("uniform", str),
@@ -209,6 +217,11 @@ class RunConfig:
         if self.lambda_prime[0] <= 0.0:
             raise ConfigError(
                 f"lambda_prime {self.lambda_prime[0]} must be > 0")
+        if self.lambda_prime[-1] > ht.LAMBDA_PRIME_MAX:
+            # beyond it lambda' + b rounds b away, and near 1e308 overflows
+            raise ConfigError(
+                f"lambda_prime {self.lambda_prime[-1]} exceeds "
+                f"{ht.LAMBDA_PRIME_MAX:g}, the largest lambda' evaluated")
         if not 24 <= self.grid <= GRID_MAX:
             raise ConfigError(
                 f"grid resolution {self.grid} outside [24, {GRID_MAX}]")
@@ -460,18 +473,15 @@ def cmd_claim(cfg):
     # every theta's threshold sweep is checked before the first claim
     bounds = [cl.claim_bounds(family, theta) for theta in cfg.theta]
     for theta, (B, cp) in zip(cfg.theta, bounds):
-        ht.beta1_sweep_start(theta, B, cp, cl.CLAIM_LAMBDA_MAX)
+        ht.beta1_sweep_start(theta, B, cp)
     records, summary = [], []
     all_ok = True
     for theta, (B, cp) in zip(cfg.theta, bounds):
         beta1 = None
         try:
             beta1 = (1.5 if cfg.corrupt == "beta1-large"
-                     else ht.beta1_threshold(theta, B, cp,
-                                             cl.CLAIM_LAMBDA_MAX))
-            rep = cl.verify_beta1_claim(
-                family, theta, beta1,
-                np.geomspace(1.0, cl.CLAIM_LAMBDA_MAX, 80))
+                     else ht.beta1_threshold(theta, B, cp))
+            rep = cl.verify_beta1_claim(family, theta, beta1)
             ok = True
         except VerificationError as e:
             rep = {"beta1": beta1, "error": str(e)}

@@ -56,18 +56,15 @@ BOUNDARY_TOL = 1e-6
 
 HYPERBOLIC_PASS_TOL = 1e-10
 
-# points per sampling window of the collar check and the equator distance
-BOUNDARY_RESOLUTION = 128
-
 # the equator form of the limit is the family limit on the base circle
 # plus this coefficient of the flat normal block; the measured coefficient
 # is coth^2(lambda' + b) = 1 + 1/sinh^2(lambda' + b)
 EQUATOR_NORMAL_COEFF = 1.0
 
-# top of the small-angle claim's lambda' sweeps
-CLAIM_LAMBDA_MAX = 700.0
-
-# phi points and tolerance of the small-angle claim's exact-roundness check
+# the small-angle claim: lambda' points of its inequality grid, geometric
+# on [1, LAMBDA_PRIME_MAX], and phi points and tolerance of its
+# exact-roundness check
+CLAIM_N_LAMBDA = 80
 CLAIM_N_PHI = 16
 EXACTNESS_TOL = 1e-14
 
@@ -91,32 +88,22 @@ class MetricFamily:
     family_id: str
 
 
-def is_hyperbolic_around_origin(family, B, lambda_grid, b_grid):
-    """Check the round-collar property: cuts at radius lam + b equal the
-    round metric for every b <= B on the tested grids.
+def is_hyperbolic_around_origin(family, B):
+    """Check the round-collar property at the bound B: cuts at radius
+    lam + b equal the round metric for lam in {lam0, lam0 + 4} and b in
+    {B - 1, B}, with lam0 = max(2, 2 - B), so every index is at least
+    LAMBDA_MIN and every radius at least 1.
 
     Returns (passed, max deviation); the deviation is the worst C^0..C^2
     component of the grid distance to the round metric, and the check
-    passes below 1e-10.
+    passes below HYPERBOLIC_PASS_TOL.
     """
-    b_grid = np.atleast_1d(np.asarray(b_grid, dtype=float))
-    lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-    if np.any(b_grid > B):
-        raise DomainError("is_hyperbolic_around_origin: b grid must be <= B")
     sigma = mf.round_metric()
+    lam0 = max(2.0, 2.0 - B)
     worst = 0.0
-    for lam in lambda_grid:
-        if lam < LAMBDA_MIN:
-            raise DomainError(
-                f"is_hyperbolic_around_origin: lambda {lam} below "
-                f"LAMBDA_MIN {LAMBDA_MIN}")
-        for b in b_grid:
-            if lam + b <= 0.0:
-                raise DomainError(
-                    "is_hyperbolic_around_origin: cut radius lam + b must "
-                    "be positive")
-            d = mf.c2_distance(family.cut(float(lam), float(lam + b)), sigma,
-                               resolution=BOUNDARY_RESOLUTION)
+    for lam in (lam0, lam0 + 4.0):
+        for b in (B - 1.0, B):
+            d = mf.c2_distance(family.cut(lam, lam + b), sigma)
             worst = mf.max_carrying_nan(worst, d.max())
     return worst < HYPERBOLIC_PASS_TOL, worst
 
@@ -237,11 +224,8 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     repeated = sorted({x for x, y in zip(b_grid, b_grid[1:]) if x == y})
     if repeated:
         raise DomainError(f"b grid repeats the values {repeated}")
-    b_check, _ = claim_bounds(family, theta)
-    lam_lo = max(2.0, 2.0 - b_check)
-    lam_check = [lam_lo, lam_lo + 4.0]
-    ok, dev = is_hyperbolic_around_origin(
-        family, b_check, lam_check, [b_check - 1.0, b_check])
+    B, _ = claim_bounds(family, theta)
+    ok, dev = is_hyperbolic_around_origin(family, B)
     if not ok:
         raise VerificationError(
             f"family {family.family_id!r} fails the round-collar check at "
@@ -274,8 +258,7 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
             lam = ht.reparam(lp, theta)
             normal_meas = 1.0 + ht.coth_sq_minus_one(lp + b)
             h_meas = family.cut(lam, lp + b)
-            bdist = mf.c2_distance(h_meas, h_pred,
-                                   resolution=BOUNDARY_RESOLUTION)
+            bdist = mf.c2_distance(h_meas, h_pred)
             boundary_m_c0 = mf.max_carrying_nan(
                 abs(normal_meas - EQUATOR_NORMAL_COEFF), bdist.max())
 
@@ -351,9 +334,10 @@ def check_convergence_assertions(reports):
     return failures
 
 
-def verify_beta1_claim(family, theta, beta1, lambda_prime_grid):
+def verify_beta1_claim(family, theta, beta1):
     """Verify the small-angle inequality r(lambda' + c', beta1) <=
-    reparam(lambda') + B on the grid points where the hypotenuse
+    reparam(lambda') + B on the claim grid, CLAIM_N_LAMBDA geometric
+    points on [1, LAMBDA_PRIME_MAX], at the points where the hypotenuse
     lambda' + c' is positive (as in beta1_threshold's sweep), with
     (B, c') the family's claim_bounds at theta, and the exact roundness
     it forces.
@@ -365,17 +349,14 @@ def verify_beta1_claim(family, theta, beta1, lambda_prime_grid):
     the forced region is not exactly round to EXACTNESS_TOL.
     """
     B, c_prime = claim_bounds(family, theta)
-    grid = np.sort(np.atleast_1d(np.asarray(lambda_prime_grid, dtype=float)))
+    grid = np.geomspace(1.0, ht.LAMBDA_PRIME_MAX, CLAIM_N_LAMBDA)
     grid = grid[grid + c_prime > 0.0]
     lhs = ht.solve_r(grid + c_prime, beta1)
     rhs = ht.reparam(grid, theta) + B
-    holds = lhs <= rhs
-    idx = None
-    for i in range(len(grid)):
-        if np.all(holds[i:]):
-            idx = i
-            break
-    if idx is None:
+    # the inequality holds from just past its last failure (a NaN fails)
+    fails = np.flatnonzero(~(lhs <= rhs))
+    idx = int(fails[-1]) + 1 if fails.size else 0
+    if idx == len(grid):
         raise VerificationError(
             "verify_beta1_claim: inequality never holds on the grid; "
             "beta1 must be recomputed")

@@ -56,14 +56,16 @@ def _smoothstep_float(u):
     return _clip01(u ** 3 * (10.0 + u * (-15.0 + 6.0 * u)))
 
 
-def bump_profile(x, start, end):
-    """C^2 bump supported exactly on [start, end]: quintic smoothstep up to
-    1 at the midpoint and back down; identically 0.0 outside the support.
+def bump_profile(x):
+    """C^2 bump supported exactly on BUMP_SUPPORT = [start, end]: quintic
+    smoothstep up to 1 at the midpoint and back down; identically 0.0
+    outside the support.
 
     A float ``x`` takes a float path that evaluates only the branch that
     applies; it gives the bits of the numpy route on a 0-d array, -0.0 and
     NaN included.
     """
+    start, end = BUMP_SUPPORT
     mid = 0.5 * (start + end)
     if isinstance(x, float):
         x = float(x)
@@ -142,11 +144,11 @@ def bump_family(direction):
     def cut(lam, rho):
         if rho <= 0.0:
             raise DomainError("cut radius must be positive")
-        return perturbed(eps * bump_profile(rho - lam, start, end))
+        return perturbed(eps * bump_profile(rho - lam))
 
     return MetricFamily(
         cut=cut, hyperbolic_bound=start,
-        limit=lambda b: perturbed(eps * bump_profile(b, start, end)),
+        limit=lambda b: perturbed(eps * bump_profile(b)),
         interval_bound=end,
         family_id=(f"bump[B={start:g},c={end:g},eps={eps:g},"
                    f"{direction}]"))

@@ -22,17 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, max_carrying_nan, min_carrying_nan
+from .errors import max_carrying_nan, min_carrying_nan
 
 # The sampling windows are the arcs |angle - centre| <= 3 pi/5 about the
 # centres 0 and pi, each sampled by ``centre + interior_grid(n)``.  They
 # cover the circle and overlap by pi/5 at either end, so every point within
 # MARGIN = 3 pi/20 of a window's end is interior to the other window.
-# ``c2_distance`` bounds its step by MARGIN / 2, which 17 points meet
-# exactly.
+# ``c2_distance`` samples each window at BOUNDARY_RESOLUTION points, whose
+# spacing must not exceed MARGIN / 2 (17 points meet it exactly).
 WINDOW_CENTRES = (0.0, math.pi)
 INTERIOR_HALF_WIDTH = 0.60 * math.pi
 MARGIN = 0.75 * math.pi - INTERIOR_HALF_WIDTH
+BOUNDARY_RESOLUTION = 128
 
 
 def interior_grid(n):
@@ -227,20 +228,16 @@ def c2_sups(delta, steps, periodic=None):
     return c0, max_carrying_nan(*sups1), max_carrying_nan(*sups2)
 
 
-def c2_distance(a, b, resolution):
+def c2_distance(a, b):
     """Grid C^2 distance between two circle fields.
 
-    Each sampling window is spanned by ``resolution`` points; the
-    finite-difference step is their spacing, which must not exceed half
-    of MARGIN.  Points within MARGIN of a window's end are interior to the
-    other window instead.
+    Each sampling window is spanned by BOUNDARY_RESOLUTION points; the
+    finite-difference step is their spacing, at most half of MARGIN, so
+    points within MARGIN of a window's end are interior to the other
+    window instead.
     """
-    axis = interior_grid(resolution)
+    axis = interior_grid(BOUNDARY_RESOLUTION)
     h = float(axis[1] - axis[0])
-    if h > MARGIN / 2.0:
-        raise DomainError(
-            f"step {h:.4g} too large for window margin {MARGIN:.4g}")
-
     c0 = c1 = c2 = 0.0
     for centre in WINDOW_CENTRES:
         angles = axis + centre          # the window, built once for both

@@ -56,6 +56,10 @@ LOG_SWITCH = 30.0
 BETA1_MARGIN = 0.5
 BETA1_GRID = 80
 
+# the largest lambda' any suite evaluates: the top of the small-angle
+# claim's sweeps, and of the converge suite's lambda' grid
+LAMBDA_PRIME_MAX = 700.0
+
 
 def _prepare(*vals):
     """Broadcast inputs to flat float arrays; report shape and scalarness."""
@@ -285,10 +289,10 @@ def vartheta_shift(beta, b, theta):
     return _finish(out, shape, scalar)
 
 
-def beta1_sweep_start(theta, B, c_prime, lambda_max):
-    """The start lam_lo of beta1_threshold's sweep [lam_lo, lambda_max]
-    (see there), refusing a theta outside (0, pi/2] and a lambda_max at or
-    below lam_lo."""
+def beta1_sweep_start(theta, B, c_prime):
+    """The start lam_lo of beta1_threshold's sweep [lam_lo,
+    LAMBDA_PRIME_MAX] (see there), refusing a theta outside (0, pi/2] and
+    a start at or above the top."""
     if not 0.0 < theta <= HALF_PI:
         raise DomainError("beta1_threshold: theta must lie in (0, pi/2]")
     lam_lo = 5.0
@@ -296,17 +300,17 @@ def beta1_sweep_start(theta, B, c_prime, lambda_max):
         lam_lo = max(lam_lo, reparam_inverse(2.0 - B, theta))
     # the swept hypotenuse lambda' + c' must stay positive
     lam_lo = max(lam_lo, 1.0 - c_prime)
-    if not lambda_max > lam_lo:
+    if not LAMBDA_PRIME_MAX > lam_lo:
         raise DomainError(
-            f"beta1_threshold: the sweep top {lambda_max:.6g} must exceed "
-            f"its start {lam_lo:.6g} at theta = {theta:.6g}")
+            f"beta1_threshold: the sweep top {LAMBDA_PRIME_MAX:.6g} must "
+            f"exceed its start {lam_lo:.6g} at theta = {theta:.6g}")
     return lam_lo
 
 
-def beta1_threshold(theta, B, c_prime, lambda_max):
+def beta1_threshold(theta, B, c_prime):
     """A small angle beta1 with solve_r(l' + c', beta1) <= reparam(l') + B
-    for every l' in a sweep [lam_lo, lambda_max], for a family with collar
-    bound B and shifted interval edge c' at the angle theta.
+    for every l' in a sweep [lam_lo, LAMBDA_PRIME_MAX], for a family with
+    collar bound B and shifted interval edge c' at the angle theta.
 
     Asymptotically the inequality reads ln(sin beta1) <= B - c' +
     ln(sin theta), so beta1 = asin(exp(B - c' + ln sin(theta) -
@@ -319,23 +323,24 @@ def beta1_threshold(theta, B, c_prime, lambda_max):
     The claim is about all sufficiently large lambda': the inequality only
     becomes meaningful once reparam(lambda') clears -B (its right side
     must exceed the nonnegative leg length).  The sweep therefore starts
-    at lam_lo = max(5, the radius where that happens); a lambda_max at or
-    below lam_lo is refused, as is a theta outside (0, pi/2].
+    at lam_lo = max(5, the radius where that happens, 1 - c'); a start at
+    or above LAMBDA_PRIME_MAX is refused, as is a theta outside (0, pi/2].
     """
-    lam_lo = beta1_sweep_start(theta, B, c_prime, lambda_max)
+    lam_lo = beta1_sweep_start(theta, B, c_prime)
     expo0 = B - c_prime + math.log(math.sin(theta))
     if expo0 >= 0.0:
         beta1 = 0.25 * math.pi
     else:
         beta1 = math.asin(math.exp(expo0 - BETA1_MARGIN))
-    grid = np.geomspace(lam_lo, lambda_max, BETA1_GRID)
+    grid = np.geomspace(lam_lo, LAMBDA_PRIME_MAX, BETA1_GRID)
     lhs = solve_r(grid + c_prime, beta1)
     rhs = reparam(grid, theta) + B
     if np.any(lhs > rhs):
         worst = float(np.max(lhs - rhs))
         raise VerificationError(
             f"beta1_threshold: candidate beta1={beta1:.6g} fails the "
-            f"inequality on [{lam_lo:.6g}, {lambda_max:.6g}] by {worst:.3e}"
+            f"inequality on [{lam_lo:.6g}, {LAMBDA_PRIME_MAX:.6g}] by "
+            f"{worst:.3e}"
         )
     return beta1
 

@@ -202,9 +202,8 @@ def test_small_angle_claim():
     worst_dev = 0.0
     for theta in (HALF_PI, PI_3):
         B, cp = cl.claim_bounds(family, theta)
-        beta1 = ht.beta1_threshold(theta, B, cp, 700.0)
-        rep = cl.verify_beta1_claim(family, theta, beta1,
-                                    np.geomspace(1.0, 700.0, 80))
+        beta1 = ht.beta1_threshold(theta, B, cp)
+        rep = cl.verify_beta1_claim(family, theta, beta1)
         worst_lambda0 = max(worst_lambda0, rep["lambda0"])
         worst_dev = max(worst_dev, rep["exactness_max_dev"])
     report("small-angle-claim",

@@ -112,6 +112,13 @@ def test_angle_parsing():
     # vacuous PASS at 1e-160, a 0/0 at 1e-170
     ["oracle", "--grid", "24", "--s-values", "1e-160"],
     ["oracle", "--grid", "24", "--s-values", "1e-170"],
+    # beyond hyptrig.LAMBDA_PRIME_MAX = 700, lambda' + b rounds b away
+    # (false decay failures) and near 1e308 the solvers overflow
+    ["converge", "--lambda-prime", "4,6,8,700.5"],
+    ["converge", "--lambda-prime", "4,6,8,1e8"],
+    ["converge", "--lambda-prime", "4,6,8,1e308"],
+    # an empty out would be the current directory
+    ["identities", "--out", ""],
 ])
 def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
@@ -153,6 +160,8 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     ("identities", "beta_max = 0.005"),
     ("oracle", "bump_base_lambda = nan"),
     ("claim", "claim_lambda_max = 0.5"),
+    # an empty out would be the current directory
+    ("identities", "out ="),
 ])
 def test_non_finite_config_file_value_is_exit_2(tmp_path, capsys, suite,
                                                 line):
@@ -373,6 +382,14 @@ def test_converge_smoke(tmp_path):
     cols = (Path(out) / "report.csv").read_text().splitlines()[0]
     assert cols == ("theta,b,lambda_prime,c0,c1,c2,grid,fd_step,"
                     "family_id,boundary_M_c0,boundary_H_c0")
+
+
+def test_converge_passes_at_the_top_lambda_prime(tmp_path):
+    # lambda' = hyptrig.LAMBDA_PRIME_MAX = 700 is the largest admitted
+    out = tmp_path / "out"
+    assert run(["converge", "--out", str(out), "--grid", "24",
+                "--lambda-prime", "4,6,8,700"]) == 0
+    assert max(r["lambda_prime"] for r in read_jsonl(out)) == 700.0
 
 
 def test_converge_hyperbolic_family_is_exact(tmp_path):

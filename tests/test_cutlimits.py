@@ -44,33 +44,21 @@ def unbounded_control():
 def test_hyperbolic_family_passes_any_bound():
     family = hyper()
     for B in (-3.0, 0.0, 5.0):
-        lam_grid = [max(2.0, 2.0 - B), max(6.0, 6.0 - B)]
-        ok, dev = cl.is_hyperbolic_around_origin(
-            family, B, lam_grid, [B - 1.0, B])
+        ok, dev = cl.is_hyperbolic_around_origin(family, B)
         assert ok and dev < 1e-15
 
 
 def test_bump_family_collar_bound_is_sharp():
     family = bump()
-    ok, dev = cl.is_hyperbolic_around_origin(
-        family, -1.0, [4.0, 8.0], [-2.0, -1.0])
+    ok, dev = cl.is_hyperbolic_around_origin(family, -1.0)
     assert ok and dev < 1e-15
-    ok2, dev2 = cl.is_hyperbolic_around_origin(
-        family, -0.5, [4.0, 8.0], [-0.5])
+    ok2, dev2 = cl.is_hyperbolic_around_origin(family, -0.5)
     assert not ok2 and dev2 > 1e-4
 
 
 def test_unbounded_family_fails():
-    ok, dev = cl.is_hyperbolic_around_origin(
-        unbounded_control(), -1.0, [4.0], [-3.0, -1.0])
+    ok, dev = cl.is_hyperbolic_around_origin(unbounded_control(), -1.0)
     assert not ok and dev == pytest.approx(0.025, rel=1e-10)
-
-
-def test_collar_check_guards():
-    with pytest.raises(DomainError):
-        cl.is_hyperbolic_around_origin(bump(), -1.0, [4.0], [0.0])  # b > B
-    with pytest.raises(DomainError):
-        cl.is_hyperbolic_around_origin(bump(), -1.0, [0.5], [-1.0])  # radius<=0
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +91,7 @@ def test_region_exactness():
     family = bump()
     theta = PI_3
     B, cp = cl.claim_bounds(family, theta)
-    beta1 = ht.beta1_threshold(theta, B, cp, 700.0)
+    beta1 = ht.beta1_threshold(theta, B, cp)
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     betas = np.linspace(1e-3, beta1, 7)
     for lp in (6.0, 10.0):
@@ -312,9 +300,8 @@ def test_verify_beta1_claim_defaults():
     family = bump()
     for theta in (HALF_PI, PI_3):
         B, cp = cl.claim_bounds(family, theta)
-        beta1 = ht.beta1_threshold(theta, B, cp, 700.0)
-        report = cl.verify_beta1_claim(family, theta, beta1,
-                                       np.geomspace(1.0, 40.0, 40))
+        beta1 = ht.beta1_threshold(theta, B, cp)
+        report = cl.verify_beta1_claim(family, theta, beta1)
         assert report["lambda0"] <= 10.0
         assert report["margin_at_top"] > 0.0
         assert report["exactness_max_dev"] <= 1e-14
@@ -330,9 +317,8 @@ def test_verify_beta1_claim_skips_nonpositive_hypotenuses(make, theta):
     family = make()
     B, cp = cl.claim_bounds(family, theta)
     assert cp < -1.0
-    beta1 = ht.beta1_threshold(theta, B, cp, cl.CLAIM_LAMBDA_MAX)
-    report = cl.verify_beta1_claim(
-        family, theta, beta1, np.geomspace(1.0, cl.CLAIM_LAMBDA_MAX, 80))
+    beta1 = ht.beta1_threshold(theta, B, cp)
+    report = cl.verify_beta1_claim(family, theta, beta1)
     assert report["grid_min"] + cp > 0.0
     assert report["margin_at_top"] > 0.0
     assert report["exactness_max_dev"] <= 1e-14
@@ -346,8 +332,15 @@ def test_verify_beta1_claim_stricter_c_prime_for_smaller_theta():
 
 def test_verify_beta1_claim_failure_modes():
     with pytest.raises(VerificationError, match="never holds"):
-        cl.verify_beta1_claim(bump(), HALF_PI, 1.5,
-                              np.geomspace(1.0, 40.0, 30))
+        cl.verify_beta1_claim(bump(), HALF_PI, 1.5)
+    # a NaN angle fails at every grid point
+    with pytest.raises(VerificationError, match="never holds"):
+        cl.verify_beta1_claim(bump(), HALF_PI, math.nan)
+    # below theta ~ 1e-304.6, c' < -700 and the whole claim grid has
+    # lambda' + c' <= 0: an empty grid never holds
+    assert cl.c_prime_bound(bump(), 1e-305) < -ht.LAMBDA_PRIME_MAX
+    with pytest.raises(VerificationError, match="never holds"):
+        cl.verify_beta1_claim(bump(), 1e-305, 0.1)
 
 
 def _nan_beyond(x):
@@ -364,10 +357,9 @@ def test_verify_beta1_claim_fails_on_nan_block():
                              hyperbolic_bound=-1.0, limit=lambda b: nan_cut,
                              interval_bound=1.0, family_id="nan-beyond-1")
     B, cp = cl.claim_bounds(family, HALF_PI)
-    beta1 = ht.beta1_threshold(HALF_PI, B, cp, 700.0)
+    beta1 = ht.beta1_threshold(HALF_PI, B, cp)
     with pytest.raises(VerificationError, match="not exactly round"):
-        cl.verify_beta1_claim(family, HALF_PI, beta1,
-                              np.geomspace(1.0, 40.0, 40))
+        cl.verify_beta1_claim(family, HALF_PI, beta1)
 
 
 # ---------------------------------------------------------------------------

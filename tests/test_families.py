@@ -23,10 +23,10 @@ def test_smoothstep_endpoints():
 
 def test_bump_profile_support_is_exact():
     xs = np.array([-5.0, -1.0, 1.0, 2.0, 100.0])
-    vals = fam.bump_profile(xs, -1.0, 1.0)
+    vals = fam.bump_profile(xs)
     assert np.all(vals == 0.0)
-    assert fam.bump_profile(0.0, -1.0, 1.0) == 1.0
-    inside = fam.bump_profile(np.linspace(-0.99, 0.99, 101), -1.0, 1.0)
+    assert fam.bump_profile(0.0) == 1.0
+    inside = fam.bump_profile(np.linspace(-0.99, 0.99, 101))
     assert np.all(inside > 0.0) and np.all(inside <= 1.0)
 
 
@@ -37,16 +37,17 @@ def test_bump_profile_is_c2():
     h = 1e-4
     for knot in (-1.0, 0.0, 1.0):
         x = np.array([knot - 2 * h, knot - h, knot, knot + h, knot + 2 * h])
-        v = fam.bump_profile(x, -1.0, 1.0)
+        v = fam.bump_profile(x)
         d2_left = (v[0] - 2 * v[1] + v[2]) / h ** 2
         d2_right = (v[2] - 2 * v[3] + v[4]) / h ** 2
         assert abs(d2_left - d2_right) < 0.01
 
 
-def bump_profile_0d(x, start, end):
+def bump_profile_0d(x):
     """The numpy route of bump_profile for a float, taken on a 0-d array:
     the reference the float path must match bit for bit."""
     x = np.asarray(x, dtype=float)
+    start, end = fam.BUMP_SUPPORT
     mid = 0.5 * (start + end)
     up = fam.quintic_smoothstep((x - start) / (mid - start))
     down = fam.quintic_smoothstep((end - x) / (end - mid))
@@ -57,7 +58,8 @@ def _bits(v):
     return np.float64(v).tobytes()
 
 
-def _edges(start, end):
+def _edges():
+    start, end = fam.BUMP_SUPPORT
     mid = 0.5 * (start + end)
     pts = [0.0, -0.0, math.nan, math.inf, -math.inf]
     for p in (start, mid, end):
@@ -65,31 +67,25 @@ def _edges(start, end):
     return pts
 
 
-_supports = st.tuples(st.floats(-5.0, 5.0),
-                      st.floats(1e-3, 10.0)).map(lambda t: (t[0], t[0] + t[1]))
-
-
 @settings(max_examples=300, deadline=None)
-@given(_supports, st.floats(0.0, 1.0), st.floats(-0.5, 1.5))
-def test_float_bump_profile_matches_0d_route(support, frac, spread):
-    start, end = support
-    x = start + spread * (end - start) if frac < 0.5 else \
-        start + frac * (end - start)
-    for v in [x] + _edges(start, end):
-        expect = _bits(bump_profile_0d(v, start, end))
-        assert _bits(fam.bump_profile(v, start, end)) == expect, v
-        assert _bits(fam.bump_profile(np.float64(v), start, end)) == expect
-        assert type(fam.bump_profile(v, start, end)) is float
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_float_bump_profile_matches_0d_route(x):
+    for v in [x] + _edges():
+        expect = _bits(bump_profile_0d(v))
+        assert _bits(fam.bump_profile(v)) == expect, v
+        assert _bits(fam.bump_profile(np.float64(v))) == expect
+        assert type(fam.bump_profile(v)) is float
 
 
 def test_float_bump_profile_on_the_default_support():
-    for v in _edges(-1.0, 1.0) + list(np.linspace(-1.5, 1.5, 3001)):
-        assert _bits(fam.bump_profile(float(v), -1.0, 1.0)) == \
-            _bits(bump_profile_0d(v, -1.0, 1.0)), v
-    assert math.isnan(fam.bump_profile(math.nan, -1.0, 1.0))
-    assert fam.bump_profile(-1.0, -1.0, 1.0) == 0.0
-    assert fam.bump_profile(1.0, -1.0, 1.0) == 0.0
-    assert _bits(fam.bump_profile(-0.0, -1.0, 1.0)) == _bits(1.0)
+    assert fam.BUMP_SUPPORT == (-1.0, 1.0)
+    for v in _edges() + list(np.linspace(-1.5, 1.5, 3001)):
+        assert _bits(fam.bump_profile(float(v))) == \
+            _bits(bump_profile_0d(v)), v
+    assert math.isnan(fam.bump_profile(math.nan))
+    assert fam.bump_profile(-1.0) == 0.0
+    assert fam.bump_profile(1.0) == 0.0
+    assert _bits(fam.bump_profile(-0.0)) == _bits(1.0)
 
 
 def test_direction_fields():
@@ -158,7 +154,7 @@ def test_bump_family_cut_structure():
         assert np.all(cut.at_angles(x) == 1.0)
     # inside the support the perturbation rides at offset rho - lam
     cut = family.cut(6.0, 6.0)
-    expect = 1.0 + 0.05 * fam.bump_profile(0.0, -1.0, 1.0)
+    expect = 1.0 + 0.05 * fam.bump_profile(0.0)
     assert np.allclose(cut.at_angles(x), expect)
     # diagonal stationarity: cut(lam, lam + b) independent of lam
     a = family.cut(4.0, 4.0 + 0.3).at_angles(x)

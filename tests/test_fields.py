@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypext import cli
 from hypext import families as fam
 from hypext import fields as mf
-from hypext.errors import DomainError
 
 
 def _wrap(a):
@@ -148,14 +147,14 @@ def _window_fields():
         # dyadic offsets, so that rho - lam is exactly b
         for what, field, b in (("cut", family.cut(6.0, 6.25), 0.25),
                                ("limit", family.limit(-0.3), -0.3)):
-            a = amp * fam.bump_profile(b, -1.0, 1.0)
+            a = amp * fam.bump_profile(b)
             out.append(pytest.param(
                 field, lambda c, x, a=a, T=T: 1.0 + a * T(c, x),
                 id=f"bump-{what}-{direction}"))
         # the oracle's base is the member cli.ORACLE_BASE_LAMBDA = 2
         _, base = cli.build_base_metric(SimpleNamespace(
             family="bump", bump_direction=direction))
-        a = amp * fam.bump_profile(0.375, -1.0, 1.0)
+        a = amp * fam.bump_profile(0.375)
         out.append(pytest.param(
             base(2.375), lambda c, x, a=a, T=T: 1.0 + a * T(c, x),
             id=f"oracle-unwarped-{direction}"))
@@ -515,7 +514,7 @@ def test_c2_distance_max_carries_nan():
 
 def test_c2_distance_identity_is_zero():
     sigma = mf.round_metric()
-    d = mf.c2_distance(sigma, sigma, resolution=64)
+    d = mf.c2_distance(sigma, sigma)
     assert (d.c0, d.c1, d.c2) == (0.0, 0.0, 0.0)
 
 
@@ -524,7 +523,7 @@ def test_c2_distance_pure_scaling():
     sigma = mf.round_metric()
     scaled = mf.SphereMetricField.from_function(
         lambda angles: (1.0 + eps) * np.ones(np.shape(angles)))
-    d = mf.c2_distance(sigma, scaled, resolution=64)
+    d = mf.c2_distance(sigma, scaled)
     # round circle components are identically 1, so c0 = eps exactly and
     # the difference is constant
     assert d.c0 == pytest.approx(eps, rel=1e-12)
@@ -537,12 +536,11 @@ def test_c2_distance_symmetry_and_triangle():
             return 1.0 + a_amp * np.cos(ang) + b_amp * np.sin(2 * ang)
         return mf.SphereMetricField.from_function(comp)
     A, B, C = mk(0.1, 0.0), mk(0.0, 0.2), mk(0.05, -0.1)
-    n = 96
-    dab = mf.c2_distance(A, B, n)
-    dba = mf.c2_distance(B, A, n)
+    dab = mf.c2_distance(A, B)
+    dba = mf.c2_distance(B, A)
     assert (dab.c0, dab.c1, dab.c2) == (dba.c0, dba.c1, dba.c2)
-    dac = mf.c2_distance(A, C, n)
-    dcb = mf.c2_distance(C, B, n)
+    dac = mf.c2_distance(A, C)
+    dcb = mf.c2_distance(C, B)
     for k in ("c0", "c1", "c2"):
         assert getattr(dab, k) <= getattr(dac, k) + getattr(dcb, k) + 1e-12
 
@@ -555,14 +553,17 @@ def test_c2_distance_through_other_chart():
         lambda angles: 1.0 + 0.3 * np.cos(angles))
     moved = mf.SphereMetricField.from_function(
         lambda angles: field.components(_wrap(angles - math.pi) + math.pi))
-    d = mf.c2_distance(field, moved, resolution=48)
+    d = mf.c2_distance(field, moved)
     assert d.max() < 1e-8
 
 
-def test_c2_distance_errors():
-    s1 = mf.round_metric()
-    with pytest.raises(DomainError):
-        mf.c2_distance(s1, s1, resolution=4)  # spacing exceeds margin
+def test_boundary_resolution_spacing_meets_margin():
+    # every point within MARGIN of a window's end must lie two steps inside
+    # the other window, so the step c2_distance takes is at most MARGIN / 2
+    axis = mf.interior_grid(mf.BOUNDARY_RESOLUTION)
+    h = float(axis[1] - axis[0])
+    assert mf.c2_distance(mf.round_metric(), mf.round_metric()).fd_step == h
+    assert h <= mf.MARGIN / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def test_fixture_table(fixture_table):
             # not read (it takes c' = c + ln sin(theta) - margin)
             B, _c, c_prime, theta, margin = args
             assert margin == ht.BETA1_MARGIN
-            got = ht.beta1_threshold(theta, B, c_prime, 700.0)
+            got = ht.beta1_threshold(theta, B, c_prime)
         else:
             got = dispatch[name](*args)
         assert rel_err(got, expected) < 1e-13, (name, args, got, expected)
@@ -192,7 +192,7 @@ def test_vartheta_asymptotic_law():
 # ---------------------------------------------------------------------------
 
 def test_beta1_example_case():
-    beta1 = ht.beta1_threshold(HALF_PI, -1.0, 0.0, 700.0)
+    beta1 = ht.beta1_threshold(HALF_PI, -1.0, 0.0)
     assert beta1 == pytest.approx(math.asin(math.exp(-1.5)), rel=1e-12)
     # the defining inequality on a spot grid
     grid = np.geomspace(5.0, 700.0, 50)
@@ -200,13 +200,13 @@ def test_beta1_example_case():
 
 
 def test_beta1_degenerate_returns_pi_over_4():
-    assert ht.beta1_threshold(HALF_PI, 0.5, 0.2, 700.0) == pytest.approx(
+    assert ht.beta1_threshold(HALF_PI, 0.5, 0.2) == pytest.approx(
         math.pi / 4)
 
 
 def test_beta1_absurdly_low_bound_still_passes():
     # the bound is monotone: pushing B far down just makes beta1 tiny
-    beta1 = ht.beta1_threshold(HALF_PI, -9.0, 0.9, 700.0)
+    beta1 = ht.beta1_threshold(HALF_PI, -9.0, 0.9)
     assert 0.0 < beta1 < 1e-4
 
 
@@ -217,7 +217,7 @@ def test_beta1_threshold_property(B, theta, c_gap, cp_gap):
     # any admissible (B, c, c', theta) yields a verified angle
     c = B + c_gap
     c_prime = c + math.log(math.sin(theta)) - cp_gap
-    beta1 = ht.beta1_threshold(theta, B, c_prime, 700.0)
+    beta1 = ht.beta1_threshold(theta, B, c_prime)
     assert 0.0 < beta1 <= math.pi / 4
 
 
@@ -226,20 +226,22 @@ def test_beta1_verification_failure_raises(monkeypatch):
     # the inequality fails on the whole sweep
     monkeypatch.setattr(ht, "BETA1_MARGIN", -0.5)
     with pytest.raises(VerificationError):
-        ht.beta1_threshold(HALF_PI, -1.0, 0.0, 700.0)
+        ht.beta1_threshold(HALF_PI, -1.0, 0.0)
 
 
 def test_beta1_threshold_refuses_bad_theta_and_backward_sweep():
     for theta in (0.0, -0.3, HALF_PI + 1e-6, math.nan):
         with pytest.raises(DomainError, match="theta"):
-            ht.beta1_threshold(theta, -1.0, 0.0, 700.0)
-    # the sweep starts at lam_lo >= 5; a top at or below it would sweep
-    # backwards over radii the threshold does not claim, at either angle
+            ht.beta1_threshold(theta, -1.0, 0.0)
+    # the sweep starts at lam_lo >= 1 - c'; a start at or above the top
+    # LAMBDA_PRIME_MAX = 700 would sweep backwards over radii the threshold
+    # does not claim, at either angle
     for theta in (HALF_PI, math.pi / 3):
-        for lambda_max in (1.5, 5.0):
-            with pytest.raises(DomainError, match="must exceed its start 5"):
-                ht.beta1_threshold(theta, -1.0, 0.0, lambda_max)
-        assert 0.0 < ht.beta1_threshold(theta, -1.0, 0.0, 5.5) < HALF_PI
+        for c_prime, start in ((-700.0, "701"), (-699.0, "700")):
+            with pytest.raises(DomainError,
+                               match=f"top 700 must exceed its start {start}"):
+                ht.beta1_threshold(theta, -1.0, c_prime)
+        assert 0.0 < ht.beta1_threshold(theta, -1.0, -698.5) < HALF_PI
 
 
 # ---------------------------------------------------------------------------
