@@ -110,15 +110,16 @@ def is_hyperbolic_around_origin(family, B):
 
 def cut_indices(theta, lambda_prime, b):
     """The sphere radius lambda' + b and family index reparam(lambda',
-    theta) of an extension family cut, refusing a radius <= 0 and an index
-    below LAMBDA_MIN."""
+    theta) of an extension family cut, refusing a radius <= 0, an index
+    below LAMBDA_MIN and a NaN in either."""
     s0 = lambda_prime + b
-    if s0 <= 0.0:
+    # both tests are negated, so that a NaN is refused too
+    if not s0 > 0.0:
         raise DomainError(
             f"extension_family_cut: cut radius lambda'+b = {s0} must be "
             "positive")
     lam = ht.reparam(lambda_prime, theta)
-    if lam < LAMBDA_MIN:
+    if not lam >= LAMBDA_MIN:
         raise DomainError(
             f"extension_family_cut: family index {lam:.6g} below "
             f"LAMBDA_MIN {LAMBDA_MIN}")
@@ -234,6 +235,7 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     t0 = time.perf_counter()
     phi, beta = join_grid(n_phi, n_beta)
     probe_beta = np.geomspace(1e-3, BETA_MARGIN, 6)
+    probe_sin_sq = np.sin(probe_beta)[None, :] ** 2
     records = []
     cauchy_worst = 0.0
     for b in b_grid:
@@ -264,7 +266,7 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
 
             pole_m = cut.block_m(phi, probe_beta)
             pole_dev = float(np.max(np.abs(
-                pole_m / np.sin(probe_beta)[None, :] ** 2 - 1.0)))
+                pole_m / probe_sin_sq - 1.0)))
             records.append({
                 "theta": theta, "b": b, "lambda_prime": lp,
                 "c0": dist.c0, "c1": dist.c1, "c2": dist.c2,

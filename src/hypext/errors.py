@@ -19,14 +19,16 @@ def max_carrying_nan(*values):
     The builtin ``max`` keeps a NaN only when it comes first, so a NaN sup
     folded into a running maximum would otherwise vanish and pass a gate.
     """
-    if any(v != v for v in values):
-        return math.nan
+    for v in values:
+        if v != v:
+            return math.nan
     return max(values)
 
 
 def min_carrying_nan(*values):
     """The smallest of ``values``, or NaN if any is NaN (the counterpart of
     ``max_carrying_nan`` for positivity floors)."""
-    if any(v != v for v in values):
-        return math.nan
+    for v in values:
+        if v != v:
+            return math.nan
     return min(values)

@@ -294,16 +294,13 @@ def join_c2_distance(a, b):
     """
     _require_same_grid(a, b, "join_c2_distance")
     hphi, hbeta = a.steps
-    c0 = c1 = c2 = 0.0
-    for da in (_slot_difference(a.block_m, b.block_m),
-               _slot_difference(a.block_beta, b.block_beta),
-               _slot_difference(a.offdiag, b.offdiag)):
-        for sheet in range(da.shape[0]):
-            s0, s1, s2 = mf.c2_sups(da[sheet], (hphi, hbeta),
-                                    periodic=(True, False))
-            c0 = mf.max_carrying_nan(c0, s0)
-            c1 = mf.max_carrying_nan(c1, s1)
-            c2 = mf.max_carrying_nan(c2, s2)
+    # the (c0, c1, c2) of every slot and sheet, each column folded once
+    sups = [mf.c2_sups(da[sheet], (hphi, hbeta), periodic=(True, False))
+            for da in (_slot_difference(a.block_m, b.block_m),
+                       _slot_difference(a.block_beta, b.block_beta),
+                       _slot_difference(a.offdiag, b.offdiag))
+            for sheet in range(da.shape[0])]
+    c0, c1, c2 = (mf.max_carrying_nan(*col) for col in zip(*sups))
     return mf.C2Distance(c0=c0, c1=c1, c2=c2, fd_step=hbeta)
 
 

@@ -41,6 +41,11 @@ def interior_grid(n):
     return np.linspace(-INTERIOR_HALF_WIDTH, INTERIOR_HALF_WIDTH, n)
 
 
+# the offsets of ``c2_distance``'s windows, built once and read-only
+_WINDOW_AXIS = interior_grid(BOUNDARY_RESOLUTION)
+_WINDOW_AXIS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class SphereMetricField:
     """A closed-form symmetric bilinear-form field on the circle:
@@ -96,8 +101,10 @@ class C2Distance:
 
 def _sup(x, factor):
     """sup |x| / |factor|, NaN if x holds one; max(max x, -min x) reads x
-    twice and writes nothing, and ``abs`` folds its -0.0."""
-    return float(abs(max(x.max(), -x.min())) / abs(factor))
+    twice and writes nothing, and ``abs`` folds its -0.0.  The reductions
+    are the ufuncs' own, without the ``ndarray.max`` wrapper."""
+    return float(abs(max(np.maximum.reduce(x), -np.minimum.reduce(x)))
+                 / abs(factor))
 
 
 def c2_sups(delta, steps, periodic=None):
@@ -136,7 +143,8 @@ def c2_sups(delta, steps, periodic=None):
     if 0 in delta.strides:
         distinct = delta[tuple(slice(None) if st else slice(0, 1)
                                for st in delta.strides)]
-    c0 = float(abs(max(distinct.max(), -distinct.min()))) \
+    c0 = float(abs(max(np.maximum.reduce(distinct, axis=None),
+                       -np.minimum.reduce(distinct, axis=None)))) \
         if delta.size else 0.0
     if c0 == 0.0:
         return 0.0, 0.0, 0.0
@@ -231,21 +239,19 @@ def c2_sups(delta, steps, periodic=None):
 def c2_distance(a, b):
     """Grid C^2 distance between two circle fields.
 
-    Each sampling window is spanned by BOUNDARY_RESOLUTION points; the
-    finite-difference step is their spacing, at most half of MARGIN, so
-    points within MARGIN of a window's end are interior to the other
+    Each sampling window is spanned by BOUNDARY_RESOLUTION points, offsets
+    from its centre that are built once, at import, as a read-only axis;
+    the finite-difference step is their spacing, at most half of MARGIN,
+    so points within MARGIN of a window's end are interior to the other
     window instead.
     """
-    axis = interior_grid(BOUNDARY_RESOLUTION)
-    h = float(axis[1] - axis[0])
-    c0 = c1 = c2 = 0.0
+    h = float(_WINDOW_AXIS[1] - _WINDOW_AXIS[0])
+    sups = []
     for centre in WINDOW_CENTRES:
-        angles = axis + centre          # the window, built once for both
-        s0, s1, s2 = c2_sups(a.components(angles) - b.components(angles),
-                             (h,))
-        c0 = max_carrying_nan(c0, s0)
-        c1 = max_carrying_nan(c1, s1)
-        c2 = max_carrying_nan(c2, s2)
+        angles = _WINDOW_AXIS + centre  # the window, built once for both
+        sups.append(c2_sups(a.components(angles) - b.components(angles),
+                            (h,)))
+    c0, c1, c2 = (max_carrying_nan(*col) for col in zip(*sups))
     return C2Distance(c0=c0, c1=c1, c2=c2, fd_step=h)
 
 

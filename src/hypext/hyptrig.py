@@ -26,14 +26,22 @@ scalar inputs give scalar outputs.  Compositions of ``sinh``/``asinh`` are
 rewritten in the log domain beyond ``LOG_SWITCH``: naive ``sinh`` overflows
 near 710 and, inside compositions, loses digits much earlier.
 
-``solve_r`` with two float scalars (``float`` or ``np.float64``) takes a
-scalar path that skips the broadcast, ravel and mask machinery, since
-per-column callers pay more for that than for the arithmetic.  It applies
-the same numpy ufuncs to 0-d values, in the same order and with the same
-branch switches as the array path, so both give the same bits (``math.*``
-would not: its ``sinh``/``asinh``/``log``/``exp`` differ from numpy's in
-the last bit on a share of inputs).  A NaN angle gives a NaN leg on both
-paths; only ``sin(beta) == 0`` gives ``r = 0``.
+``solve_r`` and ``reparam`` with two float scalars (``float`` or
+``np.float64``), and ``coth_sq_minus_one`` of one, take a scalar path that
+skips the broadcast, ravel and mask machinery, since per-column and
+per-cut callers pay more for that than for the arithmetic.  ``solve_r``
+and ``reparam`` share one scalar kernel, ``_asinh_scaled_sinh_scalar``
+(asinh(k sinh s) with k = sin(beta) or sin(theta)), and
+``coth_sq_minus_one`` evaluates ``log_sinh``'s two branches.  Each applies
+the same numpy ufuncs to 0-d values, in the same order, with the same
+branch switches and domain errors as its array path, so both give the
+same bits (``math.*`` would not: its ``sinh``/``asinh``/``log``/``exp``
+differ from numpy's in the last bit on a share of inputs).  A NaN radius
+(``s``, ``lambda_prime``, ``x``) takes the array path: it meets a second
+NaN in a sum, and which of the two a numpy scalar sum keeps depends on
+how numpy was compiled, so only the array loop gives the array path's
+sign bit.  A NaN angle gives a NaN leg on both paths; only
+``sin(beta) == 0`` gives ``r = 0``.
 """
 
 from __future__ import annotations
@@ -136,23 +144,15 @@ def _check_beta_closed(beta, what):
 
 
 def _check_theta(theta, what):
-    if np.any((theta <= 0.0) | (theta > HALF_PI)):
+    # the range test is negated, so that a NaN theta is refused too
+    if not np.all((theta > 0.0) & (theta <= HALF_PI)):
         raise DomainError(f"{what}: theta must lie in (0, pi/2]")
 
 
-def _solve_r_scalar(s, beta):
-    """solve_r for float scalars: the ufuncs of the array path
-    (``_asinh_scaled_sinh``, ``_asinh_of_exp``) applied to 0-d values in
-    the same order, with the same branch switches and domain errors."""
-    s, beta = np.float64(s), np.float64(beta)
-    if s <= 0.0:
-        raise DomainError("solve_r: s must be > 0")
-    if beta < 0.0 or beta > HALF_PI:
-        raise DomainError("solve_r: beta must lie in [0, pi/2]")
-    sinb = np.sin(beta)
-    if sinb == 0.0:
-        return 0.0
-    log_k = np.log(sinb)
+def _asinh_scaled_sinh_scalar(log_k, s):
+    """``_asinh_scaled_sinh`` for 0-d float64 log_k and s: the ufuncs of
+    the array path (with ``_asinh_of_exp``) in the same order, with the
+    same branch switches."""
     if s <= LOG_SWITCH and not log_k + s > 300.0:
         return float(np.arcsinh(np.exp(log_k) * np.sinh(s)))
     ln_y = log_k + s - _LN2 + np.log1p(-np.exp(-2.0 * s))
@@ -161,13 +161,26 @@ def _solve_r_scalar(s, beta):
     return float(np.arcsinh(np.exp(ln_y)))
 
 
+def _solve_r_scalar(s, beta):
+    """solve_r for float scalars, with the array path's domain errors."""
+    s, beta = np.float64(s), np.float64(beta)
+    if s <= 0.0:
+        raise DomainError("solve_r: s must be > 0")
+    if beta < 0.0 or beta > HALF_PI:
+        raise DomainError("solve_r: beta must lie in [0, pi/2]")
+    sinb = np.sin(beta)
+    if sinb == 0.0:
+        return 0.0
+    return _asinh_scaled_sinh_scalar(np.log(sinb), s)
+
+
 def solve_r(s, beta):
     """Leg opposite ``beta``:  r = asinh(sin(beta) * sinh(s)).
 
     Stable for s well beyond 700 via log-domain evaluation.  A NaN input
     gives a NaN leg; r = 0 only where sin(beta) == 0.
     """
-    if isinstance(s, float) and isinstance(beta, float):
+    if isinstance(s, float) and isinstance(beta, float) and s == s:
         return _solve_r_scalar(s, beta)
     (s, beta), shape, scalar = _prepare(s, beta)
     if np.any(s <= 0.0):
@@ -241,6 +254,14 @@ def reparam(lambda_prime, theta):
     correction is below double resolution and the log-domain asinh
     evaluates the expansion exactly.  theta = pi/2 gives lambda = lambda'.
     """
+    if (isinstance(lambda_prime, float) and isinstance(theta, float)
+            and lambda_prime == lambda_prime):
+        lp, theta = np.float64(lambda_prime), np.float64(theta)
+        if lp <= 0.0:
+            raise DomainError("reparam: lambda_prime must be > 0")
+        if not 0.0 < theta <= HALF_PI:
+            raise DomainError("reparam: theta must lie in (0, pi/2]")
+        return _asinh_scaled_sinh_scalar(np.log(np.sin(theta)), lp)
     (lp, theta), shape, scalar = _prepare(lambda_prime, theta)
     if np.any(lp <= 0.0):
         raise DomainError("reparam: lambda_prime must be > 0")
@@ -375,6 +396,16 @@ def triangle_jacobian(s, beta):
 
 def coth_sq_minus_one(x):
     """coth(x)^2 - 1 = 1/sinh(x)^2, accurate for large x (no 1-cancellation)."""
+    if isinstance(x, float) and x == x:
+        x = np.float64(x)
+        if x <= 0.0:
+            raise DomainError("coth_sq_minus_one: x must be > 0")
+        # log_sinh's two branches
+        if x <= LOG_SWITCH:
+            lsx = np.log(np.sinh(x))
+        else:
+            lsx = x - _LN2 + np.log1p(-np.exp(-2.0 * x))
+        return float(np.exp(-2.0 * lsx))
     (x,), shape, scalar = _prepare(x)
     if np.any(x <= 0.0):
         raise DomainError("coth_sq_minus_one: x must be > 0")

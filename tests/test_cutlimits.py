@@ -83,6 +83,11 @@ def test_extension_family_cut_guards():
         cl.extension_family_cut(family, HALF_PI, 1.0, -2.0)  # radius <= 0
     with pytest.raises(DomainError):
         cl.extension_family_cut(family, PI_3, 0.4, 0.0)  # below LAMBDA_MIN
+    # a NaN angle, radius or shift is refused, not carried into the cut
+    for args in ((math.nan, 8.0, 0.0), (HALF_PI, math.nan, 0.0),
+                 (HALF_PI, 8.0, math.nan)):
+        with pytest.raises(DomainError):
+            cl.cut_indices(*args)
 
 
 def test_region_exactness():
@@ -253,6 +258,25 @@ def test_run_convergence_rejects_bad_inputs():
     with pytest.raises(VerificationError, match="round-collar"):
         cl.run_convergence(unbounded_control(), HALF_PI, [0.0],
                            [4.0, 6.0], n_phi=8, n_beta=16)
+
+
+def test_converge_cuts_take_the_scalar_hyptrig_paths(monkeypatch):
+    # the per-cut reparam and coth_sq_minus_one calls of run_convergence
+    # have float arguments, so none of them may reach the broadcast
+    # machinery of _prepare
+    scalar_calls = []
+    prepare = ht._prepare
+
+    def recording(*vals):
+        if all(np.ndim(v) == 0 for v in vals):
+            scalar_calls.append(vals)
+        return prepare(*vals)
+
+    monkeypatch.setattr(ht, "_prepare", recording)
+    rep = cl.run_convergence(fam.bump_family("cos2"), PI_3, [-2.0, -1.0],
+                             [4.0, 5.0, 6.0], n_phi=16, n_beta=24)
+    assert len(rep.records) == 6
+    assert scalar_calls == []
 
 
 def test_corrupt_limit_hook_breaks_assertions():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,11 @@ def test_vartheta_shift_trivials():
     (ht.reparam_inverse, (3.0, 2.0)),
     (ht.vartheta_shift, (0.0, 1.0, 1.0)),
     (ht.log_sinh, (0.0,)),
+    # a NaN angle is refused, not carried into a NaN index or shift
+    (ht.reparam, (8.0, math.nan)),
+    (ht.reparam_inverse, (8.0, math.nan)),
+    (ht.vartheta_shift, (0.5, 0.0, math.nan)),
+    (ht.reparam, (np.array([8.0, 9.0]), np.array([0.5, math.nan]))),
 ])
 def test_domain_errors(fn, args):
     with pytest.raises(DomainError):
@@ -330,10 +336,11 @@ def _r_array(s, beta):
     return ht.solve_r(np.array([s]), np.array([beta]))[0]
 
 
-# s near LOG_SWITCH and where log_k + s crosses 300; beta near both ends
+# s near LOG_SWITCH and where log_k + s crosses 300, and NaN; beta near
+# both ends
 _S_EDGES = [math.nextafter(ht.LOG_SWITCH, -math.inf), ht.LOG_SWITCH,
             math.nextafter(ht.LOG_SWITCH, math.inf), 299.0, 300.0, 301.0,
-            800.0, 5e-324, 1e-300]
+            800.0, 5e-324, 1e-300, math.nan]
 _BETA_EDGES = [0.0, -0.0, 5e-324, 1e-300, HALF_PI,
                math.nextafter(HALF_PI, 0.0), math.nan]
 
@@ -393,6 +400,95 @@ def test_scalar_solve_r_raises_the_array_domain_errors(s, beta):
         ht.solve_r(s, beta)
     with pytest.raises(DomainError) as array:
         ht.solve_r(np.array([s]), np.array([beta]))
+    assert str(scalar.value) == str(array.value)
+
+
+# ---------------------------------------------------------------------------
+# the scalar paths of reparam and coth_sq_minus_one give the bits of their
+# array paths
+# ---------------------------------------------------------------------------
+
+_THETA_EDGES = [HALF_PI, math.nextafter(HALF_PI, 0.0), 5e-324, 1e-300]
+
+
+def _theta_near_300(lp, delta):
+    """An angle that puts log sin(theta) + lambda' within delta of 300
+    (lambda' > 300), the product switch of the direct branch."""
+    return math.asin(math.exp(300.0 - lp + delta))
+
+
+_reparam_cases = st.one_of(
+    st.tuples(st.floats(0.0, 800.0, exclude_min=True),
+              st.floats(0.0, HALF_PI, exclude_min=True)),
+    st.tuples(st.sampled_from(_S_EDGES),
+              st.floats(0.0, HALF_PI, exclude_min=True)),
+    st.tuples(st.floats(0.0, 800.0, exclude_min=True),
+              st.sampled_from(_THETA_EDGES)),
+    st.floats(301.0, 800.0).flatmap(lambda lp: st.tuples(
+        st.just(lp), st.floats(-1e-9, 1e-9).map(
+            lambda d: _theta_near_300(lp, d)))),
+    st.floats(31.0, 60.0).flatmap(lambda lp: st.tuples(
+        st.just(lp), st.floats(-1e-12, 1e-12).map(
+            lambda d: _ln_y_near_20(lp, d)))),
+)
+
+_x_cases = st.one_of(
+    st.floats(0.0, 800.0, exclude_min=True),
+    st.floats(ht.LOG_SWITCH - 0.5, ht.LOG_SWITCH + 0.5),
+    st.sampled_from(_S_EDGES),
+)
+
+
+def _with_warnings(fn, *args):
+    """fn(*args) and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_reparam_cases, _x_cases)
+def test_scalar_reparam_and_coth_match_array_bits(case, x):
+    # same bits and same warnings (coth_sq_minus_one(5e-324) overflows)
+    for fn, args in ((ht.reparam, case), (ht.coth_sq_minus_one, (x,))):
+        expect, warned = _with_warnings(fn, *[np.array([a]) for a in args])
+        for cast in (float, np.float64):
+            got, got_warned = _with_warnings(fn, *map(cast, args))
+            assert isinstance(got, float) and _same(got, expect[0])
+            assert got_warned == warned
+
+
+def test_scalar_reparam_and_coth_match_array_on_edges():
+    # dense sweeps across LOG_SWITCH and the log-domain asinh's switch
+    lp = np.linspace(-0.5, 0.5, 2001)
+    theta = [_ln_y_near_20(40.0, d) for d in lp]
+    lps = np.concatenate([ht.LOG_SWITCH + lp, np.full(lp.size, 40.0)])
+    thetas = np.concatenate([np.full(lp.size, 0.7), theta])
+    for lpi, ti, li in zip(lps, thetas, ht.reparam(lps, thetas)):
+        assert _same(ht.reparam(float(lpi), float(ti)), li), (lpi, ti)
+    x = ht.LOG_SWITCH + lp
+    for xi, ci in zip(x, ht.coth_sq_minus_one(x)):
+        assert _same(ht.coth_sq_minus_one(float(xi)), ci), xi
+
+
+@pytest.mark.parametrize("fn,args", [
+    (ht.reparam, (0.0, 1.0)), (ht.reparam, (-0.0, 1.0)),
+    (ht.reparam, (-1.0, 1.0)), (ht.reparam, (-math.inf, 1.0)),
+    (ht.reparam, (3.0, 0.0)), (ht.reparam, (3.0, -0.0)),
+    (ht.reparam, (3.0, -1e-300)),
+    (ht.reparam, (3.0, math.nextafter(HALF_PI, math.inf))),
+    (ht.reparam, (3.0, math.inf)), (ht.reparam, (3.0, -math.inf)),
+    (ht.reparam, (3.0, math.nan)), (ht.reparam, (math.nan, math.nan)),
+    (ht.coth_sq_minus_one, (0.0,)), (ht.coth_sq_minus_one, (-0.0,)),
+    (ht.coth_sq_minus_one, (-1.0,)),
+    (ht.coth_sq_minus_one, (-math.inf,)),
+])
+def test_scalar_paths_raise_the_array_domain_errors(fn, args):
+    with pytest.raises(DomainError) as scalar:
+        fn(*args)
+    with pytest.raises(DomainError) as array:
+        fn(*[np.array([a]) for a in args])
     assert str(scalar.value) == str(array.value)
 
 
