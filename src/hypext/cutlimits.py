@@ -236,6 +236,8 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     phi, beta = join_grid(n_phi, n_beta)
     probe_beta = np.geomspace(1e-3, BETA_MARGIN, 6)
     probe_sin_sq = np.sin(probe_beta)[None, :] ** 2
+    # the family index of the boundary check does not depend on b
+    lams = [ht.reparam(lp, theta) for lp in lp_grid]
     records = []
     cauchy_worst = 0.0
     for b in b_grid:
@@ -247,7 +249,7 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
         # Cauchy spot check: adjacent cuts are no farther apart than the
         # sum of their distances to the limit
         prev = None     # (sample, distance to the limit) of the last cut
-        for lp in lp_grid:
+        for lp, lam in zip(lp_grid, lams):
             cut = extension_family_cut(family, theta, lp, b)
             meas = cut.sample(phi, beta)
             dist = join_c2_distance(meas, pred)
@@ -257,7 +259,6 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
                     cauchy_worst, direct - (prev[1] + dist.max()))
             prev = (meas, dist.max())
 
-            lam = ht.reparam(lp, theta)
             normal_meas = 1.0 + ht.coth_sq_minus_one(lp + b)
             h_meas = family.cut(lam, lp + b)
             bdist = mf.c2_distance(h_meas, h_pred)

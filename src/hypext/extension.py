@@ -61,6 +61,35 @@ RADIUS_MIN = math.sqrt(sys.float_info.min) / math.sin(BETA_MARGIN)
 RADIUS_MAX = 350.0
 
 
+# the off-diagonal block of every closed-form sample is a view of this zero
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
+def _readonly_broadcast(a, shape):
+    """``np.broadcast_to(a, shape)``: the read-only view of ``a`` with
+    stride 0 on every axis where ``a`` has one element, as broadcast_to
+    gives, built as an ndarray over the buffer of a C-contiguous
+    ``a`` at a lower fixed cost than broadcast_to's Python-level set-up.
+    Any other ``a`` (non-contiguous, or not broadcastable to ``shape``)
+    goes to broadcast_to itself."""
+    lead = len(shape) - a.ndim
+    strides = [0] * lead
+    if lead >= 0 and a.flags.c_contiguous:
+        for st, n, want in zip(a.strides, a.shape, shape[lead:]):
+            if n == 1:
+                strides.append(0)
+            elif n == want:
+                strides.append(st)
+            else:
+                break
+        else:
+            view = np.ndarray(shape, a.dtype, a, 0, strides)
+            view.flags.writeable = False
+            return view
+    return np.broadcast_to(a, shape)
+
+
 def _richardson_d1(f, x, h):
     """Central difference with one Richardson pass (step ratio 2)."""
     d_h = (f(x + h) - f(x - h)) / (2.0 * h)
@@ -96,10 +125,10 @@ class JoinMetricField:
         shape = (len(SHEETS), phi.size, beta.size)
         return JoinSample(
             phi=phi, beta=beta,
-            block_m=np.broadcast_to(m, shape),
-            block_beta=np.broadcast_to(np.full(beta.size, self.radial),
-                                       shape),
-            offdiag=np.broadcast_to(0.0, shape),
+            block_m=_readonly_broadcast(m, shape),
+            block_beta=_readonly_broadcast(np.full(beta.size, self.radial),
+                                           shape),
+            offdiag=_readonly_broadcast(_ZERO, shape),
             block_h_coeff=self.radial * np.cos(beta) ** 2)
 
 
@@ -124,9 +153,16 @@ class JoinSample:
 
 def join_grid(n_phi, n_beta):
     """Standard join-chart grid: phi uniform over the full circle, beta
-    uniform over [BETA_MARGIN, pi/2 - BETA_MARGIN]."""
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    beta = np.linspace(BETA_MARGIN, HALF_PI - BETA_MARGIN, n_beta)
+    uniform over [BETA_MARGIN, pi/2 - BETA_MARGIN].
+
+    Both axes are read-only arrays that own their data, so nothing can
+    write into them after they are built.  A cos2 bump family computes
+    its cos^2 row once for the last such axis it is evaluated on and
+    reuses it in every beta column (see ``families.bump_family``)."""
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False).copy()
+    beta = np.linspace(BETA_MARGIN, HALF_PI - BETA_MARGIN, n_beta).copy()
+    phi.flags.writeable = False
+    beta.flags.writeable = False
     return phi, beta
 
 
@@ -277,7 +313,7 @@ def _slot_difference(x, y):
     to the full read-only shape."""
     one = tuple(slice(None) if x.strides[ax] or y.strides[ax]
                 else slice(0, 1) for ax in range(x.ndim))
-    return np.broadcast_to(x[one] - y[one], x.shape)
+    return _readonly_broadcast(x[one] - y[one], x.shape)
 
 
 def join_c2_distance(a, b):

@@ -42,41 +42,75 @@ def quintic_smoothstep(u):
     return np.clip(u ** 3 * (10.0 + u * (-15.0 + 6.0 * u)), 0.0, 1.0)
 
 
-def _clip01(v):
-    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-
-
-def _smoothstep_float(u):
-    """quintic_smoothstep of a float, in float arithmetic, with the same
-    bits as the numpy route on a 0-d array: ``_clip01`` keeps u (a NaN or
-    -0.0 too) unless it lies strictly outside [0, 1], as ``np.clip`` does,
-    and ``u ** 3`` is the C ``pow`` that numpy's scalar power also calls
-    (numpy's array power can differ from it in the last bit)."""
-    u = _clip01(u)
-    return _clip01(u ** 3 * (10.0 + u * (-15.0 + 6.0 * u)))
-
-
 def bump_profile(x):
     """C^2 bump supported exactly on BUMP_SUPPORT = [start, end]: quintic
     smoothstep up to 1 at the midpoint and back down; identically 0.0
     outside the support.
 
     A float ``x`` takes a float path that evaluates only the branch that
-    applies; it gives the bits of the numpy route on a 0-d array, -0.0 and
-    NaN included.
+    applies, in float arithmetic; it gives the bits of the numpy route on
+    a 0-d array, -0.0 and NaN included: each clip to [0, 1] keeps its
+    value (a NaN or -0.0 too) unless it lies strictly outside, as
+    ``np.clip`` does, and ``u ** 3`` is the C ``pow`` that numpy's scalar
+    power also calls (numpy's array power can differ from it in the last
+    bit).  Below 0 or above 1 the smoothstep is exactly 0.0 or 1.0, so
+    those are returned at once.
     """
     start, end = BUMP_SUPPORT
     mid = 0.5 * (start + end)
     if isinstance(x, float):
         x = float(x)
         if x <= mid:
-            return _smoothstep_float((x - start) / (mid - start))
-        return _smoothstep_float((end - x) / (end - mid))
+            u = (x - start) / (mid - start)
+        else:
+            u = (end - x) / (end - mid)
+        if u < 0.0:
+            return 0.0
+        if u > 1.0:
+            return 1.0
+        v = u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
+        return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
     x = np.asarray(x, dtype=float)
     up = quintic_smoothstep((x - start) / (mid - start))
     down = quintic_smoothstep((end - x) / (end - mid))
     out = np.where(x <= mid, up, down)
     return float(out) if out.ndim == 0 else out
+
+
+def _cos_sq(angles):
+    """cos^2 of a float angle array, as a fresh array (a numpy scalar for
+    a 0-d array)."""
+    c = np.cos(angles)
+    if c.ndim == 0:
+        # np.cos of a 0-d array is a numpy scalar, which has no buffer to
+        # square into; a scalar's ``** 2`` is the C ``pow``, which can
+        # differ from ``c * c`` in the last bit, so it is kept
+        return c ** 2
+    return np.multiply(c, c, out=c)
+
+
+def _cos2_rows():
+    """A function of an angle array that gives the cos^2 row computed once
+    for the last read-only, data-owning 1-D axis it was given (the axes of
+    ``extension.join_grid``), or None for any other angles.  The row is
+    read-only and kept in this closure only, so every family that makes
+    one has its own.  The axis is trusted not to change while it stays
+    read-only: its owner could make it writeable again, which no caller
+    does."""
+    axis = row = None
+
+    def rows(angles):
+        nonlocal axis, row
+        flags = angles.flags
+        if flags.writeable or not flags.owndata or angles.ndim != 1:
+            return None
+        if angles is not axis:
+            row = _cos_sq(angles)
+            row.flags.writeable = False
+            axis = angles
+        return row
+
+    return rows
 
 
 def direction_field(tag):
@@ -87,17 +121,7 @@ def direction_field(tag):
         raise DomainError(f"unknown direction tag {tag!r}")
     if tag == "uniform":
         return mf.round_metric()
-
-    def cos2(angles):
-        c = np.cos(angles)
-        if c.ndim == 0:
-            # np.cos of a 0-d array is a numpy scalar, which has no buffer
-            # to square into; a scalar's ``** 2`` is the C ``pow``, which
-            # can differ from ``c * c`` in the last bit, so it is kept
-            return c ** 2
-        return np.multiply(c, c, out=c)
-
-    return mf.SphereMetricField.from_function(cos2)
+    return mf.SphereMetricField.from_function(_cos_sq)
 
 
 def hyperbolic_family():
@@ -119,6 +143,8 @@ def bump_family(direction):
     DIRECTION_TAGS), checking positivity of the most-perturbed cut at
     construction."""
     T = direction_field(direction)
+    # the cos2 family's own cache of T on the join axis (see _cos2_rows)
+    rows = _cos2_rows() if direction == "cos2" else None
     sigma = mf.round_metric()
     eps = BUMP_AMPLITUDE
     start, end = BUMP_SUPPORT
@@ -126,15 +152,22 @@ def bump_family(direction):
     def perturbed(amount):
         if amount == 0.0:
             return sigma
-        # sigma is the round form, whose components are exactly 1; T's
-        # evaluation is a fresh array, so 1 + amount * T is formed in it
+        # sigma is the round form, whose components are exactly 1.  On
+        # the cached cos^2 row of a join axis, T * amount is multiplied
+        # into a fresh array; at any other angles T's evaluation is a
+        # fresh array and is scaled in place.  Either way 1 is added in
+        # place, so both give the bits of (T * amount) + 1
         def fn(angles):
-            out = T.components(angles)
-            out *= amount
+            row = None if rows is None else rows(angles)
+            if row is None:
+                out = T.components(angles)
+                out *= amount
+            else:
+                out = np.multiply(row, amount)
             out += 1.0
             return out
 
-        return mf.SphereMetricField.from_function(fn)
+        return mf.SphereMetricField(fn)
 
     ok, eigmin = mf.positivity_check(perturbed(eps), resolution=256)
     if not ok:

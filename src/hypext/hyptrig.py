@@ -42,6 +42,14 @@ NaN in a sum, and which of the two a numpy scalar sum keeps depends on
 how numpy was compiled, so only the array loop gives the array path's
 sign bit.  A NaN angle gives a NaN leg on both paths; only
 ``sin(beta) == 0`` gives ``r = 0``.
+
+The scalar ``solve_r`` keeps two caches, since its per-column callers
+repeat one beta axis in every cut and one s across a cut's columns:
+per beta, ``(log sin beta, e^{log sin beta})``, and per s, ``sinh s``.
+Each holds at most ``_SCALAR_CACHE_BOUND`` = 1024 entries and is emptied
+when full.  Every domain error is raised before either cache is read;
+a zero or NaN beta is never cached.  The cached values are the floats
+the uncached kernel computes, so a hit gives the same bits.
 """
 
 from __future__ import annotations
@@ -161,17 +169,43 @@ def _asinh_scaled_sinh_scalar(log_k, s):
     return float(np.arcsinh(np.exp(ln_y)))
 
 
+# the scalar solve_r caches (see the module docstring); each value is a
+# function of its key alone, so callers and threads may share them
+_SCALAR_CACHE_BOUND = 1024
+_SIN_CACHE = {}
+_SINH_CACHE = {}
+
+
 def _solve_r_scalar(s, beta):
-    """solve_r for float scalars, with the array path's domain errors."""
-    s, beta = np.float64(s), np.float64(beta)
+    """solve_r for float scalars, with the array path's domain errors,
+    checked before either cache is read.  A zero or NaN beta is never
+    cached: sin(beta) == 0 gives r = 0, and a NaN takes the uncached
+    kernel."""
     if s <= 0.0:
         raise DomainError("solve_r: s must be > 0")
     if beta < 0.0 or beta > HALF_PI:
         raise DomainError("solve_r: beta must lie in [0, pi/2]")
-    sinb = np.sin(beta)
-    if sinb == 0.0:
-        return 0.0
-    return _asinh_scaled_sinh_scalar(np.log(sinb), s)
+    cached = _SIN_CACHE.get(beta)
+    if cached is None:
+        sinb = np.sin(beta)
+        if sinb == 0.0:
+            return 0.0
+        log_k = np.log(sinb)
+        if beta != beta:
+            return _asinh_scaled_sinh_scalar(log_k, s)
+        if len(_SIN_CACHE) >= _SCALAR_CACHE_BOUND:
+            _SIN_CACHE.clear()
+        cached = _SIN_CACHE[beta] = float(log_k), float(np.exp(log_k))
+    log_k, k = cached
+    if s <= LOG_SWITCH and not log_k + s > 300.0:
+        # _asinh_scaled_sinh_scalar's direct branch, asinh(k * sinh(s))
+        sinh_s = _SINH_CACHE.get(s)
+        if sinh_s is None:
+            if len(_SINH_CACHE) >= _SCALAR_CACHE_BOUND:
+                _SINH_CACHE.clear()
+            sinh_s = _SINH_CACHE[s] = float(np.sinh(s))
+        return float(np.arcsinh(k * sinh_s))
+    return _asinh_scaled_sinh_scalar(log_k, s)
 
 
 def solve_r(s, beta):
@@ -287,10 +321,13 @@ def vartheta(lam, beta, b, theta):
         theta) + b, beta)
 
     Both stages are the stable primitives above, so the composition keeps
-    full precision for lambda up to 700 and beyond.  A beta <= 0 is
-    refused here; the other refusals are those of the two stages.
+    full precision for lambda up to 700 and beyond.  A beta outside
+    (0, pi/2], NaN included, is refused here; the other refusals are
+    those of the two stages.
     """
-    if np.any(np.asarray(beta) <= 0.0):
+    beta_arr = np.asarray(beta)
+    # the range test is negated, so that a NaN beta is refused too
+    if not np.all((beta_arr > 0.0) & (beta_arr <= HALF_PI)):
         raise DomainError("vartheta: beta must lie in (0, pi/2]")
     return solve_r(reparam_inverse(lam, theta) + b, beta)
 
@@ -303,7 +340,8 @@ def vartheta_shift(beta, b, theta):
     the small-angle regime is handled separately by beta1_threshold.
     """
     (beta, b, theta), shape, scalar = _prepare(beta, b, theta)
-    if np.any((beta <= 0.0) | (beta > HALF_PI)):
+    # the range test is negated, so that a NaN beta is refused too
+    if not np.all((beta > 0.0) & (beta <= HALF_PI)):
         raise DomainError("vartheta_shift: beta must lie in (0, pi/2]")
     _check_theta(theta, "vartheta_shift")
     out = b + np.log(np.sin(beta)) - np.log(np.sin(theta))

@@ -325,3 +325,69 @@ def test_polar_identity_stress_near_fiber():
 def test_polar_identity_rejects_bad_step():
     with pytest.raises(DomainError):
         ext.polar_identity_residual(1.0, 0.5, fd_step=0.5, derivatives="fd")
+
+
+# ---------------------------------------------------------------------------
+# read-only join axes and stride-0 views
+# ---------------------------------------------------------------------------
+
+def test_join_grid_axes_are_read_only_and_own_their_data():
+    phi, beta = ext.join_grid(16, 12)
+    for axis in (phi, beta):
+        assert axis.flags.owndata and not axis.flags.writeable
+        with pytest.raises(ValueError):
+            axis[0] = 1.0
+        with pytest.raises(ValueError):
+            axis += 1.0
+    assert np.array_equal(
+        phi, np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
+    assert np.array_equal(
+        beta, np.linspace(ext.BETA_MARGIN, HALF_PI - ext.BETA_MARGIN, 12))
+
+
+def _same_view(got, want):
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("a,shape", [
+    pytest.param(np.arange(12.0).reshape(3, 4), (2, 3, 4), id="sheet"),
+    pytest.param(np.arange(4.0), (2, 3, 4), id="vector"),
+    pytest.param(np.zeros(()), (2, 3, 4), id="zero-d"),
+    pytest.param(np.arange(4.0).reshape(1, 1, 4), (2, 3, 4), id="ones"),
+    pytest.param(np.arange(3.0).reshape(1, 3, 1), (2, 3, 4), id="middle"),
+    pytest.param(np.arange(24.0).reshape(2, 3, 4), (2, 3, 4), id="full"),
+    pytest.param(np.arange(3.0).reshape(1, 3), (1, 3), id="size-one-axis"),
+    pytest.param(np.arange(24.0).reshape(3, 8)[:, ::2], (2, 3, 4),
+                 id="non-contiguous"),
+])
+def test_readonly_broadcast_is_broadcast_to(a, shape):
+    _same_view(ext._readonly_broadcast(a, shape), np.broadcast_to(a, shape))
+
+
+def test_readonly_broadcast_refuses_what_broadcast_to_refuses():
+    for a, shape in ((np.arange(3.0), (2, 4)), (np.zeros((2, 3)), (3,))):
+        with pytest.raises(ValueError):
+            ext._readonly_broadcast(a, shape)
+
+
+def test_sample_and_slot_difference_views_are_broadcast_to():
+    phi, beta = ext.join_grid(16, 12)
+    shape = (len(ext.SHEETS), phi.size, beta.size)
+    field = ext.cut_via_formula(perturbed_space(), 2.0)
+    sample = field.sample(phi, beta)
+    m = field.block_m(phi, beta)
+    _same_view(sample.block_m, np.broadcast_to(m, shape))
+    _same_view(sample.block_beta,
+               np.broadcast_to(np.full(beta.size, field.radial), shape))
+    _same_view(sample.offdiag, np.broadcast_to(0.0, shape))
+    other = ext.join_field(lambda b: mf.round_metric(), 1.0).sample(phi, beta)
+    for x, y in ((sample.block_m, other.block_m),
+                 (sample.block_beta, other.block_beta),
+                 (sample.offdiag, other.offdiag)):
+        one = tuple(slice(None) if x.strides[ax] or y.strides[ax]
+                    else slice(0, 1) for ax in range(x.ndim))
+        _same_view(ext._slot_difference(x, y),
+                   np.broadcast_to(x[one] - y[one], shape))

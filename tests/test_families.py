@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypext import cli
 from hypext import families as fam
 from hypext import fields as mf
 from hypext.errors import DomainError
+from hypext.extension import join_grid
 
 
 
@@ -178,3 +184,106 @@ def test_hyperbolic_family_is_round_everywhere():
     for lam, rho in [(1.0, 0.5), (20.0, 35.0)]:
         assert np.all(family.cut(lam, rho).at_angles(x) == 1.0)
     assert family.interval_bound == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the cos2 bump cut reuses the cos^2 row of a read-only join axis; the cache
+# must never give a value that the uncached formula would not
+# ---------------------------------------------------------------------------
+
+def _uncached_cut(amount, angles):
+    """1 + amount * cos^2 in the order of the uncached path: cos^2 as
+    c * c (a scalar's ``** 2`` for a 0-d angle), scaled, then 1 added."""
+    c = np.cos(np.asarray(angles, dtype=float))
+    out = c ** 2 if c.ndim == 0 else c * c
+    return out * amount + 1.0
+
+
+def _check_fresh(got, want, held):
+    """got has want's bits and is a fresh, writeable array that shares no
+    memory with any earlier evaluation in ``held``."""
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if np.ndim(got) == 0:
+        return
+    assert got.flags.writeable and got.flags.owndata
+    assert not any(np.shares_memory(got, h) for h in held)
+    held.append(got)
+
+
+def test_cos2_bump_cut_on_join_axes_gives_the_uncached_bits():
+    family = fam.bump_family("cos2")
+    lam, rho = 4.0, 4.3
+    amount = fam.BUMP_AMPLITUDE * fam.bump_profile(rho - lam)
+    cut = family.cut(lam, rho)
+    axis, _ = join_grid(24, 8)
+    other, _ = join_grid(40, 8)
+    held = []
+    for _ in range(2):
+        _check_fresh(cut.at_angles(axis), _uncached_cut(amount, axis), held)
+    # an equal writeable copy, which may change after it is evaluated
+    copy = axis.copy()
+    _check_fresh(cut.at_angles(copy), _uncached_cut(amount, axis), held)
+    copy += 0.25
+    _check_fresh(cut.at_angles(copy), _uncached_cut(amount, copy), held)
+    # a read-only view of a writeable array can change through its base
+    base = axis.copy()
+    view = base[:]
+    view.flags.writeable = False
+    _check_fresh(cut.at_angles(view), _uncached_cut(amount, base), held)
+    base += 0.5
+    _check_fresh(cut.at_angles(view), _uncached_cut(amount, base), held)
+    # a second read-only axis, then the first again
+    for x in (other, axis, other):
+        _check_fresh(cut.at_angles(x), _uncached_cut(amount, x), held)
+    # a 0-d angle and a 2-d block of the axis
+    _check_fresh(cut.at_angles(0.3), _uncached_cut(amount, 0.3), held)
+    block = np.stack([axis, axis])
+    _check_fresh(cut.at_angles(block), _uncached_cut(amount, block), held)
+    # writing into an evaluation leaves the next one unchanged
+    first = cut.at_angles(axis)
+    first[...] = -7.0
+    _check_fresh(cut.at_angles(axis), _uncached_cut(amount, axis), held)
+
+
+def test_bump_families_keep_their_caches_apart():
+    # a uniform family evaluated on an axis that a cos2 family has cached
+    # is 1 + a, and a second cos2 family gives the first one's bits
+    axis, _ = join_grid(24, 8)
+    cos2 = fam.bump_family("cos2").cut(4.0, 4.3)
+    uniform = fam.bump_family("uniform").cut(4.0, 4.3)
+    amount = fam.BUMP_AMPLITUDE * fam.bump_profile(0.3)
+    want = _uncached_cut(amount, axis)
+    assert cos2.at_angles(axis).tobytes() == want.tobytes()
+    assert np.array_equal(uniform.at_angles(axis),
+                          np.full(axis.size, 1.0 + amount))
+    again = fam.bump_family("cos2").cut(4.0, 4.3)
+    assert again.at_angles(axis).tobytes() == want.tobytes()
+    assert cos2.at_angles(axis).tobytes() == want.tobytes()
+
+
+def test_converge_runs_in_one_process_match_fresh_processes(tmp_path):
+    # cos2, then uniform, then cos2 again in one process, against each
+    # direction run in a fresh process: no cache carries a value from one
+    # run into the next
+    cfg = {}
+    for direction in ("cos2", "uniform"):
+        cfg[direction] = tmp_path / f"{direction}.cfg"
+        cfg[direction].write_text(
+            f"schema_version = 1\nbump_direction = {direction}\n")
+
+    def argv(direction, out):
+        return ["converge", "--grid", "24", "--config", str(cfg[direction]),
+                "--out", str(out)]
+
+    fresh = {}
+    env = dict(os.environ, PYTHONPATH=str(Path(fam.__file__).parents[1]))
+    for direction in ("cos2", "uniform"):
+        out = tmp_path / f"fresh-{direction}"
+        subprocess.run([sys.executable, "-m", "hypext.cli",
+                        *argv(direction, out)], env=env, check=True,
+                       capture_output=True)
+        fresh[direction] = (out / "report.jsonl").read_bytes()
+    for i, direction in enumerate(("cos2", "uniform", "cos2")):
+        out = tmp_path / f"run-{i}"
+        assert cli.main(argv(direction, out)) == 0
+        assert (out / "report.jsonl").read_bytes() == fresh[direction]

@@ -112,6 +112,12 @@ def test_vartheta_shift_trivials():
     (ht.reparam_inverse, (8.0, math.nan)),
     (ht.vartheta_shift, (0.5, 0.0, math.nan)),
     (ht.reparam, (np.array([8.0, 9.0]), np.array([0.5, math.nan]))),
+    # a NaN or too large beta is refused by the composed map and the shift
+    (ht.vartheta_shift, (math.nan, 0.0, 1.0)),
+    (ht.vartheta, (5.0, math.nan, 0.0, 1.0)),
+    (ht.vartheta_shift, (np.array([0.5, math.nan]), 0.0, 1.0)),
+    (ht.vartheta, (5.0, np.array([0.5, math.nan]), 0.0, 1.0)),
+    (ht.vartheta, (5.0, HALF_PI + 0.1, 0.0, 1.0)),
 ])
 def test_domain_errors(fn, args):
     with pytest.raises(DomainError):
@@ -520,3 +526,63 @@ def test_thread_parallel_grid_matches_serial():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parts = list(pool.map(lambda ix: ht.solve_r(s[ix], beta[ix]), chunks))
     assert np.array_equal(np.concatenate(parts), serial)
+
+
+# ---------------------------------------------------------------------------
+# the scalar solve_r path's caches (per beta and per s) never change a bit
+# ---------------------------------------------------------------------------
+
+# small pools, so that draws repeat and the caches hit; s across
+# LOG_SWITCH and beta at both ends, at a signed zero and at NaN
+_S_POOL = [0.3, 4.0, 7.5, ht.LOG_SWITCH, 45.0, 299.0, 301.0]
+_BETA_POOL = [0.0, -0.0, 1e-300, 0.05, 0.7, HALF_PI, math.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_S_POOL),
+                          st.sampled_from(_BETA_POOL)),
+                min_size=1, max_size=30))
+def test_scalar_solve_r_with_repeats_matches_array_bits(cases):
+    for s, beta in cases + cases:
+        for cast in (float, np.float64):
+            got = ht.solve_r(cast(s), cast(beta))
+            assert isinstance(got, float)
+            assert _same(got, _r_array(s, beta)), (s, beta)
+
+
+def test_scalar_solve_r_signed_zero_and_nan_beta_after_warm_caches():
+    for s in (4.0, 45.0):
+        for beta in (0.7, 0.0, -0.0, math.nan, 0.7, -0.0, math.nan):
+            got = ht.solve_r(s, beta)
+            assert _same(got, _r_array(s, beta)), (s, beta)
+        assert _same(ht.solve_r(s, 0.0), 0.0)
+        assert _same(ht.solve_r(s, -0.0), 0.0)
+
+
+@pytest.mark.parametrize("s,beta", [
+    (-4.0, 0.7), (0.0, 0.7), (-0.0, 0.7), (4.0, -0.7),
+    (4.0, HALF_PI + 1e-9), (4.0, math.inf),
+])
+def test_scalar_solve_r_checks_domains_before_its_caches(s, beta):
+    # warm caches first; a refused input is refused before any cache is
+    # read or filled, so nothing is computed from it and nothing warns
+    ht.solve_r(4.0, 0.7)
+    ht.solve_r(abs(s) or 4.0, 0.7)
+    with pytest.raises(DomainError) as scalar, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ht.solve_r(s, beta)
+    assert s not in ht._SINH_CACHE or s == 4.0
+    assert beta not in ht._SIN_CACHE or beta == 0.7
+    with pytest.raises(DomainError) as array:
+        ht.solve_r(np.array([s]), np.array([beta]))
+    assert str(scalar.value) == str(array.value)
+
+
+def test_scalar_solve_r_caches_are_bounded():
+    bound = ht._SCALAR_CACHE_BOUND
+    betas = np.linspace(0.01, 1.5, bound + 10).tolist()
+    for i, beta in enumerate(betas):
+        assert _same(ht.solve_r(1.0 + i * 1e-3, beta),
+                     _r_array(1.0 + i * 1e-3, beta))
+    assert 0 < len(ht._SIN_CACHE) <= bound
+    assert 0 < len(ht._SINH_CACHE) <= bound
