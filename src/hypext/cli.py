@@ -354,14 +354,12 @@ def cmd_identities(cfg):
     res_cl = ext.polar_identity_residual(ss, bb, derivatives="closed")
     checks.append(("polar_identity_closed", float(np.max(res_cl)), 1e-12))
 
-    gaps = []
-    for be in np.linspace(0.08, 0.30, 10):
-        for b in np.linspace(-2.0, -0.6, 5):
-            for theta in (math.pi / 2, math.pi / 3, 1.0):
-                gap = abs(ht.vartheta(30.0, be, b, theta) - 30.0
-                          - ht.vartheta_shift(be, b, theta))
-                gaps.append(gap)
-    checks.append(("shift_gap_at_30", mf.max_carrying_nan(*gaps), 1e-8))
+    be, b, theta = np.meshgrid(np.linspace(0.08, 0.30, 10),
+                               np.linspace(-2.0, -0.6, 5),
+                               (math.pi / 2, math.pi / 3, 1.0), indexing="ij")
+    gaps = np.abs(ht.vartheta(30.0, be, b, theta) - 30.0
+                  - ht.vartheta_shift(be, b, theta))
+    checks.append(("shift_gap_at_30", float(np.max(gaps)), 1e-8))
 
     records, summary = [], []
     all_ok = True
@@ -432,11 +430,11 @@ def cmd_converge(cfg):
     family = build_family(cfg)
     n_beta = cfg.grid
     n_phi = max(16, cfg.grid // 2)
-    # every b grid, and every theta's smallest cut radius and family
-    # index, are checked before the first cut
+    # every b grid, and every theta's cut radii and family indices, are
+    # checked before the first cut
     b_grids = [cfg.b_grid(family, theta) for theta in cfg.theta]
     for theta, bs in zip(cfg.theta, b_grids):
-        cl.cut_indices(theta, cfg.lambda_prime[0], min(bs))
+        cl.cut_indices(theta, cfg.lambda_prime, min(bs))
     reports = []
     for theta, bs in zip(cfg.theta, b_grids):
         rep = cl.run_convergence(

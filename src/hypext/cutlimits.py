@@ -10,8 +10,9 @@ declare through an explicit ``limit`` oracle.
 
 For such a family the engine builds, for a fixed angle theta in
 (0, pi/2], the unwarped cut of the reparametrized extension family member
-at sphere radius lambda' + b (``extension_family_cut``, a join-coordinate
-field) and the predicted limit of those cuts (``predicted_limit``):
+at sphere radius lambda' + b (``extension_family_cut`` of the index that
+``cut_indices`` gives, a join-coordinate field) and the predicted limit of
+those cuts (``predicted_limit``):
 interior block sin^2(beta) * limit(b + ln(sin beta / sin theta)), round
 S^0 coefficient cos^2(beta), unit beta block, together with the equator
 form that the join chart cannot reach (the polar form is the flat metric
@@ -108,33 +109,32 @@ def is_hyperbolic_around_origin(family, B):
     return worst < HYPERBOLIC_PASS_TOL, worst
 
 
-def cut_indices(theta, lambda_prime, b):
-    """The sphere radius lambda' + b and family index reparam(lambda',
-    theta) of an extension family cut, refusing a radius <= 0, an index
-    below LAMBDA_MIN and a NaN in either."""
-    s0 = lambda_prime + b
+def cut_indices(theta, lambda_primes, b_min):
+    """The family indices reparam(lambda', theta) of the extension cuts at
+    radii lambda' + b >= lambda' + b_min, refusing a radius <= 0, an index
+    below LAMBDA_MIN and a NaN; a message names the first refused lambda'."""
+    s0 = np.add(lambda_primes, b_min)
     # both tests are negated, so that a NaN is refused too
-    if not s0 > 0.0:
+    bad = ~(s0 > 0.0)
+    if bad.any():
         raise DomainError(
-            f"extension_family_cut: cut radius lambda'+b = {s0} must be "
-            "positive")
-    lam = ht.reparam(lambda_prime, theta)
-    if not lam >= LAMBDA_MIN:
+            "extension_family_cut: cut radius lambda'+b = "
+            f"{float(s0[bad][0])} must be positive")
+    lams = ht.reparam(lambda_primes, theta)
+    low = ~(lams >= LAMBDA_MIN)
+    if low.any():
         raise DomainError(
-            f"extension_family_cut: family index {lam:.6g} below "
-            f"LAMBDA_MIN {LAMBDA_MIN}")
-    return s0, lam
+            f"extension_family_cut: family index {float(lams[low][0]):.6g} "
+            f"below LAMBDA_MIN {LAMBDA_MIN}")
+    return lams
 
 
-def extension_family_cut(family, theta, lambda_prime, b):
-    """Unwarped cut of the theta-reparametrized extension family member at
-    sphere radius lambda' + b, in join coordinates:
+def extension_family_cut(family, lam, s0):
+    """Unwarped cut of the extension of the family member lam at sphere
+    radius s0 (lambda' + b, lam from ``cut_indices``), in join coordinates:
 
-        cos^2(beta) * sigma_{S^0}
-      + sin^2(beta) * cut(reparam(lambda', theta), r(lambda' + b, beta))
-      + dbeta^2.
+        cos^2(beta) sigma_{S^0} + sin^2(beta) cut(lam, r(s0, beta)) + dbeta^2.
     """
-    s0, lam = cut_indices(theta, lambda_prime, b)
     return join_field(
         lambda beta: family.cut(lam, ht.solve_r(s0, beta)), 1.0)
 
@@ -211,9 +211,9 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     cuts and the assembled limit over (b, lambda') grids.
 
     Preconditions are checked up front: the family must pass the
-    round-collar check at its declared bound, every b must lie in the
-    admitted interval and appear once, and the lambda' grid must be
-    strictly increasing.
+    round-collar check at its declared bound, both grids must be nonempty,
+    each b in the admitted interval once, and the lambda' grid strictly
+    increasing, with every cut radius and family index admitted.
     Records are emitted sorted by (b, lambda').  ``corrupt_limit`` is a
     test-only hook that shifts the predicted limit components by a
     constant, used by the negative-control suite.
@@ -222,6 +222,8 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     lp_grid = [float(x) for x in np.atleast_1d(lambda_prime_grid)]
     if not all(x < y for x, y in zip(lp_grid, lp_grid[1:])):
         raise DomainError("lambda' grid must be strictly increasing")
+    if not (b_grid and lp_grid):
+        raise DomainError("b and lambda' grids must not be empty")
     repeated = sorted({x for x, y in zip(b_grid, b_grid[1:]) if x == y})
     if repeated:
         raise DomainError(f"b grid repeats the values {repeated}")
@@ -236,11 +238,13 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     phi, beta = join_grid(n_phi, n_beta)
     probe_beta = np.geomspace(1e-3, BETA_MARGIN, 6)
     probe_sin_sq = np.sin(probe_beta)[None, :] ** 2
-    # the family index of the boundary check does not depend on b
-    lams = [ht.reparam(lp, theta) for lp in lp_grid]
+    # per cut: the family index (alike for every b) and coth^2(lambda' + b)
+    lams = cut_indices(theta, lp_grid, b_grid[0]).tolist()
+    normals = (1.0 + ht.coth_sq_minus_one(
+        np.add.outer(b_grid, lp_grid))).tolist()
     records = []
     cauchy_worst = 0.0
-    for b in b_grid:
+    for b, normal_row in zip(b_grid, normals):
         assembly = predicted_limit(family, theta, b)
         pred = assembly.interior.sample(phi, beta)
         if corrupt_limit:
@@ -249,8 +253,8 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
         # Cauchy spot check: adjacent cuts are no farther apart than the
         # sum of their distances to the limit
         prev = None     # (sample, distance to the limit) of the last cut
-        for lp, lam in zip(lp_grid, lams):
-            cut = extension_family_cut(family, theta, lp, b)
+        for lp, lam, normal_meas in zip(lp_grid, lams, normal_row):
+            cut = extension_family_cut(family, lam, lp + b)
             meas = cut.sample(phi, beta)
             dist = join_c2_distance(meas, pred)
             if prev is not None:
@@ -259,7 +263,6 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
                     cauchy_worst, direct - (prev[1] + dist.max()))
             prev = (meas, dist.max())
 
-            normal_meas = 1.0 + ht.coth_sq_minus_one(lp + b)
             h_meas = family.cut(lam, lp + b)
             bdist = mf.c2_distance(h_meas, h_pred)
             boundary_m_c0 = mf.max_carrying_nan(
@@ -370,13 +373,16 @@ def verify_beta1_claim(family, theta, beta1):
     phi = np.linspace(0.0, 2.0 * math.pi, CLAIM_N_PHI, endpoint=False)
     betas = np.linspace(max(1e-3, beta1 / 5.0), beta1, 5)
     bs = [c_prime, c_prime - 0.5]
-    lps = [lp for lp in np.geomspace(max(lambda0, 2.0), grid[-1], 4)
-           if ht.reparam(float(lp), theta) >= LAMBDA_MIN
-           and lp + min(bs) > 0.0]
+    lo = max(lambda0, 2.0)
+    # one lambda' where the inequality holds only at the top of the grid
+    lps = np.geomspace(lo, grid[-1], 4 if lo < grid[-1] else 1)
+    lps = lps[(lps + min(bs) > 0.0)
+              & (lps >= ht.reparam_inverse(LAMBDA_MIN, theta))]
+    lams = cut_indices(theta, lps, min(bs))
     worst = 0.0
-    for lp in lps:
+    for lp, lam in zip(lps.tolist(), lams.tolist()):
         for b in bs:
-            cut = extension_family_cut(family, theta, float(lp), b)
+            cut = extension_family_cut(family, lam, lp + b)
             m = cut.block_m(phi, betas)
             worst = mf.max_carrying_nan(worst, float(np.max(
                 np.abs(m - np.sin(betas)[None, :] ** 2))))

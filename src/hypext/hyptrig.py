@@ -26,22 +26,16 @@ scalar inputs give scalar outputs.  Compositions of ``sinh``/``asinh`` are
 rewritten in the log domain beyond ``LOG_SWITCH``: naive ``sinh`` overflows
 near 710 and, inside compositions, loses digits much earlier.
 
-``solve_r`` and ``reparam`` with two float scalars (``float`` or
-``np.float64``), and ``coth_sq_minus_one`` of one, take a scalar path that
-skips the broadcast, ravel and mask machinery, since per-column and
-per-cut callers pay more for that than for the arithmetic.  ``solve_r``
-and ``reparam`` share one scalar kernel, ``_asinh_scaled_sinh_scalar``
-(asinh(k sinh s) with k = sin(beta) or sin(theta)), and
-``coth_sq_minus_one`` evaluates ``log_sinh``'s two branches.  Each applies
-the same numpy ufuncs to 0-d values, in the same order, with the same
-branch switches and domain errors as its array path, so both give the
-same bits (``math.*`` would not: its ``sinh``/``asinh``/``log``/``exp``
-differ from numpy's in the last bit on a share of inputs).  A NaN radius
-(``s``, ``lambda_prime``, ``x``) takes the array path: it meets a second
-NaN in a sum, and which of the two a numpy scalar sum keeps depends on
-how numpy was compiled, so only the array loop gives the array path's
-sign bit.  A NaN angle gives a NaN leg on both paths; only
-``sin(beta) == 0`` gives ``r = 0``.
+``solve_r`` with two float scalars (``float`` or ``np.float64``) takes a
+scalar path for its per-column callers, who pay more for the broadcast,
+ravel and mask machinery than for the arithmetic.  Its kernel,
+``_asinh_scaled_sinh_scalar``, applies the array path's numpy ufuncs to
+0-d values in the same order, with the same branch switches and domain
+errors, so both give the same bits (``math.*`` would not: its functions
+differ from numpy's in the last bit on a share of inputs).  A NaN ``s``
+takes the array path, since which of two NaNs a numpy scalar sum keeps
+depends on how numpy was compiled.  A NaN angle gives a NaN leg on both
+paths; only ``sin(beta) == 0`` gives ``r = 0``.
 
 The scalar ``solve_r`` keeps two caches, since its per-column callers
 repeat one beta axis in every cut and one s across a cut's columns:
@@ -158,9 +152,9 @@ def _check_theta(theta, what):
 
 
 def _asinh_scaled_sinh_scalar(log_k, s):
-    """``_asinh_scaled_sinh`` for 0-d float64 log_k and s: the ufuncs of
-    the array path (with ``_asinh_of_exp``) in the same order, with the
-    same branch switches."""
+    """``_asinh_scaled_sinh`` for 0-d float64 log_k and s, the kernel of the
+    scalar ``solve_r``: the ufuncs of the array path (with
+    ``_asinh_of_exp``) in the same order, with the same branch switches."""
     if s <= LOG_SWITCH and not log_k + s > 300.0:
         return float(np.arcsinh(np.exp(log_k) * np.sinh(s)))
     ln_y = log_k + s - _LN2 + np.log1p(-np.exp(-2.0 * s))
@@ -288,14 +282,6 @@ def reparam(lambda_prime, theta):
     correction is below double resolution and the log-domain asinh
     evaluates the expansion exactly.  theta = pi/2 gives lambda = lambda'.
     """
-    if (isinstance(lambda_prime, float) and isinstance(theta, float)
-            and lambda_prime == lambda_prime):
-        lp, theta = np.float64(lambda_prime), np.float64(theta)
-        if lp <= 0.0:
-            raise DomainError("reparam: lambda_prime must be > 0")
-        if not 0.0 < theta <= HALF_PI:
-            raise DomainError("reparam: theta must lie in (0, pi/2]")
-        return _asinh_scaled_sinh_scalar(np.log(np.sin(theta)), lp)
     (lp, theta), shape, scalar = _prepare(lambda_prime, theta)
     if np.any(lp <= 0.0):
         raise DomainError("reparam: lambda_prime must be > 0")
@@ -434,16 +420,6 @@ def triangle_jacobian(s, beta):
 
 def coth_sq_minus_one(x):
     """coth(x)^2 - 1 = 1/sinh(x)^2, accurate for large x (no 1-cancellation)."""
-    if isinstance(x, float) and x == x:
-        x = np.float64(x)
-        if x <= 0.0:
-            raise DomainError("coth_sq_minus_one: x must be > 0")
-        # log_sinh's two branches
-        if x <= LOG_SWITCH:
-            lsx = np.log(np.sinh(x))
-        else:
-            lsx = x - _LN2 + np.log1p(-np.exp(-2.0 * x))
-        return float(np.exp(-2.0 * lsx))
     (x,), shape, scalar = _prepare(x)
     if np.any(x <= 0.0):
         raise DomainError("coth_sq_minus_one: x must be > 0")

@@ -53,7 +53,8 @@ REPORT_CASES = [
 
 def freeze_cut():
     family = fam.bump_family("uniform")
-    cut = cl.extension_family_cut(family, math.pi / 3, 8.0, 0.0)
+    (lam,) = cl.cut_indices(math.pi / 3, [8.0], 0.0).tolist()
+    cut = cl.extension_family_cut(family, lam, 8.0)
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     beta = np.linspace(0.1, math.pi / 2 - 0.1, 6)
     m = cut.block_m(phi, beta)

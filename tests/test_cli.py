@@ -5,6 +5,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -319,13 +320,13 @@ def test_identities_unrunnable_fd_step_is_refused(tmp_path):
 
 
 def test_identities_shift_gap_fails_on_nan(tmp_path, monkeypatch):
-    # NaN from the second angle on: a builtin max keeps the first, finite
-    # gap and drops the rest
+    # NaN from the second angle on, which is every gap after the first
+    # angle's: a builtin max would keep a first, finite gap and drop the rest
     from hypext import hyptrig as ht
     real = ht.vartheta
 
     def vartheta(lam, beta, b, theta):
-        return math.nan if beta > 0.1 else real(lam, beta, b, theta)
+        return np.where(beta > 0.1, math.nan, real(lam, beta, b, theta))
 
     monkeypatch.setattr(ht, "vartheta", vartheta)
     out = tmp_path / "out"

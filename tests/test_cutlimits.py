@@ -65,29 +65,43 @@ def test_unbounded_family_fails():
 # extension family cut
 # ---------------------------------------------------------------------------
 
+def member_cut(family, theta, lp, b):
+    """The extension cut of the theta-reparametrized member at lambda' + b."""
+    (lam,) = cl.cut_indices(theta, [lp], b).tolist()
+    return cl.extension_family_cut(family, lam, lp + b)
+
+
 def test_round_family_gives_round_join_metric(round_join_blocks):
     family = hyper()
     phi, beta = ext.join_grid(16, 12)
     ref_m, ref_b = round_join_blocks(phi, beta)
     for theta in (HALF_PI, PI_3):
         for lp, b in [(4.0, 0.0), (7.0, -1.2), (10.0, 0.7)]:
-            cut = cl.extension_family_cut(family, theta, lp, b)
+            cut = member_cut(family, theta, lp, b)
             sample = cut.sample(phi, beta)
             assert np.max(np.abs(sample.block_m[0] - ref_m)) < 1e-12
             assert np.max(np.abs(sample.block_beta[0] - ref_b)) < 1e-12
 
 
 def test_extension_family_cut_guards():
-    family = bump()
-    with pytest.raises(DomainError):
-        cl.extension_family_cut(family, HALF_PI, 1.0, -2.0)  # radius <= 0
-    with pytest.raises(DomainError):
-        cl.extension_family_cut(family, PI_3, 0.4, 0.0)  # below LAMBDA_MIN
+    with pytest.raises(DomainError, match="radius"):
+        cl.cut_indices(HALF_PI, [1.0], -2.0)  # radius <= 0
+    with pytest.raises(DomainError, match="LAMBDA_MIN"):
+        cl.cut_indices(PI_3, [0.4], 0.0)  # below LAMBDA_MIN
     # a NaN angle, radius or shift is refused, not carried into the cut
-    for args in ((math.nan, 8.0, 0.0), (HALF_PI, math.nan, 0.0),
-                 (HALF_PI, 8.0, math.nan)):
+    for args in ((math.nan, [8.0], 0.0), (HALF_PI, [8.0, math.nan], 0.0),
+                 (HALF_PI, [8.0], math.nan)):
         with pytest.raises(DomainError):
             cl.cut_indices(*args)
+    # the message names the first refused lambda'
+    with pytest.raises(DomainError, match="lambda'[+]b = -1.0 must"):
+        cl.cut_indices(HALF_PI, [1.0, 1.5, 4.0], -2.0)
+    with pytest.raises(DomainError, match="index 0.340668 below"):
+        cl.cut_indices(0.3, [1.0, 1.2, 4.0], 0.0)
+    # the indices are reparam's, in one array call
+    lps = np.array([4.0, 8.0, 40.0, 700.0])
+    assert np.array_equal(cl.cut_indices(PI_3, lps, -1.0),
+                          ht.reparam(lps, PI_3))
 
 
 def test_region_exactness():
@@ -103,7 +117,7 @@ def test_region_exactness():
         for b in (cp, -1.5):
             lam = ht.reparam(lp, theta)
             cond = ht.vartheta(lam, betas, b, theta) <= lam + B
-            cut = cl.extension_family_cut(family, theta, lp, b)
+            cut = member_cut(family, theta, lp, b)
             m = cut.block_m(phi, betas)
             exact = np.abs(m - np.sin(betas)[None, :] ** 2) == 0.0
             assert np.all(exact[:, cond])
@@ -253,6 +267,11 @@ def test_run_convergence_rejects_bad_inputs():
         cl.run_convergence(family, HALF_PI, [0.0], [4.0, 4.0])
     with pytest.raises(DomainError, match="repeats"):
         cl.run_convergence(family, HALF_PI, [0.5, -1.0, 0.5], [4.0, 6.0])
+    # an empty grid would give no record and pass every assertion
+    with pytest.raises(DomainError, match="empty"):
+        cl.run_convergence(family, HALF_PI, [], [4.0, 6.0])
+    with pytest.raises(DomainError, match="empty"):
+        cl.run_convergence(family, HALF_PI, [0.0], [])
     with pytest.raises(DomainError):
         cl.run_convergence(family, PI_3, [5.0], [4.0, 6.0])  # b > c'
     with pytest.raises(VerificationError, match="round-collar"):
@@ -260,23 +279,22 @@ def test_run_convergence_rejects_bad_inputs():
                            [4.0, 6.0], n_phi=8, n_beta=16)
 
 
-def test_converge_cuts_take_the_scalar_hyptrig_paths(monkeypatch):
-    # the per-cut reparam and coth_sq_minus_one calls of run_convergence
-    # have float arguments, so none of them may reach the broadcast
-    # machinery of _prepare
-    scalar_calls = []
-    prepare = ht._prepare
-
-    def recording(*vals):
-        if all(np.ndim(v) == 0 for v in vals):
-            scalar_calls.append(vals)
-        return prepare(*vals)
-
-    monkeypatch.setattr(ht, "_prepare", recording)
-    rep = cl.run_convergence(fam.bump_family("cos2"), PI_3, [-2.0, -1.0],
-                             [4.0, 5.0, 6.0], n_phi=16, n_beta=24)
-    assert len(rep.records) == 6
-    assert scalar_calls == []
+def test_run_convergence_maps_each_theta_in_one_call(monkeypatch):
+    # one reparam call over the lambda' vector and one coth_sq_minus_one
+    # call over the (b, lambda') grid per theta, whatever the grid
+    calls = {"reparam": 0, "coth_sq_minus_one": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(ht, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(ht, name, counting)
+    for bs, lps in (([-1.0], [4.0, 6.0]),
+                    ([-2.0, -1.5, -1.0], [4.0, 5.0, 6.0, 7.0])):
+        calls.update(reparam=0, coth_sq_minus_one=0)
+        rep = cl.run_convergence(fam.bump_family("cos2"), PI_3, bs, lps,
+                                 n_phi=16, n_beta=24)
+        assert len(rep.records) == len(bs) * len(lps)
+        assert calls == {"reparam": 1, "coth_sq_minus_one": 1}
 
 
 def test_corrupt_limit_hook_breaks_assertions():
@@ -367,6 +385,36 @@ def test_verify_beta1_claim_failure_modes():
         cl.verify_beta1_claim(bump(), 1e-305, 0.1)
 
 
+def test_claim_at_the_grid_top_evaluates_each_cut_once(monkeypatch):
+    # at theta = 1e-302 the inequality holds only at the top of the claim
+    # grid, so its four exactness lambda' are one: two b give two cuts
+    cuts = []
+    real = cl.extension_family_cut
+    monkeypatch.setattr(cl, "extension_family_cut",
+                        lambda *args: cuts.append(args) or real(*args))
+    family, theta = bump(), 1e-302
+    B, cp = cl.claim_bounds(family, theta)
+    res = cl.verify_beta1_claim(family, theta,
+                                ht.beta1_threshold(theta, B, cp))
+    assert res["lambda0"] == ht.LAMBDA_PRIME_MAX
+    assert len(cuts) == 2
+
+
+def test_claim_skips_an_exactness_member_below_lambda_min(monkeypatch):
+    # hyperbolic at theta = 0.1: the first exactness lambda' = 2 has the
+    # index reparam(2, 0.1) = 0.355 < LAMBDA_MIN, so it is left out, not
+    # refused; the other three lambda' give two cuts each
+    cuts = []
+    real = cl.extension_family_cut
+    monkeypatch.setattr(cl, "extension_family_cut",
+                        lambda *args: cuts.append(args) or real(*args))
+    family, theta = hyper(), 0.1
+    B, cp = cl.claim_bounds(family, theta)
+    cl.verify_beta1_claim(family, theta, ht.beta1_threshold(theta, B, cp))
+    assert len(cuts) == 6
+    assert min(lam for _, lam, _ in cuts) >= cl.LAMBDA_MIN
+
+
 def _nan_beyond(x):
     """A component array that is NaN where the angle |x| > 1."""
     x = np.asarray(x, dtype=float)
@@ -401,8 +449,7 @@ def test_extension_family_cut_regression(tmp_path):
         toks = line.split()
         rows.append((int(toks[0]), int(toks[1]),
                      float(toks[2]), float(toks[3])))
-    family = bump()
-    cut = cl.extension_family_cut(family, PI_3, 8.0, 0.0)
+    cut = member_cut(bump(), PI_3, 8.0, 0.0)
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     beta = np.linspace(0.1, HALF_PI - 0.1, 6)
     m = cut.block_m(phi, beta)

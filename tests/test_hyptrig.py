@@ -118,6 +118,16 @@ def test_vartheta_shift_trivials():
     (ht.vartheta_shift, (np.array([0.5, math.nan]), 0.0, 1.0)),
     (ht.vartheta, (5.0, np.array([0.5, math.nan]), 0.0, 1.0)),
     (ht.vartheta, (5.0, HALF_PI + 0.1, 0.0, 1.0)),
+    # signed zeros, infinities and the edges of the angle range
+    (ht.reparam, (0.0, 1.0)), (ht.reparam, (-0.0, 1.0)),
+    (ht.reparam, (-1.0, 1.0)), (ht.reparam, (-math.inf, 1.0)),
+    (ht.reparam, (3.0, -0.0)), (ht.reparam, (3.0, -1e-300)),
+    (ht.reparam, (3.0, math.nextafter(HALF_PI, math.inf))),
+    (ht.reparam, (3.0, math.inf)), (ht.reparam, (3.0, -math.inf)),
+    (ht.reparam, (3.0, math.nan)), (ht.reparam, (math.nan, math.nan)),
+    (ht.coth_sq_minus_one, (0.0,)), (ht.coth_sq_minus_one, (-0.0,)),
+    (ht.coth_sq_minus_one, (-1.0,)),
+    (ht.coth_sq_minus_one, (-math.inf,)),
 ])
 def test_domain_errors(fn, args):
     with pytest.raises(DomainError):
@@ -409,93 +419,18 @@ def test_scalar_solve_r_raises_the_array_domain_errors(s, beta):
     assert str(scalar.value) == str(array.value)
 
 
-# ---------------------------------------------------------------------------
-# the scalar paths of reparam and coth_sq_minus_one give the bits of their
-# array paths
-# ---------------------------------------------------------------------------
-
-_THETA_EDGES = [HALF_PI, math.nextafter(HALF_PI, 0.0), 5e-324, 1e-300]
-
-
-def _theta_near_300(lp, delta):
-    """An angle that puts log sin(theta) + lambda' within delta of 300
-    (lambda' > 300), the product switch of the direct branch."""
-    return math.asin(math.exp(300.0 - lp + delta))
-
-
-_reparam_cases = st.one_of(
-    st.tuples(st.floats(0.0, 800.0, exclude_min=True),
-              st.floats(0.0, HALF_PI, exclude_min=True)),
-    st.tuples(st.sampled_from(_S_EDGES),
-              st.floats(0.0, HALF_PI, exclude_min=True)),
-    st.tuples(st.floats(0.0, 800.0, exclude_min=True),
-              st.sampled_from(_THETA_EDGES)),
-    st.floats(301.0, 800.0).flatmap(lambda lp: st.tuples(
-        st.just(lp), st.floats(-1e-9, 1e-9).map(
-            lambda d: _theta_near_300(lp, d)))),
-    st.floats(31.0, 60.0).flatmap(lambda lp: st.tuples(
-        st.just(lp), st.floats(-1e-12, 1e-12).map(
-            lambda d: _ln_y_near_20(lp, d)))),
-)
-
-_x_cases = st.one_of(
-    st.floats(0.0, 800.0, exclude_min=True),
-    st.floats(ht.LOG_SWITCH - 0.5, ht.LOG_SWITCH + 0.5),
-    st.sampled_from(_S_EDGES),
-)
-
-
-def _with_warnings(fn, *args):
-    """fn(*args) and the messages of the warnings it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(*args)
-    return out, [str(w.message) for w in caught]
-
-
-@settings(max_examples=400, deadline=None)
-@given(_reparam_cases, _x_cases)
-def test_scalar_reparam_and_coth_match_array_bits(case, x):
-    # same bits and same warnings (coth_sq_minus_one(5e-324) overflows)
-    for fn, args in ((ht.reparam, case), (ht.coth_sq_minus_one, (x,))):
-        expect, warned = _with_warnings(fn, *[np.array([a]) for a in args])
-        for cast in (float, np.float64):
-            got, got_warned = _with_warnings(fn, *map(cast, args))
-            assert isinstance(got, float) and _same(got, expect[0])
-            assert got_warned == warned
-
-
-def test_scalar_reparam_and_coth_match_array_on_edges():
-    # dense sweeps across LOG_SWITCH and the log-domain asinh's switch
-    lp = np.linspace(-0.5, 0.5, 2001)
-    theta = [_ln_y_near_20(40.0, d) for d in lp]
-    lps = np.concatenate([ht.LOG_SWITCH + lp, np.full(lp.size, 40.0)])
-    thetas = np.concatenate([np.full(lp.size, 0.7), theta])
-    for lpi, ti, li in zip(lps, thetas, ht.reparam(lps, thetas)):
-        assert _same(ht.reparam(float(lpi), float(ti)), li), (lpi, ti)
-    x = ht.LOG_SWITCH + lp
-    for xi, ci in zip(x, ht.coth_sq_minus_one(x)):
-        assert _same(ht.coth_sq_minus_one(float(xi)), ci), xi
-
-
-@pytest.mark.parametrize("fn,args", [
-    (ht.reparam, (0.0, 1.0)), (ht.reparam, (-0.0, 1.0)),
-    (ht.reparam, (-1.0, 1.0)), (ht.reparam, (-math.inf, 1.0)),
-    (ht.reparam, (3.0, 0.0)), (ht.reparam, (3.0, -0.0)),
-    (ht.reparam, (3.0, -1e-300)),
-    (ht.reparam, (3.0, math.nextafter(HALF_PI, math.inf))),
-    (ht.reparam, (3.0, math.inf)), (ht.reparam, (3.0, -math.inf)),
-    (ht.reparam, (3.0, math.nan)), (ht.reparam, (math.nan, math.nan)),
-    (ht.coth_sq_minus_one, (0.0,)), (ht.coth_sq_minus_one, (-0.0,)),
-    (ht.coth_sq_minus_one, (-1.0,)),
-    (ht.coth_sq_minus_one, (-math.inf,)),
-])
-def test_scalar_paths_raise_the_array_domain_errors(fn, args):
-    with pytest.raises(DomainError) as scalar:
-        fn(*args)
-    with pytest.raises(DomainError) as array:
-        fn(*[np.array([a]) for a in args])
-    assert str(scalar.value) == str(array.value)
+def test_vartheta_broadcast_matches_per_point_calls():
+    # the identities suite takes its shift gaps in one broadcast call over
+    # the (beta, b, theta) grid: each element has the per-point call's bits
+    be, b, theta = np.meshgrid(np.linspace(0.08, 0.30, 10),
+                               np.linspace(-2.0, -0.6, 5),
+                               (HALF_PI, math.pi / 3, 1.0), indexing="ij")
+    got = ht.vartheta(30.0, be, b, theta)
+    shift = ht.vartheta_shift(be, b, theta)
+    for idx in np.ndindex(be.shape):
+        args = (float(be[idx]), float(b[idx]), float(theta[idx]))
+        assert _same(got[idx], ht.vartheta(30.0, *args)), args
+        assert _same(shift[idx], ht.vartheta_shift(*args)), args
 
 
 def test_nan_angle_gives_nan_legs():
