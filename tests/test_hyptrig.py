@@ -128,6 +128,8 @@ def test_vartheta_shift_trivials():
     (ht.coth_sq_minus_one, (0.0,)), (ht.coth_sq_minus_one, (-0.0,)),
     (ht.coth_sq_minus_one, (-1.0,)),
     (ht.coth_sq_minus_one, (-math.inf,)),
+    # a zero angle at one point of an array is refused for the whole call
+    (ht.reparam, (np.array([3.0, 4.0]), np.array([0.5, 0.0]))),
 ])
 def test_domain_errors(fn, args):
     with pytest.raises(DomainError):
