@@ -118,13 +118,13 @@ def cut_indices(theta, lambda_primes, b_min):
     bad = ~(s0 > 0.0)
     if bad.any():
         raise DomainError(
-            "extension_family_cut: cut radius lambda'+b = "
+            "cut_indices: cut radius lambda'+b = "
             f"{float(s0[bad][0])} must be positive")
     lams = ht.reparam(lambda_primes, theta)
     low = ~(lams >= LAMBDA_MIN)
     if low.any():
         raise DomainError(
-            f"extension_family_cut: family index {float(lams[low][0]):.6g} "
+            f"cut_indices: family index {float(lams[low][0]):.6g} "
             f"below LAMBDA_MIN {LAMBDA_MIN}")
     return lams
 

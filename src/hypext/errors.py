@@ -1,4 +1,4 @@
-"""Exception types, and the NaN-carrying folds that gates use, shared
+"""Exception types, and the NaN-carrying max fold that gates use, shared
 across the package."""
 
 import math
@@ -23,12 +23,3 @@ def max_carrying_nan(*values):
         if v != v:
             return math.nan
     return max(values)
-
-
-def min_carrying_nan(*values):
-    """The smallest of ``values``, or NaN if any is NaN (the counterpart of
-    ``max_carrying_nan`` for positivity floors)."""
-    for v in values:
-        if v != v:
-            return math.nan
-    return min(values)

@@ -331,7 +331,7 @@ def join_c2_distance(a, b):
     _require_same_grid(a, b, "join_c2_distance")
     hphi, hbeta = a.steps
     # the (c0, c1, c2) of every slot and sheet, each column folded once
-    sups = [mf.c2_sups(da[sheet], (hphi, hbeta), periodic=(True, False))
+    sups = [mf.c2_sups(da[sheet], (hphi, hbeta))
             for da in (_slot_difference(a.block_m, b.block_m),
                        _slot_difference(a.block_beta, b.block_beta),
                        _slot_difference(a.offdiag, b.offdiag))

@@ -140,8 +140,9 @@ def hyperbolic_family():
 
 def bump_family(direction):
     """Build the bump family with direction field ``direction`` (one of
-    DIRECTION_TAGS), checking positivity of the most-perturbed cut at
-    construction."""
+    DIRECTION_TAGS).  Every cut and limit is 1 + a * T with a in
+    [0, BUMP_AMPLITUDE] and T (1 or cos^2) in [0, 1], so it lies in
+    [1, 1 + BUMP_AMPLITUDE] and is positive: no check is needed."""
     T = direction_field(direction)
     # the cos2 family's own cache of T on the join axis (see _cos2_rows)
     rows = _cos2_rows() if direction == "cos2" else None
@@ -168,11 +169,6 @@ def bump_family(direction):
             return out
 
         return mf.SphereMetricField(fn)
-
-    ok, eigmin = mf.positivity_check(perturbed(eps), resolution=256)
-    if not ok:
-        raise DomainError(
-            f"amplitude {eps} destroys positivity (min eigenvalue {eigmin})")
 
     def cut(lam, rho):
         if rho <= 0.0:

@@ -34,10 +34,11 @@ def test_circle_atlas_covers_with_margin():
     # a step within the margin check leaves more than two steps there
     overlap = 2.0 * mf.INTERIOR_HALF_WIDTH - math.pi
     assert overlap > 2.0 * (mf.MARGIN / 2.0)
-    for n in (24, 128):
-        x = mf.interior_grid(n)
-        assert x[0] == -mf.INTERIOR_HALF_WIDTH
-        assert x[-1] == mf.INTERIOR_HALF_WIDTH
+    x = mf._WINDOW_AXIS
+    assert x.shape == (mf.BOUNDARY_RESOLUTION,)
+    assert x[0] == -mf.INTERIOR_HALF_WIDTH
+    assert x[-1] == mf.INTERIOR_HALF_WIDTH
+    assert not x.flags.writeable
 
 
 def _stereo_point(chart, w):
@@ -162,12 +163,11 @@ def _window_fields():
 
 
 @pytest.mark.parametrize("field,fn", _window_fields())
-@pytest.mark.parametrize("n", [24, 127, 128, 256])
-def test_grid_components_match_chart_formulas(field, fn, n):
+def test_grid_components_match_chart_formulas(field, fn):
     for centre in mf.WINDOW_CENTRES:
-        got = np.asarray(field.grid_components(centre, n))
-        want = fn(centre, mf.interior_grid(n))
-        assert got.shape == want.shape == (n,)
+        got = np.asarray(field.grid_components(centre))
+        want = fn(centre, mf._WINDOW_AXIS)
+        assert got.shape == want.shape == (mf.BOUNDARY_RESOLUTION,)
         assert got.tobytes() == want.tobytes(), centre
 
 
@@ -246,25 +246,23 @@ def assert_bit_identical(got, want):
     assert all(type(v) is float for v in got)
 
 
-PERIODIC_1 = [(False,), (True,)]
-PERIODIC_2 = [(False, False), (True, False), (False, True), (True, True)]
-COMPONENT_SHAPES = [(), (1, 1), (2, 2)]
+# the two grids the kernel serves, as the reference's ``periodic``: a
+# bounded circle window and a join sheet, periodic in phi, bounded in beta
+WINDOW, SHEET = (False,), (True, False)
+SERVED = [pytest.param(WINDOW, id="window"), pytest.param(SHEET, id="sheet")]
 
 
 @st.composite
 def kernel_cases(draw):
-    n_axes = draw(st.sampled_from([1, 2]))
-    grid = tuple(draw(st.integers(1, 7)) for _ in range(n_axes))
-    comps = draw(st.sampled_from(COMPONENT_SHAPES))
+    periodic = draw(st.sampled_from([WINDOW, SHEET]))
+    grid = tuple(draw(st.integers(1, 8)) for _ in periodic)
     values = st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
         st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
-    flat = draw(st.lists(values, min_size=int(np.prod(grid + comps)),
-                         max_size=int(np.prod(grid + comps))))
-    delta = np.array(flat, dtype=float).reshape(grid + comps)
-    steps = tuple(draw(st.floats(1e-3, 2.0)) for _ in range(n_axes))
-    periodic = draw(st.sampled_from(PERIODIC_1 if n_axes == 1
-                                    else PERIODIC_2))
+    flat = draw(st.lists(values, min_size=int(np.prod(grid)),
+                         max_size=int(np.prod(grid))))
+    delta = np.array(flat, dtype=float).reshape(grid)
+    steps = tuple(draw(st.floats(1e-3, 2.0)) for _ in periodic)
     return delta, steps, periodic
 
 
@@ -273,7 +271,7 @@ def kernel_cases(draw):
 def test_c2_sups_matches_roll_reference(case):
     delta, steps, periodic = case
     want = roll_c2_sups(delta, steps, periodic=periodic)
-    got = mf.c2_sups(delta, steps, periodic=periodic)
+    got = mf.c2_sups(delta, steps)
     assert_bit_identical(got, want)
 
 
@@ -286,49 +284,45 @@ def _corners_and_edges(shape):
     return picks
 
 
-@pytest.mark.parametrize("periodic", PERIODIC_2)
-@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
 @pytest.mark.parametrize("read_only", [False, True])
-def test_c2_sups_single_entry_on_edges_and_corners_2d(periodic, comps,
-                                                      read_only):
+def test_c2_sups_single_entry_on_edges_and_corners_2d(read_only):
     # one nonzero entry at the grid's rim: a wrong wrap shows at once; a
     # read-only input shows that the kernel never writes into it
     shape = (5, 6)
     steps = (0.3, 0.07)
     for idx in _corners_and_edges(shape):
-        delta = np.zeros(shape + comps)
+        delta = np.zeros(shape)
         delta[idx] = 1.25
         delta.flags.writeable = not read_only
         before = delta.copy()
-        want = roll_c2_sups(delta, steps, periodic=periodic)
-        got = mf.c2_sups(delta, steps, periodic=periodic)
+        want = roll_c2_sups(delta, steps, periodic=SHEET)
+        got = mf.c2_sups(delta, steps)
         assert_bit_identical(got, want)
         assert np.array_equal(delta, before)
 
 
-@pytest.mark.parametrize("periodic", PERIODIC_1)
-@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
-def test_c2_sups_single_entry_on_edges_1d(periodic, comps):
+def test_c2_sups_single_entry_on_edges_1d():
     for i in (0, 1, 5, 6):
-        delta = np.zeros((7,) + comps)
+        delta = np.zeros(7)
         delta[i] = -3.0
-        want = roll_c2_sups(delta, (0.2,), periodic=periodic)
-        got = mf.c2_sups(delta, (0.2,), periodic=periodic)
+        delta.flags.writeable = False
+        want = roll_c2_sups(delta, (0.2,), periodic=WINDOW)
+        got = mf.c2_sups(delta, (0.2,))
         assert_bit_identical(got, want)
 
 
-@pytest.mark.parametrize("periodic", PERIODIC_1 + PERIODIC_2)
+@pytest.mark.parametrize("periodic", SERVED)
 @pytest.mark.parametrize("read_only", [False, True])
 def test_c2_sups_all_zero_is_zero(periodic, read_only):
     shape = (6,) * len(periodic)
     steps = (0.1,) * len(periodic)
-    for delta in (np.zeros(shape + (2, 2)), -np.zeros(shape)):
+    for delta in (np.zeros(shape), -np.zeros(shape)):
         delta.flags.writeable = not read_only
-        got = mf.c2_sups(delta, steps, periodic=periodic)
+        got = mf.c2_sups(delta, steps)
         assert_bit_identical(got, (0.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("periodic", PERIODIC_1 + PERIODIC_2)
+@pytest.mark.parametrize("periodic", SERVED)
 def test_c2_sups_carries_nan(periodic):
     # every sup whose stencils reach the NaN is NaN; the roll-based
     # reference drops it from c1 and c2
@@ -337,17 +331,8 @@ def test_c2_sups_carries_nan(periodic):
     for idx in [(0,) * len(periodic), (3,) * len(periodic)]:
         delta = np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape)
         delta[idx] = math.nan
-        c0, c1, c2 = mf.c2_sups(delta, steps, periodic=periodic)
+        c0, c1, c2 = mf.c2_sups(delta, steps)
         assert math.isnan(c0) and math.isnan(c1) and math.isnan(c2)
-
-
-def test_c2_sups_carries_nan_past_a_finite_sup():
-    # the first (bounded) axis has no interior point, so its sups are a
-    # finite 0.0 and the second axis's NaN sups come after them
-    delta = np.zeros((2, 5))
-    delta[0, 2] = math.nan
-    c0, c1, c2 = mf.c2_sups(delta, (0.1, 0.1))
-    assert math.isnan(c0) and math.isnan(c1) and math.isnan(c2)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -360,50 +345,44 @@ def test_c2_sups_cross_term_keeps_subtraction_order(seed):
     delta = (np.sin(phi)[:, None] * beta[None, :]
              + rng.uniform(-1e-12, 1e-12, (12, 10)))
     steps = (2.0 * math.pi / 12, 0.01)
-    for periodic, d, h in (((True, False), delta, steps),
-                           ((False, True), delta.T.copy(), steps[::-1])):
-        assert_bit_identical(mf.c2_sups(d, h, periodic=periodic),
-                             roll_c2_sups(d, h, periodic=periodic))
+    assert_bit_identical(mf.c2_sups(delta, steps),
+                         roll_c2_sups(delta, steps, periodic=SHEET))
 
 
-def _layouts(grid, comps, rng):
-    """(name, array of shape grid + comps) in memory layouts that are not
+def _layouts(grid, rng):
+    """(name, array of shape grid) in memory layouts that are not
     C-contiguous: a transpose, a stride-0 sheet such as
     ``extension._slot_difference`` broadcasts (constant along the first
     grid axis, as a block_beta difference is along phi), and a strided
     slice of a larger array."""
-    shape = grid + comps
-    n = len(shape)
-    transposed = rng.uniform(-1.0, 1.0, shape[::-1]).transpose()
-    sheet = np.broadcast_to(rng.uniform(-1.0, 1.0, (1,) + shape[1:]), shape)
-    big = rng.uniform(-1.0, 1.0, tuple(3 * k + 1 for k in shape))
+    n = len(grid)
+    transposed = rng.uniform(-1.0, 1.0, grid[::-1]).transpose()
+    sheet = np.broadcast_to(rng.uniform(-1.0, 1.0, (1,) + grid[1:]), grid)
+    big = rng.uniform(-1.0, 1.0, tuple(3 * k + 1 for k in grid))
     strided = big[(slice(1, None, 3),) * n]
     return [("transposed", transposed), ("stride-0 sheet", sheet),
             ("strided", strided)]
 
 
-@pytest.mark.parametrize("periodic", PERIODIC_1 + PERIODIC_2)
-@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
-def test_c2_sups_non_contiguous_input_matches_reference(periodic, comps):
+@pytest.mark.parametrize("periodic", SERVED)
+def test_c2_sups_non_contiguous_input_matches_reference(periodic):
     rng = np.random.default_rng(11)
     grid = (5, 7)[:len(periodic)]
     steps = (0.3, 0.07)[:len(periodic)]
-    for name, delta in _layouts(grid, comps, rng):
-        assert delta.shape == grid + comps, name
-        if name != "transposed" or sum(k > 1 for k in delta.shape) > 1:
+    for name, delta in _layouts(grid, rng):
+        assert delta.shape == grid, name
+        if name != "transposed" or len(grid) > 1:
             assert not delta.flags.c_contiguous, name
         want = roll_c2_sups(delta, steps, periodic=periodic)
-        got = mf.c2_sups(delta, steps, periodic=periodic)
+        got = mf.c2_sups(delta, steps)
         assert_bit_identical(got, want)
-        assert_bit_identical(
-            mf.c2_sups(np.ascontiguousarray(delta), steps, periodic=periodic),
-            got)
+        assert_bit_identical(mf.c2_sups(np.ascontiguousarray(delta), steps),
+                             got)
 
 
-@pytest.mark.parametrize("periodic", PERIODIC_1 + PERIODIC_2)
-@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
+@pytest.mark.parametrize("periodic", SERVED)
 @pytest.mark.parametrize("seed", range(4))
-def test_c2_sups_row_seams_never_leak(periodic, comps, seed):
+def test_c2_sups_row_seams_never_leak(periodic, seed):
     # finite values of random sign near 1e300 on the first and last two
     # columns, small ones inside: the stencil lanes between rows (the
     # columns outside the evaluation region) would hold sums of up to four
@@ -411,17 +390,17 @@ def test_c2_sups_row_seams_never_leak(periodic, comps, seed):
     # zeroed.  Nothing here overflows, so neither kernel may warn.
     rng = np.random.default_rng(seed)
     grid = (6, 5)[-len(periodic):]
-    delta = rng.uniform(-1e-3, 1e-3, grid + comps)
-    edges = rng.choice([-1.0, 1.0], (grid[:-1] + (4,) + comps))
-    edge_columns = (Ellipsis, [0, 1, -2, -1]) + (slice(None),) * len(comps)
-    delta[edge_columns] = 1e300 * edges * rng.uniform(0.9, 1.0, edges.shape)
+    delta = rng.uniform(-1e-3, 1e-3, grid)
+    edges = rng.choice([-1.0, 1.0], grid[:-1] + (4,))
+    delta[..., [0, 1, -2, -1]] = (1e300 * edges
+                                  * rng.uniform(0.9, 1.0, edges.shape))
     steps = (0.3, 0.07)[-len(periodic):]
     with warnings.catch_warnings(record=True) as ref_warned:
         warnings.simplefilter("always")
         want = roll_c2_sups(delta, steps, periodic=periodic)
     with warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")
-        got = mf.c2_sups(delta, steps, periodic=periodic)
+        got = mf.c2_sups(delta, steps)
     assert ref_warned == []
     assert [str(w.message) for w in warned] == []
     assert_bit_identical(got, want)
@@ -431,10 +410,10 @@ def test_c2_sups_results_do_not_alias_the_scratch():
     # each sup is a Python float taken out of the scratch buffer: a later
     # call, which fills a scratch of the same size, leaves it as it was
     rng = np.random.default_rng(5)
-    steps, periodic = (0.3, 0.07), (True, False)
-    first = mf.c2_sups(rng.uniform(-1.0, 1.0, (8, 9)), steps, periodic)
+    steps = (0.3, 0.07)
+    first = mf.c2_sups(rng.uniform(-1.0, 1.0, (8, 9)), steps)
     kept = [repr(v) for v in first]
-    mf.c2_sups(rng.uniform(-1e3, 1e3, (8, 9)), steps, periodic)
+    mf.c2_sups(rng.uniform(-1e3, 1e3, (8, 9)), steps)
     assert [repr(v) for v in first] == kept
     assert all(type(v) is float for v in first)
 
@@ -447,9 +426,9 @@ def _stride0_view(src, shape, strides, read_only):
 
 
 def _broadcast_cases(read_only):
-    """(view, steps, periodic) for views with stride-0 axes, as the join
-    slots are: stride 0 on every axis, viewed from a vector along either
-    grid axis, and a block broadcast over a leading sheet axis."""
+    """(view, steps) for views with stride-0 axes, as the join slots are:
+    stride 0 on every axis of a sheet or a window, and a sheet viewed from
+    a vector along either of its axes."""
     rng = np.random.default_rng(11)
     n_phi, n_beta = 12, 9
     vectors = [rng.uniform(-2.0, 2.0, n_beta), -np.zeros(n_beta),
@@ -460,26 +439,16 @@ def _broadcast_cases(read_only):
     cases = []
     for value in (0.0, -0.0, 0.75, math.nan):
         src = np.array([value])
-        for shape in ((n_phi, n_beta), (n_phi, n_beta, 2, 2), (n_phi,)):
+        for shape in ((n_phi, n_beta), (n_phi,)):
             cases.append((_stride0_view(src, shape, (0,) * len(shape),
                                         read_only),
-                          (0.3, 0.07)[:min(len(shape), 2)],
-                          (True, False)[:min(len(shape), 2)]))
+                          (0.3, 0.07)[:len(shape)]))
     for vec in vectors:
         along_beta = _stride0_view(vec, (n_phi, n_beta), (0, 8), read_only)
         along_phi = _stride0_view(np.resize(vec, n_phi), (n_phi, n_beta),
                                   (8, 0), read_only)
         for view in (along_beta, along_phi):
-            cases.append((view, (0.3, 0.07), (True, False)))
-    block = rng.uniform(-1.0, 1.0, (n_phi, n_beta))
-    block[3, 5] = math.nan
-    for m in (block, rng.uniform(-1.0, 1.0, (n_phi, n_beta))):
-        sheets = _stride0_view(m, (2, n_phi, n_beta), (0,) + m.strides,
-                               read_only)
-        # the sheet axis as a grid axis, with phi, or with phi and beta as
-        # component axes
-        cases.append((sheets, (1.0, 0.3), (False, True)))
-        cases.append((sheets, (1.0,), (False,)))
+            cases.append((view, (0.3, 0.07)))
     return cases
 
 
@@ -487,12 +456,12 @@ def _broadcast_cases(read_only):
 def test_c2_sups_broadcast_view_matches_its_copy(read_only):
     # c0 is read from the distinct elements of a stride-0 view: the sups,
     # NaN and the sign of zero included, are those of a contiguous copy
-    for view, steps, periodic in _broadcast_cases(read_only):
+    for view, steps in _broadcast_cases(read_only):
         assert 0 in view.strides
         assert view.flags.writeable is not read_only
         copy = np.ascontiguousarray(view)
-        got = mf.c2_sups(view, steps, periodic=periodic)
-        want = mf.c2_sups(copy, steps, periodic=periodic)
+        got = mf.c2_sups(view, steps)
+        want = mf.c2_sups(copy, steps)
         assert [repr(v) for v in got] == [repr(v) for v in want]
         assert all(type(v) is float for v in got)
         assert np.array_equal(view, copy, equal_nan=True)
@@ -560,50 +529,37 @@ def test_c2_distance_through_other_chart():
 def test_boundary_resolution_spacing_meets_margin():
     # every point within MARGIN of a window's end must lie two steps inside
     # the other window, so the step c2_distance takes is at most MARGIN / 2
-    axis = mf.interior_grid(mf.BOUNDARY_RESOLUTION)
+    axis = mf._WINDOW_AXIS
     h = float(axis[1] - axis[0])
     assert mf.c2_distance(mf.round_metric(), mf.round_metric()).fd_step == h
     assert h <= mf.MARGIN / 2.0
 
 
-# ---------------------------------------------------------------------------
-# positivity
-# ---------------------------------------------------------------------------
-
-def test_positivity_round():
-    ok, lo = mf.positivity_check(mf.round_metric(), 64)
-    assert ok and lo == pytest.approx(1.0)
-
-
-def test_positivity_fails_for_zero_form():
-    zero = mf.SphereMetricField.from_function(
-        lambda angles: np.zeros(np.shape(angles)))
-    ok, lo = mf.positivity_check(zero, 32)
-    assert not ok and lo == 0.0
-
-
-def test_positivity_detects_indefinite():
-    # positive near angle 0, negative near pi; the odd grid of the window
-    # about pi contains angle pi, where the component is -0.5
-    bad = mf.SphereMetricField.from_function(
-        lambda angles: 0.5 + np.cos(angles))
-    ok, lo = mf.positivity_check(bad, 25)
-    assert not ok and lo == pytest.approx(-0.5)
+def test_c2_distance_matches_roll_reference():
+    # end to end: each window sampled and differenced, then the sups of
+    # both windows folded, equal to the reference kernel bit for bit
+    family = fam.bump_family("cos2")
+    cut, limit = family.cut(6.0, 6.25), family.limit(-0.3)
+    axis = mf._WINDOW_AXIS
+    h = float(axis[1] - axis[0])
+    sups = [roll_c2_sups(cut.components(axis + c) - limit.components(axis + c),
+                         (h,))
+            for c in mf.WINDOW_CENTRES]
+    want = [mf.max_carrying_nan(*col) for col in zip(*sups)]
+    d = mf.c2_distance(cut, limit)
+    assert want[0] > 0.0 and want[2] > 0.0
+    assert_bit_identical((d.c0, d.c1, d.c2), tuple(want))
+    assert d.fd_step == h
 
 
-@pytest.mark.parametrize("nan_charts", [(0.0, math.pi), (math.pi,)])
-def test_positivity_fails_on_nan_circle_field(nan_charts):
-    # nan_charts: the centres of the windows that sample a NaN.  A field
-    # that is NaN only within pi/3 of the angle pi is NaN on the window
-    # about pi alone, which comes last: a builtin min fold drops it
-    cos_below = -0.5 if nan_charts == (math.pi,) else 2.0
+def test_c2_distance_carries_nan_of_the_second_window():
+    # NaN only within pi/3 of the angle pi: the window about 0 gives finite
+    # sups, the window about pi, which comes last, gives NaN ones; a
+    # builtin max fold would drop them
     field = mf.SphereMetricField.from_function(
-        lambda angles: np.where(np.cos(angles) < cos_below, math.nan, 1.0))
-    ok, lo = mf.positivity_check(field, 32)
-    assert not ok and math.isnan(lo)
-
-
-def test_min_carrying_nan():
-    assert math.isnan(mf.min_carrying_nan(1.0, math.nan))
-    assert math.isnan(mf.min_carrying_nan(math.inf, math.nan, 0.5))
-    assert mf.min_carrying_nan(math.inf, 2.0, -0.5) == -0.5
+        lambda angles: np.where(np.cos(angles) < -0.5, math.nan, 1.0))
+    h = float(mf._WINDOW_AXIS[1] - mf._WINDOW_AXIS[0])
+    first = mf.c2_sups(field.grid_components(0.0) - 1.0, (h,))
+    assert not any(math.isnan(v) for v in first)
+    d = mf.c2_distance(field, mf.round_metric())
+    assert math.isnan(d.c0) and math.isnan(d.c1) and math.isnan(d.c2)
