@@ -163,11 +163,19 @@ def _window_fields():
 
 
 @pytest.mark.parametrize("field,fn", _window_fields())
-def test_grid_components_match_chart_formulas(field, fn):
+@pytest.mark.parametrize("n", [24, 127, 128, 256])
+def test_grid_components_match_chart_formulas(field, fn, n):
+    # the field on a window of n points about each centre, odd n holding
+    # the centre itself; ``grid_components`` samples the window of
+    # BOUNDARY_RESOLUTION points
+    axis = np.linspace(-mf.INTERIOR_HALF_WIDTH, mf.INTERIOR_HALF_WIDTH, n)
     for centre in mf.WINDOW_CENTRES:
-        got = np.asarray(field.grid_components(centre))
-        want = fn(centre, mf._WINDOW_AXIS)
-        assert got.shape == want.shape == (mf.BOUNDARY_RESOLUTION,)
+        got = np.asarray(field.components(axis + centre))
+        if n == mf.BOUNDARY_RESOLUTION:
+            assert axis.tobytes() == mf._WINDOW_AXIS.tobytes()
+            got = np.asarray(field.grid_components(centre))
+        want = fn(centre, axis)
+        assert got.shape == want.shape == (n,)
         assert got.tobytes() == want.tobytes(), centre
 
 
@@ -249,7 +257,46 @@ def assert_bit_identical(got, want):
 # the two grids the kernel serves, as the reference's ``periodic``: a
 # bounded circle window and a join sheet, periodic in phi, bounded in beta
 WINDOW, SHEET = (False,), (True, False)
-SERVED = [pytest.param(WINDOW, id="window"), pytest.param(SHEET, id="sheet")]
+
+# every layout of the reference, and the component axes a field may carry
+# after its grid axes
+PERIODIC_1 = [(False,), (True,)]
+PERIODIC_2 = [(False, False), (True, False), (False, True), (True, True)]
+COMPONENT_SHAPES = [(), (1, 1), (2, 2)]
+
+
+def served_layout(delta, steps, periodic):
+    """``delta`` on a reference layout, as (array, steps) on a grid the
+    kernel serves with the same stencils, each in the reference's term
+    order: a periodic circle is a sheet of one beta column, a (bounded,
+    periodic) grid its transposed sheet, and a periodic x periodic grid
+    the transposed sheet of its first axis wrapped by one entry at either
+    end.  A bounded x bounded grid has no such layout."""
+    if periodic == (True,):
+        return delta[:, None], (steps[0], 1.0)
+    if periodic == (False, True):
+        return delta.T, steps[::-1]
+    if periodic == (True, True):
+        return np.concatenate([delta[-1:], delta, delta[:1]]).T, steps[::-1]
+    return delta, steps
+
+
+def laid_out(layouts):
+    """The layouts of ``layouts`` that ``served_layout`` takes, as
+    parameters whose ids count every layout in order."""
+    return [pytest.param(p, id=f"periodic{i}")
+            for i, p in enumerate(layouts) if p != (False, False)]
+
+
+def kernel_sups(delta, steps, periodic):
+    """``mf.c2_sups`` of an array with trailing component axes: each
+    component, a strided view of ``delta``, on its served layout, and the
+    sups folded as ``extension.join_c2_distance`` folds its slots."""
+    n = len(periodic)
+    sups = [mf.c2_sups(*served_layout(delta[(Ellipsis,) + idx], steps,
+                                      periodic))
+            for idx in np.ndindex(*delta.shape[n:])]
+    return tuple(mf.max_carrying_nan(*col) for col in zip(*sups))
 
 
 @st.composite
@@ -284,45 +331,50 @@ def _corners_and_edges(shape):
     return picks
 
 
+@pytest.mark.parametrize("periodic", laid_out(PERIODIC_2))
+@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
 @pytest.mark.parametrize("read_only", [False, True])
-def test_c2_sups_single_entry_on_edges_and_corners_2d(read_only):
+def test_c2_sups_single_entry_on_edges_and_corners_2d(periodic, comps,
+                                                      read_only):
     # one nonzero entry at the grid's rim: a wrong wrap shows at once; a
     # read-only input shows that the kernel never writes into it
     shape = (5, 6)
     steps = (0.3, 0.07)
     for idx in _corners_and_edges(shape):
-        delta = np.zeros(shape)
+        delta = np.zeros(shape + comps)
         delta[idx] = 1.25
         delta.flags.writeable = not read_only
         before = delta.copy()
-        want = roll_c2_sups(delta, steps, periodic=SHEET)
-        got = mf.c2_sups(delta, steps)
+        want = roll_c2_sups(delta, steps, periodic=periodic)
+        got = kernel_sups(delta, steps, periodic)
         assert_bit_identical(got, want)
         assert np.array_equal(delta, before)
 
 
-def test_c2_sups_single_entry_on_edges_1d():
+@pytest.mark.parametrize("periodic", laid_out(PERIODIC_1))
+@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
+def test_c2_sups_single_entry_on_edges_1d(periodic, comps):
     for i in (0, 1, 5, 6):
-        delta = np.zeros(7)
+        delta = np.zeros((7,) + comps)
         delta[i] = -3.0
         delta.flags.writeable = False
-        want = roll_c2_sups(delta, (0.2,), periodic=WINDOW)
-        got = mf.c2_sups(delta, (0.2,))
+        want = roll_c2_sups(delta, (0.2,), periodic=periodic)
+        got = kernel_sups(delta, (0.2,), periodic)
         assert_bit_identical(got, want)
 
 
-@pytest.mark.parametrize("periodic", SERVED)
+@pytest.mark.parametrize("periodic", laid_out(PERIODIC_1 + PERIODIC_2))
 @pytest.mark.parametrize("read_only", [False, True])
 def test_c2_sups_all_zero_is_zero(periodic, read_only):
     shape = (6,) * len(periodic)
     steps = (0.1,) * len(periodic)
-    for delta in (np.zeros(shape), -np.zeros(shape)):
+    for delta in (np.zeros(shape + (2, 2)), -np.zeros(shape)):
         delta.flags.writeable = not read_only
-        got = mf.c2_sups(delta, steps)
+        got = kernel_sups(delta, steps, periodic)
         assert_bit_identical(got, (0.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("periodic", SERVED)
+@pytest.mark.parametrize("periodic", laid_out(PERIODIC_1 + PERIODIC_2))
 def test_c2_sups_carries_nan(periodic):
     # every sup whose stencils reach the NaN is NaN; the roll-based
     # reference drops it from c1 and c2
@@ -331,7 +383,7 @@ def test_c2_sups_carries_nan(periodic):
     for idx in [(0,) * len(periodic), (3,) * len(periodic)]:
         delta = np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape)
         delta[idx] = math.nan
-        c0, c1, c2 = mf.c2_sups(delta, steps)
+        c0, c1, c2 = mf.c2_sups(*served_layout(delta, steps, periodic))
         assert math.isnan(c0) and math.isnan(c1) and math.isnan(c2)
 
 
@@ -349,40 +401,43 @@ def test_c2_sups_cross_term_keeps_subtraction_order(seed):
                          roll_c2_sups(delta, steps, periodic=SHEET))
 
 
-def _layouts(grid, rng):
-    """(name, array of shape grid) in memory layouts that are not
+def _layouts(grid, comps, rng):
+    """(name, array of shape grid + comps) in memory layouts that are not
     C-contiguous: a transpose, a stride-0 sheet such as
     ``extension._slot_difference`` broadcasts (constant along the first
     grid axis, as a block_beta difference is along phi), and a strided
     slice of a larger array."""
-    n = len(grid)
-    transposed = rng.uniform(-1.0, 1.0, grid[::-1]).transpose()
-    sheet = np.broadcast_to(rng.uniform(-1.0, 1.0, (1,) + grid[1:]), grid)
-    big = rng.uniform(-1.0, 1.0, tuple(3 * k + 1 for k in grid))
+    shape = grid + comps
+    n = len(shape)
+    transposed = rng.uniform(-1.0, 1.0, shape[::-1]).transpose()
+    sheet = np.broadcast_to(rng.uniform(-1.0, 1.0, (1,) + shape[1:]), shape)
+    big = rng.uniform(-1.0, 1.0, tuple(3 * k + 1 for k in shape))
     strided = big[(slice(1, None, 3),) * n]
     return [("transposed", transposed), ("stride-0 sheet", sheet),
             ("strided", strided)]
 
 
-@pytest.mark.parametrize("periodic", SERVED)
-def test_c2_sups_non_contiguous_input_matches_reference(periodic):
+@pytest.mark.parametrize("periodic", laid_out(PERIODIC_1 + PERIODIC_2))
+@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
+def test_c2_sups_non_contiguous_input_matches_reference(periodic, comps):
     rng = np.random.default_rng(11)
     grid = (5, 7)[:len(periodic)]
     steps = (0.3, 0.07)[:len(periodic)]
-    for name, delta in _layouts(grid, rng):
-        assert delta.shape == grid, name
-        if name != "transposed" or len(grid) > 1:
+    for name, delta in _layouts(grid, comps, rng):
+        assert delta.shape == grid + comps, name
+        if name != "transposed" or sum(k > 1 for k in delta.shape) > 1:
             assert not delta.flags.c_contiguous, name
         want = roll_c2_sups(delta, steps, periodic=periodic)
-        got = mf.c2_sups(delta, steps)
+        got = kernel_sups(delta, steps, periodic)
         assert_bit_identical(got, want)
-        assert_bit_identical(mf.c2_sups(np.ascontiguousarray(delta), steps),
-                             got)
+        assert_bit_identical(
+            kernel_sups(np.ascontiguousarray(delta), steps, periodic), got)
 
 
-@pytest.mark.parametrize("periodic", SERVED)
+@pytest.mark.parametrize("periodic", laid_out(PERIODIC_1 + PERIODIC_2))
+@pytest.mark.parametrize("comps", COMPONENT_SHAPES)
 @pytest.mark.parametrize("seed", range(4))
-def test_c2_sups_row_seams_never_leak(periodic, seed):
+def test_c2_sups_row_seams_never_leak(periodic, comps, seed):
     # finite values of random sign near 1e300 on the first and last two
     # columns, small ones inside: the stencil lanes between rows (the
     # columns outside the evaluation region) would hold sums of up to four
@@ -390,17 +445,17 @@ def test_c2_sups_row_seams_never_leak(periodic, seed):
     # zeroed.  Nothing here overflows, so neither kernel may warn.
     rng = np.random.default_rng(seed)
     grid = (6, 5)[-len(periodic):]
-    delta = rng.uniform(-1e-3, 1e-3, grid)
-    edges = rng.choice([-1.0, 1.0], grid[:-1] + (4,))
-    delta[..., [0, 1, -2, -1]] = (1e300 * edges
-                                  * rng.uniform(0.9, 1.0, edges.shape))
+    delta = rng.uniform(-1e-3, 1e-3, grid + comps)
+    edges = rng.choice([-1.0, 1.0], (grid[:-1] + (4,) + comps))
+    edge_columns = (Ellipsis, [0, 1, -2, -1]) + (slice(None),) * len(comps)
+    delta[edge_columns] = 1e300 * edges * rng.uniform(0.9, 1.0, edges.shape)
     steps = (0.3, 0.07)[-len(periodic):]
     with warnings.catch_warnings(record=True) as ref_warned:
         warnings.simplefilter("always")
         want = roll_c2_sups(delta, steps, periodic=periodic)
     with warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")
-        got = mf.c2_sups(delta, steps)
+        got = kernel_sups(delta, steps, periodic)
     assert ref_warned == []
     assert [str(w.message) for w in warned] == []
     assert_bit_identical(got, want)
