@@ -20,13 +20,14 @@ that each of its values, from the defaults, a flag or a flat
 goes through once; a file sets each key at most once.  Flags override
 file keys, and file keys serve every suite; a flag a suite does not read
 is refused.  RunConfig.validate checks every key whichever suite runs.
-Every suite writes report.jsonl, report.csv and summary.txt into --out
-(never empty), atomically, and byte-identically for identical
-configuration (including the seed).  Exit codes: 0 all assertions
-passed, 1 an assertion failed, 2 usage or configuration error, or an
-input a suite refuses (say a lambda' above hyptrig.LAMBDA_PRIME_MAX, or a
-claim theta so small that the claim's threshold sweep would start above
-that top).
+Each suite returns its records, CSV columns, summary lines and verdict;
+main writes them (write_reports) as report.jsonl, report.csv (standard
+CSV) and summary.txt into --out (never empty), atomically, and
+byte-identically for identical configuration (including the seed).  Exit
+codes: 0 all assertions passed, 1 an assertion failed, 2 usage or
+configuration error, an input a suite refuses (say a lambda' above
+hyptrig.LAMBDA_PRIME_MAX, or a claim theta so small that the claim's
+threshold sweep would start above that top), or an unwritable --out.
 
 Negative-control hooks (test-only, documented here on purpose): a coarse
 --fd-step 0.02 breaks the identities suite's tolerance (steps so large
@@ -41,11 +42,13 @@ corresponding suite to exit code 1; only that suite takes the hook.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -240,9 +243,10 @@ class RunConfig:
                 f"unknown bump_direction {self.bump_direction!r} (expected "
                 f"one of {', '.join(fam.DIRECTION_TAGS)})")
         # the reports go into out, or into a directory made there: the
-        # nearest existing path must be a directory
+        # nearest existing path must be a directory (os.path.exists, unlike
+        # Path.exists, is False for a path too long to look up)
         existing = next((p for p in (self.out, *self.out.parents)
-                         if p.exists()), None)
+                         if os.path.exists(p)), None)
         if existing is not None and not existing.is_dir():
             raise ConfigError(f"output path {existing} exists and is not "
                               "a directory")
@@ -293,24 +297,27 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def write_reports(out_dir, records, csv_columns, summary_lines):
+def _cell(value):
+    """A report.csv cell: repr for floats, x-joined lists, str otherwise."""
+    if isinstance(value, list):
+        return "x".join(str(x) for x in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def write_reports(out_dir, records, columns, summary_lines):
+    """Write report.jsonl (sorted keys), report.csv (standard CSV) and
+    summary.txt into out_dir, each atomically; a record that lacks one of
+    the ``columns`` holds "" there in both reports."""
+    records = [{**dict.fromkeys(columns, ""), **r} for r in records]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jsonl = "\n".join(json.dumps(r, sort_keys=True) for r in records)
-    _atomic_write(out / "report.jsonl", jsonl + ("\n" if jsonl else ""))
-    csv_rows = [",".join(csv_columns)]
-    for r in records:
-        row = []
-        for col in csv_columns:
-            v = r[col]
-            if isinstance(v, list):
-                row.append("x".join(str(x) for x in v))
-            elif isinstance(v, float):
-                row.append(repr(v))
-            else:
-                row.append(str(v))
-        csv_rows.append(",".join(row))
-    _atomic_write(out / "report.csv", "\n".join(csv_rows) + "\n")
+    _atomic_write(out / "report.jsonl", "".join(
+        json.dumps(r, sort_keys=True) + "\n" for r in records))
+    buf = io.StringIO()
+    table = csv.writer(buf, lineterminator="\n")
+    table.writerow(columns)
+    table.writerows([_cell(r[c]) for c in columns] for r in records)
+    _atomic_write(out / "report.csv", buf.getvalue())
     _atomic_write(out / "summary.txt", "\n".join(summary_lines) + "\n")
 
 
@@ -374,10 +381,8 @@ def cmd_identities(cfg):
         summary.append(f"{'PASS' if ok else 'FAIL'} {name}: worst residual "
                        f"{worst:.3e} (tolerance {tol:.0e})")
     summary.append(f"{'PASS' if all_ok else 'FAIL'} identities suite")
-    write_reports(cfg.out, records,
-                  ("identity", "worst", "tolerance", "passed", "seed"),
-                  summary)
-    return 0 if all_ok else 1
+    return (records, ("identity", "worst", "tolerance", "passed", "seed"),
+            summary, all_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +399,6 @@ def cmd_oracle(cfg):
     for s in cfg.s_values:
         formula = ext.cut_via_formula(base, s).sample(phi, beta)
         if cfg.corrupt == "formula-beta":
-            from dataclasses import replace
             formula = replace(formula, block_beta=formula.block_beta * 1.01)
         oracle = ext.cut_via_pullback(base, s, phi, beta)
         rep = ext.compare_join(formula, oracle)
@@ -414,12 +418,10 @@ def cmd_oracle(cfg):
             f"{rep['max_abs_offdiag']:.3e}")
     summary.append(f"{'PASS' if all_ok else 'FAIL'} oracle suite "
                    f"({base_name}, {n_phi}x{n_beta}x2 points)")
-    write_reports(cfg.out, records,
-                  ("family_id", "s", "grid", "max_rel_err_block_H",
-                   "max_rel_err_block_M", "max_rel_err_block_beta",
-                   "max_abs_offdiag", "passed"),
-                  summary)
-    return 0 if all_ok else 1
+    return (records, ("family_id", "s", "grid", "max_rel_err_block_H",
+                      "max_rel_err_block_M", "max_rel_err_block_beta",
+                      "max_abs_offdiag", "passed"),
+            summary, all_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +460,10 @@ def cmd_converge(cfg):
     summary.extend(f"FAIL {f}" for f in failures)
     summary.append(f"{'PASS' if not failures else 'FAIL'} converge suite "
                    f"({family.family_id})")
-    write_reports(cfg.out, records, cl.ConvergenceReport.CSV_COLUMNS, summary)
-    return 0 if not failures else 1
+    return (records, ("theta", "b", "lambda_prime", "c0", "c1", "c2", "grid",
+                      "fd_step", "family_id", "boundary_M_c0",
+                      "boundary_H_c0"),
+            summary, not failures)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +490,7 @@ def cmd_claim(cfg):
             ok = False
         all_ok &= ok
         rec = {"theta": theta, "passed": ok}
-        rec.update({k: v for k, v in rep.items()})
+        rec.update(rep)
         records.append(rec)
         if ok:
             summary.append(
@@ -498,13 +502,9 @@ def cmd_claim(cfg):
             summary.append(f"FAIL theta={theta:.6g}: {rep.get('error')}")
     summary.append(f"{'PASS' if all_ok else 'FAIL'} claim suite "
                    f"({family.family_id})")
-    cols = ("theta", "passed", "beta1", "lambda0", "margin_at_top",
-            "exactness_max_dev")
-    for r in records:
-        for colkey in cols:
-            r.setdefault(colkey, "")
-    write_reports(cfg.out, records, cols, summary)
-    return 0 if all_ok else 1
+    return (records, ("theta", "passed", "beta1", "lambda0", "margin_at_top",
+                      "exactness_max_dev"),
+            summary, all_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +570,7 @@ def main(argv=None):
         print(f"hypext: configuration error: {e}", file=sys.stderr)
         return 2
     try:
-        return args.func(cfg)
+        records, columns, summary, passed = args.func(cfg)
     except ConfigError as e:
         print(f"hypext: {e}", file=sys.stderr)
         return 2
@@ -580,6 +580,13 @@ def main(argv=None):
     except VerificationError as e:
         print(f"hypext: verification failed: {e}", file=sys.stderr)
         return 1
+    try:
+        write_reports(cfg.out, records, columns, summary)
+    except OSError as e:
+        print(f"hypext: cannot write reports into {cfg.out}: "
+              f"{e.strerror or e}", file=sys.stderr)
+        return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

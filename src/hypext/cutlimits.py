@@ -195,14 +195,12 @@ def predicted_limit(family, theta, b):
 @dataclass
 class ConvergenceReport:
     """Per-(theta, b, lambda') grid C^2 distances to the predicted limit,
-    plus boundary checks, and the wall time of the measuring loop."""
+    plus boundary checks, and the wall time of the measuring loop.  The
+    records are the converge suite's report rows; cli.cmd_converge names
+    their CSV columns."""
 
     records: list
     wall_clock_s: float
-
-    CSV_COLUMNS = ("theta", "b", "lambda_prime", "c0", "c1", "c2",
-                   "grid", "fd_step", "family_id",
-                   "boundary_M_c0", "boundary_H_c0")
 
 
 def run_convergence(family, theta, b_grid, lambda_prime_grid,

@@ -29,21 +29,21 @@ near 710 and, inside compositions, loses digits much earlier.
 ``solve_r`` with two float scalars (``float`` or ``np.float64``) takes a
 scalar path for its per-column callers, who pay more for the broadcast,
 ravel and mask machinery than for the arithmetic.  Its kernel,
-``_asinh_scaled_sinh_scalar``, applies the array path's numpy ufuncs to
-0-d values in the same order, with the same branch switches and domain
-errors, so both give the same bits (``math.*`` would not: its functions
-differ from numpy's in the last bit on a share of inputs).  A NaN ``s``
+``_solve_r_scalar``, applies the array path's numpy ufuncs to 0-d values
+in the same order, with the same branch switches and domain errors, so
+both give the same bits (``math.*`` would not: its functions differ from
+numpy's in the last bit on a share of inputs).  A NaN ``s`` or ``beta``
 takes the array path, since which of two NaNs a numpy scalar sum keeps
-depends on how numpy was compiled.  A NaN angle gives a NaN leg on both
-paths; only ``sin(beta) == 0`` gives ``r = 0``.
+depends on how numpy was compiled; there a NaN angle gives a NaN leg.
+Only ``sin(beta) == 0`` gives ``r = 0``.
 
 The scalar ``solve_r`` keeps two caches, since its per-column callers
 repeat one beta axis in every cut and one s across a cut's columns:
 per beta, ``(log sin beta, e^{log sin beta})``, and per s, ``sinh s``.
 Each holds at most ``_SCALAR_CACHE_BOUND`` = 1024 entries and is emptied
 when full.  Every domain error is raised before either cache is read;
-a zero or NaN beta is never cached.  The cached values are the floats
-the uncached kernel computes, so a hit gives the same bits.
+a zero beta is never cached.  The cached values are the floats the
+kernel computes from the key, so a hit gives the same bits.
 """
 
 from __future__ import annotations
@@ -151,18 +151,6 @@ def _check_theta(theta, what):
         raise DomainError(f"{what}: theta must lie in (0, pi/2]")
 
 
-def _asinh_scaled_sinh_scalar(log_k, s):
-    """``_asinh_scaled_sinh`` for 0-d float64 log_k and s, the kernel of the
-    scalar ``solve_r``: the ufuncs of the array path (with
-    ``_asinh_of_exp``) in the same order, with the same branch switches."""
-    if s <= LOG_SWITCH and not log_k + s > 300.0:
-        return float(np.arcsinh(np.exp(log_k) * np.sinh(s)))
-    ln_y = log_k + s - _LN2 + np.log1p(-np.exp(-2.0 * s))
-    if ln_y >= 20.0:
-        return float(ln_y + _LN2)
-    return float(np.arcsinh(np.exp(ln_y)))
-
-
 # the scalar solve_r caches (see the module docstring); each value is a
 # function of its key alone, so callers and threads may share them
 _SCALAR_CACHE_BOUND = 1024
@@ -171,10 +159,10 @@ _SINH_CACHE = {}
 
 
 def _solve_r_scalar(s, beta):
-    """solve_r for float scalars, with the array path's domain errors,
-    checked before either cache is read.  A zero or NaN beta is never
-    cached: sin(beta) == 0 gives r = 0, and a NaN takes the uncached
-    kernel."""
+    """solve_r for float scalars other than NaN: the branches of
+    ``_asinh_scaled_sinh`` (with ``_asinh_of_exp``) on 0-d values, with
+    the array path's domain errors, checked before either cache is read.
+    A zero beta is never cached: sin(beta) == 0 gives r = 0."""
     if s <= 0.0:
         raise DomainError("solve_r: s must be > 0")
     if beta < 0.0 or beta > HALF_PI:
@@ -185,21 +173,30 @@ def _solve_r_scalar(s, beta):
         if sinb == 0.0:
             return 0.0
         log_k = np.log(sinb)
-        if beta != beta:
-            return _asinh_scaled_sinh_scalar(log_k, s)
         if len(_SIN_CACHE) >= _SCALAR_CACHE_BOUND:
             _SIN_CACHE.clear()
         cached = _SIN_CACHE[beta] = float(log_k), float(np.exp(log_k))
     log_k, k = cached
     if s <= LOG_SWITCH and not log_k + s > 300.0:
-        # _asinh_scaled_sinh_scalar's direct branch, asinh(k * sinh(s))
+        # the direct branch, asinh(k * sinh(s))
         sinh_s = _SINH_CACHE.get(s)
         if sinh_s is None:
             if len(_SINH_CACHE) >= _SCALAR_CACHE_BOUND:
                 _SINH_CACHE.clear()
             sinh_s = _SINH_CACHE[s] = float(np.sinh(s))
         return float(np.arcsinh(k * sinh_s))
-    return _asinh_scaled_sinh_scalar(log_k, s)
+    ln_y = log_k + s - _LN2 + np.log1p(-np.exp(-2.0 * s))
+    if ln_y >= 20.0:
+        return float(ln_y + _LN2)
+    return float(np.arcsinh(np.exp(ln_y)))
+
+
+def _leg_r(s, sinb):
+    """solve_r on flat arrays, from sin(beta): 0 where sin(beta) == 0."""
+    r = np.zeros_like(s)
+    pos = sinb != 0.0
+    r[pos] = _asinh_scaled_sinh(np.log(sinb[pos]), s[pos])
+    return r
 
 
 def solve_r(s, beta):
@@ -208,17 +205,14 @@ def solve_r(s, beta):
     Stable for s well beyond 700 via log-domain evaluation.  A NaN input
     gives a NaN leg; r = 0 only where sin(beta) == 0.
     """
-    if isinstance(s, float) and isinstance(beta, float) and s == s:
+    if (isinstance(s, float) and isinstance(beta, float) and s == s
+            and beta == beta):
         return _solve_r_scalar(s, beta)
     (s, beta), shape, scalar = _prepare(s, beta)
     if np.any(s <= 0.0):
         raise DomainError("solve_r: s must be > 0")
     _check_beta_closed(beta, "solve_r")
-    sinb = np.sin(beta)
-    out = np.zeros_like(s)
-    pos = sinb != 0.0
-    out[pos] = _asinh_scaled_sinh(np.log(sinb[pos]), s[pos])
-    return _finish(out, shape, scalar)
+    return _finish(_leg_r(s, np.sin(beta)), shape, scalar)
 
 
 def _solve_rt(s, beta):
@@ -240,9 +234,7 @@ def _solve_rt(s, beta):
     """
     sinb = np.sin(beta)
     cosb = np.cos(beta)
-    r = np.zeros_like(s)
-    pos = sinb != 0.0
-    r[pos] = _asinh_scaled_sinh(np.log(sinb[pos]), s[pos])
+    r = _leg_r(s, sinb)
 
     t = np.zeros_like(s)
     tpos = cosb != 0.0

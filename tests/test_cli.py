@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -120,6 +122,9 @@ def test_angle_parsing():
     ["converge", "--lambda-prime", "4,6,8,1e308"],
     # an empty out would be the current directory
     ["identities", "--out", ""],
+    # an out the reports cannot be written into: a path component longer
+    # than any file system admits
+    ["identities", "--out", "{tmp}/" + "a" * 300],
 ])
 def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
@@ -130,6 +135,19 @@ def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     assert "hypext" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
     assert (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no os.symlink")
+def test_out_under_a_dangling_symlink_is_exit_2(tmp_path, capsys):
+    # out's nearest existing parent is a directory, so the suite runs; the
+    # reports cannot be written, which is bad input, not a traceback
+    os.symlink(tmp_path / "missing", tmp_path / "dangling")
+    out = tmp_path / "dangling" / "out"
+    assert run(["identities", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"hypext: cannot write reports into {out}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("suite,line", [
@@ -286,6 +304,42 @@ def test_fuzzed_argv_gives_an_exact_exit_code(argv):
 
 
 # ---------------------------------------------------------------------------
+# report.csv
+# ---------------------------------------------------------------------------
+
+def _csv_cell(value):
+    # floats as repr, lists joined by "x", anything else as str
+    if isinstance(value, list):
+        return "x".join(str(x) for x in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["identities"], 0), (["oracle"], 0), (["converge"], 0), (["claim"], 0),
+    # a failed claim's record lacks lambda0 and the later columns
+    (["claim", "--corrupt", "beta1-large"], 1),
+], ids=["identities", "oracle", "converge", "claim", "claim-failed"])
+def test_report_csv_is_well_formed(tmp_path, argv, code):
+    # the cos2 bump family's id holds commas, which must be quoted
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("schema_version = 1\ngrid = 24\n"
+                       "bump_direction = cos2\n")
+    out = tmp_path / "out"
+    assert run(argv + ["--config", str(cfgfile), "--out", str(out)]) == code
+    with open(out / "report.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    recs = read_jsonl(out)
+    assert len(rows) == len(recs) > 0
+    for row, rec in zip(rows, recs):
+        assert len(row) == len(header)
+        assert row == [_csv_cell(rec[col]) for col in header]
+    if argv[0] == "converge":
+        assert all("," in rec["family_id"] for rec in recs)
+    if code:
+        assert all(rec["lambda0"] == "" for rec in recs)
+
+
+# ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
 
@@ -300,9 +354,9 @@ def test_identities_pass_and_outputs(tmp_path):
     assert all(r["passed"] for r in recs)
     summary = (out / "summary.txt").read_text()
     assert "PASS identities suite" in summary
-    csv = (out / "report.csv").read_text().splitlines()
-    assert csv[0].startswith("identity,")
-    assert len(csv) == len(recs) + 1
+    csv_lines = (out / "report.csv").read_text().splitlines()
+    assert csv_lines[0].startswith("identity,")
+    assert len(csv_lines) == len(recs) + 1
 
 
 def test_identities_negative_control_fd_step(tmp_path):
