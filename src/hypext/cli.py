@@ -14,20 +14,20 @@ claim        --family, --theta: small-angle threshold, inequality sweep
              plus exact-roundness, at the collar bound B and shifted edge
              c' that cutlimits.claim_bounds reads from the family
 
-Every configuration key has one row in KEYS: its default and the parser
-that each of its values, from the defaults, a flag or a flat
-``key = value`` file (--config; it must carry ``schema_version = 1``),
-goes through once; a file sets each key at most once.  Flags override
-file keys, and file keys serve every suite; a flag a suite does not read
-is refused.  RunConfig.validate checks every key whichever suite runs.
-Each suite returns its records, CSV columns, summary lines and verdict;
-main writes them (write_reports) as report.jsonl, report.csv (standard
-CSV) and summary.txt into --out (never empty), atomically, and
-byte-identically for identical configuration (including the seed).  Exit
-codes: 0 all assertions passed, 1 an assertion failed, 2 usage or
-configuration error, an input a suite refuses (say a lambda' above
-hyptrig.LAMBDA_PRIME_MAX, or a claim theta so small that the claim's
-threshold sweep would start above that top), or an unwritable --out.
+Every configuration key has one row in KEYS: its default and its parser,
+which holds all of the key's rules.  Each value, from the defaults, a
+flag or a flat ``key = value`` file (--config; it must carry
+``schema_version = 1``, and sets each key at most once), goes through it
+once, so a file value is checked whichever suite runs, even where a flag
+overrides it.  Flags override file keys; a flag a suite does not read is
+refused.  A suite checks every theta before it measures the first.  Each
+suite returns its records, CSV columns, summary lines and verdict; main
+writes them (write_reports) as report.jsonl, report.csv (standard CSV)
+and summary.txt into --out, byte-identically for identical configuration
+(including the seed).  Exit codes: 0 all assertions passed, 1 an
+assertion failed, 2 usage or configuration error, an input a suite
+refuses (say a claim theta so small that the claim's threshold sweep
+would start above hyptrig.LAMBDA_PRIME_MAX), or an unwritable --out.
 
 Negative-control hooks (test-only, documented here on purpose): a coarse
 --fd-step 0.02 breaks the identities suite's tolerance (steps so large
@@ -42,13 +42,14 @@ corresponding suite to exit code 1; only that suite takes the hook.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,17 @@ def _number(kind):
     return parse
 
 
+def _where(parse, ok, rule):
+    """Parser of one ``parse`` value that ``ok`` admits; any other value
+    is a ConfigError saying that it ``rule``."""
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise ConfigError(f"{value!r} {rule}")
+        return value
+    return check
+
+
 def _list(parse):
     """Parser of a comma list, each item by ``parse``."""
     return lambda text: [parse(t) for t in text.split(",")]
@@ -124,34 +136,60 @@ def _auto(parse):
 
 _int, _float = _number(int), _number(float)
 
+# the files of one report set, in the order write_reports writes them
+REPORTS = ("report.jsonl", "report.csv", "summary.txt")
 
-def _path(text):
-    """Parser of a non-empty path (Path("") is the current directory)."""
+
+def _out(text):
+    """Parser of the output directory: a non-empty path (Path("") is the
+    current directory) whose nearest existing path (by os.path.exists,
+    which is False for a path too long to look up) is a directory, where
+    no report name is taken by anything but a file."""
     if not text:
         raise ConfigError("empty path")
-    return Path(text)
+    out = Path(text)
+    existing = next((p for p in (out, *out.parents) if os.path.exists(p)),
+                    None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"{existing} exists and is not a directory")
+    for report in (out / name for name in REPORTS):
+        if os.path.exists(report) and not os.path.isfile(report):
+            raise ConfigError(f"{report} exists and is not a file")
+    return out
 
 
-def _schema_version(text):
-    if _int(text) != SCHEMA_VERSION:
-        raise ConfigError(f"{text} is not supported (expected "
-                          f"{SCHEMA_VERSION})")
-    return SCHEMA_VERSION
-
-
-# every configuration key: its default and its parser
+# every configuration key: its default and its parser, which holds the
+# key's every rule (beyond LAMBDA_PRIME_MAX, lambda' + b rounds b away)
 KEYS = {
-    "schema_version": (SCHEMA_VERSION, _schema_version),
-    "family": ("bump", str),
-    "theta": ("pi/2,pi/3", _list(parse_angle)),
-    "b": ("auto", _auto(_list(_float))),
-    "lambda_prime": ("4,6,8,10", _list(_float)),
-    "grid": (96, _int),
-    "seed": (0, _int),
-    "out": ("out", _path),
-    "fd_step": ("auto", _auto(_float)),
-    "s_values": ("1,3,6", _list(_float)),
-    "bump_direction": ("uniform", str),
+    "schema_version": (SCHEMA_VERSION, _where(
+        _int, lambda v: v == SCHEMA_VERSION,
+        f"is not supported (expected {SCHEMA_VERSION})")),
+    "family": ("bump", _where(str, lambda f: f in ("hyperbolic", "bump"),
+                              "is not hyperbolic or bump")),
+    "theta": ("pi/2,pi/3", _list(_where(
+        parse_angle, lambda t: 0.0 < t <= math.pi / 2,
+        "lies outside (0, pi/2]"))),
+    "b": ("auto", _auto(_where(_list(_float),
+                               lambda bs: len(set(bs)) == len(bs),
+                               "repeats a value"))),
+    "lambda_prime": ("4,6,8,10", _where(_list(_where(
+        _float, lambda x: 0.0 < x <= ht.LAMBDA_PRIME_MAX,
+        f"lies outside (0, {ht.LAMBDA_PRIME_MAX:g}]")),
+        lambda xs: all(x < y for x, y in zip(xs, xs[1:])),
+        "is not strictly increasing")),
+    "grid": (96, _where(_int, lambda n: 24 <= n <= GRID_MAX,
+                        f"lies outside [24, {GRID_MAX}]")),
+    "seed": (0, _where(_int, lambda n: n >= 0, "is negative")),
+    "out": ("out", _out),
+    "fd_step": ("auto", _auto(_where(_float, lambda h: h > 0.0,
+                                     "is not positive"))),
+    "s_values": ("1,3,6", _list(_where(
+        _float, lambda s: ext.RADIUS_MIN <= s < ext.RADIUS_MAX,
+        f"lies outside the oracle's sphere radii [{ext.RADIUS_MIN:.3g}, "
+        f"{ext.RADIUS_MAX:g})"))),
+    "bump_direction": ("uniform", _where(
+        str, lambda d: d in fam.DIRECTION_TAGS,
+        f"is not one of {', '.join(fam.DIRECTION_TAGS)}")),
 }
 DEFAULTS = {key: default for key, (default, _) in KEYS.items()}
 
@@ -188,88 +226,26 @@ def read_config_file(path):
     return values
 
 
-@dataclass
-class RunConfig:
-    """Resolved run parameters: one field per configuration key but
-    schema_version ('auto' is None), and the corruption hook."""
-
-    family: str
-    theta: list
-    b: list | None
-    lambda_prime: list
-    grid: int
-    seed: int
-    out: Path
-    fd_step: float | None
-    s_values: list
-    bump_direction: str
-    corrupt: str | None
-
-    def validate(self):
-        """Refuse any value some suite cannot run, whichever suite runs:
-        every angle, radius, step and seed in its range, and a bump
-        direction outside families.DIRECTION_TAGS.  The parsers have
-        refused every non-finite number."""
-        if self.family not in ("hyperbolic", "bump"):
-            raise ConfigError(f"unknown family {self.family!r}")
-        for th in self.theta:
-            if not (0.0 < th <= math.pi / 2):
-                raise ConfigError(f"theta {th} outside (0, pi/2]")
-        if sorted(self.lambda_prime) != self.lambda_prime:
-            raise ConfigError("lambda_prime grid must be sorted")
-        if self.lambda_prime[0] <= 0.0:
+def b_grid(b, family, theta):
+    """The b grid of one theta: the given ``b`` values, refusing any
+    beyond c', or for b = auto (None) five distinct values from -2 up to
+    c'."""
+    cp = cl.c_prime_bound(family, theta)
+    if b is None:
+        grid = np.linspace(-2.0, cp if math.isfinite(cp) else 1.0, 5)
+        if not np.all(np.diff(grid) > 0.0):
             raise ConfigError(
-                f"lambda_prime {self.lambda_prime[0]} must be > 0")
-        if self.lambda_prime[-1] > ht.LAMBDA_PRIME_MAX:
-            # beyond it lambda' + b rounds b away, and near 1e308 overflows
-            raise ConfigError(
-                f"lambda_prime {self.lambda_prime[-1]} exceeds "
-                f"{ht.LAMBDA_PRIME_MAX:g}, the largest lambda' evaluated")
-        if not 24 <= self.grid <= GRID_MAX:
-            raise ConfigError(
-                f"grid resolution {self.grid} outside [24, {GRID_MAX}]")
-        if self.seed < 0:
-            raise ConfigError(f"seed {self.seed} must be >= 0")
-        if self.fd_step is not None and not self.fd_step > 0.0:
-            raise ConfigError(f"fd_step {self.fd_step} must be > 0")
-        for s in self.s_values:
-            if not ext.RADIUS_MIN <= s < ext.RADIUS_MAX:
-                raise ConfigError(
-                    f"s value {s} outside the sphere radii "
-                    f"[{ext.RADIUS_MIN:.3g}, {ext.RADIUS_MAX:g}) of the "
-                    "oracle's cuts")
-        if self.bump_direction not in fam.DIRECTION_TAGS:
-            raise ConfigError(
-                f"unknown bump_direction {self.bump_direction!r} (expected "
-                f"one of {', '.join(fam.DIRECTION_TAGS)})")
-        # the reports go into out, or into a directory made there: the
-        # nearest existing path must be a directory (os.path.exists, unlike
-        # Path.exists, is False for a path too long to look up)
-        existing = next((p for p in (self.out, *self.out.parents)
-                         if os.path.exists(p)), None)
-        if existing is not None and not existing.is_dir():
-            raise ConfigError(f"output path {existing} exists and is not "
-                              "a directory")
-
-    def b_grid(self, family, theta):
-        """Resolve the b grid for one theta, refusing values beyond c' and
-        an auto grid [-2, c'] that holds no five distinct values."""
-        cp = cl.c_prime_bound(family, theta)
-        if self.b is None:
-            top = cp if math.isfinite(cp) else 1.0
-            if not top > -2.0:
-                raise ConfigError(
-                    f"the auto b grid runs from -2 up to c' = {cp:.6g}, "
-                    f"which lies at or below -2 for theta = {theta:.6g}: "
-                    "give b values at or below c'")
-            return list(np.linspace(-2.0, top, 5))
-        beyond = [b for b in self.b if b > cp]
-        if beyond:
-            raise ConfigError(
-                f"b values {beyond} exceed c' = {cp:.6g} for theta = "
-                f"{theta:.6g}: the reparametrized family has no predicted "
-                "limit there (requires b <= c + ln sin(theta) - margin)")
-        return self.b
+                f"the auto b grid runs from -2 up to c' = {cp:.6g}, "
+                f"which holds no five distinct values for theta = "
+                f"{theta:.6g}: give b values at or below c'")
+        return grid.tolist()
+    beyond = [x for x in b if x > cp]
+    if beyond:
+        raise ConfigError(
+            f"b values {beyond} exceed c' = {cp:.6g} for theta = "
+            f"{theta:.6g}: the reparametrized family has no predicted "
+            "limit there (requires b <= c + ln sin(theta) - margin)")
+    return b
 
 
 def build_family(cfg):
@@ -291,12 +267,6 @@ def build_base_metric(cfg):
     return f"bump-member[lam={lam0:g}]", lambda r: family.cut(lam0, r)
 
 
-def _atomic_write(path, text):
-    tmp = Path(f"{path}.tmp-{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _cell(value):
     """A report.csv cell: repr for floats, x-joined lists, str otherwise."""
     if isinstance(value, list):
@@ -306,19 +276,29 @@ def _cell(value):
 
 def write_reports(out_dir, records, columns, summary_lines):
     """Write report.jsonl (sorted keys), report.csv (standard CSV) and
-    summary.txt into out_dir, each atomically; a record that lacks one of
-    the ``columns`` holds "" there in both reports."""
+    summary.txt into out_dir, all three into temporaries before the first
+    rename (a failed write unlinks its temporaries); a record that lacks
+    one of the ``columns`` holds "" there in both reports."""
     records = [{**dict.fromkeys(columns, ""), **r} for r in records]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "report.jsonl", "".join(
-        json.dumps(r, sort_keys=True) + "\n" for r in records))
     buf = io.StringIO()
     table = csv.writer(buf, lineterminator="\n")
     table.writerow(columns)
     table.writerows([_cell(r[c]) for c in columns] for r in records)
-    _atomic_write(out / "report.csv", buf.getvalue())
-    _atomic_write(out / "summary.txt", "\n".join(summary_lines) + "\n")
+    texts = ("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+             buf.getvalue(), "\n".join(summary_lines) + "\n")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    tmps = [out / f"{name}.tmp-{os.getpid()}" for name in REPORTS]
+    try:
+        for tmp, text in zip(tmps, texts):
+            tmp.write_text(text)
+        for tmp, name in zip(tmps, REPORTS):
+            os.replace(tmp, out / name)
+    except OSError:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +412,18 @@ def cmd_converge(cfg):
     family = build_family(cfg)
     n_beta = cfg.grid
     n_phi = max(16, cfg.grid // 2)
-    # every b grid, and every theta's cut radii and family indices, are
-    # checked before the first cut
-    b_grids = [cfg.b_grid(family, theta) for theta in cfg.theta]
-    for theta, bs in zip(cfg.theta, b_grids):
-        cl.cut_indices(theta, cfg.lambda_prime, min(bs))
-    reports = []
-    for theta, bs in zip(cfg.theta, b_grids):
-        rep = cl.run_convergence(
-            family, theta, bs, cfg.lambda_prime,
-            n_phi=n_phi, n_beta=n_beta,
-            corrupt_limit=1e-3 if cfg.corrupt == "limit-shift" else 0.0)
-        reports.append(rep)
+    # every theta's b grid and cut indices are resolved before the first
+    # cut
+    cuts = []
+    for theta in cfg.theta:
+        bs = b_grid(cfg.b, family, theta)
+        cuts.append((theta, bs,
+                     cl.cut_indices(theta, cfg.lambda_prime, min(bs))))
+    reports = [cl.run_convergence(
+        family, theta, bs, cfg.lambda_prime, lams,
+        n_phi=n_phi, n_beta=n_beta,
+        corrupt_limit=1e-3 if cfg.corrupt == "limit-shift" else 0.0)
+        for theta, bs, lams in cuts]
     failures = cl.check_convergence_assertions(reports)
     records = [r for rep in reports for r in rep.records]
     summary = []
@@ -472,22 +452,29 @@ def cmd_converge(cfg):
 
 def cmd_claim(cfg):
     family = build_family(cfg)
-    # every theta's threshold sweep is checked before the first claim
-    bounds = [cl.claim_bounds(family, theta) for theta in cfg.theta]
-    for theta, (B, cp) in zip(cfg.theta, bounds):
-        ht.beta1_sweep_start(theta, B, cp)
+    # every theta's threshold is computed (or refused) before the first
+    # claim; a threshold that fails its own check fails that theta's row
+    thresholds = []
+    for theta in cfg.theta:
+        try:
+            thresholds.append(
+                (ht.beta1_threshold(theta, *cl.claim_bounds(family, theta)),
+                 None))
+        except VerificationError as e:
+            thresholds.append((None, str(e)))
     records, summary = [], []
     all_ok = True
-    for theta, (B, cp) in zip(cfg.theta, bounds):
-        beta1 = None
-        try:
-            beta1 = (1.5 if cfg.corrupt == "beta1-large"
-                     else ht.beta1_threshold(theta, B, cp))
-            rep = cl.verify_beta1_claim(family, theta, beta1)
-            ok = True
-        except VerificationError as e:
-            rep = {"beta1": beta1, "error": str(e)}
-            ok = False
+    for theta, (beta1, error) in zip(cfg.theta, thresholds):
+        if cfg.corrupt == "beta1-large":
+            beta1, error = 1.5, None
+        if error is None:
+            try:
+                rep = cl.verify_beta1_claim(family, theta, beta1)
+            except VerificationError as e:
+                error = str(e)
+        ok = error is None
+        if not ok:
+            rep = {"beta1": beta1, "error": error}
         all_ok &= ok
         rec = {"theta": theta, "passed": ok}
         rec.update(rep)
@@ -546,16 +533,15 @@ def build_parser():
 
 
 def resolve_config(args):
-    """The run configuration: each key from its flag, else its --config
-    file line, else its default, then validated."""
+    """The run configuration, one attribute per key ('auto' is None) and
+    the corruption hook: each key from its flag, else its --config file
+    line, else its default, each through its parser."""
     given = read_config_file(args.config) if args.config else {}
     given.update((k, v) for k, v in vars(args).items() if k in KEYS)
-    values = {key: given[key] if key in given else parse(str(default))
-              for key, (default, parse) in KEYS.items()}
-    del values["schema_version"]   # checked by its parser
-    cfg = RunConfig(**values, corrupt=args.corrupt)
-    cfg.validate()
-    return cfg
+    return argparse.Namespace(
+        **{key: given[key] if key in given else parse(str(default))
+           for key, (default, parse) in KEYS.items()},
+        corrupt=args.corrupt)
 
 
 def main(argv=None):

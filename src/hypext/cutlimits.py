@@ -203,28 +203,23 @@ class ConvergenceReport:
     wall_clock_s: float
 
 
-def run_convergence(family, theta, b_grid, lambda_prime_grid,
+def run_convergence(family, theta, b_grid, lambda_prime_grid, lams,
                     n_phi=48, n_beta=96, corrupt_limit=0.0):
     """Measure grid C^2 distances between the reparametrized extension
     cuts and the assembled limit over (b, lambda') grids.
 
-    Preconditions are checked up front: the family must pass the
-    round-collar check at its declared bound, both grids must be nonempty,
-    each b in the admitted interval once, and the lambda' grid strictly
-    increasing, with every cut radius and family index admitted.
-    Records are emitted sorted by (b, lambda').  ``corrupt_limit`` is a
-    test-only hook that shifts the predicted limit components by a
-    constant, used by the negative-control suite.
+    The lambda' grid increases strictly, the b grid repeats no value, and
+    ``lams`` are the family indices that ``cut_indices`` gives at the
+    smallest b.  Checked up front: both grids are nonempty and the family
+    passes the round-collar check at its declared bound.  Records are
+    emitted sorted by (b, lambda').  ``corrupt_limit`` is a test-only hook
+    that shifts the predicted limit components by a constant, used by the
+    negative-control suite.
     """
     b_grid = sorted(float(b) for b in np.atleast_1d(b_grid))
     lp_grid = [float(x) for x in np.atleast_1d(lambda_prime_grid)]
-    if not all(x < y for x, y in zip(lp_grid, lp_grid[1:])):
-        raise DomainError("lambda' grid must be strictly increasing")
     if not (b_grid and lp_grid):
         raise DomainError("b and lambda' grids must not be empty")
-    repeated = sorted({x for x, y in zip(b_grid, b_grid[1:]) if x == y})
-    if repeated:
-        raise DomainError(f"b grid repeats the values {repeated}")
     B, _ = claim_bounds(family, theta)
     ok, dev = is_hyperbolic_around_origin(family, B)
     if not ok:
@@ -237,7 +232,7 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid,
     probe_beta = np.geomspace(1e-3, BETA_MARGIN, 6)
     probe_sin_sq = np.sin(probe_beta)[None, :] ** 2
     # per cut: the family index (alike for every b) and coth^2(lambda' + b)
-    lams = cut_indices(theta, lp_grid, b_grid[0]).tolist()
+    lams = lams.tolist()
     normals = (1.0 + ht.coth_sq_minus_one(
         np.add.outer(b_grid, lp_grid))).tolist()
     records = []

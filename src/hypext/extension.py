@@ -155,15 +155,14 @@ def join_grid(n_phi, n_beta):
     """Standard join-chart grid: phi uniform over the full circle, beta
     uniform over [BETA_MARGIN, pi/2 - BETA_MARGIN].
 
-    Both axes are read-only arrays that own their data, so nothing can
-    write into them after they are built.  A cos2 bump family computes
-    its cos^2 row once for the last such axis it is evaluated on and
-    reuses it in every beta column (see ``families.bump_family``)."""
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False).copy()
-    beta = np.linspace(BETA_MARGIN, HALF_PI - BETA_MARGIN, n_beta).copy()
-    phi.flags.writeable = False
-    beta.flags.writeable = False
-    return phi, beta
+    Both axes are read-only views of immutable ``bytes``, which numpy
+    never lets anyone make writeable, so nothing can write into them
+    after they are built.  A cos2 bump family computes its cos^2 row once
+    for the last such axis it is evaluated on and reuses it in every beta
+    column (see ``families.bump_family``)."""
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    beta = np.linspace(BETA_MARGIN, HALF_PI - BETA_MARGIN, n_beta)
+    return np.frombuffer(phi.tobytes()), np.frombuffer(beta.tobytes())
 
 
 def _check_radius(s, who):

@@ -91,18 +91,16 @@ def _cos_sq(angles):
 
 def _cos2_rows():
     """A function of an angle array that gives the cos^2 row computed once
-    for the last read-only, data-owning 1-D axis it was given (the axes of
-    ``extension.join_grid``), or None for any other angles.  The row is
-    read-only and kept in this closure only, so every family that makes
-    one has its own.  The axis is trusted not to change while it stays
-    read-only: its owner could make it writeable again, which no caller
-    does."""
+    for the last 1-D axis it was given that views immutable ``bytes``
+    (the axes of ``extension.join_grid``, which no one can make
+    writeable), or None for any other angles.  The row is read-only and
+    kept in this closure only, so every family that makes one has its
+    own."""
     axis = row = None
 
     def rows(angles):
         nonlocal axis, row
-        flags = angles.flags
-        if flags.writeable or not flags.owndata or angles.ndim != 1:
+        if type(angles.base) is not bytes or angles.ndim != 1:
             return None
         if angles is not axis:
             row = _cos_sq(angles)

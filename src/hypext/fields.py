@@ -15,10 +15,10 @@ is unaffected.  Fields built on another field's evaluation rely on this
 and transform it in place (the bump family's ``1 + a * T``).
 
 The phi and beta axes of the join chart (``extension.join_grid``) are
-read-only arrays that own their data.  A cos2 bump family computes its
+read-only views of immutable ``bytes``.  A cos2 bump family computes its
 cos^2 row once for the last such axis it is evaluated on and forms
 ``1 + a * T`` from that row in every later beta column, still into a
-fresh array; writeable or 0-d angles are evaluated afresh.
+fresh array; any other angles are evaluated afresh.
 """
 
 from __future__ import annotations

@@ -326,24 +326,6 @@ def vartheta_shift(beta, b, theta):
     return _finish(out, shape, scalar)
 
 
-def beta1_sweep_start(theta, B, c_prime):
-    """The start lam_lo of beta1_threshold's sweep [lam_lo,
-    LAMBDA_PRIME_MAX] (see there), refusing a theta outside (0, pi/2] and
-    a start at or above the top."""
-    if not 0.0 < theta <= HALF_PI:
-        raise DomainError("beta1_threshold: theta must lie in (0, pi/2]")
-    lam_lo = 5.0
-    if B < 2.0:
-        lam_lo = max(lam_lo, reparam_inverse(2.0 - B, theta))
-    # the swept hypotenuse lambda' + c' must stay positive
-    lam_lo = max(lam_lo, 1.0 - c_prime)
-    if not LAMBDA_PRIME_MAX > lam_lo:
-        raise DomainError(
-            f"beta1_threshold: the sweep top {LAMBDA_PRIME_MAX:.6g} must "
-            f"exceed its start {lam_lo:.6g} at theta = {theta:.6g}")
-    return lam_lo
-
-
 def beta1_threshold(theta, B, c_prime):
     """A small angle beta1 with solve_r(l' + c', beta1) <= reparam(l') + B
     for every l' in a sweep [lam_lo, LAMBDA_PRIME_MAX], for a family with
@@ -363,7 +345,15 @@ def beta1_threshold(theta, B, c_prime):
     at lam_lo = max(5, the radius where that happens, 1 - c'); a start at
     or above LAMBDA_PRIME_MAX is refused, as is a theta outside (0, pi/2].
     """
-    lam_lo = beta1_sweep_start(theta, B, c_prime)
+    if not 0.0 < theta <= HALF_PI:
+        raise DomainError("beta1_threshold: theta must lie in (0, pi/2]")
+    lam_lo = max(5.0, reparam_inverse(2.0 - B, theta)) if B < 2.0 else 5.0
+    # the swept hypotenuse lambda' + c' must stay positive
+    lam_lo = max(lam_lo, 1.0 - c_prime)
+    if not LAMBDA_PRIME_MAX > lam_lo:
+        raise DomainError(
+            f"beta1_threshold: the sweep top {LAMBDA_PRIME_MAX:.6g} must "
+            f"exceed its start {lam_lo:.6g} at theta = {theta:.6g}")
     expo0 = B - c_prime + math.log(math.sin(theta))
     if expo0 >= 0.0:
         beta1 = 0.25 * math.pi

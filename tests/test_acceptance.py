@@ -166,8 +166,9 @@ def test_cut_limit_convergence():
     for theta in (HALF_PI, PI_3):
         cp = cl.c_prime_bound(family, theta)
         b_grid = np.linspace(-2.0, cp, 5)
-        rep = cl.run_convergence(family, theta, b_grid,
-                                 [4.0, 6.0, 8.0, 10.0],
+        lps = [4.0, 6.0, 8.0, 10.0]
+        rep = cl.run_convergence(family, theta, b_grid, lps,
+                                 cl.cut_indices(theta, lps, -2.0),
                                  n_phi=48, n_beta=96)
         reports.append(rep)
         finals.extend(max(r["c0"], r["c1"], r["c2"]) for r in rep.records

@@ -106,6 +106,11 @@ def test_angle_parsing():
     ["identities", "--out", "{tmp}/file/sub"],
     # a repeated b is bad input, not a failed decay check
     ["converge", "--grid", "24", "--theta", "pi/2", "--b=0.5,0.5"],
+    ["converge", "--grid", "24", "--theta", "pi/2", "--b=0.5,-1,0.5"],
+    # a lambda' grid must increase strictly: one rule for a repeat and a
+    # step down
+    ["converge", "--grid", "24", "--lambda-prime", "4,4"],
+    ["converge", "--grid", "24", "--lambda-prime", "6,4"],
     # a corruption hook belongs to one suite; no other suite takes it
     ["converge", "--grid", "24", "--corrupt", "formula-beta"],
     ["claim", "--corrupt", "limit-shift"],
@@ -193,6 +198,71 @@ def test_non_finite_config_file_value_is_exit_2(tmp_path, capsys, suite,
     assert "hypext" in err and "Traceback" not in err
     if line.split("=")[0].strip() not in cli.DEFAULTS:
         assert "unknown key" in err
+
+
+@pytest.mark.parametrize("grid", ["4,4", "6,4"])
+def test_lambda_prime_order_has_one_rule(tmp_path, capsys, grid):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"schema_version = 1\nlambda_prime = {grid}\n")
+    for argv in (["--lambda-prime", grid], ["--config", str(cfgfile)]):
+        assert run(["converge", "--grid", "24", *argv,
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "is not strictly increasing" in err
+        assert "Traceback" not in err
+
+
+def test_config_file_range_error_names_its_line(tmp_path, capsys):
+    # a range error in a file names the file and line, as a non-finite
+    # value does; the file value is checked even where a flag overrides it
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("schema_version = 1\n# the grid\ngrid = 23\n")
+    out = tmp_path / "out"
+    for flags in ([], ["--grid", "48"]):
+        assert run(["converge", "--config", str(cfgfile), *flags,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfgfile}:3: bad value for grid: 23 lies outside" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_report_name_taken_by_a_directory_is_exit_2(tmp_path, capsys):
+    # refused before the suite runs: no temporary is left, and an earlier
+    # run's reports stay as they were
+    out = tmp_path / "out"
+    assert run(["identities", "--out", str(out)]) == 0
+    earlier = (out / "report.jsonl").read_bytes()
+    (out / "report.csv").unlink()
+    (out / "report.csv").mkdir()
+    assert run(["identities", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "report.csv exists and is not a file" in err
+    assert "Traceback" not in err
+    assert list(out.glob("*.tmp-*")) == []
+    assert (out / "report.jsonl").read_bytes() == earlier
+
+
+@pytest.mark.parametrize("failure", ["write", "rename"])
+def test_failed_report_write_leaves_no_temporary(tmp_path, monkeypatch,
+                                                 failure):
+    out = tmp_path / "out"
+    cli.write_reports(out, [{"a": 1.0}], ("a",), ["old"])
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    if failure == "write":
+        # the last temporary cannot be written: a directory holds its name
+        blocker = out / f"summary.txt.tmp-{os.getpid()}"
+        blocker.mkdir()
+    else:
+        def replace(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(cli.os, "replace", replace)
+    with pytest.raises(OSError):
+        cli.write_reports(out, [{"a": 2.0}], ("a",), ["new"])
+    left = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert left == earlier
+    if failure == "write":
+        assert blocker.is_dir()
 
 
 # the flags of each suite besides --config and --out (README "Command
@@ -486,6 +556,22 @@ def test_converge_refuses_auto_b_grid_below_minus_two(tmp_path, capsys,
     assert cuts == [] and not out.exists()
 
 
+def test_converge_computes_each_thetas_indices_once(tmp_path, monkeypatch):
+    # the indices cmd_converge checks before the first cut are the ones
+    # run_convergence cuts with
+    calls = []
+    real = cli.cl.cut_indices
+
+    def cut_indices(theta, lambda_primes, b_min):
+        calls.append(theta)
+        return real(theta, lambda_primes, b_min)
+
+    monkeypatch.setattr(cli.cl, "cut_indices", cut_indices)
+    assert run(["converge", "--grid", "24", "--theta", "pi/2,pi/3",
+                "--out", str(tmp_path / "out")]) == 0
+    assert calls == [math.pi / 2, math.pi / 3]
+
+
 @pytest.mark.parametrize("argv,message", [
     # reparam(1, 0.3) = 0.3407 is below LAMBDA_MIN = 0.5
     (["--theta", "pi/2,0.3", "--b=-0.5", "--lambda-prime", "1,2"],
@@ -576,20 +662,31 @@ def test_claim_negative_control(tmp_path):
 def test_claim_checks_every_theta_before_the_first_claim(tmp_path, capsys,
                                                          monkeypatch):
     # the sweep of 1e-304 would start above its top, lambda' = 700; every
-    # theta is checked first, so pi/2, which comes first, is not claimed
+    # theta's threshold is computed first, whichever hook is set, so pi/2,
+    # which comes first, is not claimed
+    thresholds = []
+    real = cli.ht.beta1_threshold
+
+    def threshold(theta, *bounds):
+        thresholds.append(theta)
+        return real(theta, *bounds)
+
     def claim(*args):
         raise AssertionError("a claim ran before every theta was checked")
 
-    monkeypatch.setattr(cli.ht, "beta1_threshold", claim)
+    monkeypatch.setattr(cli.ht, "beta1_threshold", threshold)
     monkeypatch.setattr(cli.cl, "verify_beta1_claim", claim)
     out = tmp_path / "out"
-    rc = run(["claim", "--out", str(out), "--theta", "pi/2,pi/3,1e-304"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "sweep top 700" in err and "theta = 1e-304" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
+    for hook in ([], ["--corrupt", "beta1-large"]):
+        thresholds.clear()
+        rc = run(["claim", "--out", str(out), "--theta", "pi/2,pi/3,1e-304"]
+                 + hook)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sweep top 700" in err and "theta = 1e-304" in err
+        assert "Traceback" not in err
+        assert thresholds == [math.pi / 2, math.pi / 3, 1e-304]
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

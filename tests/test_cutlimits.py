@@ -37,6 +37,13 @@ def unbounded_control():
                            family_id="unbounded-control")
 
 
+def convergence(family, theta, bs, lps, **kw):
+    """run_convergence with the cut indices that cli.cmd_converge gives
+    it: cut_indices at the smallest b."""
+    return cl.run_convergence(family, theta, bs, lps,
+                              cl.cut_indices(theta, lps, min(bs)), **kw)
+
+
 # ---------------------------------------------------------------------------
 # collar check
 # ---------------------------------------------------------------------------
@@ -183,10 +190,10 @@ def test_translation_coherence_at_right_angle():
     a = 1.0
     shifted = _translated(family, a)
     b = -1.5
-    rep_shifted = cl.run_convergence(shifted, HALF_PI, [b], [5.0, 7.0],
-                                     n_phi=16, n_beta=32)
-    rep_orig = cl.run_convergence(family, HALF_PI, [b + a], [4.0, 6.0],
-                                  n_phi=16, n_beta=32)
+    rep_shifted = convergence(shifted, HALF_PI, [b], [5.0, 7.0],
+                              n_phi=16, n_beta=32)
+    rep_orig = convergence(family, HALF_PI, [b + a], [4.0, 6.0],
+                           n_phi=16, n_beta=32)
     for rs, ro in zip(rep_shifted.records, rep_orig.records):
         for key in ("c0", "c1", "c2", "boundary_M_c0", "boundary_H_c0"):
             assert rs[key] == pytest.approx(ro[key], abs=1e-12)
@@ -197,8 +204,8 @@ def test_translation_coherence_at_right_angle():
 # ---------------------------------------------------------------------------
 
 def test_run_convergence_round_family_is_exact():
-    rep = cl.run_convergence(hyper(), PI_3, [0.0, -1.0], [4.0, 6.0],
-                             n_phi=16, n_beta=32)
+    rep = convergence(hyper(), PI_3, [0.0, -1.0], [4.0, 6.0],
+                      n_phi=16, n_beta=32)
     for r in rep.records:
         assert max(r["c0"], r["c1"], r["c2"]) < 1e-10
         assert r["boundary_H_c0"] < 1e-12
@@ -207,8 +214,8 @@ def test_run_convergence_round_family_is_exact():
 def test_theta_consistency_for_round_family():
     reports = {}
     for theta in (HALF_PI, PI_3, math.pi / 6):
-        rep = cl.run_convergence(hyper(), theta, [0.0], [4.0, 6.0],
-                                 n_phi=16, n_beta=32)
+        rep = convergence(hyper(), theta, [0.0], [4.0, 6.0],
+                          n_phi=16, n_beta=32)
         reports[theta] = [(r["c0"], r["c1"], r["c2"], r["boundary_M_c0"])
                           for r in rep.records]
     base = reports[HALF_PI]
@@ -221,8 +228,8 @@ def test_run_convergence_bump_decays():
     family = bump()
     theta = HALF_PI
     cp = cl.c_prime_bound(family, theta)
-    rep = cl.run_convergence(family, theta, [-2.0, 0.0, cp],
-                             [4.0, 6.0, 8.0, 10.0], n_phi=24, n_beta=48)
+    rep = convergence(family, theta, [-2.0, 0.0, cp],
+                      [4.0, 6.0, 8.0, 10.0], n_phi=24, n_beta=48)
     failures = cl.check_convergence_assertions([rep])
     assert failures == []
     # the active-b distances really decay (sanity on magnitudes)
@@ -243,8 +250,8 @@ def test_convergence_rate_tracks_exponential_law():
     family = bump()
     theta = PI_3
     cp = cl.c_prime_bound(family, theta)
-    rep = cl.run_convergence(family, theta, [cp], [6.0, 8.0, 10.0],
-                             n_phi=24, n_beta=48)
+    rep = convergence(family, theta, [cp], [6.0, 8.0, 10.0],
+                      n_phi=24, n_beta=48)
     dists = [max(r["c0"], r["c1"], r["c2"])
              for r in sorted(rep.records, key=lambda r: r["lambda_prime"])]
     for lo, hi in zip(dists[1:], dists[:-1]):
@@ -257,32 +264,32 @@ def test_run_convergence_with_angle_dependent_direction():
     family = fam.bump_family("cos2")
     theta = PI_3
     cp = cl.c_prime_bound(family, theta)
-    rep = cl.run_convergence(family, theta, [-1.0, cp],
-                             [4.0, 6.0, 8.0, 10.0], n_phi=32, n_beta=64)
+    rep = convergence(family, theta, [-1.0, cp],
+                      [4.0, 6.0, 8.0, 10.0], n_phi=32, n_beta=64)
     assert cl.check_convergence_assertions([rep]) == []
 
 
 def test_run_convergence_rejects_bad_inputs():
+    # a lambda' grid out of order and a repeated b are refused by the cli
+    # parsers (tests/test_cli.py)
     family = bump()
-    with pytest.raises(DomainError):
-        cl.run_convergence(family, HALF_PI, [0.0], [4.0, 4.0])
-    with pytest.raises(DomainError, match="repeats"):
-        cl.run_convergence(family, HALF_PI, [0.5, -1.0, 0.5], [4.0, 6.0])
+    lams = cl.cut_indices(HALF_PI, [4.0, 6.0], 0.0)
     # an empty grid would give no record and pass every assertion
     with pytest.raises(DomainError, match="empty"):
-        cl.run_convergence(family, HALF_PI, [], [4.0, 6.0])
+        cl.run_convergence(family, HALF_PI, [], [4.0, 6.0], lams)
     with pytest.raises(DomainError, match="empty"):
-        cl.run_convergence(family, HALF_PI, [0.0], [])
+        cl.run_convergence(family, HALF_PI, [0.0], [], lams[:0])
     with pytest.raises(DomainError):
-        cl.run_convergence(family, PI_3, [5.0], [4.0, 6.0])  # b > c'
+        convergence(family, PI_3, [5.0], [4.0, 6.0])  # b > c'
     with pytest.raises(VerificationError, match="round-collar"):
         cl.run_convergence(unbounded_control(), HALF_PI, [0.0],
-                           [4.0, 6.0], n_phi=8, n_beta=16)
+                           [4.0, 6.0], lams, n_phi=8, n_beta=16)
 
 
 def test_run_convergence_maps_each_theta_in_one_call(monkeypatch):
-    # one reparam call over the lambda' vector and one coth_sq_minus_one
-    # call over the (b, lambda') grid per theta, whatever the grid
+    # one reparam call over the lambda' vector (the caller's cut_indices)
+    # and one coth_sq_minus_one call over the (b, lambda') grid per theta,
+    # whatever the grid
     calls = {"reparam": 0, "coth_sq_minus_one": 0}
     for name in calls:
         def counting(*args, _real=getattr(ht, name), _name=name):
@@ -292,16 +299,16 @@ def test_run_convergence_maps_each_theta_in_one_call(monkeypatch):
     for bs, lps in (([-1.0], [4.0, 6.0]),
                     ([-2.0, -1.5, -1.0], [4.0, 5.0, 6.0, 7.0])):
         calls.update(reparam=0, coth_sq_minus_one=0)
-        rep = cl.run_convergence(fam.bump_family("cos2"), PI_3, bs, lps,
-                                 n_phi=16, n_beta=24)
+        rep = convergence(fam.bump_family("cos2"), PI_3, bs, lps,
+                          n_phi=16, n_beta=24)
         assert len(rep.records) == len(bs) * len(lps)
         assert calls == {"reparam": 1, "coth_sq_minus_one": 1}
 
 
 def test_corrupt_limit_hook_breaks_assertions():
     family = bump()
-    rep = cl.run_convergence(family, HALF_PI, [0.0], [4.0, 6.0],
-                             n_phi=16, n_beta=32, corrupt_limit=1e-3)
+    rep = convergence(family, HALF_PI, [0.0], [4.0, 6.0],
+                      n_phi=16, n_beta=32, corrupt_limit=1e-3)
     failures = cl.check_convergence_assertions([rep])
     assert failures != []
 

@@ -331,10 +331,14 @@ def test_polar_identity_rejects_bad_step():
 # read-only join axes and stride-0 views
 # ---------------------------------------------------------------------------
 
-def test_join_grid_axes_are_read_only_and_own_their_data():
+def test_join_grid_axes_can_never_be_made_writeable():
     phi, beta = ext.join_grid(16, 12)
     for axis in (phi, beta):
-        assert axis.flags.owndata and not axis.flags.writeable
+        assert not axis.flags.writeable
+        # views of immutable bytes: not even their owner can re-enable
+        # writes, so a cache keyed on the axis cannot go stale
+        with pytest.raises(ValueError):
+            axis.flags.writeable = True
         with pytest.raises(ValueError):
             axis[0] = 1.0
         with pytest.raises(ValueError):

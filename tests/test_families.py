@@ -232,6 +232,15 @@ def test_cos2_bump_cut_on_join_axes_gives_the_uncached_bits():
     _check_fresh(cut.at_angles(view), _uncached_cut(amount, base), held)
     base += 0.5
     _check_fresh(cut.at_angles(view), _uncached_cut(amount, base), held)
+    # a read-only array that owns its data can be made writeable again by
+    # its owner and changed: it is not a join axis, so it is not cached
+    owned = axis.copy()
+    owned.flags.writeable = False
+    _check_fresh(cut.at_angles(owned), _uncached_cut(amount, axis), held)
+    owned.flags.writeable = True
+    owned += 0.5
+    owned.flags.writeable = False
+    _check_fresh(cut.at_angles(owned), _uncached_cut(amount, owned), held)
     # a second read-only axis, then the first again
     for x in (other, axis, other):
         _check_fresh(cut.at_angles(x), _uncached_cut(amount, x), held)
