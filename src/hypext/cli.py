@@ -3,9 +3,9 @@ small-angle-claim suites.
 
 Subcommands and the flags each takes besides --config and --out
 ---------------------------------------------------------------
-identities   --seed, --fd-step: triangle and reparametrization identities
-             on random grids, plus the polar coordinate identity
-             (finite-difference and closed-form derivative variants)
+identities   --seed: triangle and reparametrization identities on random
+             grids, plus the polar coordinate identity (finite-difference
+             and closed-form derivative variants)
 oracle       --family, --grid, --s-values: closed-form cut vs
              finite-difference pullback, per family
 converge     --family, --theta, --b, --lambda-prime, --grid: cut-limit
@@ -29,14 +29,14 @@ assertion failed, 2 usage or configuration error, an input a suite
 refuses (say a claim theta so small that the claim's threshold sweep
 would start above hyptrig.LAMBDA_PRIME_MAX), or an unwritable --out.
 
-Negative-control hooks (test-only, documented here on purpose): a coarse
---fd-step 0.02 breaks the identities suite's tolerance (steps so large
-that the stencil leaves the domain, e.g. 0.5, are refused with exit 2
-instead); --corrupt formula-beta scales the closed-form beta block by
-1.01 in the oracle suite; --corrupt limit-shift displaces the predicted
-limit in the converge suite; --corrupt beta1-large replaces the verified
-threshold angle by 1.5 in the claim suite.  Each must flip the
-corresponding suite to exit code 1; only that suite takes the hook.
+Negative-control hooks (test-only, documented here on purpose):
+--corrupt formula-beta scales the closed-form beta block by 1.01 in the
+oracle suite; --corrupt limit-shift displaces the predicted limit in the
+converge suite; --corrupt beta1-large replaces the verified threshold
+angle by 1.5 in the claim suite.  Each must flip the corresponding suite
+to exit code 1; only that suite takes the hook.  The identities suite
+has no hook: its control, a coarse extension.POLAR_FD_STEP, is a
+monkeypatch in the test suite.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ import numpy as np
 
 from .errors import DomainError, VerificationError
 from . import hyptrig as ht
-from . import fields as mf
 from . import extension as ext
 from . import cutlimits as cl
 from . import families as fam
@@ -147,6 +146,8 @@ def _out(text):
     no report name is taken by anything but a file."""
     if not text:
         raise ConfigError("empty path")
+    if "\0" in text:
+        raise ConfigError(f"{text!r} holds a NUL byte")
     out = Path(text)
     existing = next((p for p in (out, *out.parents) if os.path.exists(p)),
                     None)
@@ -181,8 +182,6 @@ KEYS = {
                         f"lies outside [24, {GRID_MAX}]")),
     "seed": (0, _where(_int, lambda n: n >= 0, "is negative")),
     "out": ("out", _out),
-    "fd_step": ("auto", _auto(_where(_float, lambda h: h > 0.0,
-                                     "is not positive"))),
     "s_values": ("1,3,6", _list(_where(
         _float, lambda s: ext.RADIUS_MIN <= s < ext.RADIUS_MAX,
         f"lies outside the oracle's sphere radii [{ext.RADIUS_MIN:.3g}, "
@@ -256,15 +255,12 @@ def build_family(cfg):
 
 def build_base_metric(cfg):
     """(name, unwarped cut r -> circle field) of the oracle suite's
-    sinh-warped base: the hyperbolic model, whose unwarped cut is the
-    round form at every radius, or one bump family member (index
-    ORACLE_BASE_LAMBDA)."""
-    if cfg.family == "hyperbolic":
-        sigma = mf.round_metric()
-        return "hyperbolic", lambda r: sigma
+    sinh-warped base: the family member ORACLE_BASE_LAMBDA, which for the
+    hyperbolic model is the round form at every radius."""
     family = build_family(cfg)
-    lam0 = ORACLE_BASE_LAMBDA
-    return f"bump-member[lam={lam0:g}]", lambda r: family.cut(lam0, r)
+    name = ("hyperbolic" if cfg.family == "hyperbolic"
+            else f"bump-member[lam={ORACLE_BASE_LAMBDA:g}]")
+    return name, lambda r: family.cut(ORACLE_BASE_LAMBDA, r)
 
 
 def _cell(value):
@@ -331,15 +327,13 @@ def cmd_identities(cfg):
     back = ht.reparam(ht.reparam_inverse(lam, th), th)
     checks.append(("reparam_round_trip", relmax(back, lam), 1e-12))
 
-    fd_step = cfg.fd_step
     sg = np.linspace(0.5, 10.0, 50)
     bg = np.linspace(0.05, math.pi / 2 - 0.05, 50)
     ss, bb = np.meshgrid(sg, bg, indexing="ij")
-    res_fd = ext.polar_identity_residual(ss, bb, fd_step=fd_step,
-                                         derivatives="fd")
-    checks.append(("polar_identity_fd", float(np.max(res_fd)), 1e-6))
-    res_cl = ext.polar_identity_residual(ss, bb, derivatives="closed")
-    checks.append(("polar_identity_closed", float(np.max(res_cl)), 1e-12))
+    for derivatives, tol in (("fd", 1e-6), ("closed", 1e-12)):
+        res = ext.polar_identity_residual(ss, bb, derivatives)
+        checks.append((f"polar_identity_{derivatives}", float(np.max(res)),
+                       tol))
 
     be, b, theta = np.meshgrid(np.linspace(0.08, 0.30, 10),
                                np.linspace(-2.0, -0.6, 5),
@@ -424,25 +418,15 @@ def cmd_converge(cfg):
         n_phi=n_phi, n_beta=n_beta,
         corrupt_limit=1e-3 if cfg.corrupt == "limit-shift" else 0.0)
         for theta, bs, lams in cuts]
-    failures = cl.check_convergence_assertions(reports)
-    records = [r for rep in reports for r in rep.records]
-    summary = []
-    for rep in reports:
-        last_lp = max(r["lambda_prime"] for r in rep.records)
-        final = [r for r in rep.records if r["lambda_prime"] == last_lp]
-        worst_final = mf.max_carrying_nan(
-            *(r[k] for r in final for k in ("c0", "c1", "c2")))
-        worst_boundary = mf.max_carrying_nan(
-            *(r["boundary_M_c0"] for r in final))
-        summary.append(
-            f"theta={rep.records[0]['theta']:.6g}: final C2 "
-            f"{worst_final:.3e}, final boundary {worst_boundary:.3e}")
+    verdicts = [cl.check_convergence_assertions(rep) for rep in reports]
+    failures = [f for _, fails in verdicts for f in fails]
+    summary = [line for line, _ in verdicts]
     summary.extend(f"FAIL {f}" for f in failures)
     summary.append(f"{'PASS' if not failures else 'FAIL'} converge suite "
                    f"({family.family_id})")
-    return (records, ("theta", "b", "lambda_prime", "c0", "c1", "c2", "grid",
-                      "fd_step", "family_id", "boundary_M_c0",
-                      "boundary_H_c0"),
+    return ([r for rep in reports for r in rep.records],
+            ("theta", "b", "lambda_prime", "c0", "c1", "c2", "grid",
+             "fd_step", "family_id", "boundary_M_c0", "boundary_H_c0"),
             summary, not failures)
 
 
@@ -501,7 +485,7 @@ def cmd_claim(cfg):
 # each suite: its function, the keys it takes as flags besides --out, and
 # its negative-control hook
 SUITES = {
-    "identities": (cmd_identities, ("seed", "fd_step"), None),
+    "identities": (cmd_identities, ("seed",), None),
     "oracle": (cmd_oracle, ("family", "grid", "s_values"), "formula-beta"),
     "converge": (cmd_converge, ("family", "theta", "b", "lambda_prime",
                                 "grid"), "limit-shift"),

@@ -24,6 +24,7 @@ independent.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -279,58 +280,55 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid, lams,
                              wall_clock_s=time.perf_counter() - t0)
 
 
-def check_convergence_assertions(reports):
-    """Monotone-decay, final-tolerance and boundary assertions over a list
-    of convergence reports.  Returns a list of failure descriptions
-    (empty = all passed).
+def _decay_breaks(dists):
+    """The adjacent pairs (hi, lo) of ``dists`` where lo is not strictly
+    below hi while either lies above the floor C2_FLOOR (a NaN breaks)."""
+    return [(hi, lo) for hi, lo in zip(dists, dists[1:])
+            if not (lo < hi or (lo <= C2_FLOOR and hi <= C2_FLOOR))]
 
-    Per (theta, b) the distance must decrease strictly in lambda' while
-    above the finite-difference floor C2_FLOOR (at or below the floor only
-    non-growth beyond the floor is required); the maximum over b must
-    decrease strictly; the final distances must beat FINAL_TOL and the
-    final boundary distances BOUNDARY_TOL.
+
+def check_convergence_assertions(report):
+    """Monotone-decay, final-tolerance and boundary assertions over one
+    convergence report, whose records come in (b, lambda') order.
+    Returns (summary line, failure descriptions); no failure = passed.
+
+    Per b the distance must decrease strictly in lambda' while above the
+    finite-difference floor C2_FLOOR (at or below the floor only
+    non-growth beyond the floor is required), and so must its maximum
+    over b; the final distances must beat FINAL_TOL and the final
+    boundary distances BOUNDARY_TOL.  The summary line gives the worst
+    final distance and the worst final boundary distance.
 
     The boundary distance carries the structural coth^2(lambda' + b) - 1
     gap (~4 e^{-2(lambda'+b)}), so BOUNDARY_TOL = 1e-6 presumes a grid
     whose top reaches lambda' + b >= 8; shorter grids report an honest
     "not yet within tolerance".
     """
-    failures = []
-    for rep in reports:
-        by_b = {}
-        for r in rep.records:
-            by_b.setdefault((r["theta"], r["b"]), []).append(r)
-        lp_sorted = sorted({r["lambda_prime"] for r in rep.records})
-        max_over_b = {lp: 0.0 for lp in lp_sorted}
-        for (theta, b), rows in sorted(by_b.items()):
-            rows.sort(key=lambda r: r["lambda_prime"])
-            dists = [mf.max_carrying_nan(r["c0"], r["c1"], r["c2"])
-                     for r in rows]
-            for i in range(len(dists) - 1):
-                lo, hi = dists[i + 1], dists[i]
-                if not (lo < hi or (lo <= C2_FLOOR and hi <= C2_FLOOR)):
-                    failures.append(
-                        f"theta={theta:.6g} b={b:.6g}: distance not "
-                        f"decreasing above floor ({hi:.3e} -> {lo:.3e})")
-            if not (dists[-1] < FINAL_TOL):
-                failures.append(
-                    f"theta={theta:.6g} b={b:.6g}: final C^2 distance "
-                    f"{dists[-1]:.3e} >= {FINAL_TOL:.0e}")
-            if not (rows[-1]["boundary_M_c0"] < BOUNDARY_TOL):
-                failures.append(
-                    f"theta={theta:.6g} b={b:.6g}: boundary distance "
-                    f"{rows[-1]['boundary_M_c0']:.3e} >= {BOUNDARY_TOL:.0e}")
-            for lp, d in zip(lp_sorted, dists):
-                max_over_b[lp] = mf.max_carrying_nan(max_over_b[lp], d)
-        agg = [max_over_b[lp] for lp in lp_sorted]
-        for i in range(len(agg) - 1):
-            lo, hi = agg[i + 1], agg[i]
-            if not (lo < hi or (lo <= C2_FLOOR and hi <= C2_FLOOR)):
-                failures.append(
-                    f"theta={rep.records[0]['theta']:.6g}: max-over-b "
-                    f"distance not strictly decreasing above floor "
-                    f"({hi:.3e} -> {lo:.3e})")
-    return failures
+    theta = report.records[0]["theta"]
+    failures, boundaries = [], []
+    worst = None    # per lambda', the maximum over b of the distance
+    for b, rows in itertools.groupby(report.records, lambda r: r["b"]):
+        rows = list(rows)
+        dists = [mf.max_carrying_nan(r["c0"], r["c1"], r["c2"])
+                 for r in rows]
+        where = f"theta={theta:.6g} b={b:.6g}"
+        failures += [f"{where}: distance not decreasing above floor "
+                     f"({hi:.3e} -> {lo:.3e})"
+                     for hi, lo in _decay_breaks(dists)]
+        if not (dists[-1] < FINAL_TOL):
+            failures.append(f"{where}: final C^2 distance "
+                            f"{dists[-1]:.3e} >= {FINAL_TOL:.0e}")
+        boundaries.append(rows[-1]["boundary_M_c0"])
+        if not (boundaries[-1] < BOUNDARY_TOL):
+            failures.append(f"{where}: boundary distance "
+                            f"{boundaries[-1]:.3e} >= {BOUNDARY_TOL:.0e}")
+        worst = dists if worst is None else [
+            mf.max_carrying_nan(w, d) for w, d in zip(worst, dists)]
+    failures += [f"theta={theta:.6g}: max-over-b distance not strictly "
+                 f"decreasing above floor ({hi:.3e} -> {lo:.3e})"
+                 for hi, lo in _decay_breaks(worst)]
+    return (f"theta={theta:.6g}: final C2 {worst[-1]:.3e}, final boundary "
+            f"{mf.max_carrying_nan(*boundaries):.3e}"), failures
 
 
 def verify_beta1_claim(family, theta, beta1):

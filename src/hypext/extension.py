@@ -27,7 +27,9 @@ Two independent routes to the induced sphere metric are implemented:
   structure and therefore serves as the oracle for the closed form.
 
 ``polar_identity_residual`` checks the underlying change-of-variables
-identity sinh^2(s) dbeta^2 + ds^2 = cosh^2(r) dt^2 + dr^2.
+identity sinh^2(s) dbeta^2 + ds^2 = cosh^2(r) dt^2 + dr^2 on (s, beta)
+arrays, with closed-form partials or with Richardson differences of the
+fixed step POLAR_FD_STEP.
 ``join_field`` builds every join metric of this form from its circle
 block per beta and its radial factor: the closed-form cut, and, with
 radial factor 1, the unwarped cuts and limits of ``cutlimits``.
@@ -59,6 +61,12 @@ SHEETS = (1, -1)
 # normal double, and sinh^2(s) stays finite
 RADIUS_MIN = math.sqrt(sys.float_info.min) / math.sin(BETA_MARGIN)
 RADIUS_MAX = 350.0
+
+# the finite-difference step of polar_identity_residual: dt/ds decays like
+# e^{-2s}, so at large s a tight step leaves the stencil difference at the
+# roundoff floor; 2e-4 keeps cancellation small while Richardson holds
+# truncation near h^4
+POLAR_FD_STEP = 2e-4
 
 
 # the off-diagonal block of every closed-form sample is a view of this zero
@@ -146,9 +154,8 @@ class JoinSample:
 
     @property
     def steps(self):
-        hphi = float(self.phi[1] - self.phi[0]) if self.phi.size > 1 else 1.0
-        hbeta = float(self.beta[1] - self.beta[0]) if self.beta.size > 1 else 1.0
-        return hphi, hbeta
+        return (float(self.phi[1] - self.phi[0]),
+                float(self.beta[1] - self.beta[0]))
 
 
 def join_grid(n_phi, n_beta):
@@ -339,52 +346,44 @@ def join_c2_distance(a, b):
     return mf.C2Distance(c0=c0, c1=c1, c2=c2, fd_step=hbeta)
 
 
-def polar_identity_residual(s, beta, fd_step=None, derivatives="fd"):
+def polar_identity_residual(s, beta, derivatives):
     """Residual of the coordinate identity
-    sinh^2(s) dbeta^2 + ds^2 = cosh^2(r) dt^2 + dr^2.
+    sinh^2(s) dbeta^2 + ds^2 = cosh^2(r) dt^2 + dr^2 on (s, beta) arrays.
 
     The Jacobian of (s, beta) -> (t, r) is formed either by Richardson
-    central differences ("fd") or from the closed-form partials
-    ("closed"); the right-hand side is pulled back to (s, beta) and the
-    deviation from diag(1, sinh^2 s) is measured in the orthonormal frame
-    (d_s, d_beta / sinh s), so every entry is dimensionless:
+    central differences with step POLAR_FD_STEP ("fd") or from the
+    closed-form partials ("closed"); the right-hand side is pulled back to
+    (s, beta) and the deviation from diag(1, sinh^2 s) is measured in the
+    orthonormal frame (d_s, d_beta / sinh s), so every entry is
+    dimensionless:
 
         max( |G_ss - 1|, |G_sb| / sinh(s), |G_bb / sinh^2(s) - 1| ).
     """
-    s_arr = np.asarray(s, dtype=float)
-    b_arr = np.asarray(beta, dtype=float)
-    s_arr, b_arr = np.broadcast_arrays(s_arr, b_arr)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr.astype(float))
-    b_arr = np.atleast_1d(b_arr.astype(float))
-
+    s = np.asarray(s, dtype=float)
+    beta = np.asarray(beta, dtype=float)
     if derivatives == "closed":
-        dt_ds, dt_db, dr_ds, dr_db = ht.triangle_jacobian(s_arr, b_arr)
+        dt_ds, dt_db, dr_ds, dr_db = ht.triangle_jacobian(s, beta)
     elif derivatives == "fd":
-        # dt/ds decays like e^{-2s}, so at large s a tight step leaves the
-        # stencil difference at the roundoff floor; 2e-4 keeps cancellation
-        # small while Richardson holds truncation near h^4
-        h = fd_step if fd_step is not None else 2e-4
-        if np.min(b_arr) < 2.0 * h or np.max(b_arr) > HALF_PI - 2.0 * h \
-                or np.min(s_arr) < 2.0 * h:
+        h = POLAR_FD_STEP
+        if np.min(beta) < 2.0 * h or np.max(beta) > HALF_PI - 2.0 * h \
+                or np.min(s) < 2.0 * h:
             raise DomainError(
                 "polar_identity_residual: fd step too large for the grid")
-        dt_ds = _richardson_d1(lambda x: ht.solve_t(x, b_arr), s_arr, h)
-        dt_db = _richardson_d1(lambda x: ht.solve_t(s_arr, x), b_arr, h)
-        dr_ds = _richardson_d1(lambda x: ht.solve_r(x, b_arr), s_arr, h)
-        dr_db = _richardson_d1(lambda x: ht.solve_r(s_arr, x), b_arr, h)
+        dt_ds = _richardson_d1(lambda x: ht.solve_t(x, beta), s, h)
+        dt_db = _richardson_d1(lambda x: ht.solve_t(s, x), beta, h)
+        dr_ds = _richardson_d1(lambda x: ht.solve_r(x, beta), s, h)
+        dr_db = _richardson_d1(lambda x: ht.solve_r(s, x), beta, h)
     else:
         raise DomainError("derivatives must be 'fd' or 'closed'")
 
-    r = ht.solve_r(s_arr, b_arr)
+    r = ht.solve_r(s, beta)
     ch2 = np.cosh(r) ** 2
     g_ss = ch2 * dt_ds ** 2 + dr_ds ** 2
     g_sb = ch2 * dt_ds * dt_db + dr_ds * dr_db
     g_bb = ch2 * dt_db ** 2 + dr_db ** 2
-    sh = np.sinh(s_arr)
-    res = np.maximum.reduce([
+    sh = np.sinh(s)
+    return np.maximum.reduce([
         np.abs(g_ss - 1.0),
         np.abs(g_sb) / sh,
         np.abs(g_bb / sh ** 2 - 1.0),
     ])
-    return float(res[0]) if scalar else res

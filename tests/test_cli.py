@@ -95,9 +95,9 @@ def test_angle_parsing():
     ["converge", "--lambda-prime", "nan"],
     ["converge", "--lambda-prime", "4,inf"],
     ["converge", "--lambda-prime", "0,4"],
-    ["identities", "--fd-step", "0"],
-    ["identities", "--fd-step", "-0.001"],
-    ["identities", "--fd-step", "nan"],
+    ["identities", "--seed", "1.5"],
+    ["converge", "--grid", "23"],
+    ["oracle", "--s-values", "350"],
     ["converge", "--grid", "100000"],
     # unusable paths; {tmp} holds the file "file" and nothing else
     ["identities", "--config", "{tmp}/missing.cfg"],
@@ -157,6 +157,7 @@ def test_out_under_a_dangling_symlink_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("suite,line", [
     ("converge", "bump_support_end = inf"),
+    # the polar identity's step is a module constant, not a key
     ("identities", "fd_step = 0"),
     # every key is checked whichever suite runs
     ("identities", "bump_direction = foo"),
@@ -186,6 +187,8 @@ def test_out_under_a_dangling_symlink_is_exit_2(tmp_path, capsys):
     ("claim", "claim_lambda_max = 0.5"),
     # an empty out would be the current directory
     ("identities", "out ="),
+    # no path holds a NUL byte
+    ("identities", "out = a\0b"),
 ])
 def test_non_finite_config_file_value_is_exit_2(tmp_path, capsys, suite,
                                                 line):
@@ -268,13 +271,16 @@ def test_failed_report_write_leaves_no_temporary(tmp_path, monkeypatch,
 # the flags of each suite besides --config and --out (README "Command
 # line"), each with a value the suite accepts
 SUITE_FLAGS = {
-    "identities": {"--seed": "1", "--fd-step": "0.001"},
+    "identities": {"--seed": "1"},
     "oracle": {"--family": "bump", "--grid": "48", "--s-values": "1"},
     "converge": {"--family": "bump", "--theta": "pi/2", "--b": "0",
                  "--lambda-prime": "4,6", "--grid": "48"},
     "claim": {"--family": "bump", "--theta": "pi/2"},
 }
-FLAG_VALUES = {flag: value for flags in SUITE_FLAGS.values()
+# flags of deleted keys, which every suite refuses (the polar identity's
+# step is extension.POLAR_FD_STEP)
+GONE_FLAGS = {"--fd-step": "0.02"}
+FLAG_VALUES = {flag: value for flags in (*SUITE_FLAGS.values(), GONE_FLAGS)
                for flag, value in flags.items()}
 
 
@@ -298,7 +304,6 @@ def test_flag_a_suite_does_not_read_is_exit_2(tmp_path, capsys, suite,
     ("oracle", "family", "hyperbolic"),
     ("oracle", "s_values", "1,3"),
     ("identities", "seed", "5"),
-    ("identities", "fd_step", "0.001"),
 ])
 def test_flag_file_line_and_default_resolve_alike(tmp_path, suite, key,
                                                   value):
@@ -344,8 +349,6 @@ _FLAG_DRAWS = {
                            "nan", "1e-150", "3e-153", "1e-160", "1e-170",
                            "5e-324"]),
     "--seed": st.integers(-3, 50).map(str),
-    "--fd-step": st.sampled_from(["0", "-0.001", "0.02", "1e-3", "1e-300",
-                                  "0.5", "nan", "inf"]),
     "--grid": st.integers(-1, 48).map(str),
 }
 
@@ -429,18 +432,12 @@ def test_identities_pass_and_outputs(tmp_path):
     assert len(csv_lines) == len(recs) + 1
 
 
-def test_identities_negative_control_fd_step(tmp_path):
-    out = tmp_path / "out"
-    # runnable but far too coarse: tolerance breach, exit 1
-    assert run(["identities", "--out", str(out), "--fd-step", "0.02"]) == 1
-    summary = (out / "summary.txt").read_text()
-    assert "FAIL" in summary
-
-
-def test_identities_unrunnable_fd_step_is_refused(tmp_path):
+def test_identities_unrunnable_fd_step_is_refused(tmp_path, monkeypatch):
     # the stencil cannot fit the grid at all: precondition error, exit 2
+    monkeypatch.setattr(cli.ext, "POLAR_FD_STEP", 0.5)
     out = tmp_path / "out"
-    assert run(["identities", "--out", str(out), "--fd-step", "0.5"]) == 2
+    assert run(["identities", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_identities_shift_gap_fails_on_nan(tmp_path, monkeypatch):
@@ -570,6 +567,29 @@ def test_converge_computes_each_thetas_indices_once(tmp_path, monkeypatch):
     assert run(["converge", "--grid", "24", "--theta", "pi/2,pi/3",
                 "--out", str(tmp_path / "out")]) == 0
     assert calls == [math.pi / 2, math.pi / 3]
+
+
+def test_converge_summary_is_each_thetas_verdict(tmp_path, monkeypatch):
+    # summary.txt lists every theta's line, then every theta's failures,
+    # then the verdict, each as check_convergence_assertions gives it; the
+    # boundary gate fails at lambda' + b = 5
+    reports = []
+    real = cli.cl.run_convergence
+
+    def run_convergence(*args, **kw):
+        reports.append(real(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(cli.cl, "run_convergence", run_convergence)
+    out = tmp_path / "out"
+    assert run(["converge", "--grid", "24", "--lambda-prime", "4,5",
+                "--b=-1,0", "--out", str(out)]) == 1
+    verdicts = [cli.cl.check_convergence_assertions(rep) for rep in reports]
+    failures = [f"FAIL {f}" for _, fails in verdicts for f in fails]
+    assert len(verdicts) == 2 and failures
+    assert (out / "summary.txt").read_text().splitlines() == [
+        *(line for line, _ in verdicts), *failures,
+        "FAIL converge suite (bump[B=-1,c=1,eps=0.05,uniform])"]
 
 
 @pytest.mark.parametrize("argv,message", [

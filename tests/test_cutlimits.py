@@ -230,7 +230,7 @@ def test_run_convergence_bump_decays():
     cp = cl.c_prime_bound(family, theta)
     rep = convergence(family, theta, [-2.0, 0.0, cp],
                       [4.0, 6.0, 8.0, 10.0], n_phi=24, n_beta=48)
-    failures = cl.check_convergence_assertions([rep])
+    _, failures = cl.check_convergence_assertions(rep)
     assert failures == []
     # the active-b distances really decay (sanity on magnitudes)
     by_b = {}
@@ -266,7 +266,7 @@ def test_run_convergence_with_angle_dependent_direction():
     cp = cl.c_prime_bound(family, theta)
     rep = convergence(family, theta, [-1.0, cp],
                       [4.0, 6.0, 8.0, 10.0], n_phi=32, n_beta=64)
-    assert cl.check_convergence_assertions([rep]) == []
+    assert cl.check_convergence_assertions(rep)[1] == []
 
 
 def test_run_convergence_rejects_bad_inputs():
@@ -309,26 +309,54 @@ def test_corrupt_limit_hook_breaks_assertions():
     family = bump()
     rep = convergence(family, HALF_PI, [0.0], [4.0, 6.0],
                       n_phi=16, n_beta=32, corrupt_limit=1e-3)
-    failures = cl.check_convergence_assertions([rep])
+    _, failures = cl.check_convergence_assertions(rep)
     assert failures != []
 
 
-def _reports(c2_values, boundary=1e-8):
+def _report(c2_values, boundary=1e-8):
     records = [{"theta": HALF_PI, "b": 0.0, "lambda_prime": lp,
                 "c0": c2 / 10.0, "c1": c2 / 2.0, "c2": c2,
                 "boundary_M_c0": boundary}
                for lp, c2 in zip((4.0, 6.0, 8.0), c2_values)]
-    return [cl.ConvergenceReport(records=records, wall_clock_s=0.0)]
+    return cl.ConvergenceReport(records=records, wall_clock_s=0.0)
 
 
 def test_convergence_assertions_fail_on_nan():
-    assert cl.check_convergence_assertions(_reports([1e-2, 1e-3, 1e-5])) == []
-    failures = cl.check_convergence_assertions(
-        _reports([1e-2, 1e-3, math.nan]))
+    line, failures = cl.check_convergence_assertions(
+        _report([1e-2, 1e-3, 1e-5]))
+    assert failures == []
+    assert line == "theta=1.5708: final C2 1.000e-05, final boundary 1.000e-08"
+    line, failures = cl.check_convergence_assertions(
+        _report([1e-2, 1e-3, math.nan]))
     assert any("final C^2 distance" in f for f in failures)
-    failures = cl.check_convergence_assertions(
-        _reports([1e-2, 1e-3, 1e-5], boundary=math.nan))
+    assert "final C2 nan" in line
+    line, failures = cl.check_convergence_assertions(
+        _report([1e-2, 1e-3, 1e-5], boundary=math.nan))
     assert any("boundary distance" in f for f in failures)
+    assert line.endswith("final boundary nan")
+
+
+def test_convergence_assertions_gate_each_b_and_the_max_over_b():
+    # b = 0 decays; b = 1 grows, then stalls, above the floor, and the
+    # maximum over b, which b = 1 holds from lambda' = 6 on, stalls with
+    # it; b = 2 stalls only at or below the floor
+    records = [{"theta": PI_3, "b": b, "lambda_prime": lp, "c0": c2,
+                "c1": 0.0, "c2": c2, "boundary_M_c0": 1e-8}
+               for b, c2s in ((0.0, (1e-2, 1e-3, 1e-5)),
+                              (1.0, (1e-3, 2e-3, 2e-3)),
+                              (2.0, (1e-9, 1e-9, 1e-9)))
+               for lp, c2 in zip((4.0, 6.0, 8.0), c2s)]
+    line, failures = cl.check_convergence_assertions(
+        cl.ConvergenceReport(records=records, wall_clock_s=0.0))
+    assert line == "theta=1.0472: final C2 2.000e-03, final boundary 1.000e-08"
+    assert failures == [
+        "theta=1.0472 b=1: distance not decreasing above floor "
+        "(1.000e-03 -> 2.000e-03)",
+        "theta=1.0472 b=1: distance not decreasing above floor "
+        "(2.000e-03 -> 2.000e-03)",
+        "theta=1.0472 b=1: final C^2 distance 2.000e-03 >= 1e-04",
+        "theta=1.0472: max-over-b distance not strictly decreasing above "
+        "floor (2.000e-03 -> 2.000e-03)"]
 
 
 # ---------------------------------------------------------------------------

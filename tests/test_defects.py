@@ -1,10 +1,11 @@
 """A catalogue of known defects and the exit code each gives today.
 
-Each row breaks one production function with a monkeypatch (or sets one of
-the negative-control flags) and runs one suite at grid 24-96.  A caught
-defect exits 1.  An escaped defect exits 0 and names the ROADMAP item whose
-gate will catch it: when that gate lands, its row fails here and moves to
-the caught rows.  The escaped rows record known gaps; they loosen no check.
+Each row breaks one production function or constant with a monkeypatch
+(or sets one of the negative-control flags) and runs one suite at grid
+24-96.  A caught defect exits 1.  An escaped defect exits 0 and names the
+ROADMAP item whose gate will catch it: when that gate lands, its row fails
+here and moves to the caught rows.  The escaped rows record known gaps;
+they loosen no check.
 """
 
 import dataclasses
@@ -47,6 +48,19 @@ def asymptotic_index(monkeypatch, hits):
     monkeypatch.setattr(cl, "cut_indices", cut_indices)
 
 
+def polar_fd_step(monkeypatch, hits):
+    """The polar identity's finite-difference step 0.02, far too coarse
+    for the identities suite's tolerance."""
+    real = ext.polar_identity_residual
+
+    def residual(s, beta, derivatives):
+        hits.append(derivatives)
+        return real(s, beta, derivatives)
+
+    monkeypatch.setattr(ext, "POLAR_FD_STEP", 0.02)
+    monkeypatch.setattr(ext, "polar_identity_residual", residual)
+
+
 def phi_step(monkeypatch, hits):
     """The phi step of every join distance times 1e3."""
     real = ext.JoinSample.steps.fget
@@ -86,7 +100,7 @@ DEFECTS = [
     ("formula-beta", None,
      ["oracle", "--grid", "24", "--corrupt", "formula-beta"], 1, None),
     ("beta1-large", None, ["claim", "--corrupt", "beta1-large"], 1, None),
-    ("fd-step", None, ["identities", "--fd-step", "0.02"], 1, None),
+    ("fd-step", polar_fd_step, ["identities"], 1, None),
     ("radius-shift", radius_shift, ["converge", "--grid", "96"], 0,
      "items 4 and 10"),
     ("asymptotic-index", asymptotic_index, ["converge", "--grid", "96"], 0,

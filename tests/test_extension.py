@@ -318,13 +318,16 @@ def test_polar_identity_closed_grid():
 
 def test_polar_identity_stress_near_fiber():
     # large s close to the beta = pi/2 edge of the sampling band
-    res = ext.polar_identity_residual(9.5, HALF_PI - 0.05, derivatives="fd")
-    assert res < 1e-6
+    res = ext.polar_identity_residual(np.array([9.5]),
+                                      np.array([HALF_PI - 0.05]), "fd")
+    assert res.shape == (1,) and res[0] < 1e-6
 
 
-def test_polar_identity_rejects_bad_step():
-    with pytest.raises(DomainError):
-        ext.polar_identity_residual(1.0, 0.5, fd_step=0.5, derivatives="fd")
+def test_polar_identity_rejects_bad_step(monkeypatch):
+    # a stencil that leaves (0, pi/2) in beta, or s > 0, is refused
+    monkeypatch.setattr(ext, "POLAR_FD_STEP", 0.5)
+    with pytest.raises(DomainError, match="fd step too large"):
+        ext.polar_identity_residual(np.array([1.0]), np.array([0.5]), "fd")
 
 
 # ---------------------------------------------------------------------------
