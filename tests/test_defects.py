@@ -102,7 +102,7 @@ DEFECTS = [
     ("beta1-large", None, ["claim", "--corrupt", "beta1-large"], 1, None),
     ("fd-step", polar_fd_step, ["identities"], 1, None),
     ("radius-shift", radius_shift, ["converge", "--grid", "96"], 0,
-     "items 4 and 10"),
+     "item 10"),
     ("asymptotic-index", asymptotic_index, ["converge", "--grid", "96"], 0,
      "item 10"),
     ("phi-step", phi_step,

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypext import cli
 from hypext import extension as ext
 from hypext import families as fam
 from hypext import fields as mf
@@ -160,8 +161,115 @@ def test_pullback_margin_guard():
     base = hyperbolic_space()
     phi = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     beta = np.linspace(1e-6, HALF_PI - 1e-6, 10)
-    with pytest.raises(DomainError):
-        ext.cut_via_pullback(base, 1.0, phi, beta)
+    # a NaN beta fails every range comparison: it is refused, not sampled
+    nan_beta = ext.join_grid(8, 10)[1].copy()
+    nan_beta[4] = math.nan
+    for bad in (beta, nan_beta):
+        with pytest.raises(DomainError, match="beta grid must stay"):
+            ext.cut_via_pullback(base, 1.0, phi, bad)
+
+
+def pullback_by_sheets(base, s, phi, beta):
+    """Reference oracle: the pullback with each sheet w of SHEETS filled
+    in full by its own pass, every tangent carrying its w."""
+    h = max(1e-5, 1e-6 * float(s))
+    dt_db = ext._richardson_d1(lambda bb: ht.solve_t(s, bb), beta, h)
+    dr_db = ext._richardson_d1(lambda bb: ht.solve_r(s, bb), beta, h)
+    dphi_db = np.zeros_like(beta)
+    dphi_dphi = ext._richardson_d1(lambda pp: pp, phi, h)
+    dt_dphi = np.zeros_like(phi)
+    dr_dphi = np.zeros_like(phi)
+    r_c = ht.solve_r(s, beta)
+    f_yy = np.cosh(r_c) ** 2
+    f_pp = np.empty((phi.size, beta.size))
+    np.multiply(ext._column_rows(base, r_c, phi).T, np.sinh(r_c) ** 2,
+                out=f_pp)
+    block_m = np.empty((len(ext.SHEETS), phi.size, beta.size))
+    block_beta = np.empty_like(block_m)
+    offdiag = np.empty_like(block_m)
+    for iw, w in enumerate(ext.SHEETS):
+        v_beta = (w * dt_db, dphi_db, dr_db)
+        v_phi = (w * dt_dphi, dphi_dphi, dr_dphi)
+        block_beta[iw] = (f_yy * v_beta[0] ** 2)[None, :] \
+            + f_pp * (v_beta[1] ** 2)[None, :] \
+            + (v_beta[2] ** 2)[None, :]
+        block_m[iw] = (f_yy[None, :] * (v_phi[0] ** 2)[:, None]) \
+            + f_pp * (v_phi[1] ** 2)[:, None] \
+            + (v_phi[2] ** 2)[:, None]
+        offdiag[iw] = (f_yy[None, :] * v_phi[0][:, None]
+                       * v_beta[0][None, :]) \
+            + f_pp * v_phi[1][:, None] * v_beta[1][None, :] \
+            + v_phi[2][:, None] * v_beta[2][None, :]
+    return block_m, block_beta, offdiag
+
+
+def oracle_base(direction):
+    """The oracle suite's bump base: the member ORACLE_BASE_LAMBDA."""
+    family = fam.bump_family(direction)
+    return lambda r: family.cut(cli.ORACLE_BASE_LAMBDA, r)
+
+
+ORACLE_BASES = [
+    pytest.param(hyperbolic_space, id="hyperbolic"),
+    pytest.param(lambda: oracle_base("uniform"), id="bump-uniform"),
+    pytest.param(lambda: oracle_base("cos2"), id="bump-cos2"),
+]
+
+
+@pytest.mark.parametrize("make_base", ORACLE_BASES)
+@pytest.mark.parametrize("s", [1.0, 3.0, 8.0])
+def test_one_sheet_pullback_is_the_two_sheet_loop(make_base, s):
+    # w enters every pulled-back entry as w^2: the one computed sheet,
+    # viewed on both, is the two-sheet loop bit for bit
+    base = make_base()
+    phi, beta = ext.join_grid(24, 18)
+    got = ext.cut_via_pullback(base, s, phi, beta)
+    want = pullback_by_sheets(base, s, phi, beta)
+    for block, ref in zip((got.block_m, got.block_beta, got.offdiag), want):
+        assert block.shape == ref.shape
+        assert not block.flags.writeable
+        assert block.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("make_base", ORACLE_BASES)
+def test_compare_join_views_and_copies_agree(make_base):
+    # the maxima over distinct entries of views are those over every
+    # entry of full copies, also against a full (non-broadcast) block_beta
+    # as the formula-beta hook makes
+    base = make_base()
+    phi, beta = ext.join_grid(24, 18)
+    for s in (1.0, 3.0, 8.0):
+        formula = ext.cut_via_formula(base, s).sample(phi, beta)
+        oracle = ext.cut_via_pullback(base, s, phi, beta)
+        scaled = replace(formula, block_beta=formula.block_beta * 1.01)
+        for f in (formula, scaled):
+            rep = ext.compare_join(f, oracle)
+            assert rep == ext.compare_join(materialized(f),
+                                           materialized(oracle))
+            assert rep == ext.compare_join(f, materialized(oracle))
+            assert rep == ext.compare_join(materialized(f), oracle)
+        assert ext.compare_join(scaled, oracle)["max_rel_err_block_beta"] \
+            > 1e-3
+
+
+def test_pullback_and_compare_join_peak_allocation():
+    # the oracle computes one sheet per block, viewed on both sheets, and
+    # compare_join works on one sheet per block: about 7 sheets at the
+    # peak, where three full (2, n_phi, n_beta) blocks filled sheet by
+    # sheet, with their temporaries, take about 14
+    base = perturbed_space()
+    phi, beta = ext.join_grid(64, 128)
+    formula = ext.cut_via_formula(base, 2.0).sample(phi, beta)
+    sheet_bytes = phi.size * beta.size * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base_mem = tracemalloc.get_traced_memory()[0]
+        ext.compare_join(formula, ext.cut_via_pullback(base, 2.0, phi, beta))
+        peak = tracemalloc.get_traced_memory()[1] - base_mem
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * sheet_bytes
 
 
 def test_compare_join_grid_mismatch():
@@ -324,7 +432,12 @@ def test_polar_identity_stress_near_fiber():
 
 
 def test_polar_identity_rejects_bad_step(monkeypatch):
-    # a stencil that leaves (0, pi/2) in beta, or s > 0, is refused
+    # a stencil that leaves (0, pi/2) in beta, or s > 0, is refused, and so
+    # is a NaN s or beta, which fails every range comparison
+    for s, beta in (([2.0, math.nan], [0.5, 0.5]),
+                    ([2.0, 2.0], [0.5, math.nan])):
+        with pytest.raises(DomainError, match="fd step too large"):
+            ext.polar_identity_residual(np.array(s), np.array(beta), "fd")
     monkeypatch.setattr(ext, "POLAR_FD_STEP", 0.5)
     with pytest.raises(DomainError, match="fd step too large"):
         ext.polar_identity_residual(np.array([1.0]), np.array([0.5]), "fd")
