@@ -380,7 +380,6 @@ def cmd_oracle(cfg):
         rep["family_id"] = base_name
         ok = (rep["max_rel_err_block_M"] < 1e-5
               and rep["max_rel_err_block_beta"] < 1e-5
-              and rep["max_rel_err_block_H"] < 1e-5
               and rep["max_abs_offdiag"] < 1e-6)
         rep["passed"] = ok
         all_ok &= ok

@@ -230,6 +230,7 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid, lams,
 
     t0 = time.perf_counter()
     phi, beta = join_grid(n_phi, n_beta)
+    fd_step = float(beta[1] - beta[0])      # every join distance's beta step
     probe_beta = np.geomspace(1e-3, BETA_MARGIN, 6)
     probe_sin_sq = np.sin(probe_beta)[None, :] ** 2
     # per cut: the family index (alike for every b) and coth^2(lambda' + b)
@@ -268,7 +269,7 @@ def run_convergence(family, theta, b_grid, lambda_prime_grid, lams,
             records.append({
                 "theta": theta, "b": b, "lambda_prime": lp,
                 "c0": dist.c0, "c1": dist.c1, "c2": dist.c2,
-                "grid": [n_phi, n_beta], "fd_step": dist.fd_step,
+                "grid": [n_phi, n_beta], "fd_step": fd_step,
                 "family_id": family.family_id,
                 "boundary_M_c0": boundary_m_c0,
                 "boundary_H_c0": pole_dev,

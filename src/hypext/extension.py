@@ -16,15 +16,15 @@ coordinates (w, u, beta): w the sign label of the two H^1 rays, u a
 circle angle, and beta in (0, pi/2) the angle from the H^1 axis.  The
 chart covers the 2-sphere minus the two poles and the equator.
 
-Two independent routes to the induced sphere metric are implemented:
+Two routes to the induced sphere metric are implemented:
 
 * ``cut_via_formula`` -- the closed-form block expression
   sinh^2(s) * (cos^2(beta) sigma_{S^0} + sin^2(beta) g'_r + dbeta^2)
   with r = asinh(sin(beta) sinh(s)), since sinh^2(r) = sin^2(beta)
   sinh^2(s);
 * ``cut_via_pullback`` -- a finite-difference pullback of the ambient
-  metric through the embedding of the join chart, which assumes no block
-  structure and therefore serves as the oracle for the closed form.
+  metric through the join embedding, the oracle for the closed form; it
+  builds only the entries a diagonal ambient metric can make nonzero.
 
 ``polar_identity_residual`` checks the underlying change-of-variables
 identity sinh^2(s) dbeta^2 + ds^2 = cosh^2(r) dt^2 + dr^2 on (s, beta)
@@ -69,7 +69,7 @@ RADIUS_MAX = 350.0
 POLAR_FD_STEP = 2e-4
 
 
-# the off-diagonal block of every closed-form sample is a view of this zero
+# the off-diagonal block of every join sample is a view of this zero
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
@@ -222,19 +222,17 @@ def cut_via_formula(base, s):
 
 
 def cut_via_pullback(base, s, phi, beta):
-    """Finite-difference pullback of the ambient metric of the extension
-    of ``base`` through the join embedding; the independent oracle for the
-    closed-form cut.
+    """Finite-difference pullback of the extension's ambient metric
+    through the join embedding; the oracle for the closed-form cut.
 
-    At every grid point the tangent vectors of the embedding
-    (phi, beta) -> (w t(s, beta), phi, r(s, beta)) are built by central
-    differences with one Richardson pass, the ambient components are
-    evaluated at the center point, and the pulled-back 2x2 matrix is
-    assembled.  The off-diagonal entry is computed, not assumed zero.
-    The sheet label w enters only as w^2, so one sheet is computed and
-    every block is a read-only view of it on both SHEETS.  The step
-    max(1e-5, 1e-6 s) balances truncation against cancellation across the
-    radius range used.
+    The embedding (phi, beta) -> (w t(s, beta), phi, r(s, beta)) has the
+    tangents (w dt/dbeta, 0, dr/dbeta) and (0, dphi/dphi, 0), each nonzero
+    entry a central difference with one Richardson pass, and the ambient
+    metric is diagonal in (t, phi, r), so only the beta block (a beta
+    vector) and the circle block h_r (dphi/dphi)^2 (one sheet) are built;
+    the off-diagonal block is a view of zero.  w enters only as w^2: each
+    block is a read-only view on both SHEETS.  The step max(1e-5, 1e-6 s)
+    balances truncation against cancellation across the radius range used.
     """
     _check_radius(s, "cut_via_pullback")
     phi = np.asarray(phi, dtype=float)
@@ -242,38 +240,21 @@ def cut_via_pullback(base, s, phi, beta):
     h = max(1e-5, 1e-6 * float(s))
     if not (np.min(beta) >= 2.0 * h and np.max(beta) <= HALF_PI - 2.0 * h):
         raise DomainError(
-            "cut_via_pullback: beta grid must stay 2*fd_step inside "
-            "(0, pi/2)")
+            "cut_via_pullback: beta grid must be finite and stay "
+            "2*fd_step inside (0, pi/2)")
 
-    # beta-direction tangent of the embedding (t and r components)
     dt_db = _richardson_d1(lambda bb: ht.solve_t(s, bb), beta, h)
     dr_db = _richardson_d1(lambda bb: ht.solve_r(s, bb), beta, h)
-    # the phi-component of the embedding is the constant phi along beta:
-    # its central difference is a difference of identical values, i.e. 0.0
-    dphi_db = np.zeros_like(beta)
-
-    # phi-direction tangent: the embedding is the identity in phi and
-    # constant in (t, r)
     dphi_dphi = _richardson_d1(lambda pp: pp, phi, h)
-    dt_dphi = np.zeros_like(phi)
-    dr_dphi = np.zeros_like(phi)
 
     r_c = ht.solve_r(s, beta)
-    f_yy = np.cosh(r_c) ** 2                     # (n_beta,)
+    g_bb = np.cosh(r_c) ** 2 * dt_db ** 2 + dr_db ** 2
     f_pp = np.empty((phi.size, beta.size))       # h_r = sinh^2(r) g'_r
     np.multiply(_column_rows(base, r_c, phi).T, np.sinh(r_c) ** 2, out=f_pp)
-
-    # the terms of the w = +1 sheet (w scales dt only, so enters as w^2)
-    g_bb = (f_yy * dt_db ** 2)[None, :] + f_pp * (dphi_db ** 2)[None, :] \
-        + (dr_db ** 2)[None, :]
-    g_pp = (f_yy[None, :] * (dt_dphi ** 2)[:, None]) \
-        + f_pp * (dphi_dphi ** 2)[:, None] + (dr_dphi ** 2)[:, None]
-    g_pb = (f_yy[None, :] * dt_dphi[:, None] * dt_db[None, :]) \
-        + f_pp * dphi_dphi[:, None] * dphi_db[None, :] \
-        + dr_dphi[:, None] * dr_db[None, :]
+    f_pp *= (dphi_dphi ** 2)[:, None]            # now g_pp
     shape = (len(SHEETS), phi.size, beta.size)
     return JoinSample(phi, beta, *(_readonly_broadcast(g, shape)
-                                   for g in (g_pp, g_bb, g_pb)))
+                                   for g in (f_pp, g_bb, _ZERO)))
 
 
 def _require_same_grid(a, b, who):
@@ -342,7 +323,7 @@ def join_c2_distance(a, b):
                        _slot_difference(a.offdiag, b.offdiag))
             for sheet in range(da.shape[0])]
     c0, c1, c2 = (mf.max_carrying_nan(*col) for col in zip(*sups))
-    return mf.C2Distance(c0=c0, c1=c1, c2=c2, fd_step=hbeta)
+    return mf.C2Distance(c0=c0, c1=c1, c2=c2)
 
 
 def polar_identity_residual(s, beta, derivatives):
@@ -367,7 +348,8 @@ def polar_identity_residual(s, beta, derivatives):
         if not (np.min(beta) >= 2.0 * h and np.max(beta) <= HALF_PI - 2.0 * h
                 and np.min(s) >= 2.0 * h):
             raise DomainError(
-                "polar_identity_residual: fd step too large for the grid")
+                "polar_identity_residual: s and beta must be finite and "
+                "stay 2*POLAR_FD_STEP inside s > 0 and beta in (0, pi/2)")
         dt_ds = _richardson_d1(lambda x: ht.solve_t(x, beta), s, h)
         dt_db = _richardson_d1(lambda x: ht.solve_t(s, x), beta, h)
         dr_ds = _richardson_d1(lambda x: ht.solve_r(x, beta), s, h)

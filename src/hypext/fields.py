@@ -91,13 +91,11 @@ def round_metric():
 @dataclass(frozen=True)
 class C2Distance:
     """Sups of component differences and their first/second central
-    differences over the interior grids, and the finite-difference step
-    they were taken with."""
+    differences over the interior grids."""
 
     c0: float
     c1: float
     c2: float
-    fd_step: float
 
     def max(self):
         return max_carrying_nan(self.c0, self.c1, self.c2)
@@ -223,4 +221,4 @@ def c2_distance(a, b):
                     (h,))
             for centre in WINDOW_CENTRES]
     c0, c1, c2 = (max_carrying_nan(*col) for col in zip(*sups))
-    return C2Distance(c0=c0, c1=c1, c2=c2, fd_step=h)
+    return C2Distance(c0=c0, c1=c1, c2=c2)

@@ -525,9 +525,9 @@ def test_c2_sups_broadcast_view_matches_its_copy(read_only):
 def test_c2_distance_max_carries_nan():
     for values in [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0),
                    (0.0, 1.0, math.nan)]:
-        d = mf.C2Distance(*values, fd_step=0.1)
+        d = mf.C2Distance(*values)
         assert math.isnan(d.max())
-    assert mf.C2Distance(1e-3, 2e-3, 0.0, 0.1).max() == 2e-3
+    assert mf.C2Distance(1e-3, 2e-3, 0.0).max() == 2e-3
     assert math.isnan(mf.max_carrying_nan(0.0, math.nan))
     assert mf.max_carrying_nan(0.0, -0.0, 3.0) == 3.0
 
@@ -586,7 +586,6 @@ def test_boundary_resolution_spacing_meets_margin():
     # the other window, so the step c2_distance takes is at most MARGIN / 2
     axis = mf._WINDOW_AXIS
     h = float(axis[1] - axis[0])
-    assert mf.c2_distance(mf.round_metric(), mf.round_metric()).fd_step == h
     assert h <= mf.MARGIN / 2.0
 
 
@@ -604,7 +603,6 @@ def test_c2_distance_matches_roll_reference():
     d = mf.c2_distance(cut, limit)
     assert want[0] > 0.0 and want[2] > 0.0
     assert_bit_identical((d.c0, d.c1, d.c2), tuple(want))
-    assert d.fd_step == h
 
 
 def test_c2_distance_carries_nan_of_the_second_window():
