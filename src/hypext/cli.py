@@ -5,7 +5,9 @@ Subcommands and the flags each takes besides --config and --out
 ---------------------------------------------------------------
 identities   --seed: triangle and reparametrization identities on random
              grids, plus the polar coordinate identity (finite-difference
-             and closed-form derivative variants)
+             and closed-form derivative variants); the grids are slices
+             of the seed's SplitMix64 stream (identities_draws), so no
+             suite loads numpy's random module and its import cost
 oracle       --family, --grid, --s-values: closed-form cut vs
              finite-difference pullback, per family
 converge     --family, --theta, --b, --lambda-prime, --grid: cut-limit
@@ -69,6 +71,19 @@ GRID_MAX = 2048
 # radius and angle ranges of the identities suite's random triangles
 IDENTITIES_S_RANGE = (0.1, 30.0)
 IDENTITIES_BETA_RANGE = (0.01, math.pi / 2 - 0.01)
+
+# the identities suite's random inputs, in the order they are drawn from
+# one seeded stream: name, half-open range and shape
+IDENTITIES_DRAWS = (("s", IDENTITIES_S_RANGE, (100, 100)),
+                    ("beta", IDENTITIES_BETA_RANGE, (100, 100)),
+                    ("lam", (0.1, 700.0), (400,)),
+                    ("th", (0.05, math.pi / 2), (400,)))
+
+# SplitMix64 (Steele, Lea and Flood, 2014): the increment of its counter
+# and the two multipliers of its output mix
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_MASK64 = (1 << 64) - 1
 
 # the bump family member whose unwarped cut is the oracle suite's base
 ORACLE_BASE_LAMBDA = 2.0
@@ -301,10 +316,45 @@ def write_reports(out_dir, records, columns, summary_lines):
 # identities suite
 # ---------------------------------------------------------------------------
 
+def _uniforms(seed, start, n):
+    """Draws start, ..., start + n - 1 of the seed's SplitMix64 stream of
+    uniforms in [0, 1): draw i is mix(key + (i + 1) * gamma) >> 11, times
+    2**-53.  The key folds every 64-bit limb of the seed, so any seed >= 0
+    has a stream, and is the seed itself below 2**64, so those seeds have
+    distinct streams.  The key is a Python int taken mod 2**64; the stream
+    is uint64 arrays, whose arithmetic wraps without a warning."""
+    key = 0
+    for shift in reversed(range(0, max(seed.bit_length(), 1), 64)):
+        key = (key * _SPLITMIX_MIX[0] + ((seed >> shift) & _MASK64)) & _MASK64
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= _SPLITMIX_GAMMA
+    z += key
+    z ^= z >> 30
+    z *= _SPLITMIX_MIX[0]
+    z ^= z >> 27
+    z *= _SPLITMIX_MIX[1]
+    z ^= z >> 31
+    z >>= 11
+    return z * 2.0 ** -53
+
+
+def identities_draws(seed):
+    """{name: array} of the identities suite's random inputs
+    (IDENTITIES_DRAWS): consecutive slices of the seed's ``_uniforms``
+    stream, each mapped onto its range.  Each slice is drawn on its own:
+    the temporaries of the whole 20,800-draw stream are large enough that
+    malloc maps and unmaps them afresh on every run."""
+    draws, start = {}, 0
+    for name, (lo, hi), shape in IDENTITIES_DRAWS:
+        n = math.prod(shape)
+        draws[name] = lo + (hi - lo) * _uniforms(seed, start, n).reshape(shape)
+        start += n
+    return draws
+
+
 def cmd_identities(cfg):
-    rng = np.random.default_rng(cfg.seed)
-    s = rng.uniform(*IDENTITIES_S_RANGE, size=(100, 100))
-    beta = rng.uniform(*IDENTITIES_BETA_RANGE, size=(100, 100))
+    draws = identities_draws(cfg.seed)
+    s, beta = draws["s"], draws["beta"]
     r = ht.solve_r(s, beta)
     t = ht.solve_t(s, beta)
 
@@ -322,8 +372,7 @@ def cmd_identities(cfg):
     checks.append(("leg_two_forms",
                    relmax(t, np.arctanh(np.cos(beta) * np.tanh(s))), 1e-12))
 
-    lam = rng.uniform(0.1, 700.0, size=400)
-    th = rng.uniform(0.05, math.pi / 2, size=400)
+    lam, th = draws["lam"], draws["th"]
     back = ht.reparam(ht.reparam_inverse(lam, th), th)
     checks.append(("reparam_round_trip", relmax(back, lam), 1e-12))
 

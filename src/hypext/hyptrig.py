@@ -72,11 +72,13 @@ LAMBDA_PRIME_MAX = 700.0
 
 
 def _prepare(*vals):
-    """Broadcast inputs to flat float arrays; report shape and scalarness."""
+    """Broadcast inputs to flat float arrays; report shape and scalarness.
+    A flat array may be a read-only view of its input: no function here
+    writes into one or returns one."""
     arrs = [np.asarray(v, dtype=float) for v in vals]
     scalar = all(a.ndim == 0 for a in arrs)
     shape = np.broadcast_shapes(*[a.shape for a in arrs])
-    flat = [np.ravel(np.broadcast_to(a, shape)).astype(float) for a in arrs]
+    flat = [np.ravel(np.broadcast_to(a, shape)) for a in arrs]
     return flat, shape, scalar
 
 

@@ -4,7 +4,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +464,103 @@ def test_identities_deterministic(tmp_path):
     assert run(["identities", "--out", str(a), "--seed", "11"]) == 0
     assert run(["identities", "--out", str(b), "--seed", "11"]) == 0
     assert (a / "report.jsonl").read_bytes() == (b / "report.jsonl").read_bytes()
+
+
+# a seed of two 64-bit limbs, 2**64 + 5
+BIG_SEED = 2 ** 64 + 5
+
+
+def _splitmix64(state, n):
+    """SplitMix64's first n outputs from ``state``, on Python ints: the
+    published generator, as the reference of the suite's stream."""
+    mask = 2 ** 64 - 1
+    out = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed, state", [
+    (0, 0), (1, 1), (2 ** 63, 2 ** 63), (2 ** 64 - 1, 2 ** 64 - 1),
+    # the high limb folds in through the mix's first multiplier
+    (BIG_SEED, (0xBF58476D1CE4E5B9 + 5) % 2 ** 64),
+])
+def test_identities_stream_is_splitmix64(seed, state):
+    # below 2**64 the seed is SplitMix64's state itself, so those seeds
+    # have distinct streams; draw i keeps the top 53 bits of output i
+    got = cli._uniforms(seed, 0, 5)
+    assert got.tolist() == [(z >> 11) * 2.0 ** -53
+                            for z in _splitmix64(state, 5)]
+    # a slice drawn on its own is that slice of the stream
+    assert cli._uniforms(seed, 3, 2).tolist() == got[3:].tolist()
+    # SplitMix64's published first output from state 0
+    assert _splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+
+
+def test_identities_seeds_give_different_worst_values(tmp_path):
+    sampled = ("law_of_sines", "cross_identity", "pythagorean",
+               "leg_two_forms", "reparam_round_trip")
+    worst = []
+    for seed in (0, 1, BIG_SEED):
+        out = tmp_path / str(seed)
+        assert run(["identities", "--seed", str(seed), "--out", str(out)]) == 0
+        recs = {r["identity"]: r["worst"] for r in read_jsonl(out)}
+        worst.append([recs[name] for name in sampled])
+    for name, values in zip(sampled, zip(*worst)):
+        assert len(set(values)) == 3, name
+
+
+@pytest.mark.parametrize("seed", [0, BIG_SEED])
+def test_identities_draws_lie_in_their_ranges(seed):
+    draws = cli.identities_draws(seed)
+    assert list(draws) == [name for name, _, _ in cli.IDENTITIES_DRAWS]
+    for name, (lo, hi), shape in cli.IDENTITIES_DRAWS:
+        x = draws[name]
+        assert x.shape == shape and x.dtype == np.float64
+        assert np.all((lo <= x) & (x < hi)), name
+
+
+@pytest.mark.parametrize("seed", [0, BIG_SEED])
+def test_identities_draws_fill_their_deciles(seed):
+    # a 10,000-draw range puts 1,000 draws in each tenth, +-150 (about
+    # five standard deviations of a binomial(10,000, 0.1) count)
+    draws = cli.identities_draws(seed)
+    for name, (lo, hi), shape in cli.IDENTITIES_DRAWS:
+        if math.prod(shape) != 10_000:
+            continue
+        counts, _ = np.histogram(draws[name], bins=10, range=(lo, hi))
+        assert np.all(np.abs(counts - 1000) <= 150), (name, counts)
+
+
+@pytest.mark.parametrize("seed", [*range(20), BIG_SEED])
+def test_identities_pass_at_many_seeds_without_warnings(tmp_path, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["identities", "--seed", str(seed),
+                    "--out", str(tmp_path)]) == 0
+
+
+def test_no_suite_imports_numpy_random(tmp_path):
+    # a fresh interpreter: pytest and hypothesis may import numpy.random
+    # into this one themselves
+    script = (
+        "import sys\n"
+        "from hypext.cli import main\n"
+        "out = sys.argv[1]\n"
+        "for argv in (['identities'], ['oracle', '--grid', '24'],\n"
+        "             ['converge', '--grid', '24'], ['claim']):\n"
+        "    if main([*argv, '--out', f'{out}/{argv[0]}']) != 0:\n"
+        "        sys.exit(f'{argv[0]} did not pass')\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    sys.exit('numpy.random was imported')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

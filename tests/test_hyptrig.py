@@ -332,6 +332,42 @@ def test_coth_sq_minus_one():
                                                         rel=1e-12)
 
 
+def test_array_functions_leave_inputs_alone_and_share_no_memory():
+    # the flat arrays of _prepare may be views of the inputs, writable or
+    # read-only (the join_grid axes): no function writes into one or
+    # returns one, whether the input broadcasts (a copy) or not (a view)
+    from hypext import extension as ext
+    phi, beta = ext.join_grid(8, 6)
+    s1 = np.linspace(0.5, 40.0, 6)
+    s2 = np.linspace(0.5, 40.0, 48).reshape(8, 6)
+    lam = np.linspace(0.5, 700.0, 6)
+    b = np.linspace(-2.0, 1.0, 6)
+    theta = np.linspace(0.1, HALF_PI, 6)
+    calls = [
+        (ht.solve_r, (s1, beta)), (ht.solve_r, (s2, beta)),
+        (ht.solve_t, (s1, beta)), (ht.solve_t, (s2, beta)),
+        (ht.reparam, (lam, theta)), (ht.reparam_inverse, (lam, theta)),
+        (ht.reparam, (lam, HALF_PI)),
+        (ht.log_sinh, (s2,)), (ht.log_sinh, (beta,)),
+        (ht.log_cosh, (b,)), (ht.log_cosh, (phi,)),
+        (ht.vartheta_shift, (beta, b, theta)),
+        (ht.triangle_jacobian, (s1, beta)), (ht.triangle_jacobian, (s2, beta)),
+        (ht.coth_sq_minus_one, (s1,)), (ht.coth_sq_minus_one, (beta,)),
+    ]
+    for fn, args in calls:
+        before = [(a.tobytes(), a.flags.writeable) for a in args
+                  if isinstance(a, np.ndarray)]
+        out = fn(*args)
+        outs = out if isinstance(out, tuple) else (out,)
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        assert [(a.tobytes(), a.flags.writeable) for a in arrays] == before, \
+            fn.__name__
+        for o in outs:
+            assert isinstance(o, np.ndarray) and o.flags.writeable
+            assert not any(np.shares_memory(o, a) for a in arrays), \
+                fn.__name__
+
+
 def test_scalar_and_array_parity():
     s = np.array([0.7, 2.0, 9.0])
     beta = np.array([0.2, 0.9, 1.3])
