@@ -74,30 +74,6 @@ _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
 
-def _readonly_broadcast(a, shape):
-    """``np.broadcast_to(a, shape)``: the read-only view of ``a`` with
-    stride 0 on every axis where ``a`` has one element, as broadcast_to
-    gives, built as an ndarray over the buffer of a C-contiguous
-    ``a`` at a lower fixed cost than broadcast_to's Python-level set-up.
-    Any other ``a`` (non-contiguous, or not broadcastable to ``shape``)
-    goes to broadcast_to itself."""
-    lead = len(shape) - a.ndim
-    strides = [0] * lead
-    if lead >= 0 and a.flags.c_contiguous:
-        for st, n, want in zip(a.strides, a.shape, shape[lead:]):
-            if n == 1:
-                strides.append(0)
-            elif n == want:
-                strides.append(st)
-            else:
-                break
-        else:
-            view = np.ndarray(shape, a.dtype, a, 0, strides)
-            view.flags.writeable = False
-            return view
-    return np.broadcast_to(a, shape)
-
-
 def _richardson_d1(f, x, h):
     """Central difference with one Richardson pass (step ratio 2)."""
     d_h = (f(x + h) - f(x - h)) / (2.0 * h)
@@ -133,10 +109,10 @@ class JoinMetricField:
         shape = (len(SHEETS), phi.size, beta.size)
         return JoinSample(
             phi=phi, beta=beta,
-            block_m=_readonly_broadcast(m, shape),
-            block_beta=_readonly_broadcast(np.full(beta.size, self.radial),
-                                           shape),
-            offdiag=_readonly_broadcast(_ZERO, shape),
+            block_m=np.broadcast_to(m, shape),
+            block_beta=np.broadcast_to(np.full(beta.size, self.radial),
+                                       shape),
+            offdiag=np.broadcast_to(_ZERO, shape),
             block_h_coeff=self.radial * np.cos(beta) ** 2)
 
 
@@ -204,7 +180,7 @@ def join_field(column, radial):
     def block_m(phi, beta):
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        weight = np.array([radial * math.sin(b) ** 2 for b in beta.tolist()])
+        weight = radial * np.sin(beta) ** 2
         out = np.empty((phi.size, beta.size))
         np.multiply(_column_rows(column, beta, phi).T, weight, out=out)
         return out
@@ -253,7 +229,7 @@ def cut_via_pullback(base, s, phi, beta):
     np.multiply(_column_rows(base, r_c, phi).T, np.sinh(r_c) ** 2, out=f_pp)
     f_pp *= (dphi_dphi ** 2)[:, None]            # now g_pp
     shape = (len(SHEETS), phi.size, beta.size)
-    return JoinSample(phi, beta, *(_readonly_broadcast(g, shape)
+    return JoinSample(phi, beta, *(np.broadcast_to(g, shape)
                                    for g in (f_pp, g_bb, _ZERO)))
 
 
@@ -299,7 +275,7 @@ def _slot_difference(x, y):
     """x - y, subtracted on one index of every axis along which neither
     operand varies (stride 0, as in a broadcast sample) and broadcast back
     to the full read-only shape."""
-    return _readonly_broadcast(np.subtract(*_distinct(x, y)), x.shape)
+    return np.broadcast_to(np.subtract(*_distinct(x, y)), x.shape)
 
 
 def join_c2_distance(a, b):

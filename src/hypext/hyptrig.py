@@ -26,24 +26,11 @@ scalar inputs give scalar outputs.  Compositions of ``sinh``/``asinh`` are
 rewritten in the log domain beyond ``LOG_SWITCH``: naive ``sinh`` overflows
 near 710 and, inside compositions, loses digits much earlier.
 
-``solve_r`` with two float scalars (``float`` or ``np.float64``) takes a
-scalar path for its per-column callers, who pay more for the broadcast,
-ravel and mask machinery than for the arithmetic.  Its kernel,
-``_solve_r_scalar``, applies the array path's numpy ufuncs to 0-d values
-in the same order, with the same branch switches and domain errors, so
-both give the same bits (``math.*`` would not: its functions differ from
-numpy's in the last bit on a share of inputs).  A NaN ``s`` or ``beta``
-takes the array path, since which of two NaNs a numpy scalar sum keeps
-depends on how numpy was compiled; there a NaN angle gives a NaN leg.
-Only ``sin(beta) == 0`` gives ``r = 0``.
-
-The scalar ``solve_r`` keeps two caches, since its per-column callers
-repeat one beta axis in every cut and one s across a cut's columns:
-per beta, ``(log sin beta, e^{log sin beta})``, and per s, ``sinh s``.
-Each holds at most ``_SCALAR_CACHE_BOUND`` = 1024 entries and is emptied
-when full.  Every domain error is raised before either cache is read;
-a zero beta is never cached.  The cached values are the floats the
-kernel computes from the key, so a hit gives the same bits.
+``solve_r`` with two floats (``float`` or ``np.float64``) takes a
+``math`` path for its per-column callers, who pay more for the broadcast,
+ravel and mask machinery than for the arithmetic.  It has the array
+path's branches, refusals and NaN handling, and agrees with it to
+roundoff, not bit for bit.  Only ``sin(beta) == 0`` gives ``r = 0``.
 """
 
 from __future__ import annotations
@@ -153,44 +140,21 @@ def _check_theta(theta, what):
         raise DomainError(f"{what}: theta must lie in (0, pi/2]")
 
 
-# the scalar solve_r caches (see the module docstring); each value is a
-# function of its key alone, so callers and threads may share them
-_SCALAR_CACHE_BOUND = 1024
-_SIN_CACHE = {}
-_SINH_CACHE = {}
-
-
 def _solve_r_scalar(s, beta):
-    """solve_r for float scalars other than NaN: the branches of
-    ``_asinh_scaled_sinh`` (with ``_asinh_of_exp``) on 0-d values, with
-    the array path's domain errors, checked before either cache is read.
-    A zero beta is never cached: sin(beta) == 0 gives r = 0."""
+    """solve_r for two floats, in ``math``, with the refusals of the array
+    path and the branches of ``_leg_r``; the direct branch needs no
+    ``log_k + s > 300`` test, since log sin(beta) <= 0."""
     if s <= 0.0:
         raise DomainError("solve_r: s must be > 0")
     if beta < 0.0 or beta > HALF_PI:
         raise DomainError("solve_r: beta must lie in [0, pi/2]")
-    cached = _SIN_CACHE.get(beta)
-    if cached is None:
-        sinb = np.sin(beta)
-        if sinb == 0.0:
-            return 0.0
-        log_k = np.log(sinb)
-        if len(_SIN_CACHE) >= _SCALAR_CACHE_BOUND:
-            _SIN_CACHE.clear()
-        cached = _SIN_CACHE[beta] = float(log_k), float(np.exp(log_k))
-    log_k, k = cached
-    if s <= LOG_SWITCH and not log_k + s > 300.0:
-        # the direct branch, asinh(k * sinh(s))
-        sinh_s = _SINH_CACHE.get(s)
-        if sinh_s is None:
-            if len(_SINH_CACHE) >= _SCALAR_CACHE_BOUND:
-                _SINH_CACHE.clear()
-            sinh_s = _SINH_CACHE[s] = float(np.sinh(s))
-        return float(np.arcsinh(k * sinh_s))
-    ln_y = log_k + s - _LN2 + np.log1p(-np.exp(-2.0 * s))
-    if ln_y >= 20.0:
-        return float(ln_y + _LN2)
-    return float(np.arcsinh(np.exp(ln_y)))
+    sinb = math.sin(beta)
+    if sinb == 0.0:
+        return 0.0
+    if s <= LOG_SWITCH:
+        return math.asinh(sinb * math.sinh(s))
+    ln_y = math.log(sinb) + s - _LN2 + math.log1p(-math.exp(-2.0 * s))
+    return ln_y + _LN2 if ln_y >= 20.0 else math.asinh(math.exp(ln_y))
 
 
 def _leg_r(s, sinb):
@@ -207,8 +171,7 @@ def solve_r(s, beta):
     Stable for s well beyond 700 via log-domain evaluation.  A NaN input
     gives a NaN leg; r = 0 only where sin(beta) == 0.
     """
-    if (isinstance(s, float) and isinstance(beta, float) and s == s
-            and beta == beta):
+    if isinstance(s, float) and isinstance(beta, float):
         return _solve_r_scalar(s, beta)
     (s, beta), shape, scalar = _prepare(s, beta)
     if np.any(s <= 0.0):

@@ -1,5 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
-pass/fail line per criterion (visible with pytest -s / -rA)."""
+pass/fail line per criterion (visible with pytest -s / -rA).
+
+Every running maximum is folded with ``max_carrying_nan`` and every
+running minimum taken by ``np.min``, so that a NaN reaching a criterion's
+input fails it (the builtin ``max(0.0, nan)`` is 0.0); the rows of
+``tests/test_acceptance_nan.py`` check this."""
 
 import math
 import time
@@ -12,6 +17,7 @@ from hypext import extension as ext
 from hypext import families as fam
 from hypext import fields as mf
 from hypext import hyptrig as ht
+from hypext.errors import max_carrying_nan
 
 HALF_PI = math.pi / 2
 PI_3 = math.pi / 3
@@ -38,7 +44,7 @@ def test_triangle_identity_suite():
     def relmax(a, b):
         return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0)))
 
-    worst = max(
+    worst = max_carrying_nan(
         relmax(np.sinh(r), np.sin(beta) * np.sinh(s)),
         relmax(np.cosh(r) * np.sinh(t), np.sinh(s) * np.cos(beta)),
         relmax(np.cosh(r) * np.cosh(t), np.cosh(s)),
@@ -92,10 +98,10 @@ def test_formula_vs_pullback_oracle():
             formula = ext.cut_via_formula(base, s).sample(phi, beta)
             oracle = ext.cut_via_pullback(base, s, phi, beta)
             rep = ext.compare_join(formula, oracle)
-            worst_rel = max(worst_rel, rep["max_rel_err_block_M"],
-                            rep["max_rel_err_block_beta"],
-                            rep["max_rel_err_block_H"])
-            worst_off = max(worst_off, rep["max_abs_offdiag"])
+            worst_rel = max_carrying_nan(
+                worst_rel, rep["max_rel_err_block_M"],
+                rep["max_rel_err_block_beta"])
+            worst_off = max_carrying_nan(worst_off, rep["max_abs_offdiag"])
     elapsed = time.perf_counter() - t0
     report("formula-vs-oracle",
            worst_rel < 1e-5 and worst_off < 1e-6 and elapsed < 120.0,
@@ -120,10 +126,11 @@ def test_round_sphere_recovery(round_metric_in_join_coordinates):
         f = math.sinh(s) ** 2
         for sheet, idx in ((1, 0), (-1, 1)):
             tm, tb, tx = round_metric_in_join_coordinates(phi, beta, sheet)
-            worst = max(worst,
-                        float(np.max(np.abs(sample.block_m[idx] / f - tm))),
-                        float(np.max(np.abs(sample.block_beta[idx] / f - tb))),
-                        float(np.max(np.abs(tx))))
+            worst = max_carrying_nan(
+                worst,
+                float(np.max(np.abs(sample.block_m[idx] / f - tm))),
+                float(np.max(np.abs(sample.block_beta[idx] / f - tb))),
+                float(np.max(np.abs(tx))))
     report("round-sphere-recovery", worst < 1e-10,
            f"worst deviation from the chart-transported round metric "
            f"{worst:.2e} (< 1e-10), s in {{1,3,6}}, both sheets")
@@ -137,16 +144,17 @@ def test_shift_asymptotics():
     betas = np.linspace(0.08, 0.30, 10)
     bs = np.linspace(-2.0, -0.6, 5)
     thetas = (HALF_PI, PI_3, 1.0)
-    worst_gap30 = 0.0
-    worst_ratio = math.inf
+    gaps30, ratios = [], []
     for be in betas:
         for b in bs:
             for theta in thetas:
                 shift = ht.vartheta_shift(be, b, theta)
                 gap = lambda lam: abs(ht.vartheta(lam, be, b, theta)
                                       - lam - shift)
-                worst_gap30 = max(worst_gap30, gap(30.0))
-                worst_ratio = min(worst_ratio, gap(15.0) / gap(17.0))
+                gaps30.append(gap(30.0))
+                ratios.append(gap(15.0) / gap(17.0))
+    worst_gap30 = max_carrying_nan(*gaps30)
+    worst_ratio = float(np.min(ratios))
     report("shift-asymptotics",
            worst_gap30 < 1e-8 and worst_ratio >= 40.0,
            f"worst gap at lambda=30 is {worst_gap30:.2e} (< 1e-8); smallest "
@@ -171,7 +179,8 @@ def test_cut_limit_convergence():
                                  cl.cut_indices(theta, lps, -2.0),
                                  n_phi=48, n_beta=96)
         reports.append(rep)
-        finals.extend(max(r["c0"], r["c1"], r["c2"]) for r in rep.records
+        finals.extend(max_carrying_nan(r["c0"], r["c1"], r["c2"])
+                      for r in rep.records
                       if r["lambda_prime"] == 10.0)
         boundaries.extend(r["boundary_M_c0"] for r in rep.records
                           if r["lambda_prime"] == 10.0)
@@ -183,12 +192,14 @@ def test_cut_limit_convergence():
     elapsed = time.perf_counter() - t0
     coth_dev = max(ht.coth_sq_minus_one(10.0 + b)
                    for b in np.linspace(-2.0, 0.9, 5))
+    final = max_carrying_nan(*finals)
+    boundary = max_carrying_nan(*boundaries)
     report("cut-limit-convergence",
-           not failures and max(finals) < 1e-4
-           and max(boundaries) < 1e-6 and elapsed < 600.0,
+           not failures and final < 1e-4
+           and boundary < 1e-6 and elapsed < 600.0,
            f"strict decay over lambda' in {{4,6,8,10}} (above the 1e-8 "
-           f"floor); final C2 distance {max(finals):.2e} (< 1e-4); final "
-           f"boundary distance {max(boundaries):.2e} (< 1e-6, coth^2-1 "
+           f"floor); final C2 distance {final:.2e} (< 1e-4); final "
+           f"boundary distance {boundary:.2e} (< 1e-6, coth^2-1 "
            f"reaches {coth_dev:.1e}); theta in {{pi/2, pi/3}}, 5 b-values "
            f"in [-2, c']; {elapsed:.1f}s single-threaded"
            + ("" if not failures else f"; failures: {failures}"))
@@ -206,8 +217,8 @@ def test_small_angle_claim():
         B, cp = cl.claim_bounds(family, theta)
         beta1 = ht.beta1_threshold(theta, B, cp)
         rep = cl.verify_beta1_claim(family, theta, beta1)
-        worst_lambda0 = max(worst_lambda0, rep["lambda0"])
-        worst_dev = max(worst_dev, rep["exactness_max_dev"])
+        worst_lambda0 = max_carrying_nan(worst_lambda0, rep["lambda0"])
+        worst_dev = max_carrying_nan(worst_dev, rep["exactness_max_dev"])
     report("small-angle-claim",
            worst_lambda0 <= 10.0 and worst_dev <= 1e-14,
            f"inequality holds from lambda' = {worst_lambda0:.3g} (<= 10); "

@@ -133,6 +133,15 @@ def test_angle_parsing():
     # an out the reports cannot be written into: a path component longer
     # than any file system admits
     ["identities", "--out", "{tmp}/" + "a" * 300],
+    # the console step's refusals, as CI ran them: a flag the suite does
+    # not read; a theta whose claim sweep would start above its top,
+    # lambda' = 700, alone or after one that verifies; lambda' beyond 700
+    # and a sphere radius of 350 at the smallest grid
+    ["identities", "--grid", "24"],
+    ["claim", "--theta", "1e-304"],
+    ["claim", "--theta", "pi/2,1e-304"],
+    ["converge", "--grid", "24", "--lambda-prime", "4,6,8,1e8"],
+    ["oracle", "--grid", "24", "--s-values", "350"],
 ])
 def test_bad_numeric_input_is_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
@@ -192,6 +201,8 @@ def test_out_under_a_dangling_symlink_is_exit_2(tmp_path, capsys):
     ("identities", "out ="),
     # no path holds a NUL byte
     ("identities", "out = a\0b"),
+    # the amplitude is refused even at the family's own value
+    ("identities", "bump_amplitude = 0.05"),
 ])
 def test_non_finite_config_file_value_is_exit_2(tmp_path, capsys, suite,
                                                 line):
@@ -764,6 +775,13 @@ def test_claim_passes(tmp_path):
     assert len(recs) == 2
     for r in recs:
         assert r["passed"] and r["lambda0"] <= 10.0
+
+
+def test_claim_passes_at_a_small_theta(tmp_path):
+    # at theta = 0.1 the claim grid starts where lambda' + c' <= 0; those
+    # points are skipped and the rest verifies
+    out = tmp_path / "out"
+    assert run(["claim", "--theta", "0.1", "--out", str(out)]) == 0
 
 
 def test_claim_hyperbolic_trivially_consistent(tmp_path):

@@ -478,27 +478,6 @@ def _same_view(got, want):
     assert not got.flags.writeable
 
 
-@pytest.mark.parametrize("a,shape", [
-    pytest.param(np.arange(12.0).reshape(3, 4), (2, 3, 4), id="sheet"),
-    pytest.param(np.arange(4.0), (2, 3, 4), id="vector"),
-    pytest.param(np.zeros(()), (2, 3, 4), id="zero-d"),
-    pytest.param(np.arange(4.0).reshape(1, 1, 4), (2, 3, 4), id="ones"),
-    pytest.param(np.arange(3.0).reshape(1, 3, 1), (2, 3, 4), id="middle"),
-    pytest.param(np.arange(24.0).reshape(2, 3, 4), (2, 3, 4), id="full"),
-    pytest.param(np.arange(3.0).reshape(1, 3), (1, 3), id="size-one-axis"),
-    pytest.param(np.arange(24.0).reshape(3, 8)[:, ::2], (2, 3, 4),
-                 id="non-contiguous"),
-])
-def test_readonly_broadcast_is_broadcast_to(a, shape):
-    _same_view(ext._readonly_broadcast(a, shape), np.broadcast_to(a, shape))
-
-
-def test_readonly_broadcast_refuses_what_broadcast_to_refuses():
-    for a, shape in ((np.arange(3.0), (2, 4)), (np.zeros((2, 3)), (3,))):
-        with pytest.raises(ValueError):
-            ext._readonly_broadcast(a, shape)
-
-
 def test_sample_and_slot_difference_views_are_broadcast_to():
     phi, beta = ext.join_grid(16, 12)
     shape = (len(ext.SHEETS), phi.size, beta.size)

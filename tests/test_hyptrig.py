@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,16 +370,19 @@ def test_array_functions_leave_inputs_alone_and_share_no_memory():
 
 
 def test_scalar_and_array_parity():
-    s = np.array([0.7, 2.0, 9.0])
-    beta = np.array([0.2, 0.9, 1.3])
+    # the float route is plain math, the array route numpy: they agree to
+    # roundoff, not bit for bit
+    s = np.array([0.7, 2.0, 9.0, 45.0])
+    beta = np.array([0.2, 0.9, 1.3, 1e-300])
     arr = ht.solve_r(s, beta)
-    for i in range(3):
-        assert arr[i] == ht.solve_r(float(s[i]), float(beta[i]))
-    assert isinstance(ht.solve_r(1.0, 0.5), float)
+    for i in range(s.size):
+        got = ht.solve_r(float(s[i]), float(beta[i]))
+        assert isinstance(got, float)
+        assert got == pytest.approx(arr[i], rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
-# the scalar path of solve_r gives the bits of the array path
+# both routes of solve_r against a 40-digit reference
 # ---------------------------------------------------------------------------
 
 def _same(a, b):
@@ -388,6 +392,35 @@ def _same(a, b):
 
 def _r_array(s, beta):
     return ht.solve_r(np.array([s]), np.array([beta]))[0]
+
+
+def _r_reference(s, beta):
+    """asinh(sin(beta) sinh(s)) at 40 digits from the two floats, read
+    exactly."""
+    with mpmath.workdps(40):
+        return float(mpmath.asinh(mpmath.sin(mpmath.mpf(beta))
+                                  * mpmath.sinh(mpmath.mpf(s))))
+
+
+def _check_both_routes(s, beta):
+    """The float and array routes of solve_r, each within 1e-12 relative
+    of the reference (or one subnormal quantum absolute, where r is
+    subnormal); exact where the result is exact: a NaN in gives NaN out,
+    and sin(beta) == 0 gives +0.0."""
+    got = ht.solve_r(s, beta)
+    assert isinstance(got, float)
+    routes = (got, ht.solve_r(np.float64(s), np.float64(beta)),
+              _r_array(s, beta))
+    if math.sin(beta) == 0.0:     # at any s, NaN included
+        assert all(_same(r, 0.0) for r in routes), (s, beta, routes)
+        return
+    if math.isnan(s) or math.isnan(beta):
+        assert all(math.isnan(r) for r in routes), (s, beta, routes)
+        return
+    ref = _r_reference(s, beta)
+    for r in routes:
+        assert abs(r - ref) <= max(1e-12 * abs(ref), 5e-324), \
+            (s, beta, r, ref)
 
 
 # s near LOG_SWITCH and where log_k + s crosses 300, and NaN; beta near
@@ -421,45 +454,72 @@ _scalar_cases = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(_scalar_cases)
-def test_scalar_solve_r_matches_array_bits(case):
-    s, beta = case
-    expect = _r_array(s, beta)
-    assert _same(ht.solve_r(s, beta), expect)
-    assert _same(ht.solve_r(np.float64(s), np.float64(beta)), expect)
-    assert isinstance(ht.solve_r(s, beta), float)
+def test_solve_r_routes_match_a_40_digit_reference(case):
+    _check_both_routes(*case)
 
 
 def test_scalar_solve_r_matches_array_on_edges():
-    s = np.array([x for x in _S_EDGES for _ in _BETA_EDGES])
-    beta = np.array(_BETA_EDGES * len(_S_EDGES))
-    # dense sweeps across both branch switches: the two sides of each
-    # switch differ in the last bit on a share of inputs, so a switch
-    # moved on one path shows here
-    lp = np.linspace(-0.5, 0.5, 2001)
-    s = np.concatenate([s, ht.LOG_SWITCH + lp, np.full(lp.size, 40.0)])
-    beta = np.concatenate([beta, np.full(lp.size, 0.7),
-                           [_ln_y_near_20(40.0, d) for d in lp]])
-    arr = ht.solve_r(s, beta)
-    for si, bi, ri in zip(s, beta, arr):
-        assert _same(ht.solve_r(float(si), float(bi)), ri), (si, bi)
+    # every pair of edges, and sweeps across both branch switches: s across
+    # LOG_SWITCH, and an angle that puts ln y across 20 at s = 40
+    lp = np.linspace(-0.5, 0.5, 401)
+    cases = ([(s, beta) for s in _S_EDGES for beta in _BETA_EDGES]
+             + [(ht.LOG_SWITCH + d, 0.7) for d in lp.tolist()]
+             + [(40.0, _ln_y_near_20(40.0, d)) for d in lp.tolist()])
+    for s, beta in cases:
+        _check_both_routes(s, beta)
 
 
 @pytest.mark.parametrize("s,beta", [
     (0.0, 0.3), (-0.0, 0.3), (-1.0, 0.3), (-math.inf, 0.3),
     (1.0, -1e-300), (1.0, math.nextafter(HALF_PI, math.inf)), (1.0, 4.0),
     (1.0, math.inf), (1.0, -math.inf),
+    (-4.0, 0.7), (0.0, 0.7), (-0.0, 0.7), (4.0, -0.7),
+    (4.0, HALF_PI + 1e-9), (4.0, math.inf),
 ])
 def test_scalar_solve_r_raises_the_array_domain_errors(s, beta):
-    with pytest.raises(DomainError) as scalar:
+    # refused before anything is computed from the input, so nothing warns
+    with pytest.raises(DomainError) as scalar, warnings.catch_warnings():
+        warnings.simplefilter("error")
         ht.solve_r(s, beta)
     with pytest.raises(DomainError) as array:
         ht.solve_r(np.array([s]), np.array([beta]))
     assert str(scalar.value) == str(array.value)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.floats(), st.floats())
+def test_scalar_solve_r_raises_only_domain_errors(s, beta):
+    # math raises OverflowError or ValueError where numpy only warns: the
+    # float route refuses every such input first, and warns on none
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = ht.solve_r(s, beta)
+        except DomainError:
+            return
+    assert isinstance(r, float)
+    # a NaN leg comes only from a NaN input
+    assert not math.isnan(r) or math.isnan(s) or math.isnan(beta)
+
+
+def _vartheta_reference(lam, beta, b, theta):
+    """solve_r(reparam_inverse(lam, theta) + b, beta) at 40 digits."""
+    with mpmath.workdps(40):
+        lp = mpmath.asinh(mpmath.sinh(lam) / mpmath.sin(mpmath.mpf(theta)))
+        return float(mpmath.asinh(mpmath.sin(mpmath.mpf(beta))
+                                  * mpmath.sinh(lp + b)))
+
+
+def _shift_reference(beta, b, theta):
+    with mpmath.workdps(40):
+        return float(b + mpmath.log(mpmath.sin(mpmath.mpf(beta))
+                                    / mpmath.sin(mpmath.mpf(theta))))
+
+
 def test_vartheta_broadcast_matches_per_point_calls():
     # the identities suite takes its shift gaps in one broadcast call over
-    # the (beta, b, theta) grid: each element has the per-point call's bits
+    # the (beta, b, theta) grid; the per-point calls take the float route
+    # of solve_r: each agrees with the 40-digit reference to roundoff
     be, b, theta = np.meshgrid(np.linspace(0.08, 0.30, 10),
                                np.linspace(-2.0, -0.6, 5),
                                (HALF_PI, math.pi / 3, 1.0), indexing="ij")
@@ -467,8 +527,12 @@ def test_vartheta_broadcast_matches_per_point_calls():
     shift = ht.vartheta_shift(be, b, theta)
     for idx in np.ndindex(be.shape):
         args = (float(be[idx]), float(b[idx]), float(theta[idx]))
-        assert _same(got[idx], ht.vartheta(30.0, *args)), args
-        assert _same(shift[idx], ht.vartheta_shift(*args)), args
+        ref = _vartheta_reference(30.0, *args)
+        for v in (got[idx], ht.vartheta(30.0, *args)):
+            assert v == pytest.approx(ref, rel=1e-12, abs=0.0), args
+        ref = _shift_reference(*args)
+        for v in (shift[idx], ht.vartheta_shift(*args)):
+            assert v == pytest.approx(ref, rel=1e-12, abs=1e-15), args
 
 
 def test_nan_angle_gives_nan_legs():
@@ -501,61 +565,12 @@ def test_thread_parallel_grid_matches_serial():
     assert np.array_equal(np.concatenate(parts), serial)
 
 
-# ---------------------------------------------------------------------------
-# the scalar solve_r path's caches (per beta and per s) never change a bit
-# ---------------------------------------------------------------------------
-
-# small pools, so that draws repeat and the caches hit; s across
-# LOG_SWITCH and beta at both ends, at a signed zero and at NaN
-_S_POOL = [0.3, 4.0, 7.5, ht.LOG_SWITCH, 45.0, 299.0, 301.0]
-_BETA_POOL = [0.0, -0.0, 1e-300, 0.05, 0.7, HALF_PI, math.nan]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(_S_POOL),
-                          st.sampled_from(_BETA_POOL)),
-                min_size=1, max_size=30))
-def test_scalar_solve_r_with_repeats_matches_array_bits(cases):
-    for s, beta in cases + cases:
-        for cast in (float, np.float64):
-            got = ht.solve_r(cast(s), cast(beta))
-            assert isinstance(got, float)
-            assert _same(got, _r_array(s, beta)), (s, beta)
-
-
-def test_scalar_solve_r_signed_zero_and_nan_beta_after_warm_caches():
-    for s in (4.0, 45.0):
-        for beta in (0.7, 0.0, -0.0, math.nan, 0.7, -0.0, math.nan):
-            got = ht.solve_r(s, beta)
-            assert _same(got, _r_array(s, beta)), (s, beta)
-        assert _same(ht.solve_r(s, 0.0), 0.0)
-        assert _same(ht.solve_r(s, -0.0), 0.0)
-
-
-@pytest.mark.parametrize("s,beta", [
-    (-4.0, 0.7), (0.0, 0.7), (-0.0, 0.7), (4.0, -0.7),
-    (4.0, HALF_PI + 1e-9), (4.0, math.inf),
-])
-def test_scalar_solve_r_checks_domains_before_its_caches(s, beta):
-    # warm caches first; a refused input is refused before any cache is
-    # read or filled, so nothing is computed from it and nothing warns
-    ht.solve_r(4.0, 0.7)
-    ht.solve_r(abs(s) or 4.0, 0.7)
-    with pytest.raises(DomainError) as scalar, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ht.solve_r(s, beta)
-    assert s not in ht._SINH_CACHE or s == 4.0
-    assert beta not in ht._SIN_CACHE or beta == 0.7
-    with pytest.raises(DomainError) as array:
-        ht.solve_r(np.array([s]), np.array([beta]))
-    assert str(scalar.value) == str(array.value)
-
-
-def test_scalar_solve_r_caches_are_bounded():
-    bound = ht._SCALAR_CACHE_BOUND
-    betas = np.linspace(0.01, 1.5, bound + 10).tolist()
-    for i, beta in enumerate(betas):
-        assert _same(ht.solve_r(1.0 + i * 1e-3, beta),
-                     _r_array(1.0 + i * 1e-3, beta))
-    assert 0 < len(ht._SIN_CACHE) <= bound
-    assert 0 < len(ht._SINH_CACHE) <= bound
+def test_scalar_solve_r_signed_zero_and_nan_beta():
+    # a zero angle of either sign gives +0.0 on both routes, at any s; a
+    # NaN angle gives NaN
+    for s in (4.0, 45.0, math.nan):
+        for beta in (0.0, -0.0):
+            assert _same(ht.solve_r(s, beta), 0.0), (s, beta)
+            assert _same(_r_array(s, beta), 0.0), (s, beta)
+        assert math.isnan(ht.solve_r(s, math.nan))
+        assert math.isnan(_r_array(s, math.nan))
