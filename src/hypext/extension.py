@@ -14,7 +14,9 @@ meets every totally geodesic 2-plane spanned by a base ray and an H^1 ray
 in a right triangle with hypotenuse s, so the sphere is charted by join
 coordinates (w, u, beta): w the sign label of the two H^1 rays, u a
 circle angle, and beta in (0, pi/2) the angle from the H^1 axis.  The
-chart covers the 2-sphere minus the two poles and the equator.
+chart covers the 2-sphere minus the two poles and the equator.  w enters
+the induced metric only as w^2, so its two sheets are equal and a
+``JoinSample`` holds one (phi, beta) sheet.
 
 Two routes to the induced sphere metric are implemented:
 
@@ -69,7 +71,7 @@ RADIUS_MAX = 350.0
 POLAR_FD_STEP = 2e-4
 
 
-# the off-diagonal block of every join sample is a view of this zero
+# the off-diagonal block of every join sample, exactly zero (0-d)
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
@@ -91,8 +93,7 @@ class JoinMetricField:
       + block_m(phi, beta) * dphi^2
 
     Blocks are independent of the sheet label w for the bases considered,
-    since w enters the metric only as w^2: every route computes one sheet
-    and views it on both SHEETS.
+    since w enters the metric only as w^2: a sample holds one sheet.
     """
 
     block_m: object
@@ -101,32 +102,29 @@ class JoinMetricField:
     def sample(self, phi, beta):
         phi = np.asarray(phi, dtype=float)
         beta = np.asarray(beta, dtype=float)
-        m = np.asarray(self.block_m(phi, beta), dtype=float)
-        # the blocks do not depend on the sheet: every sheet is a read-only
-        # view of the one computed sheet.  The beta block is viewed from a
-        # beta vector: reductions over a view with stride 0 on every axis
-        # skip numpy's vectorized loops
-        shape = (len(SHEETS), phi.size, beta.size)
         return JoinSample(
             phi=phi, beta=beta,
-            block_m=np.broadcast_to(m, shape),
-            block_beta=np.broadcast_to(np.full(beta.size, self.radial),
-                                       shape),
-            offdiag=np.broadcast_to(_ZERO, shape),
+            block_m=np.asarray(self.block_m(phi, beta), dtype=float),
+            block_beta=np.full(beta.size, self.radial), offdiag=_ZERO,
             block_h_coeff=self.radial * np.cos(beta) ** 2)
 
 
 @dataclass(frozen=True)
 class JoinSample:
-    """Join-chart components sampled on a (sheet, phi, beta) grid, the
-    sheets in the order of SHEETS."""
+    """Join-chart components on one (phi, beta) sheet, each block stored at
+    the shape it varies at and made read-only: the converge loop compares
+    one predicted-limit sample with the cut at every lambda'."""
 
     phi: np.ndarray
     beta: np.ndarray
-    block_m: np.ndarray      # (n_sheets, n_phi, n_beta)
-    block_beta: np.ndarray   # (n_sheets, n_phi, n_beta)
-    offdiag: np.ndarray      # (n_sheets, n_phi, n_beta)
+    block_m: np.ndarray      # (n_phi, n_beta)
+    block_beta: np.ndarray   # (n_beta,)
+    offdiag: np.ndarray      # ()
     block_h_coeff: np.ndarray | None = None   # (n_beta,) or None (oracle)
+
+    def __post_init__(self):
+        for block in (self.block_m, self.block_beta, self.offdiag):
+            block.flags.writeable = False
 
     @property
     def steps(self):
@@ -205,10 +203,10 @@ def cut_via_pullback(base, s, phi, beta):
     tangents (w dt/dbeta, 0, dr/dbeta) and (0, dphi/dphi, 0), each nonzero
     entry a central difference with one Richardson pass, and the ambient
     metric is diagonal in (t, phi, r), so only the beta block (a beta
-    vector) and the circle block h_r (dphi/dphi)^2 (one sheet) are built;
-    the off-diagonal block is a view of zero.  w enters only as w^2: each
-    block is a read-only view on both SHEETS.  The step max(1e-5, 1e-6 s)
-    balances truncation against cancellation across the radius range used.
+    vector) and the circle block h_r (dphi/dphi)^2 are built; the
+    off-diagonal block is zero.  w enters only as w^2, so one sheet is the
+    sample.  The step max(1e-5, 1e-6 s) balances truncation against
+    cancellation across the radius range used.
     """
     _check_radius(s, "cut_via_pullback")
     phi = np.asarray(phi, dtype=float)
@@ -228,9 +226,7 @@ def cut_via_pullback(base, s, phi, beta):
     f_pp = np.empty((phi.size, beta.size))       # h_r = sinh^2(r) g'_r
     np.multiply(_column_rows(base, r_c, phi).T, np.sinh(r_c) ** 2, out=f_pp)
     f_pp *= (dphi_dphi ** 2)[:, None]            # now g_pp
-    shape = (len(SHEETS), phi.size, beta.size)
-    return JoinSample(phi, beta, *(np.broadcast_to(g, shape)
-                                   for g in (f_pp, g_bb, _ZERO)))
+    return JoinSample(phi, beta, f_pp, g_bb, _ZERO)
 
 
 def _require_same_grid(a, b, who):
@@ -242,23 +238,13 @@ def _require_same_grid(a, b, who):
         raise DomainError(f"{who}: sample grids differ")
 
 
-def _distinct(x, y):
-    """Views of x and y (of one shape) cut to index 0 along every axis
-    where both have stride 0, as a broadcast sample has along its sheets."""
-    one = tuple([slice(None) if sx or sy else slice(0, 1)
-                 for sx, sy in zip(x.strides, y.strides)])
-    return x[one], y[one]
-
-
 def compare_join(formula, oracle):
     """Blockwise maximum relative errors and the worst off-diagonal entry
     between a closed-form sample and an oracle sample on the same grid,
-    taken over their distinct entries only (see ``_distinct``)."""
+    each block differenced at the shape its operands broadcast to."""
     _require_same_grid(formula, oracle, "compare_join")
-    _, offdiag = _distinct(formula.offdiag, oracle.offdiag)
 
     def rel(a, b):
-        a, b = _distinct(a, b)
         return float(np.max(np.abs(a - b) / np.abs(a)))
 
     return {
@@ -267,37 +253,31 @@ def compare_join(formula, oracle):
         "max_rel_err_block_beta": rel(formula.block_beta, oracle.block_beta),
         # at k = 1 the S^{k-1} block is zero-dimensional: nothing to compare
         "max_rel_err_block_H": 0.0,
-        "max_abs_offdiag": float(np.max(np.abs(offdiag))),
+        "max_abs_offdiag": float(np.max(np.abs(oracle.offdiag))),
     }
-
-
-def _slot_difference(x, y):
-    """x - y, subtracted on one index of every axis along which neither
-    operand varies (stride 0, as in a broadcast sample) and broadcast back
-    to the full read-only shape."""
-    return np.broadcast_to(np.subtract(*_distinct(x, y)), x.shape)
 
 
 def join_c2_distance(a, b):
     """C^2-style grid distance between join samples on the same grid: sups
     of component differences and their central differences, periodic in
-    phi, interior in beta, maximized over sheets and the three component
-    slots.
+    phi, interior in beta, maximized over the three component slots.
 
-    Each slot is differenced only along the axes where one of the two
-    samples varies: formula samples are broadcast views of one sheet with
-    constant beta and off-diagonal blocks, so their difference is computed
-    once per slot and viewed on every sheet; materialized samples are
-    subtracted in full.
+    Each slot is differenced at the shape its blocks vary at and viewed on
+    the (phi, beta) sheet, with stride 0 along every axis where neither
+    block varies.
     """
     _require_same_grid(a, b, "join_c2_distance")
-    hphi, hbeta = a.steps
-    # the (c0, c1, c2) of every slot and sheet, each column folded once
-    sups = [mf.c2_sups(da[sheet], (hphi, hbeta))
-            for da in (_slot_difference(a.block_m, b.block_m),
-                       _slot_difference(a.block_beta, b.block_beta),
-                       _slot_difference(a.offdiag, b.offdiag))
-            for sheet in range(da.shape[0])]
+    steps = a.steps
+    shape = (a.phi.size, a.beta.size)
+    # the (c0, c1, c2) of every slot, each column folded once.  Repeating
+    # each call per label of SHEETS only keeps the _JOIN_SLOTS * _SHEETS
+    # calls per join perfbench's expected_counts pins (ROADMAP item 1 step 1b)
+    sups = [mf.c2_sups(da, steps)
+            for da in (np.broadcast_to(np.subtract(x, y), shape)
+                       for x, y in ((a.block_m, b.block_m),
+                                    (a.block_beta, b.block_beta),
+                                    (a.offdiag, b.offdiag)))
+            for _ in SHEETS]
     c0, c1, c2 = (mf.max_carrying_nan(*col) for col in zip(*sups))
     return mf.C2Distance(c0=c0, c1=c1, c2=c2)
 

@@ -353,7 +353,7 @@ def triangle_jacobian(s, beta):
         raise DomainError("triangle_jacobian: s must be > 0")
     _check_beta_closed(beta, "triangle_jacobian")
     sinb, cosb = np.sin(beta), np.cos(beta)
-    r, _ = _solve_rt(s, beta)
+    r = _leg_r(s, sinb)
     lcs = log_cosh(s)
     lcr = log_cosh(r)
     lss = log_sinh(s)

@@ -852,6 +852,6 @@ def test_report_matches_frozen_records(tmp_path, case):
             if isinstance(ref, float) or (
                     isinstance(ref, list)
                     and any(isinstance(v, float) for v in ref)):
-                assert got[key] == pytest.approx(ref, rel=1e-12), key
+                assert got[key] == pytest.approx(ref, rel=1e-12, abs=0.0), key
             else:
                 assert got[key] == ref, key

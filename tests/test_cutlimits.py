@@ -86,8 +86,8 @@ def test_round_family_gives_round_join_metric(round_join_blocks):
         for lp, b in [(4.0, 0.0), (7.0, -1.2), (10.0, 0.7)]:
             cut = member_cut(family, theta, lp, b)
             sample = cut.sample(phi, beta)
-            assert np.max(np.abs(sample.block_m[0] - ref_m)) < 1e-12
-            assert np.max(np.abs(sample.block_beta[0] - ref_b)) < 1e-12
+            assert np.max(np.abs(sample.block_m - ref_m)) < 1e-12
+            assert np.max(np.abs(sample.block_beta - ref_b)) < 1e-12
 
 
 def test_extension_family_cut_guards():
@@ -142,8 +142,8 @@ def test_predicted_limit_round_family(round_join_blocks):
     for theta, b in [(HALF_PI, 0.0), (PI_3, -2.0), (0.4, 5.0)]:
         assembly = cl.predicted_limit(family, theta, b)
         sample = assembly.interior.sample(phi, beta)
-        assert np.max(np.abs(sample.block_m[0] - ref_m)) < 1e-12
-        assert np.max(np.abs(sample.block_beta[0] - ref_b)) < 1e-12
+        assert np.max(np.abs(sample.block_m - ref_m)) < 1e-12
+        assert np.max(np.abs(sample.block_beta - ref_b)) < 1e-12
 
 
 def test_predicted_limit_beta_equals_theta_slice():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypext import cli
+from hypext import cutlimits as cl
 from hypext import extension as ext
 from hypext import families as fam
 from hypext import fields as mf
@@ -46,9 +47,10 @@ def test_round_sphere_recovery(round_join_blocks):
     for s in (1.0, 3.0, 6.0):
         sample = ext.cut_via_formula(base, s).sample(phi, beta)
         f = math.sinh(s) ** 2
-        for sheet in range(2):
-            assert np.max(np.abs(sample.block_m[sheet] / f - ref_m)) < 1e-10
-            assert np.max(np.abs(sample.block_beta[sheet] / f - ref_b)) < 1e-10
+        # the stored blocks against the full reference sheet: block_beta
+        # broadcasts along phi
+        assert np.max(np.abs(sample.block_m / f - ref_m)) < 1e-10
+        assert np.max(np.abs(sample.block_beta / f - ref_b)) < 1e-10
 
 
 def test_round_sphere_recovery_against_chart_transport(
@@ -60,10 +62,11 @@ def test_round_sphere_recovery_against_chart_transport(
     phi, beta = ext.join_grid(24, 20)
     sample = ext.cut_via_formula(base, 3.0).sample(phi, beta)
     f = math.sinh(3.0) ** 2
-    for sheet, idx in ((1, 0), (-1, 1)):
+    # the one stored sheet is the transported metric of every sheet
+    for sheet in ext.SHEETS:
         tm, tb, tx = round_metric_in_join_coordinates(phi, beta, sheet)
-        assert np.max(np.abs(sample.block_m[idx] / f - tm)) < 1e-10
-        assert np.max(np.abs(sample.block_beta[idx] / f - tb)) < 1e-10
+        assert np.max(np.abs(sample.block_m / f - tm)) < 1e-10
+        assert np.max(np.abs(sample.block_beta / f - tb)) < 1e-10
         assert np.max(np.abs(tx)) < 1e-12
 
 
@@ -221,28 +224,29 @@ ORACLE_BASES = [
 @pytest.mark.parametrize("s", [1.0, 3.0, 8.0])
 def test_one_sheet_pullback_is_the_two_sheet_loop(make_base, s):
     # w enters every pulled-back entry as w^2, and the zero tangent
-    # entries add only +0.0: the one computed sheet, viewed on both, is the
-    # two-sheet loop bit for bit
+    # entries add only +0.0: each stored block, broadcast on the sheet, is
+    # every sheet of the two-sheet loop bit for bit
     base = make_base()
     phi, beta = ext.join_grid(24, 18)
     got = ext.cut_via_pullback(base, s, phi, beta)
     want = pullback_by_sheets(base, s, phi, beta)
-    for block, ref in zip((got.block_m, got.block_beta, got.offdiag), want):
-        assert block.shape == ref.shape
+    # only what the embedding can make nonzero is computed: the circle
+    # block on the sheet, the beta block as a beta vector, the
+    # off-diagonal block as one zero
+    shapes = ((phi.size, beta.size), (beta.size,), ())
+    for block, ref, shape in zip(
+            (got.block_m, got.block_beta, got.offdiag), want, shapes):
+        assert block.shape == shape
         assert not block.flags.writeable
-        assert block.tobytes() == ref.tobytes()
-    # only what the embedding can make nonzero is computed: the
-    # off-diagonal block is a view of one zero, the beta block a view of
-    # one beta vector
-    assert got.offdiag.strides == (0, 0, 0)
-    assert got.block_beta.strides[:2] == (0, 0)
+        for sheet in ref:
+            assert np.broadcast_to(block, sheet.shape).tobytes() \
+                == sheet.tobytes()
 
 
 @pytest.mark.parametrize("make_base", ORACLE_BASES)
 def test_compare_join_views_and_copies_agree(make_base):
-    # the maxima over distinct entries of views are those over every
-    # entry of full copies, also against a full (non-broadcast) block_beta
-    # as the formula-beta hook makes
+    # the maxima over the stored blocks are those over full-sheet copies,
+    # also for a block_beta scaled as the formula-beta hook scales it
     base = make_base()
     phi, beta = ext.join_grid(24, 18)
     for s in (1.0, 3.0, 8.0):
@@ -260,9 +264,9 @@ def test_compare_join_views_and_copies_agree(make_base):
 
 
 def test_pullback_and_compare_join_peak_allocation():
-    # the oracle computes one circle-block sheet and a beta vector, each
-    # viewed on both sheets, and no off-diagonal products; compare_join
-    # works on one sheet per block: about 4 sheets at the peak
+    # the oracle computes one circle-block sheet and a beta vector, and no
+    # off-diagonal products; compare_join works on one sheet per block:
+    # about 4 sheets at the peak
     base = perturbed_space()
     phi, beta = ext.join_grid(64, 128)
     formula = ext.cut_via_formula(base, 2.0).sample(phi, beta)
@@ -301,24 +305,37 @@ def test_join_c2_distance_identity_and_symmetry():
     assert dab.c0 > 0
 
 
+def full_sheet(sample, block):
+    """A block of the sample copied into its own (n_phi, n_beta) array."""
+    return np.array(np.broadcast_to(block, (sample.phi.size,
+                                            sample.beta.size)))
+
+
 def materialized(sample):
-    """The same sample with every block copied into its own array."""
-    return replace(sample, block_m=np.array(sample.block_m),
-                   block_beta=np.array(sample.block_beta),
-                   offdiag=np.array(sample.offdiag))
+    """The same sample with every block copied onto the full sheet."""
+    return replace(sample, block_m=full_sheet(sample, sample.block_m),
+                   block_beta=full_sheet(sample, sample.block_beta),
+                   offdiag=full_sheet(sample, sample.offdiag))
 
 
-def test_join_sample_is_read_only_view_of_one_sheet():
+def test_join_sample_blocks_are_read_only_at_their_own_shapes():
+    # each block is stored at the shape it varies at, and nothing can
+    # write into it: the converge loop reuses one limit sample
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
-    sample = ext.cut_via_formula(base, 2.0).sample(phi, beta)
-    for block in (sample.block_m, sample.block_beta, sample.offdiag):
-        assert block.shape == (2, 16, 12)
-        assert not block.flags.writeable
-        with pytest.raises(ValueError):
-            block[0, 0, 0] = 1.0
-        assert np.array_equal(block[0], block[1])
-    assert np.all(sample.offdiag == 0.0)
+    formula = ext.cut_via_formula(base, 2.0).sample(phi, beta)
+    oracle = ext.cut_via_pullback(base, 2.0, phi, beta)
+    for sample in (formula, oracle, materialized(formula)):
+        for block in (sample.block_m, sample.block_beta, sample.offdiag):
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[...] = 1.0
+        assert np.all(sample.offdiag == 0.0)
+    for sample in (formula, oracle):
+        assert [b.shape for b in (sample.block_m, sample.block_beta,
+                                  sample.offdiag)] == [(16, 12), (12,), ()]
+    assert np.array_equal(formula.block_beta,
+                          np.full(12, math.sinh(2.0) ** 2))
 
 
 def test_join_sample_views_give_unchanged_results():
@@ -346,23 +363,23 @@ def test_join_c2_distance_broadcast_against_materialized():
         materialized(b), materialized(a))
 
 
-def test_join_c2_distance_sees_a_second_sheet_that_alone_differs():
+def test_join_c2_distance_sees_a_single_entry_that_alone_differs():
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
     a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
     for slot in ("block_m", "block_beta", "offdiag"):
-        odd = materialized(a)
-        getattr(odd, slot)[1, 5, 6] += 1e-3
+        block = full_sheet(a, getattr(a, slot))
+        block[5, 6] += 1e-3
+        odd = replace(a, **{slot: block})
         for d in (ext.join_c2_distance(odd, a), ext.join_c2_distance(a, odd)):
             assert d.c0 == pytest.approx(1e-3, rel=1e-9)
             assert d.c2 > 0
 
 
 def test_join_c2_distance_peak_allocation():
-    # a formula sample is one block_m sheet viewed on both sheets, with
-    # constant beta and off-diagonal blocks: its differences cost one
-    # sheet, not a full (2, n_phi, n_beta) array per slot (11 sheets in all
-    # when every slot was subtracted in full)
+    # a formula sample is one block_m sheet, a beta vector and a zero: its
+    # differences cost one sheet, not a full (2, n_phi, n_beta) array per
+    # slot (11 sheets in all when every slot was subtracted in full)
     base = perturbed_space()
     phi, beta = ext.join_grid(64, 128)
     a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
@@ -403,9 +420,9 @@ def test_join_c2_distance_carries_nan():
     base = perturbed_space()
     phi, beta = ext.join_grid(16, 12)
     a = ext.cut_via_formula(base, 2.0).sample(phi, beta)
-    bad = materialized(a)
-    bad.block_m[1, 5, 6] = math.nan
-    d = ext.join_c2_distance(bad, a)
+    m = a.block_m.copy()
+    m[5, 6] = math.nan
+    d = ext.join_c2_distance(replace(a, block_m=m), a)
     assert math.isnan(d.c0) and math.isnan(d.c1) and math.isnan(d.c2)
     assert math.isnan(d.max())
 
@@ -471,28 +488,61 @@ def test_join_grid_axes_can_never_be_made_writeable():
         beta, np.linspace(ext.BETA_MARGIN, HALF_PI - ext.BETA_MARGIN, 12))
 
 
-def _same_view(got, want):
-    assert got.shape == want.shape and got.strides == want.strides
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-    assert not got.flags.writeable
+def two_sheet_c2_distance(a, b):
+    """Reference: every slot difference stacked in full onto both sheets,
+    c2_sups called on each sheet, the (c0, c1, c2) folded over all."""
+    sups = []
+    for x, y in ((a.block_m, b.block_m), (a.block_beta, b.block_beta),
+                 (a.offdiag, b.offdiag)):
+        da = np.stack([np.broadcast_to(np.subtract(x, y), a.block_m.shape)]
+                      * len(ext.SHEETS))
+        sups += [mf.c2_sups(sheet, a.steps) for sheet in da]
+    return mf.C2Distance(*(mf.max_carrying_nan(*col) for col in zip(*sups)))
 
 
-def test_sample_and_slot_difference_views_are_broadcast_to():
+def join_pair(name):
+    """Two samples on one grid: formula/formula, formula/pullback, or a
+    converge cut against its predicted limit, plain or shifted as the
+    corrupt-limit hook shifts it."""
     phi, beta = ext.join_grid(16, 12)
-    shape = (len(ext.SHEETS), phi.size, beta.size)
-    field = ext.cut_via_formula(perturbed_space(), 2.0)
-    sample = field.sample(phi, beta)
-    m = field.block_m(phi, beta)
-    _same_view(sample.block_m, np.broadcast_to(m, shape))
-    _same_view(sample.block_beta,
-               np.broadcast_to(np.full(beta.size, field.radial), shape))
-    _same_view(sample.offdiag, np.broadcast_to(0.0, shape))
-    other = ext.join_field(lambda b: mf.round_metric(), 1.0).sample(phi, beta)
-    for x, y in ((sample.block_m, other.block_m),
-                 (sample.block_beta, other.block_beta),
-                 (sample.offdiag, other.offdiag)):
-        one = tuple(slice(None) if x.strides[ax] or y.strides[ax]
-                    else slice(0, 1) for ax in range(x.ndim))
-        _same_view(ext._slot_difference(x, y),
-                   np.broadcast_to(x[one] - y[one], shape))
+    base = perturbed_space()
+    formula = ext.cut_via_formula(base, 2.0).sample(phi, beta)
+    if name == "formula-formula":
+        return formula, ext.cut_via_formula(base, 2.5).sample(phi, beta)
+    if name == "formula-pullback":
+        return formula, ext.cut_via_pullback(base, 2.0, phi, beta)
+    family = fam.bump_family("cos2")
+    (lam,) = cl.cut_indices(HALF_PI, [6.0], 0.5).tolist()
+    cut = cl.extension_family_cut(family, lam, 6.5).sample(phi, beta)
+    limit = cl.predicted_limit(family, HALF_PI, 0.5).interior.sample(
+        phi, beta)
+    if name == "cut-shifted-limit":
+        limit = replace(limit, block_m=limit.block_m + 0.25)
+    return cut, limit
+
+
+@pytest.mark.parametrize("name", ["formula-formula", "formula-pullback",
+                                  "cut-limit", "cut-shifted-limit"])
+def test_join_c2_distance_is_the_two_sheet_fold(name, monkeypatch):
+    a, b = join_pair(name)
+    want = [two_sheet_c2_distance(a, b), two_sheet_c2_distance(b, a)]
+    assert want[0].c0 > 0
+    seen = []
+    c2_sups = mf.c2_sups
+
+    def spy(delta, steps):
+        seen.append(delta)
+        return c2_sups(delta, steps)
+
+    monkeypatch.setattr(mf, "c2_sups", spy)
+    assert [ext.join_c2_distance(a, b), ext.join_c2_distance(b, a)] == want
+    # per slot one read-only view on the sheet, seen once per label of
+    # SHEETS, with stride 0 along every axis where neither block varies
+    n_beta = a.beta.size
+    assert len(seen) == 2 * 3 * len(ext.SHEETS)
+    for i, strides in enumerate([(8 * n_beta, 8), (0, 8), (0, 0)] * 2):
+        views = seen[2 * i:2 * i + 2]
+        assert views[0] is views[1]
+        assert views[0].shape == a.block_m.shape
+        assert views[0].strides == strides
+        assert not views[0].flags.writeable

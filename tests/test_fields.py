@@ -404,7 +404,7 @@ def test_c2_sups_cross_term_keeps_subtraction_order(seed):
 def _layouts(grid, comps, rng):
     """(name, array of shape grid + comps) in memory layouts that are not
     C-contiguous: a transpose, a stride-0 sheet such as
-    ``extension._slot_difference`` broadcasts (constant along the first
+    ``extension.join_c2_distance`` broadcasts (constant along the first
     grid axis, as a block_beta difference is along phi), and a strided
     slice of a larger array."""
     shape = grid + comps
