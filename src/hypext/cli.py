@@ -439,7 +439,7 @@ def cmd_oracle(cfg):
             f"{rep['max_rel_err_block_beta']:.3e}, offdiag "
             f"{rep['max_abs_offdiag']:.3e}")
     summary.append(f"{'PASS' if all_ok else 'FAIL'} oracle suite "
-                   f"({base_name}, {n_phi}x{n_beta}x2 points)")
+                   f"({base_name}, {n_phi}x{n_beta} points)")
     return (records, ("family_id", "s", "grid", "max_rel_err_block_H",
                       "max_rel_err_block_M", "max_rel_err_block_beta",
                       "max_abs_offdiag", "passed"),

@@ -53,8 +53,6 @@ from . import fields as mf
 # beta = pi/2; the boundary spheres are handled by dedicated closed forms
 BETA_MARGIN = 0.05
 
-HALF_PI = 0.5 * math.pi
-
 # the two sheets w = +1, -1 of the join chart
 SHEETS = (1, -1)
 
@@ -142,7 +140,7 @@ def join_grid(n_phi, n_beta):
     for the last such axis it is evaluated on and reuses it in every beta
     column (see ``families.bump_family``)."""
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    beta = np.linspace(BETA_MARGIN, HALF_PI - BETA_MARGIN, n_beta)
+    beta = np.linspace(BETA_MARGIN, ht.HALF_PI - BETA_MARGIN, n_beta)
     return np.frombuffer(phi.tobytes()), np.frombuffer(beta.tobytes())
 
 
@@ -212,7 +210,7 @@ def cut_via_pullback(base, s, phi, beta):
     phi = np.asarray(phi, dtype=float)
     beta = np.asarray(beta, dtype=float)
     h = max(1e-5, 1e-6 * float(s))
-    if not (np.min(beta) >= 2.0 * h and np.max(beta) <= HALF_PI - 2.0 * h):
+    if not (np.min(beta) >= 2.0 * h and np.max(beta) <= ht.HALF_PI - 2.0 * h):
         raise DomainError(
             "cut_via_pullback: beta grid must be finite and stay "
             "2*fd_step inside (0, pi/2)")
@@ -301,8 +299,8 @@ def polar_identity_residual(s, beta, derivatives):
         dt_ds, dt_db, dr_ds, dr_db = ht.triangle_jacobian(s, beta)
     elif derivatives == "fd":
         h = POLAR_FD_STEP
-        if not (np.min(beta) >= 2.0 * h and np.max(beta) <= HALF_PI - 2.0 * h
-                and np.min(s) >= 2.0 * h):
+        if not (np.min(beta) >= 2.0 * h and np.min(s) >= 2.0 * h
+                and np.max(beta) <= ht.HALF_PI - 2.0 * h):
             raise DomainError(
                 "polar_identity_residual: s and beta must be finite and "
                 "stay 2*POLAR_FD_STEP inside s > 0 and beta in (0, pi/2)")

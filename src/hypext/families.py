@@ -78,15 +78,9 @@ def bump_profile(x):
 
 
 def _cos_sq(angles):
-    """cos^2 of a float angle array, as a fresh array (a numpy scalar for
-    a 0-d array)."""
+    """cos^2 of a float angle array, a fresh array (a scalar if 0-d)."""
     c = np.cos(angles)
-    if c.ndim == 0:
-        # np.cos of a 0-d array is a numpy scalar, which has no buffer to
-        # square into; a scalar's ``** 2`` is the C ``pow``, which can
-        # differ from ``c * c`` in the last bit, so it is kept
-        return c ** 2
-    return np.multiply(c, c, out=c)
+    return c * c
 
 
 def _cos2_rows():

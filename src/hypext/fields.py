@@ -5,9 +5,9 @@ maps an array of angles to the array, of the same shape, of its one
 component ``g(d/dangle, d/dangle)`` there.
 
 On top of the field type the module implements the round form and the
-grid C^2 distance over two overlapping sampling windows that cover the
-circle.  Its kernel ``c2_sups`` also serves the join sheets of
-``extension.join_c2_distance``, periodic in phi and bounded in beta.
+grid C^2 distance on one periodic grid of the circle.  Its kernel
+``c2_sups`` also serves the join sheets of ``extension.join_c2_distance``,
+periodic in phi and bounded in beta.
 
 Every evaluation of a field (``at_angles``, ``components``) returns a
 fresh array that the caller owns and may write into: the next evaluation
@@ -30,23 +30,14 @@ import numpy as np
 
 from .errors import max_carrying_nan
 
-# The sampling windows are the arcs |angle - centre| <= 3 pi/5 about the
-# centres 0 and pi, each sampled at ``centre + _WINDOW_AXIS``.  They
-# cover the circle and overlap by pi/5 at either end, so every point within
-# MARGIN = 3 pi/20 of a window's end is interior to the other window.
-# ``c2_distance`` samples each window at BOUNDARY_RESOLUTION points, whose
-# spacing must not exceed MARGIN / 2 (17 points meet it exactly).
-WINDOW_CENTRES = (0.0, math.pi)
-INTERIOR_HALF_WIDTH = 0.60 * math.pi
-MARGIN = 0.75 * math.pi - INTERIOR_HALF_WIDTH
 BOUNDARY_RESOLUTION = 128
 
-
-# the offsets of ``c2_distance``'s windows from their centres, evenly
-# spaced with both ends included, built once and read-only
-_WINDOW_AXIS = np.linspace(-INTERIOR_HALF_WIDTH, INTERIOR_HALF_WIDTH,
-                           BOUNDARY_RESOLUTION)
-_WINDOW_AXIS.flags.writeable = False
+# the 2 * BOUNDARY_RESOLUTION equispaced angles of [0, 2 pi) that
+# ``c2_distance`` samples, as two staggered rows: the even and the odd
+# points, each a periodic grid of step 2 pi / BOUNDARY_RESOLUTION
+_CIRCLE_GRID = np.linspace(0.0, 2.0 * math.pi, 2 * BOUNDARY_RESOLUTION,
+                           endpoint=False).reshape(BOUNDARY_RESOLUTION, 2).T
+_CIRCLE_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -65,14 +56,17 @@ class SphereMetricField:
         return self._fn(np.asarray(angles, dtype=float))
 
     # ``components`` is the same evaluation, called by fields built on this
-    # one and by the sampling windows; perfbench traces all three methods by
+    # one and by ``grid_components``; perfbench traces all three methods by
     # name and pins the ``at_angles`` count to the pipeline's own calls
     def components(self, angles):
         return self._fn(np.asarray(angles, dtype=float))
 
-    def grid_components(self, centre):
-        """The field on the sampling window about ``centre``."""
-        return self.components(_WINDOW_AXIS + centre)
+    # a method, not a function of the field, only so that perfbench's
+    # tracer can patch it by name
+    def grid_components(self):
+        """The field on ``c2_distance``'s circle grid, of shape
+        (2, BOUNDARY_RESOLUTION)."""
+        return self.components(_CIRCLE_GRID)
 
 
 def round_metric():
@@ -91,7 +85,7 @@ def round_metric():
 @dataclass(frozen=True)
 class C2Distance:
     """Sups of component differences and their first/second central
-    differences over the interior grids."""
+    differences over the periodic circle grid."""
 
     c0: float
     c1: float
@@ -126,13 +120,14 @@ def _first_and_second(fwd, mid, bwd, out, h, seams=None):
 
 def c2_sups(delta, steps):
     """(c0, c1, c2) sups of a difference array on one of the two grids the
-    program differences, ``steps`` giving the spacing per axis: a bounded
-    1-D circle window, differenced on its interior, or a 2-D join sheet
-    (phi, beta), periodic in phi and bounded in beta.
+    program differences, ``steps`` giving the spacing per axis: a periodic
+    1-D circle or a 2-D join sheet (phi, beta), periodic in phi and bounded
+    in beta.
 
-    A window's stencils are slices of ``delta``.  A sheet is padded with
-    one wrapped phi row on either side and the C-ordered pad is read as
-    one flat vector, so that every phi, beta and cross stencil is one
+    A circle is padded with one wrapped point at either end, a sheet with
+    one wrapped phi row on either side, so that a circle's stencils are a
+    sheet's phi stencils on one row.  The C-ordered pad of a sheet is read
+    as one flat vector, so that every phi, beta and cross stencil is one
     contiguous slice of it, computed over the flat span from its first to
     its last point into a scratch buffer allocated with the pad; the two
     lanes between rows (the beta ends) are zeroed before each sup.  At
@@ -163,11 +158,12 @@ def c2_sups(delta, steps):
         return 0.0, 0.0, 0.0
 
     if delta.ndim == 1:
-        if delta.size < 3:
-            return c0, 0.0, 0.0
-        c1, c2 = _first_and_second(delta[2:], delta[1:-1], delta[:-2],
-                                   np.empty(delta.size - 2), steps[0])
-        return c0, c1, c2
+        n = delta.size
+        work = np.empty(2 * n + 2)
+        work[1:n + 1] = delta
+        work[0], work[n + 1] = delta[-1], delta[0]
+        return (c0,) + _first_and_second(work[2:n + 2], work[1:n + 1],
+                                         work[:n], work[n + 2:], steps[0])
 
     # one allocation holds the pad and the scratch: a second large array
     # per call is often mapped afresh and faulted in page by page, which at
@@ -208,17 +204,14 @@ def c2_sups(delta, steps):
 
 
 def c2_distance(a, b):
-    """Grid C^2 distance between two circle fields.
-
-    Each sampling window is spanned by BOUNDARY_RESOLUTION points, offsets
-    from its centre that are built once, at import, as a read-only axis;
-    the finite-difference step is their spacing, at most half of MARGIN,
-    so points within MARGIN of a window's end are interior to the other
-    window instead.
-    """
-    h = float(_WINDOW_AXIS[1] - _WINDOW_AXIS[0])
-    sups = [c2_sups(a.grid_components(centre) - b.grid_components(centre),
-                    (h,))
-            for centre in WINDOW_CENTRES]
+    """Grid C^2 distance between two circle fields: the sups of both
+    staggered rows of their difference on the circle grid, folded."""
+    delta = a.grid_components() - b.grid_components()
+    h = 2.0 * math.pi / BOUNDARY_RESOLUTION
+    # perfbench/workloads.py:expected_counts pins two c2_sups calls of
+    # BOUNDARY_RESOLUTION points per distance (_CIRCLE_CHARTS *
+    # _BOUNDARY_RESOLUTION); ROADMAP item 1 step 1b merges the two rows
+    # into one call over the same 2 * BOUNDARY_RESOLUTION points
+    sups = [c2_sups(row, (h,)) for row in delta]
     c0, c1, c2 = (max_carrying_nan(*col) for col in zip(*sups))
     return C2Distance(c0=c0, c1=c1, c2=c2)

@@ -180,8 +180,8 @@ def solve_r(s, beta):
     return _finish(_leg_r(s, np.sin(beta)), shape, scalar)
 
 
-def _solve_rt(s, beta):
-    """Both legs from (s, beta), on flat arrays with validated domains.
+def solve_t(s, beta):
+    """Leg adjacent to ``beta``:  cosh(r) sinh(t) = sinh(s) cos(beta).
 
     t = asinh(sinh(s) cos(beta) / cosh(r)), equivalently
     tanh(t) = cos(beta) tanh(s).  Branches:
@@ -189,40 +189,37 @@ def _solve_rt(s, beta):
     * s <= LOG_SWITCH: direct evaluation (every factor <= cosh(30) ~ 5e12);
     * s > LOG_SWITCH and r > LOG_SWITCH: the exact log-domain form
       collapses to t = asinh(cot(beta)) because 1 - e^{-2s} and
-      1 + e^{-2r} are 1.0 to the last bit;
+      1 + e^{-2r} are 1.0 to the last bit; where cot(beta) overflows
+      (sin(beta) <= 2^-1024, so cos(beta) = 1), t = ln 2 - ln sin(beta),
+      which is asinh(cot(beta)) to the last bit once cot(beta) > e^20;
     * s > LOG_SWITCH, r <= LOG_SWITCH (tiny beta): t = asinh(e^L) with
       L = log_sinh(s) + log(cos beta) - log_cosh(r), no cancellation.
 
-    A NaN in s or beta gives NaN legs: the zero legs are kept only where
-    sin(beta) or cos(beta) is exactly 0, and a NaN falls into the last
-    branch, which carries it.
+    cos(beta) >= cos(HALF_PI) > 0 on the closed domain, so every point
+    takes one of these branches; a NaN in s or beta falls into the last,
+    which carries it.
     """
-    sinb = np.sin(beta)
-    cosb = np.cos(beta)
-    r = _leg_r(s, sinb)
-
-    t = np.zeros_like(s)
-    tpos = cosb != 0.0
-    small = tpos & (s <= LOG_SWITCH)
-    t[small] = np.arcsinh(np.sinh(s[small]) * cosb[small] / np.cosh(r[small]))
-    big = tpos & ~small
-    far = big & (r > LOG_SWITCH)
-    t[far] = np.arcsinh(cosb[far] / sinb[far])
-    near = big & ~far
-    if np.any(near):
-        ln = (s[near] - _LN2 + np.log1p(-np.exp(-2.0 * s[near]))
-              + np.log(cosb[near]) - np.log(np.cosh(r[near])))
-        t[near] = _asinh_of_exp(ln)
-    return r, t
-
-
-def solve_t(s, beta):
-    """Leg adjacent to ``beta``:  cosh(r) sinh(t) = sinh(s) cos(beta)."""
     (s, beta), shape, scalar = _prepare(s, beta)
     if np.any(s <= 0.0):
         raise DomainError("solve_t: s must be > 0")
     _check_beta_closed(beta, "solve_t")
-    _, t = _solve_rt(s, beta)
+    sinb = np.sin(beta)
+    cosb = np.cos(beta)
+    r = _leg_r(s, sinb)
+
+    t = np.empty_like(s)
+    small = s <= LOG_SWITCH
+    t[small] = np.arcsinh(np.sinh(s[small]) * cosb[small] / np.cosh(r[small]))
+    far = ~small & (r > LOG_SWITCH)
+    huge = far & (sinb <= 2.0 ** -1024)
+    cot = far & ~huge
+    t[cot] = np.arcsinh(cosb[cot] / sinb[cot])
+    t[huge] = _LN2 - np.log(sinb[huge])
+    near = ~small & ~far
+    if np.any(near):
+        ln = (s[near] - _LN2 + np.log1p(-np.exp(-2.0 * s[near]))
+              + np.log(cosb[near]) - np.log(np.cosh(r[near])))
+        t[near] = _asinh_of_exp(ln)
     return _finish(t, shape, scalar)
 
 

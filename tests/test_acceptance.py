@@ -82,7 +82,7 @@ def test_polar_identity():
 
 def test_formula_vs_pullback_oracle():
     t0 = time.perf_counter()
-    phi, beta = ext.join_grid(32, 24)   # 32*24*2 sheets = 1536 points
+    phi, beta = ext.join_grid(32, 24)   # 32*24 = 768 points
     # each base by its unwarped cut r -> circle field
     sigma = mf.round_metric()
     family = fam.bump_family("uniform")
@@ -107,7 +107,7 @@ def test_formula_vs_pullback_oracle():
            worst_rel < 1e-5 and worst_off < 1e-6 and elapsed < 120.0,
            f"worst blockwise relative error {worst_rel:.2e} (< 1e-5), "
            f"worst off-diagonal {worst_off:.2e} (< 1e-6), s in {{1,3,6}}, "
-           f"both bases, 1536 points, {elapsed:.1f}s")
+           f"both bases, 768 points, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

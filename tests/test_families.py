@@ -118,7 +118,7 @@ def _circle_fields():
 def test_circle_fields_evaluate_a_0d_angle():
     # np.cos of a 0-d angle is a numpy scalar, which cannot be written
     # into: the in-place evaluations keep the values of the out-of-place
-    # ones (1 + a * cos^2, with cos^2 the scalar's ** 2)
+    # ones (1 + a * cos^2, with cos^2 taken as c * c at every shape)
     want = {"round": 1.0, "cos2": 0.9126678074548391,
             "bump-cos2": 1.0381914970707553, "bump-uniform": 1.041846}
     for name, field in _circle_fields():
@@ -193,10 +193,9 @@ def test_hyperbolic_family_is_round_everywhere():
 
 def _uncached_cut(amount, angles):
     """1 + amount * cos^2 in the order of the uncached path: cos^2 as
-    c * c (a scalar's ``** 2`` for a 0-d angle), scaled, then 1 added."""
+    c * c, scaled, then 1 added."""
     c = np.cos(np.asarray(angles, dtype=float))
-    out = c ** 2 if c.ndim == 0 else c * c
-    return out * amount + 1.0
+    return c * c * amount + 1.0
 
 
 def _check_fresh(got, want, held):

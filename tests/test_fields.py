@@ -19,27 +19,8 @@ def _wrap(a):
 
 
 # ---------------------------------------------------------------------------
-# sampling windows
+# the sphere atlas
 # ---------------------------------------------------------------------------
-
-def test_circle_atlas_covers_with_margin():
-    angles = np.linspace(-math.pi, math.pi, 5000)
-    # every angle lies in some window, within INTERIOR_HALF_WIDTH of its
-    # centre
-    best = np.min([np.abs(_wrap(angles - c)) for c in mf.WINDOW_CENTRES],
-                  axis=0)
-    assert np.all(best <= mf.INTERIOR_HALF_WIDTH + 1e-12)
-    assert mf.MARGIN == pytest.approx(0.15 * math.pi)
-    # the windows overlap by 2 (INTERIOR_HALF_WIDTH - pi/2) on either side;
-    # a step within the margin check leaves more than two steps there
-    overlap = 2.0 * mf.INTERIOR_HALF_WIDTH - math.pi
-    assert overlap > 2.0 * (mf.MARGIN / 2.0)
-    x = mf._WINDOW_AXIS
-    assert x.shape == (mf.BOUNDARY_RESOLUTION,)
-    assert x[0] == -mf.INTERIOR_HALF_WIDTH
-    assert x[-1] == mf.INTERIOR_HALF_WIDTH
-    assert not x.flags.writeable
-
 
 def _stereo_point(chart, w):
     """The point of the unit 2-sphere with coordinates w in a chart."""
@@ -128,16 +109,15 @@ def test_at_angles_matches_both_chart_reference(angles):
         assert np.all(np.abs(got - want)[~nan] <= tol[~nan]), name
 
 
-def _window_fields():
-    """(field, fn(centre, x)) for every kind of field the pipeline samples on
-    the windows.  fn is the field's formula on the arc chart centred at
-    ``centre``, in its coordinate x: cos^2(x + centre) for the cos2
+def _grid_fields():
+    """(field, fn(angles)) for every kind of field the pipeline samples on
+    the circle grid.  fn is the field's formula: cos^2 for the cos2
     direction, 1 for the round form, and the same operations on top for
     cuts and limits, the oracle suite's unwarped base cuts among them.  The
     boundary and collar numbers of the reports rest on these bits."""
     amp = fam.BUMP_AMPLITUDE
-    one = lambda c, x: np.ones(np.shape(x))
-    cos2 = lambda c, x: np.cos(x + c) ** 2
+    one = lambda x: np.ones(np.shape(x))
+    cos2 = lambda x: np.cos(x) ** 2
     _, hyper = cli.build_base_metric(SimpleNamespace(family="hyperbolic"))
     out = [pytest.param(mf.round_metric(), one, id="round"),
            pytest.param(hyper(1.7), one, id="hyperbolic-unwarped")]
@@ -150,33 +130,34 @@ def _window_fields():
                                ("limit", family.limit(-0.3), -0.3)):
             a = amp * fam.bump_profile(b)
             out.append(pytest.param(
-                field, lambda c, x, a=a, T=T: 1.0 + a * T(c, x),
+                field, lambda x, a=a, T=T: 1.0 + a * T(x),
                 id=f"bump-{what}-{direction}"))
         # the oracle's base is the member cli.ORACLE_BASE_LAMBDA = 2
         _, base = cli.build_base_metric(SimpleNamespace(
             family="bump", bump_direction=direction))
         a = amp * fam.bump_profile(0.375)
         out.append(pytest.param(
-            base(2.375), lambda c, x, a=a, T=T: 1.0 + a * T(c, x),
+            base(2.375), lambda x, a=a, T=T: 1.0 + a * T(x),
             id=f"oracle-unwarped-{direction}"))
     return out
 
 
-@pytest.mark.parametrize("field,fn", _window_fields())
+@pytest.mark.parametrize("field,fn", _grid_fields())
 @pytest.mark.parametrize("n", [24, 127, 128, 256])
 def test_grid_components_match_chart_formulas(field, fn, n):
-    # the field on a window of n points about each centre, odd n holding
-    # the centre itself; ``grid_components`` samples the window of
-    # BOUNDARY_RESOLUTION points
-    axis = np.linspace(-mf.INTERIOR_HALF_WIDTH, mf.INTERIOR_HALF_WIDTH, n)
-    for centre in mf.WINDOW_CENTRES:
-        got = np.asarray(field.components(axis + centre))
-        if n == mf.BOUNDARY_RESOLUTION:
-            assert axis.tobytes() == mf._WINDOW_AXIS.tobytes()
-            got = np.asarray(field.grid_components(centre))
-        want = fn(centre, axis)
-        assert got.shape == want.shape == (n,)
-        assert got.tobytes() == want.tobytes(), centre
+    # the field on the 2n equispaced angles of [0, 2 pi), stored as the
+    # rows of its even and its odd points; ``grid_components`` samples the
+    # read-only grid of n = BOUNDARY_RESOLUTION
+    grid = np.linspace(0.0, 2.0 * math.pi, 2 * n,
+                       endpoint=False).reshape(n, 2).T
+    got = np.asarray(field.components(grid))
+    if n == mf.BOUNDARY_RESOLUTION:
+        assert grid.tobytes() == mf._CIRCLE_GRID.tobytes()
+        assert not mf._CIRCLE_GRID.flags.writeable
+        got = np.asarray(field.grid_components())
+    want = fn(grid)
+    assert got.shape == want.shape == (2, n)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +236,8 @@ def assert_bit_identical(got, want):
 
 
 # the two grids the kernel serves, as the reference's ``periodic``: a
-# bounded circle window and a join sheet, periodic in phi, bounded in beta
-WINDOW, SHEET = (False,), (True, False)
+# periodic circle and a join sheet, periodic in phi, bounded in beta
+CIRCLE, SHEET = (True,), (True, False)
 
 # every layout of the reference, and the component axes a field may carry
 # after its grid axes
@@ -268,12 +249,13 @@ COMPONENT_SHAPES = [(), (1, 1), (2, 2)]
 def served_layout(delta, steps, periodic):
     """``delta`` on a reference layout, as (array, steps) on a grid the
     kernel serves with the same stencils, each in the reference's term
-    order: a periodic circle is a sheet of one beta column, a (bounded,
-    periodic) grid its transposed sheet, and a periodic x periodic grid
-    the transposed sheet of its first axis wrapped by one entry at either
-    end.  A bounded x bounded grid has no such layout."""
-    if periodic == (True,):
-        return delta[:, None], (steps[0], 1.0)
+    order: a bounded line is a sheet of one phi row (its phi and cross
+    stencils are exactly 0), a (bounded, periodic) grid the transposed
+    sheet, and a periodic x periodic grid the transposed sheet of its first
+    axis wrapped by one entry at either end.  A bounded x bounded grid has
+    no such layout."""
+    if periodic == (False,):
+        return delta[None, :], (1.0, steps[0])
     if periodic == (False, True):
         return delta.T, steps[::-1]
     if periodic == (True, True):
@@ -301,7 +283,7 @@ def kernel_sups(delta, steps, periodic):
 
 @st.composite
 def kernel_cases(draw):
-    periodic = draw(st.sampled_from([WINDOW, SHEET]))
+    periodic = draw(st.sampled_from([CIRCLE, SHEET]))
     grid = tuple(draw(st.integers(1, 8)) for _ in periodic)
     values = st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
@@ -570,9 +552,9 @@ def test_c2_distance_symmetry_and_triangle():
 
 
 def test_c2_distance_through_other_chart():
-    # a field vs the same field at its angle taken through the other
-    # window's centre (a shift by pi, a wrap and a shift back): the same
-    # tensor two ways, must agree
+    # a field vs the same field at its angle taken through the chart about
+    # pi (a shift by pi, a wrap and a shift back): the same tensor two
+    # ways, must agree
     field = mf.SphereMetricField.from_function(
         lambda angles: 1.0 + 0.3 * np.cos(angles))
     moved = mf.SphereMetricField.from_function(
@@ -581,38 +563,45 @@ def test_c2_distance_through_other_chart():
     assert d.max() < 1e-8
 
 
-def test_boundary_resolution_spacing_meets_margin():
-    # every point within MARGIN of a window's end must lie two steps inside
-    # the other window, so the step c2_distance takes is at most MARGIN / 2
-    axis = mf._WINDOW_AXIS
-    h = float(axis[1] - axis[0])
-    assert h <= mf.MARGIN / 2.0
-
-
 def test_c2_distance_matches_roll_reference():
-    # end to end: each window sampled and differenced, then the sups of
-    # both windows folded, equal to the reference kernel bit for bit
+    # end to end: both fields on the circle grid and differenced, then the
+    # sups of both periodic rows folded, equal to the reference kernel bit
+    # for bit
     family = fam.bump_family("cos2")
     cut, limit = family.cut(6.0, 6.25), family.limit(-0.3)
-    axis = mf._WINDOW_AXIS
-    h = float(axis[1] - axis[0])
-    sups = [roll_c2_sups(cut.components(axis + c) - limit.components(axis + c),
-                         (h,))
-            for c in mf.WINDOW_CENTRES]
+    grid = mf._CIRCLE_GRID
+    h = 2.0 * math.pi / mf.BOUNDARY_RESOLUTION
+    sups = [roll_c2_sups(row, (h,), periodic=CIRCLE)
+            for row in cut.components(grid) - limit.components(grid)]
     want = [mf.max_carrying_nan(*col) for col in zip(*sups)]
     d = mf.c2_distance(cut, limit)
     assert want[0] > 0.0 and want[2] > 0.0
     assert_bit_identical((d.c0, d.c1, d.c2), tuple(want))
 
 
-def test_c2_distance_carries_nan_of_the_second_window():
-    # NaN only within pi/3 of the angle pi: the window about 0 gives finite
-    # sups, the window about pi, which comes last, gives NaN ones; a
-    # builtin max fold would drop them
+def test_c2_distance_carries_nan_of_the_second_row():
+    # NaN only at the odd points of the circle grid: the row of even
+    # points gives finite sups, the row of odd points, which comes last,
+    # gives NaN ones; a builtin max fold would drop them
+    odd = mf._CIRCLE_GRID[1]
     field = mf.SphereMetricField.from_function(
-        lambda angles: np.where(np.cos(angles) < -0.5, math.nan, 1.0))
-    h = float(mf._WINDOW_AXIS[1] - mf._WINDOW_AXIS[0])
-    first = mf.c2_sups(field.grid_components(0.0) - 1.0, (h,))
-    assert not any(math.isnan(v) for v in first)
+        lambda angles: np.where(np.isin(angles, odd), math.nan, 1.0))
+    h = 2.0 * math.pi / mf.BOUNDARY_RESOLUTION
+    rows = field.grid_components() - 1.0
+    assert not any(math.isnan(v) for v in mf.c2_sups(rows[0], (h,)))
+    assert all(math.isnan(v) for v in mf.c2_sups(rows[1], (h,)))
     d = mf.c2_distance(field, mf.round_metric())
     assert math.isnan(d.c0) and math.isnan(d.c1) and math.isnan(d.c2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(-4.0 * math.pi, 4.0 * math.pi),
+                 st.sampled_from([0.0, math.pi, -math.pi, 2.0 * math.pi,
+                                  math.nextafter(2.0 * math.pi, 0.0)])))
+def test_c2_distance_sees_a_narrow_defect_anywhere(angle):
+    # a defect reaching one grid step either side of any angle, the seam
+    # at 0 = 2 pi included, covers a point of the circle grid
+    step = math.pi / mf.BOUNDARY_RESOLUTION
+    field = mf.SphereMetricField.from_function(
+        lambda angles: 1.0 + 1e-3 * (np.abs(_wrap(angles - angle)) < step))
+    assert mf.c2_distance(field, mf.round_metric()).c0 > 0.0

@@ -458,6 +458,66 @@ def test_solve_r_routes_match_a_40_digit_reference(case):
     _check_both_routes(*case)
 
 
+def _t_reference(s, beta):
+    """asinh(sinh(s) cos(beta) / cosh(r)), r = asinh(sin(beta) sinh(s)),
+    at 120 digits from the two floats, read exactly.  The
+    atanh(cos(beta) tanh(s)) form cancels: at 50 digits it reads 58.92
+    where t(77.355, 5.78e-26) is 58.806."""
+    with mpmath.workdps(120):
+        s, beta = mpmath.mpf(s), mpmath.mpf(beta)
+        r = mpmath.asinh(mpmath.sin(beta) * mpmath.sinh(s))
+        return float(mpmath.asinh(mpmath.sinh(s) * mpmath.cos(beta)
+                                  / mpmath.cosh(r)))
+
+
+def _r_near_switch(s, delta):
+    """An angle that puts r within about delta of LOG_SWITCH at
+    s > LOG_SWITCH + delta: sin(beta) = sinh(r) / sinh(s) ~ e^(r - s)."""
+    return math.asin(math.exp(ht.LOG_SWITCH + delta - s))
+
+
+_t_cases = st.one_of(
+    # s across LOG_SWITCH: the direct branch and the two log-domain ones
+    st.tuples(st.floats(ht.LOG_SWITCH - 1.0, ht.LOG_SWITCH + 1.0),
+              st.floats(0.0, HALF_PI)),
+    # r across LOG_SWITCH at s > LOG_SWITCH: the near branch and cot
+    st.floats(34.0, 700.0).flatmap(lambda s: st.tuples(
+        st.just(s), st.floats(-2.0, 2.0).map(
+            lambda d: _r_near_switch(s, d)))),
+    # the ends of beta, at any s
+    st.tuples(st.floats(0.0, 800.0, exclude_min=True),
+              st.sampled_from(_BETA_EDGES)),
+    st.tuples(st.sampled_from(_S_EDGES), st.sampled_from(_BETA_EDGES)),
+    # subnormal sin(beta) at large s, where cot(beta) overflows
+    st.tuples(st.floats(740.0, 800.0), st.floats(5e-324, 1e-306)),
+    st.sampled_from([(800.0, 1e-310), (745.0, 2e-309), (775.29, 4.1e-322),
+                     (800.0, 2.0 ** -1024),
+                     (800.0, math.nextafter(2.0 ** -1024, 1.0))]),
+    st.tuples(st.floats(0.0, 800.0, exclude_min=True),
+              st.floats(0.0, HALF_PI)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_t_cases)
+def test_solve_t_matches_a_120_digit_reference(case):
+    # within 1e-12 relative of the reference (one subnormal quantum where t
+    # is subnormal), on every branch, and without a warning; a NaN in gives
+    # NaN out
+    s, beta = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ht.solve_t(s, beta)
+        arr = ht.solve_t(np.array([s]), np.array([beta]))[0]
+    assert isinstance(got, float) and _same(got, arr)
+    if math.isnan(s) or math.isnan(beta):
+        assert math.isnan(got)
+        return
+    ref = _t_reference(s, beta)
+    assert abs(got - ref) <= max(1e-12 * abs(ref), 5e-324), (s, beta, got,
+                                                              ref)
+
+
 def test_scalar_solve_r_matches_array_on_edges():
     # every pair of edges, and sweeps across both branch switches: s across
     # LOG_SWITCH, and an angle that puts ln y across 20 at s = 40
