@@ -136,8 +136,8 @@ def join_grid(n_phi, n_beta):
 
     Both axes are read-only views of immutable ``bytes``, which numpy
     never lets anyone make writeable, so nothing can write into them
-    after they are built.  A cos2 bump family computes its cos^2 row once
-    for the last such axis it is evaluated on and reuses it in every beta
+    after they are built.  Every bump family evaluates its direction row
+    once for the last such axis it is given and reuses it in every beta
     column (see ``families.bump_family``)."""
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     beta = np.linspace(BETA_MARGIN, ht.HALF_PI - BETA_MARGIN, n_beta)

@@ -83,21 +83,21 @@ def _cos_sq(angles):
     return c * c
 
 
-def _cos2_rows():
-    """A function of an angle array that gives the cos^2 row computed once
-    for the last 1-D axis it was given that views immutable ``bytes``
-    (the axes of ``extension.join_grid``, which no one can make
-    writeable), or None for any other angles.  The row is read-only and
-    kept in this closure only, so every family that makes one has its
-    own."""
+def _axis_rows(T):
+    """A function of an angle array that gives T's evaluation there.  For
+    a 1-D axis that views immutable ``bytes`` (the axes of
+    ``extension.join_grid``, which no one can make writeable) it is
+    computed once for the last such axis given and kept read-only; any
+    other angles are evaluated afresh.  The row is kept in this closure
+    only, so every family that makes one has its own."""
     axis = row = None
 
     def rows(angles):
         nonlocal axis, row
         if type(angles.base) is not bytes or angles.ndim != 1:
-            return None
+            return T.components(angles)
         if angles is not axis:
-            row = _cos_sq(angles)
+            row = T.components(angles)
             row.flags.writeable = False
             axis = angles
         return row
@@ -134,10 +134,10 @@ def bump_family(direction):
     """Build the bump family with direction field ``direction`` (one of
     DIRECTION_TAGS).  Every cut and limit is 1 + a * T with a in
     [0, BUMP_AMPLITUDE] and T (1 or cos^2) in [0, 1], so it lies in
-    [1, 1 + BUMP_AMPLITUDE] and is positive: no check is needed."""
-    T = direction_field(direction)
-    # the cos2 family's own cache of T on the join axis (see _cos2_rows)
-    rows = _cos2_rows() if direction == "cos2" else None
+    [1, 1 + BUMP_AMPLITUDE] and is positive: no check is needed.  Each
+    family, of either direction, caches its own row of T on the last join
+    axis it is given (``_axis_rows``)."""
+    rows = _axis_rows(direction_field(direction))
     sigma = mf.round_metric()
     eps = BUMP_AMPLITUDE
     start, end = BUMP_SUPPORT
@@ -145,18 +145,11 @@ def bump_family(direction):
     def perturbed(amount):
         if amount == 0.0:
             return sigma
-        # sigma is the round form, whose components are exactly 1.  On
-        # the cached cos^2 row of a join axis, T * amount is multiplied
-        # into a fresh array; at any other angles T's evaluation is a
-        # fresh array and is scaled in place.  Either way 1 is added in
-        # place, so both give the bits of (T * amount) + 1
+        # sigma is the round form, whose components are exactly 1: T's
+        # row times amount is multiplied into a fresh array and 1 is added
+        # in place, the bits of (T * amount) + 1
         def fn(angles):
-            row = None if rows is None else rows(angles)
-            if row is None:
-                out = T.components(angles)
-                out *= amount
-            else:
-                out = np.multiply(row, amount)
+            out = np.multiply(rows(angles), amount)
             out += 1.0
             return out
 

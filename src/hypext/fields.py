@@ -6,19 +6,19 @@ component ``g(d/dangle, d/dangle)`` there.
 
 On top of the field type the module implements the round form and the
 grid C^2 distance on one periodic grid of the circle.  Its kernel
-``c2_sups`` also serves the join sheets of ``extension.join_c2_distance``,
-periodic in phi and bounded in beta.
+``c2_sups`` has one layout, the join sheet of
+``extension.join_c2_distance``, periodic in phi and bounded in beta; a
+circle row is its one-column case.
 
 Every evaluation of a field (``at_angles``, ``components``) returns a
 fresh array that the caller owns and may write into: the next evaluation
-is unaffected.  Fields built on another field's evaluation rely on this
-and transform it in place (the bump family's ``1 + a * T``).
+is unaffected.
 
 The phi and beta axes of the join chart (``extension.join_grid``) are
-read-only views of immutable ``bytes``.  A cos2 bump family computes its
-cos^2 row once for the last such axis it is evaluated on and forms
-``1 + a * T`` from that row in every later beta column, still into a
-fresh array; any other angles are evaluated afresh.
+read-only views of immutable ``bytes``.  Every bump family evaluates its
+direction T once for the last such axis it is given, keeps that row
+read-only, and forms ``1 + a * T`` from it in every later beta column,
+still into a fresh array; any other angles are evaluated afresh.
 """
 
 from __future__ import annotations
@@ -55,11 +55,9 @@ class SphereMetricField:
         """The field at circle angles, as an array of their shape."""
         return self._fn(np.asarray(angles, dtype=float))
 
-    # ``components`` is the same evaluation, called by fields built on this
-    # one and by ``grid_components``; perfbench traces all three methods by
-    # name and pins the ``at_angles`` count to the pipeline's own calls
-    def components(self, angles):
-        return self._fn(np.asarray(angles, dtype=float))
+    # ``at_angles`` under a second name, for fields built on this one:
+    # perfbench traces the names apart and pins only the at_angles count
+    components = at_angles
 
     # a method, not a function of the field, only so that perfbench's
     # tracer can patch it by name
@@ -119,19 +117,19 @@ def _first_and_second(fwd, mid, bwd, out, h, seams=None):
 
 
 def c2_sups(delta, steps):
-    """(c0, c1, c2) sups of a difference array on one of the two grids the
-    program differences, ``steps`` giving the spacing per axis: a periodic
-    1-D circle or a 2-D join sheet (phi, beta), periodic in phi and bounded
-    in beta.
+    """(c0, c1, c2) sups of a difference array on a 2-D sheet (phi, beta),
+    periodic in phi and bounded in beta, ``steps`` giving the spacing per
+    axis.  A 1-D circle row, with the one step of its axis, is viewed as
+    a sheet of one beta column: a sheet of fewer than three columns has no
+    beta or cross stencil, so only its phi stencils are folded.
 
-    A circle is padded with one wrapped point at either end, a sheet with
-    one wrapped phi row on either side, so that a circle's stencils are a
-    sheet's phi stencils on one row.  The C-ordered pad of a sheet is read
-    as one flat vector, so that every phi, beta and cross stencil is one
-    contiguous slice of it, computed over the flat span from its first to
-    its last point into a scratch buffer allocated with the pad; the two
-    lanes between rows (the beta ends) are zeroed before each sup.  At
-    192x384 this flat beta stencil takes half the time of a 2-D slice.
+    A sheet is padded with one wrapped phi row on either side.  The
+    C-ordered pad is read as one flat vector, so that every phi, beta and
+    cross stencil is one contiguous slice of it, computed over the flat
+    span from its first to its last point into a scratch buffer allocated
+    with the pad; the two lanes between rows (the beta ends) are zeroed
+    before each sup.  At 192x384 this flat beta stencil takes half the
+    time of a 2-D slice.
 
     A sup is ``max(max x, -min x)`` of the buffer, its sign of zero folded
     by ``abs``, and is divided by the stencil's step factor afterwards:
@@ -158,12 +156,7 @@ def c2_sups(delta, steps):
         return 0.0, 0.0, 0.0
 
     if delta.ndim == 1:
-        n = delta.size
-        work = np.empty(2 * n + 2)
-        work[1:n + 1] = delta
-        work[0], work[n + 1] = delta[-1], delta[0]
-        return (c0,) + _first_and_second(work[2:n + 2], work[1:n + 1],
-                                         work[:n], work[n + 2:], steps[0])
+        delta = delta[:, None]
 
     # one allocation holds the pad and the scratch: a second large array
     # per call is often mapped afresh and faulted in page by page, which at
@@ -177,12 +170,12 @@ def c2_sups(delta, steps):
     padded[0] = delta[-1]
     padded[-1] = delta[0]
 
-    hphi, hbeta = steps
     phi1, phi2 = _first_and_second(flat[2 * cols:], flat[cols:-cols],
                                    flat[:-2 * cols], scratch[:-2 * cols],
-                                   hphi)
+                                   steps[0])
     if cols < 3:
         return c0, max_carrying_nan(phi1, 0.0), max_carrying_nan(phi2, 0.0)
+    hphi, hbeta = steps
     # the beta and cross stencils span the lanes from (0, 1) to
     # (rows - 1, cols - 2), two of them between rows
     out = scratch[:rows * cols - 2]

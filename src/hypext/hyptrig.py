@@ -357,7 +357,7 @@ def triangle_jacobian(s, beta):
     dr_ds = sinb * np.exp(lcs - lcr)
     dr_db = cosb * np.exp(lss - lcr)
     dt_ds = cosb * np.exp(-2.0 * lcr)
-    dt_db = -sinb * np.exp(lss + lcs - 2.0 * lcr)
+    dt_db = -dr_ds * np.exp(lss - lcr)
     fin = lambda a: _finish(a, shape, scalar)
     return fin(dt_ds), fin(dt_db), fin(dr_ds), fin(dr_db)
 

@@ -187,14 +187,17 @@ def test_hyperbolic_family_is_round_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# the cos2 bump cut reuses the cos^2 row of a read-only join axis; the cache
-# must never give a value that the uncached formula would not
+# a bump cut of either direction reuses its row of T on a read-only join
+# axis; the cache must never give a value that the uncached formula would not
 # ---------------------------------------------------------------------------
 
-def _uncached_cut(amount, angles):
-    """1 + amount * cos^2 in the order of the uncached path: cos^2 as
-    c * c, scaled, then 1 added."""
-    c = np.cos(np.asarray(angles, dtype=float))
+def _uncached_cut(amount, angles, direction="cos2"):
+    """1 + amount * T in the order of the uncached path: T as 1 or as
+    cos^2 taken as c * c, scaled, then 1 added."""
+    angles = np.asarray(angles, dtype=float)
+    if direction == "uniform":
+        return np.ones(angles.shape) * amount + 1.0
+    c = np.cos(angles)
     return c * c * amount + 1.0
 
 
@@ -209,48 +212,50 @@ def _check_fresh(got, want, held):
     held.append(got)
 
 
-def test_cos2_bump_cut_on_join_axes_gives_the_uncached_bits():
-    family = fam.bump_family("cos2")
+@pytest.mark.parametrize("direction", fam.DIRECTION_TAGS)
+def test_bump_cut_on_join_axes_gives_the_uncached_bits(direction):
+    family = fam.bump_family(direction)
     lam, rho = 4.0, 4.3
     amount = fam.BUMP_AMPLITUDE * fam.bump_profile(rho - lam)
     cut = family.cut(lam, rho)
+    want = lambda x: _uncached_cut(amount, x, direction)
     axis, _ = join_grid(24, 8)
     other, _ = join_grid(40, 8)
     held = []
     for _ in range(2):
-        _check_fresh(cut.at_angles(axis), _uncached_cut(amount, axis), held)
+        _check_fresh(cut.at_angles(axis), want(axis), held)
     # an equal writeable copy, which may change after it is evaluated
     copy = axis.copy()
-    _check_fresh(cut.at_angles(copy), _uncached_cut(amount, axis), held)
+    _check_fresh(cut.at_angles(copy), want(axis), held)
     copy += 0.25
-    _check_fresh(cut.at_angles(copy), _uncached_cut(amount, copy), held)
+    _check_fresh(cut.at_angles(copy), want(copy), held)
     # a read-only view of a writeable array can change through its base
     base = axis.copy()
     view = base[:]
     view.flags.writeable = False
-    _check_fresh(cut.at_angles(view), _uncached_cut(amount, base), held)
+    _check_fresh(cut.at_angles(view), want(base), held)
     base += 0.5
-    _check_fresh(cut.at_angles(view), _uncached_cut(amount, base), held)
+    _check_fresh(cut.at_angles(view), want(base), held)
     # a read-only array that owns its data can be made writeable again by
     # its owner and changed: it is not a join axis, so it is not cached
     owned = axis.copy()
     owned.flags.writeable = False
-    _check_fresh(cut.at_angles(owned), _uncached_cut(amount, axis), held)
+    _check_fresh(cut.at_angles(owned), want(axis), held)
     owned.flags.writeable = True
     owned += 0.5
     owned.flags.writeable = False
-    _check_fresh(cut.at_angles(owned), _uncached_cut(amount, owned), held)
+    _check_fresh(cut.at_angles(owned), want(owned), held)
     # a second read-only axis, then the first again
     for x in (other, axis, other):
-        _check_fresh(cut.at_angles(x), _uncached_cut(amount, x), held)
+        _check_fresh(cut.at_angles(x), want(x), held)
     # a 0-d angle and a 2-d block of the axis
-    _check_fresh(cut.at_angles(0.3), _uncached_cut(amount, 0.3), held)
+    _check_fresh(cut.at_angles(0.3), want(0.3), held)
     block = np.stack([axis, axis])
-    _check_fresh(cut.at_angles(block), _uncached_cut(amount, block), held)
+    _check_fresh(cut.at_angles(block), want(block), held)
     # writing into an evaluation leaves the next one unchanged
     first = cut.at_angles(axis)
     first[...] = -7.0
-    _check_fresh(cut.at_angles(axis), _uncached_cut(amount, axis), held)
+    _check_fresh(cut.at_angles(axis), want(axis), held)
 
 
 def test_bump_families_keep_their_caches_apart():

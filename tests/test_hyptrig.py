@@ -326,6 +326,39 @@ def test_triangle_jacobian_matches_finite_differences():
     assert np.allclose(fd(ht.solve_r, s, beta, 0, h), dr_db, rtol=1e-6, atol=1e-9)
 
 
+def _jacobian_reference(s, beta):
+    """(dt/ds, dt/dbeta, dr/ds, dr/dbeta) at 60 digits from the two floats,
+    read exactly."""
+    with mpmath.workdps(60):
+        s, beta = mpmath.mpf(s), mpmath.mpf(beta)
+        sinb, cosb = mpmath.sin(beta), mpmath.cos(beta)
+        cr = mpmath.cosh(mpmath.asinh(sinb * mpmath.sinh(s)))
+        return tuple(float(v) for v in (
+            cosb / cr ** 2, -sinb * mpmath.sinh(s) * mpmath.cosh(s) / cr ** 2,
+            sinb * mpmath.cosh(s) / cr, cosb * mpmath.sinh(s) / cr))
+
+
+# s and r on either side of LOG_SWITCH, the ends of beta, and (700, 1e-200),
+# where sinh(s) cosh(s) / cosh(r)^2 alone overflows but dt/dbeta is -1e200
+_JACOBIAN_POINTS = [(0.5, 0.3), (25.0, 1.2), (ht.LOG_SWITCH, 0.7),
+                    (40.0, 1e-10), (40.0, 0.7), (700.0, 1e-200),
+                    (700.0, 0.3), (700.0, HALF_PI), (5.0, 0.0), (5.0, HALF_PI)]
+
+
+def test_triangle_jacobian_matches_a_60_digit_reference():
+    # within 1e-12 relative, and without a warning: exp of a log difference
+    # of several hundred carries its rounding (1.6e-13 at (700, 1e-200))
+    s, beta = np.array(_JACOBIAN_POINTS).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = ht.triangle_jacobian(s, beta)
+    for i, point in enumerate(_JACOBIAN_POINTS):
+        for name, g, ref in zip(("dt_ds", "dt_db", "dr_ds", "dr_db"),
+                                (part[i] for part in got),
+                                _jacobian_reference(*point)):
+            assert abs(g - ref) <= 1e-12 * abs(ref), (point, name, g, ref)
+
+
 def test_coth_sq_minus_one():
     assert ht.coth_sq_minus_one(2.0) == pytest.approx(1.0 / math.sinh(2.0) ** 2,
                                                       rel=1e-14)
