@@ -52,9 +52,10 @@ ROUND_B, ROUND_C = 0.0, 1.0
 # roundoff noise and monotone decay is no longer meaningful
 C2_FLOOR = 1e-8
 
-# gates at the last lambda': C^2 distance to the limit, equator distance
+# gates at the last lambda': distance to the limit, equator, pole deviation
 FINAL_TOL = 1e-4
 BOUNDARY_TOL = 1e-6
+POLE_TOL = 1e-10
 
 HYPERBOLIC_PASS_TOL = 1e-10
 
@@ -289,16 +290,16 @@ def _decay_breaks(dists):
 
 
 def check_convergence_assertions(report):
-    """Monotone-decay, final-tolerance and boundary assertions over one
-    convergence report, whose records come in (b, lambda') order.
+    """Monotone-decay, final-tolerance, boundary and pole assertions over
+    one convergence report, whose records come in (b, lambda') order.
     Returns (summary line, failure descriptions); no failure = passed.
 
     Per b the distance must decrease strictly in lambda' while above the
     finite-difference floor C2_FLOOR (at or below the floor only
     non-growth beyond the floor is required), and so must its maximum
-    over b; the final distances must beat FINAL_TOL and the final
-    boundary distances BOUNDARY_TOL.  The summary line gives the worst
-    final distance and the worst final boundary distance.
+    over b; the final distance, boundary distance and pole deviation
+    (``boundary_H_c0``) must beat FINAL_TOL, BOUNDARY_TOL and POLE_TOL.
+    The summary line gives the worst final and final boundary distances.
 
     The boundary distance carries the structural coth^2(lambda' + b) - 1
     gap (~4 e^{-2(lambda'+b)}), so BOUNDARY_TOL = 1e-6 presumes a grid
@@ -323,6 +324,10 @@ def check_convergence_assertions(report):
         if not (boundaries[-1] < BOUNDARY_TOL):
             failures.append(f"{where}: boundary distance "
                             f"{boundaries[-1]:.3e} >= {BOUNDARY_TOL:.0e}")
+        pole = rows[-1]["boundary_H_c0"]
+        if not (pole < POLE_TOL):
+            failures.append(f"{where}: pole deviation {pole:.3e} >= "
+                            f"{POLE_TOL:.0e}")
         worst = dists if worst is None else [
             mf.max_carrying_nan(w, d) for w, d in zip(worst, dists)]
     failures += [f"theta={theta:.6g}: max-over-b distance not strictly "

@@ -150,14 +150,16 @@ def _check_radius(s, who):
                           f"[{RADIUS_MIN:.3g}, {RADIUS_MAX:g})")
 
 
-def _column_rows(column, x, phi):
-    """The (x.size, phi.size) array whose row j is the field column(x_j)
-    at the angles phi, each row written contiguously; column is called
-    once per x_j (a float)."""
+def _column_block(column, x, phi, weight):
+    """The C-ordered (phi.size, x.size) block whose column j is weight_j
+    times the field column(x_j) (called with a float) at the angles phi,
+    by one transposing multiply of the contiguously written rows."""
     rows = np.empty((x.size, phi.size))
     for j, xj in enumerate(x.tolist()):
         rows[j] = column(xj).at_angles(phi)
-    return rows
+    out = np.empty((phi.size, x.size))
+    np.multiply(rows.T, weight, out=out)
+    return out
 
 
 def join_field(column, radial):
@@ -169,17 +171,13 @@ def join_field(column, radial):
     whose circle block at each beta is the field ``column(beta)``.  The
     extension-family cut and its predicted limit are unwarped (radial 1)
     and differ only in the column; the closed-form cut has radial
-    sinh^2(s).  radial * sin^2(beta) is applied once, by a transposing
-    multiply of the column rows into the C-ordered (phi, beta) block.
+    sinh^2(s).  radial * sin^2(beta) is the weight of the column block.
     """
 
     def block_m(phi, beta):
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        weight = radial * np.sin(beta) ** 2
-        out = np.empty((phi.size, beta.size))
-        np.multiply(_column_rows(column, beta, phi).T, weight, out=out)
-        return out
+        return _column_block(column, beta, phi, radial * np.sin(beta) ** 2)
 
     return JoinMetricField(block_m=block_m, radial=float(radial))
 
@@ -221,9 +219,8 @@ def cut_via_pullback(base, s, phi, beta):
 
     r_c = ht.solve_r(s, beta)
     g_bb = np.cosh(r_c) ** 2 * dt_db ** 2 + dr_db ** 2
-    f_pp = np.empty((phi.size, beta.size))       # h_r = sinh^2(r) g'_r
-    np.multiply(_column_rows(base, r_c, phi).T, np.sinh(r_c) ** 2, out=f_pp)
-    f_pp *= (dphi_dphi ** 2)[:, None]            # now g_pp
+    f_pp = _column_block(base, r_c, phi, np.sinh(r_c) ** 2)  # h_r
+    f_pp *= (dphi_dphi ** 2)[:, None]                        # now g_pp
     return JoinSample(phi, beta, f_pp, g_bb, _ZERO)
 
 

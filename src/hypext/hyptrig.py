@@ -79,8 +79,7 @@ def log_sinh(x):
     For x > LOG_SWITCH uses  log sinh x = x - log 2 + log(1 - e^{-2x}).
     """
     (x,), shape, scalar = _prepare(x)
-    if np.any(x <= 0.0):
-        raise DomainError("log_sinh: x must be > 0")
+    _check_positive(x, "log_sinh", "x")
     out = np.empty_like(x)
     m = x <= LOG_SWITCH
     out[m] = np.log(np.sinh(x[m]))
@@ -134,10 +133,16 @@ def _check_beta_closed(beta, what):
         raise DomainError(f"{what}: beta must lie in [0, pi/2]")
 
 
-def _check_theta(theta, what):
-    # the range test is negated, so that a NaN theta is refused too
-    if not np.all((theta > 0.0) & (theta <= HALF_PI)):
-        raise DomainError(f"{what}: theta must lie in (0, pi/2]")
+def _check_angle(x, what, name="theta"):
+    # the range test is negated, so that a NaN angle is refused too
+    if not np.all((x > 0.0) & (x <= HALF_PI)):
+        raise DomainError(f"{what}: {name} must lie in (0, pi/2]")
+
+
+def _check_positive(x, what, name="s"):
+    # a NaN passes: the legs carry it
+    if np.any(x <= 0.0):
+        raise DomainError(f"{what}: {name} must be > 0")
 
 
 def _solve_r_scalar(s, beta):
@@ -174,8 +179,7 @@ def solve_r(s, beta):
     if isinstance(s, float) and isinstance(beta, float):
         return _solve_r_scalar(s, beta)
     (s, beta), shape, scalar = _prepare(s, beta)
-    if np.any(s <= 0.0):
-        raise DomainError("solve_r: s must be > 0")
+    _check_positive(s, "solve_r")
     _check_beta_closed(beta, "solve_r")
     return _finish(_leg_r(s, np.sin(beta)), shape, scalar)
 
@@ -200,8 +204,7 @@ def solve_t(s, beta):
     which carries it.
     """
     (s, beta), shape, scalar = _prepare(s, beta)
-    if np.any(s <= 0.0):
-        raise DomainError("solve_t: s must be > 0")
+    _check_positive(s, "solve_t")
     _check_beta_closed(beta, "solve_t")
     sinb = np.sin(beta)
     cosb = np.cos(beta)
@@ -237,9 +240,8 @@ def reparam(lambda_prime, theta):
     evaluates the expansion exactly.  theta = pi/2 gives lambda = lambda'.
     """
     (lp, theta), shape, scalar = _prepare(lambda_prime, theta)
-    if np.any(lp <= 0.0):
-        raise DomainError("reparam: lambda_prime must be > 0")
-    _check_theta(theta, "reparam")
+    _check_positive(lp, "reparam", "lambda_prime")
+    _check_angle(theta, "reparam")
     out = _asinh_scaled_sinh(np.log(np.sin(theta)), lp)
     return _finish(out, shape, scalar)
 
@@ -247,9 +249,8 @@ def reparam(lambda_prime, theta):
 def reparam_inverse(lam, theta):
     """Inverse index change lambda' = asinh(sinh(lambda) / sin(theta))."""
     (lam, theta), shape, scalar = _prepare(lam, theta)
-    if np.any(lam <= 0.0):
-        raise DomainError("reparam_inverse: lambda must be > 0")
-    _check_theta(theta, "reparam_inverse")
+    _check_positive(lam, "reparam_inverse", "lambda")
+    _check_angle(theta, "reparam_inverse")
     out = _asinh_scaled_sinh(-np.log(np.sin(theta)), lam)
     return _finish(out, shape, scalar)
 
@@ -265,10 +266,7 @@ def vartheta(lam, beta, b, theta):
     (0, pi/2], NaN included, is refused here; the other refusals are
     those of the two stages.
     """
-    beta_arr = np.asarray(beta)
-    # the range test is negated, so that a NaN beta is refused too
-    if not np.all((beta_arr > 0.0) & (beta_arr <= HALF_PI)):
-        raise DomainError("vartheta: beta must lie in (0, pi/2]")
+    _check_angle(np.asarray(beta), "vartheta", "beta")
     return solve_r(reparam_inverse(lam, theta) + b, beta)
 
 
@@ -280,10 +278,8 @@ def vartheta_shift(beta, b, theta):
     the small-angle regime is handled separately by beta1_threshold.
     """
     (beta, b, theta), shape, scalar = _prepare(beta, b, theta)
-    # the range test is negated, so that a NaN beta is refused too
-    if not np.all((beta > 0.0) & (beta <= HALF_PI)):
-        raise DomainError("vartheta_shift: beta must lie in (0, pi/2]")
-    _check_theta(theta, "vartheta_shift")
+    _check_angle(beta, "vartheta_shift", "beta")
+    _check_angle(theta, "vartheta_shift")
     out = b + np.log(np.sin(beta)) - np.log(np.sin(theta))
     return _finish(out, shape, scalar)
 
@@ -307,8 +303,7 @@ def beta1_threshold(theta, B, c_prime):
     at lam_lo = max(5, the radius where that happens, 1 - c'); a start at
     or above LAMBDA_PRIME_MAX is refused, as is a theta outside (0, pi/2].
     """
-    if not 0.0 < theta <= HALF_PI:
-        raise DomainError("beta1_threshold: theta must lie in (0, pi/2]")
+    _check_angle(theta, "beta1_threshold")
     lam_lo = max(5.0, reparam_inverse(2.0 - B, theta)) if B < 2.0 else 5.0
     # the swept hypotenuse lambda' + c' must stay positive
     lam_lo = max(lam_lo, 1.0 - c_prime)
@@ -324,7 +319,8 @@ def beta1_threshold(theta, B, c_prime):
     grid = np.geomspace(lam_lo, LAMBDA_PRIME_MAX, BETA1_GRID)
     lhs = solve_r(grid + c_prime, beta1)
     rhs = reparam(grid, theta) + B
-    if np.any(lhs > rhs):
+    # negated, so that a NaN bound fails too
+    if not np.all(lhs <= rhs):
         worst = float(np.max(lhs - rhs))
         raise VerificationError(
             f"beta1_threshold: candidate beta1={beta1:.6g} fails the "
@@ -346,8 +342,7 @@ def triangle_jacobian(s, beta):
     Returns (dt_ds, dt_dbeta, dr_ds, dr_dbeta).
     """
     (s, beta), shape, scalar = _prepare(s, beta)
-    if np.any(s <= 0.0):
-        raise DomainError("triangle_jacobian: s must be > 0")
+    _check_positive(s, "triangle_jacobian")
     _check_beta_closed(beta, "triangle_jacobian")
     sinb, cosb = np.sin(beta), np.cos(beta)
     r = _leg_r(s, sinb)
@@ -364,8 +359,4 @@ def triangle_jacobian(s, beta):
 
 def coth_sq_minus_one(x):
     """coth(x)^2 - 1 = 1/sinh(x)^2, accurate for large x (no 1-cancellation)."""
-    (x,), shape, scalar = _prepare(x)
-    if np.any(x <= 0.0):
-        raise DomainError("coth_sq_minus_one: x must be > 0")
-    out = np.exp(-2.0 * log_sinh(x))
-    return _finish(out, shape, scalar)
+    return np.exp(-2.0 * log_sinh(x))

@@ -171,7 +171,7 @@ def test_cut_limit_convergence():
     t0 = time.perf_counter()
     family = fam.bump_family("uniform")
     reports = []
-    finals, boundaries = [], []
+    finals, boundaries, poles = [], [], []
     for theta in (HALF_PI, PI_3):
         cp = cl.c_prime_bound(family, theta)
         b_grid = np.linspace(-2.0, cp, 5)
@@ -185,9 +185,13 @@ def test_cut_limit_convergence():
                       if r["lambda_prime"] == 10.0)
         boundaries.extend(r["boundary_M_c0"] for r in rep.records
                           if r["lambda_prime"] == 10.0)
-    # the gates are cl.C2_FLOOR = 1e-8, cl.FINAL_TOL = 1e-4 and
-    # cl.BOUNDARY_TOL = 1e-6, the values this criterion states
-    assert (cl.C2_FLOOR, cl.FINAL_TOL, cl.BOUNDARY_TOL) == (1e-8, 1e-4, 1e-6)
+        poles.extend(r["boundary_H_c0"] for r in rep.records
+                     if r["lambda_prime"] == 10.0)
+    # the gates are cl.C2_FLOOR = 1e-8, cl.FINAL_TOL = 1e-4,
+    # cl.BOUNDARY_TOL = 1e-6 and cl.POLE_TOL = 1e-10, the values this
+    # criterion states
+    assert (cl.C2_FLOOR, cl.FINAL_TOL, cl.BOUNDARY_TOL, cl.POLE_TOL) == (
+        1e-8, 1e-4, 1e-6, 1e-10)
     failures = [f for rep in reports
                 for f in cl.check_convergence_assertions(rep)[1]]
     elapsed = time.perf_counter() - t0
@@ -195,13 +199,15 @@ def test_cut_limit_convergence():
                    for b in np.linspace(-2.0, 0.9, 5))
     final = max_carrying_nan(*finals)
     boundary = max_carrying_nan(*boundaries)
+    pole = max_carrying_nan(*poles)
     report("cut-limit-convergence",
            not failures and final < 1e-4
-           and boundary < 1e-6 and elapsed < 600.0,
+           and boundary < 1e-6 and pole < 1e-10 and elapsed < 600.0,
            f"strict decay over lambda' in {{4,6,8,10}} (above the 1e-8 "
            f"floor); final C2 distance {final:.2e} (< 1e-4); final "
            f"boundary distance {boundary:.2e} (< 1e-6, coth^2-1 "
-           f"reaches {coth_dev:.1e}); theta in {{pi/2, pi/3}}, 5 b-values "
+           f"reaches {coth_dev:.1e}); final pole deviation {pole:.2e} "
+           f"(< 1e-10); theta in {{pi/2, pi/3}}, 5 b-values "
            f"in [-2, c']; {elapsed:.1f}s single-threaded"
            + ("" if not failures else f"; failures: {failures}"))
 

@@ -130,7 +130,7 @@ ROWS = [
     pytest.param("shift-asymptotics", shift(17.0), id="shift-decay-ratio"),
     *(pytest.param("cut-limit-convergence", cut_limit(key),
                    id=f"converge-{key}")
-      for key in ("c1", "boundary_M_c0")),
+      for key in ("c1", "boundary_M_c0", "boundary_H_c0")),
     *(pytest.param("small-angle-claim", small_angle(key), id=f"claim-{key}")
       for key in ("lambda0", "exactness_max_dev")),
 ]

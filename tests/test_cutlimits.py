@@ -313,10 +313,10 @@ def test_corrupt_limit_hook_breaks_assertions():
     assert failures != []
 
 
-def _report(c2_values, boundary=1e-8):
+def _report(c2_values, boundary=1e-8, pole=0.0):
     records = [{"theta": HALF_PI, "b": 0.0, "lambda_prime": lp,
                 "c0": c2 / 10.0, "c1": c2 / 2.0, "c2": c2,
-                "boundary_M_c0": boundary}
+                "boundary_M_c0": boundary, "boundary_H_c0": pole}
                for lp, c2 in zip((4.0, 6.0, 8.0), c2_values)]
     return cl.ConvergenceReport(records=records, wall_clock_s=0.0)
 
@@ -334,6 +334,11 @@ def test_convergence_assertions_fail_on_nan():
         _report([1e-2, 1e-3, 1e-5], boundary=math.nan))
     assert any("boundary distance" in f for f in failures)
     assert line.endswith("final boundary nan")
+    # a NaN pole deviation fails its gate and leaves the summary line alone
+    line, failures = cl.check_convergence_assertions(
+        _report([1e-2, 1e-3, 1e-5], pole=math.nan))
+    assert failures == ["theta=1.5708 b=0: pole deviation nan >= 1e-10"]
+    assert line == "theta=1.5708: final C2 1.000e-05, final boundary 1.000e-08"
 
 
 def test_convergence_assertions_gate_each_b_and_the_max_over_b():
@@ -341,7 +346,8 @@ def test_convergence_assertions_gate_each_b_and_the_max_over_b():
     # maximum over b, which b = 1 holds from lambda' = 6 on, stalls with
     # it; b = 2 stalls only at or below the floor
     records = [{"theta": PI_3, "b": b, "lambda_prime": lp, "c0": c2,
-                "c1": 0.0, "c2": c2, "boundary_M_c0": 1e-8}
+                "c1": 0.0, "c2": c2, "boundary_M_c0": 1e-8,
+                "boundary_H_c0": 0.0}
                for b, c2s in ((0.0, (1e-2, 1e-3, 1e-5)),
                               (1.0, (1e-3, 2e-3, 2e-3)),
                               (2.0, (1e-9, 1e-9, 1e-9)))

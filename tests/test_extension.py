@@ -185,9 +185,7 @@ def pullback_by_sheets(base, s, phi, beta):
     dr_dphi = np.zeros_like(phi)
     r_c = ht.solve_r(s, beta)
     f_yy = np.cosh(r_c) ** 2
-    f_pp = np.empty((phi.size, beta.size))
-    np.multiply(ext._column_rows(base, r_c, phi).T, np.sinh(r_c) ** 2,
-                out=f_pp)
+    f_pp = ext._column_block(base, r_c, phi, np.sinh(r_c) ** 2)
     block_m = np.empty((len(ext.SHEETS), phi.size, beta.size))
     block_beta = np.empty_like(block_m)
     offdiag = np.empty_like(block_m)

@@ -254,6 +254,14 @@ def test_beta1_verification_failure_raises(monkeypatch):
         ht.beta1_threshold(HALF_PI, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("B,c_prime", [(math.nan, 0.0), (-1.0, math.nan)])
+def test_beta1_threshold_fails_a_nan_bound(B, c_prime):
+    # a NaN bound makes a NaN candidate or sweep: its check fails, rather
+    # than returning an unchecked NaN
+    with pytest.raises(VerificationError, match="fails the inequality"):
+        ht.beta1_threshold(HALF_PI, B, c_prime)
+
+
 def test_beta1_threshold_refuses_bad_theta_and_backward_sweep():
     for theta in (0.0, -0.3, HALF_PI + 1e-6, math.nan):
         with pytest.raises(DomainError, match="theta"):
